@@ -66,7 +66,6 @@ from .flagcore import (
 from .geometry import (
     DescentResult,
     EmbeddedTangent,
-    MetricSpec,
     default_step,
     distance_to_model,
     gradient_descent,

@@ -35,14 +35,6 @@ def gunther_bound(m: int) -> int:
     return max(m * (m + 3) // 2 + 5, m * (m + 5) // 2)
 
 
-def gunther_bound_alt(m: int) -> int:
-    """The same bound with the constant folded inside the max:
-    max{m(m+3) + 10, m(m+5)} / 2.  Kept as a cross-check."""
-    if m < 1:
-        raise ValidationError(f"need m >= 1, got {m}")
-    return max(m * (m + 3) + 10, m * (m + 5)) // 2
-
-
 def isospectral_bound(n: int) -> int:
     """(n-1)(n+2)/2: the ambient dimension achieved by the matrix model of
     any flag manifold in R^n (traceless symmetric matrices)."""

@@ -2,13 +2,15 @@
 
 Every command is deterministic given its flags and emits text, JSON (with a
 top-level ``schema_version``), or CSV.  Exit codes are a stable contract:
-0 success, 2 input validation failure, 3 numerical/degeneracy failure; on
-failure a single machine-parsable line ``ErrorName: reason`` goes to
-stderr.
+0 success, 1 a failed verification row (``repdim verify``, ``bounds
+sweep``), 2 input validation failure, 3 numerical/degeneracy failure; on
+an exit of 2 or 3 a single machine-parsable line ``ErrorName: reason`` goes
+to stderr.
 
 Matrix files are plain text: the first line holds the size n, followed by
-n rows of n whitespace-separated decimal reals.  Floating-point output is
-printed with 17 significant digits so values round-trip bit-faithfully.
+n rows of n whitespace-separated finite decimal reals.  Floating-point
+output is printed with 17 significant digits so values round-trip
+bit-faithfully.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,17 +45,28 @@ SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Parsed run options shared by every command."""
+class Output:
+    """A command's result, with one formatting function per output format.
 
-    command: str
-    output_format: str = "text"
-    seed: int = 0
-    tolerances: dict = field(default_factory=dict)
+    ``main`` calls only the function for the requested format, so a command
+    never formats output that is not printed."""
+
+    json: Callable[[], dict]
+    csv: Callable[[], Iterable[Sequence]]
+    text: Callable[[], Iterable[str]]
+    code: int = 0
 
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
+
+
+def _row(values) -> str:
+    return " ".join(_fmt(v) for v in values)
+
+
+def _ks_text(sig) -> str:
+    return ",".join(map(str, sig.ks))
 
 
 def _print(line: str = "") -> None:
@@ -71,13 +85,17 @@ def _emit_csv(rows) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _print_matrix(a, indent: str = "  ") -> None:
-    for row in np.asarray(a):
-        _print(indent + " ".join(_fmt(v) for v in row))
+def _matrix_lines(a) -> list[str]:
+    return ["  " + _row(row) for row in np.asarray(a)]
 
 
 def _matrix_csv_rows(a):
     return [[_fmt(v) for v in row] for row in np.asarray(a)]
+
+
+def _spectrum_header(spec: Spectrum) -> dict:
+    sig = spec.signature
+    return {"n": sig.n, "ks": list(sig.ks), "spectrum": [float(v) for v in spec.values]}
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -116,13 +134,16 @@ def read_matrix_file(path: str) -> np.ndarray:
         vals = [float(t) for t in tokens[1:]]
     except ValueError as e:
         raise ValidationError(f"matrix file {path!r}: {e}") from None
-    return np.array(vals, dtype=float).reshape(n, n)
+    a = np.array(vals, dtype=float).reshape(n, n)
+    if not np.isfinite(a).all():
+        raise ValidationError(f"matrix file {path!r}: entries must be finite")
+    return a
 
 
 def format_matrix_file(a: np.ndarray) -> str:
     a = np.asarray(a)
     lines = [str(a.shape[0])]
-    lines.extend(" ".join(_fmt(v) for v in row) for row in a)
+    lines.extend(_row(row) for row in a)
     return "\n".join(lines) + "\n"
 
 
@@ -144,109 +165,86 @@ def _matrix_input(args, flag_name: str, path: str) -> np.ndarray:
     return a
 
 
-def cmd_embed(args, cfg: RunConfig) -> int:
+def cmd_embed(args) -> Output:
     sig, spec = _signature_spectrum(args, args.n)
     if args.identity:
         f = identity_flag(sig)
     elif args.q_file:
         f = FlagPoint(read_matrix_file(args.q_file), sig)
     else:
-        f = random_flag_point(sig, cfg.seed)
+        f = random_flag_point(sig, args.seed)
     x = embed(f, spec).x.entries
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "embed",
-        "n": sig.n,
-        "ks": list(sig.ks),
-        "spectrum": [float(v) for v in spec.values],
-        "matrix": x.tolist(),
-        "eigenvalues": np.linalg.eigvalsh(x).tolist(),
-        "trace": float(np.trace(x)),
-    }
-    if cfg.output_format == "json":
-        _emit_json(payload)
-    elif cfg.output_format == "csv":
-        _emit_csv(_matrix_csv_rows(x))
-    else:
-        _print(f"n: {sig.n}")
-        _print("ks: " + ",".join(map(str, sig.ks)))
-        _print("spectrum: " + " ".join(_fmt(v) for v in spec.values))
-        _print("trace: " + _fmt(payload["trace"]))
-        _print("eigenvalues: " + " ".join(_fmt(v) for v in payload["eigenvalues"]))
-        _print("matrix:")
-        _print_matrix(x)
-    return 0
+    eigenvalues = np.linalg.eigvalsh(x)
+    trace = float(np.trace(x))
+    return Output(
+        json=lambda: {
+            **_spectrum_header(spec),
+            "matrix": x.tolist(),
+            "eigenvalues": eigenvalues.tolist(),
+            "trace": trace,
+        },
+        csv=lambda: _matrix_csv_rows(x),
+        text=lambda: [
+            f"n: {sig.n}",
+            "ks: " + _ks_text(sig),
+            "spectrum: " + _row(spec.values),
+            "trace: " + _fmt(trace),
+            "eigenvalues: " + _row(eigenvalues),
+            "matrix:",
+            *_matrix_lines(x),
+        ],
+    )
 
 
-def cmd_recover(args, cfg: RunConfig) -> int:
+def cmd_recover(args) -> Output:
     a = _matrix_input(args, "--matrix-file", args.matrix_file)
     sig, spec = _signature_spectrum(args, a.shape[0])
-    f = recover(SymmetricMatrix(a), spec, eig_tol=args.eig_tol)
-    slices = sig.block_slices()
-    blocks = [
-        {
-            "value": float(spec.values[i]),
-            "size": int(sig.block_sizes[i]),
-            "columns": [s.start, s.stop],
-            "basis": f.q[:, s].tolist(),
-        }
-        for i, s in enumerate(slices)
-    ]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "recover",
-        "n": sig.n,
-        "ks": list(sig.ks),
-        "spectrum": [float(v) for v in spec.values],
-        "q": f.q.tolist(),
-        "blocks": blocks,
-    }
-    if cfg.output_format == "json":
-        _emit_json(payload)
-    elif cfg.output_format == "csv":
-        _emit_csv(_matrix_csv_rows(f.q))
-    else:
-        _print(f"n: {sig.n}")
-        _print("q:")
-        _print_matrix(f.q)
-        for b in blocks:
-            lo, hi = b["columns"]
-            _print(f"block value={_fmt(b['value'])} columns={lo}..{hi - 1}:")
-            _print_matrix(np.asarray(b["basis"]))
-    return 0
+    q = recover(SymmetricMatrix(a), spec, eig_tol=args.eig_tol).q
+    blocks = list(zip(spec.values, sig.block_sizes, sig.block_slices()))
+
+    def text():
+        lines = [f"n: {sig.n}", "q:", *_matrix_lines(q)]
+        for value, _, s in blocks:
+            lines.append(f"block value={_fmt(value)} columns={s.start}..{s.stop - 1}:")
+            lines.extend(_matrix_lines(q[:, s]))
+        return lines
+
+    return Output(
+        json=lambda: {
+            **_spectrum_header(spec),
+            "q": q.tolist(),
+            "blocks": [
+                {
+                    "value": float(value),
+                    "size": int(size),
+                    "columns": [s.start, s.stop],
+                    "basis": q[:, s].tolist(),
+                }
+                for value, size, s in blocks
+            ],
+        },
+        csv=lambda: _matrix_csv_rows(q),
+        text=text,
+    )
 
 
-def cmd_project(args, cfg: RunConfig) -> int:
+def cmd_project(args) -> Output:
     a = _matrix_input(args, "--matrix-file", args.matrix_file)
-    sig, spec = _signature_spectrum(args, a.shape[0])
-    x = SymmetricMatrix(a)
-    nearest = nearest_point(x, spec, gap_tol=args.gap_tol)
-    dist = float(np.linalg.norm(a - nearest.x.entries))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "project",
-        "n": sig.n,
-        "ks": list(sig.ks),
-        "spectrum": [float(v) for v in spec.values],
-        "matrix": nearest.x.entries.tolist(),
-        "distance": dist,
-    }
-    if cfg.output_format == "json":
-        _emit_json(payload)
-    elif cfg.output_format == "csv":
-        _emit_csv(_matrix_csv_rows(nearest.x.entries))
-    else:
-        _print("distance: " + _fmt(dist))
-        _print("matrix:")
-        _print_matrix(nearest.x.entries)
-    return 0
+    _, spec = _signature_spectrum(args, a.shape[0])
+    nearest = nearest_point(SymmetricMatrix(a), spec, gap_tol=args.gap_tol).x.entries
+    dist = float(np.linalg.norm(a - nearest))
+    return Output(
+        json=lambda: {**_spectrum_header(spec), "matrix": nearest.tolist(), "distance": dist},
+        csv=lambda: _matrix_csv_rows(nearest),
+        text=lambda: ["distance: " + _fmt(dist), "matrix:", *_matrix_lines(nearest)],
+    )
 
 
-def cmd_optimize(args, cfg: RunConfig) -> int:
+def cmd_optimize(args) -> Output:
     a = _matrix_input(args, "--target-file", args.target_file)
     sig, spec = _signature_spectrum(args, a.shape[0])
     target = SymmetricMatrix(a)
-    init = embed(random_flag_point(sig, cfg.seed), spec)
+    init = embed(random_flag_point(sig, args.seed), spec)
     step = args.step if args.step is not None else default_step(spec)
     result = gradient_descent(
         lambda x: x - target.entries,
@@ -257,127 +255,104 @@ def cmd_optimize(args, cfg: RunConfig) -> int:
         grad_tol=args.grad_tol,
     )
     final = result.point.x.entries
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "optimize",
-        "n": sig.n,
-        "ks": list(sig.ks),
-        "spectrum": [float(v) for v in spec.values],
-        "step": float(step),
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "final_grad_norm": float(result.final_grad_norm),
-        "distance_to_target": float(np.linalg.norm(final - target.entries)),
-        "grad_norms": [float(v) for v in result.grad_norms],
-        "matrix": final.tolist(),
-    }
-    if cfg.output_format == "json":
-        _emit_json(payload)
-    elif cfg.output_format == "csv":
-        _emit_csv(_matrix_csv_rows(final))
-    else:
-        _print(f"iterations: {result.iterations}")
-        _print(f"converged: {result.converged}")
-        _print("final_grad_norm: " + _fmt(result.final_grad_norm))
-        _print("distance_to_target: " + _fmt(payload["distance_to_target"]))
-        _print("grad_norms: " + " ".join(_fmt(v) for v in result.grad_norms))
-        _print("matrix:")
-        _print_matrix(final)
-    return 0
+    distance = float(np.linalg.norm(final - target.entries))
+    return Output(
+        json=lambda: {
+            **_spectrum_header(spec),
+            "step": float(step),
+            "iterations": result.iterations,
+            "converged": result.converged,
+            "final_grad_norm": float(result.final_grad_norm),
+            "distance_to_target": distance,
+            "grad_norms": [float(v) for v in result.grad_norms],
+            "matrix": final.tolist(),
+        },
+        csv=lambda: _matrix_csv_rows(final),
+        text=lambda: [
+            f"iterations: {result.iterations}",
+            f"converged: {result.converged}",
+            "final_grad_norm: " + _fmt(result.final_grad_norm),
+            "distance_to_target: " + _fmt(distance),
+            "grad_norms: " + _row(result.grad_norms),
+            "matrix:",
+            *_matrix_lines(final),
+        ],
+    )
 
 
-def cmd_repdim_dim(args, cfg: RunConfig) -> int:
+def cmd_repdim_dim(args) -> Output:
     w = repdim_mod.parse_weight(args.n, args.weight)
     dim = repdim_mod.weyl_dim(w)
-    if cfg.output_format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "repdim dim",
-                "n": args.n,
-                "weight": str(w),
-                "dimension": dim,
-            }
-        )
-    elif cfg.output_format == "csv":
-        _emit_csv([["weight", "dimension"], [str(w), str(dim)]])
-    else:
-        _print(str(dim))
-    return 0
+    return Output(
+        json=lambda: {"n": args.n, "weight": str(w), "dimension": dim},
+        csv=lambda: [["weight", "dimension"], [str(w), str(dim)]],
+        text=lambda: [str(dim)],
+    )
 
 
 def _hit_row(h: repdim_mod.EnumerationHit):
     return [str(h.weight), str(h.dimension), h.spin, h.real_form, h.sign_pair]
 
 
-def cmd_repdim_enumerate(args, cfg: RunConfig) -> int:
+def _hit_line(h: repdim_mod.EnumerationHit) -> str:
+    flags = "".join(
+        [" spin" if h.spin else "", " complexified" if not h.real_form else "",
+         " sign-pair" if h.sign_pair else ""]
+    )
+    return f"({h.weight}) -> {h.dimension}{flags}"
+
+
+def cmd_repdim_enumerate(args) -> Output:
     report = repdim_mod.enumerate_low_dim(args.n, args.max_dim, args.cap)
-    if cfg.output_format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "repdim enumerate",
-                "n": report.n,
-                "max_dim": report.max_dim,
-                "mu1_cap": str(report.search_box.mu1_cap),
-                "hits": [
-                    {
-                        "weight": str(h.weight),
-                        "dimension": h.dimension,
-                        "spin": h.spin,
-                        "real_form": h.real_form,
-                        "sign_pair": h.sign_pair,
-                    }
-                    for h in report.hits
-                ],
-            }
-        )
-    elif cfg.output_format == "csv":
-        rows = [["weight", "dimension", "spin", "real_form", "sign_pair"]]
-        rows.extend(_hit_row(h) for h in report.hits)
-        _emit_csv(rows)
-    else:
-        _print(f"n={report.n} max_dim={report.max_dim} mu1_cap={report.search_box.mu1_cap}")
-        for h in report.hits:
-            flags = "".join(
-                [" spin" if h.spin else "", " complexified" if not h.real_form else "",
-                 " sign-pair" if h.sign_pair else ""]
-            )
-            _print(f"({h.weight}) -> {h.dimension}{flags}")
-    return 0
+    return Output(
+        json=lambda: {
+            "n": report.n,
+            "max_dim": report.max_dim,
+            "mu1_cap": str(report.search_box.mu1_cap),
+            "hits": [
+                {
+                    "weight": str(h.weight),
+                    "dimension": h.dimension,
+                    "spin": h.spin,
+                    "real_form": h.real_form,
+                    "sign_pair": h.sign_pair,
+                }
+                for h in report.hits
+            ],
+        },
+        csv=lambda: [
+            ["weight", "dimension", "spin", "real_form", "sign_pair"],
+            *map(_hit_row, report.hits),
+        ],
+        text=lambda: [
+            f"n={report.n} max_dim={report.max_dim} mu1_cap={report.search_box.mu1_cap}",
+            *map(_hit_line, report.hits),
+        ],
+    )
 
 
-def cmd_repdim_verify(args, cfg: RunConfig) -> int:
+def cmd_repdim_verify(args) -> Output:
     report = repdim_mod.verify_classification(args.n, args.cap)
-    if cfg.output_format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "repdim verify",
-                "n": report.n,
-                "bound": report.bound,
-                "passed": report.passed,
-                "hits": [
-                    {"weight": str(h.weight), "dimension": h.dimension} for h in report.hits
-                ],
-                "checks": [
-                    {"name": c.name, "passed": c.passed, "detail": c.detail}
-                    for c in report.checks
-                ],
-            }
-        )
-    elif cfg.output_format == "csv":
-        rows = [["check", "passed", "detail"]]
-        rows.extend([c.name, c.passed, c.detail] for c in report.checks)
-        _emit_csv(rows)
-    else:
-        for c in report.checks:
-            _print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
-        _print(f"{'VERIFIED' if report.passed else 'FAILED'} n={report.n} bound={report.bound}")
-    return 0 if report.passed else 1
-
-
-_BOUND_FIELDS = ("n", "ks", "flag_dim", "isospectral", "gunther", "whitney", "wang")
+    return Output(
+        json=lambda: {
+            "n": report.n,
+            "bound": report.bound,
+            "passed": report.passed,
+            "hits": [{"weight": str(h.weight), "dimension": h.dimension} for h in report.hits],
+            "checks": [
+                {"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks
+            ],
+        },
+        csv=lambda: [
+            ["check", "passed", "detail"],
+            *([c.name, c.passed, c.detail] for c in report.checks),
+        ],
+        text=lambda: [
+            *(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in report.checks),
+            f"{'VERIFIED' if report.passed else 'FAILED'} n={report.n} bound={report.bound}",
+        ],
+        code=0 if report.passed else 1,
+    )
 
 
 def _bound_payload(r: bounds_mod.BoundReport) -> dict:
@@ -414,32 +389,34 @@ _BOUND_CSV_HEADER = [
 ]
 
 
-def cmd_bounds(args, cfg: RunConfig) -> int:
+def cmd_bounds(args) -> Output:
     if args.n is None or args.ks is None:
         raise ValidationError("bounds needs --n and --ks (or the `sweep` subcommand)")
     sig = make_signature(args.n, parse_int_list(args.ks))
-    report = bounds_mod.bound_table(sig, args.group_order)
-    if cfg.output_format == "json":
-        payload = {"schema_version": SCHEMA_VERSION, "command": "bounds"}
-        payload.update(_bound_payload(report))
-        _emit_json(payload)
-    elif cfg.output_format == "csv":
-        _emit_csv([_BOUND_CSV_HEADER, _bound_csv_row(report)])
-    else:
-        _print(f"n: {report.signature.n}")
-        _print("ks: " + ",".join(map(str, report.signature.ks)))
-        _print(f"flag_dim: {report.flag_dim}")
-        _print(f"isospectral: {report.isospectral} ({report.isospectral_label})")
-        _print(f"gunther: {report.gunther}")
-        _print(f"whitney: {report.whitney}")
-        if report.wang is not None:
-            _print(f"wang: {report.wang}")
-        for name, value in report.comparisons.items():
-            _print(f"{name}: {value}")
-    return 0
+    r = bounds_mod.bound_table(sig, args.group_order)
+
+    def text():
+        lines = [
+            f"n: {sig.n}",
+            "ks: " + _ks_text(sig),
+            f"flag_dim: {r.flag_dim}",
+            f"isospectral: {r.isospectral} ({r.isospectral_label})",
+            f"gunther: {r.gunther}",
+            f"whitney: {r.whitney}",
+        ]
+        if r.wang is not None:
+            lines.append(f"wang: {r.wang}")
+        lines.extend(f"{name}: {value}" for name, value in r.comparisons.items())
+        return lines
+
+    return Output(
+        json=lambda: _bound_payload(r),
+        csv=lambda: [_BOUND_CSV_HEADER, _bound_csv_row(r)],
+        text=text,
+    )
 
 
-def cmd_bounds_sweep(args, cfg: RunConfig) -> int:
+def cmd_bounds_sweep(args) -> Output:
     if args.max_n < 2:
         raise ValidationError(f"--max-n must be at least 2, got {args.max_n}")
     reports = []
@@ -450,29 +427,25 @@ def cmd_bounds_sweep(args, cfg: RunConfig) -> int:
             if not r.comparisons["isospectral_lt_gunther"]:
                 failures += 1
             reports.append(r)
-    if cfg.output_format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "bounds sweep",
-                "max_n": args.max_n,
-                "rows": [_bound_payload(r) for r in reports],
-                "gunther_failures": failures,
-            }
-        )
-    elif cfg.output_format == "csv":
-        rows = [_BOUND_CSV_HEADER]
-        rows.extend(_bound_csv_row(r) for r in reports)
-        _emit_csv(rows)
-    else:
+
+    def text():
         for r in reports:
-            ks = ",".join(map(str, r.signature.ks))
-            _print(
-                f"n={r.signature.n} ks={ks} flag_dim={r.flag_dim} "
+            yield (
+                f"n={r.signature.n} ks={_ks_text(r.signature)} flag_dim={r.flag_dim} "
                 f"isospectral={r.isospectral} gunther={r.gunther} whitney={r.whitney}"
             )
-        _print(f"rows: {len(reports)}  gunther_failures: {failures}")
-    return 0 if failures == 0 else 1
+        yield f"rows: {len(reports)}  gunther_failures: {failures}"
+
+    return Output(
+        json=lambda: {
+            "max_n": args.max_n,
+            "rows": [_bound_payload(r) for r in reports],
+            "gunther_failures": failures,
+        },
+        csv=lambda: [_BOUND_CSV_HEADER, *map(_bound_csv_row, reports)],
+        text=text,
+        code=0 if failures == 0 else 1,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -564,20 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_config_from_args(args) -> RunConfig:
-    tolerances = {
-        key: getattr(args, key)
-        for key in ("eig_tol", "gap_tol", "grad_tol")
-        if getattr(args, key, None) is not None
-    }
-    return RunConfig(
-        command=args.command,
-        output_format=getattr(args, "format", "text"),
-        seed=int(getattr(args, "seed", 0)),
-        tolerances=tolerances,
-    )
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -585,7 +544,17 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args, run_config_from_args(args))
+        out = args.func(args)
+        if args.format == "json":
+            # handler names follow the command path: cmd_repdim_dim is "repdim dim"
+            command = args.func.__name__.removeprefix("cmd_").replace("_", " ")
+            _emit_json({"schema_version": SCHEMA_VERSION, "command": command, **out.json()})
+        elif args.format == "csv":
+            _emit_csv(out.csv())
+        else:
+            for line in out.text():
+                _print(line)
+        return out.code
     except ValidationError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 2

@@ -34,6 +34,16 @@ from .flagcore import (
 EIG_TOL = 1e-8
 
 
+def _eig_deviation(x: SymmetricMatrix, spec: Spectrum) -> float:
+    """Largest distance between the sorted eigenvalues of x and the spectrum
+    values repeated by block size."""
+    if x.n != spec.signature.n:
+        raise SignatureMismatch(f"matrix is {x.n}x{x.n} but signature has n={spec.signature.n}")
+    target = np.sort(spec.repeated())
+    actual = np.linalg.eigvalsh(x.entries)
+    return float(np.max(np.abs(actual - target)))
+
+
 @dataclass(frozen=True, eq=False)
 class EmbeddedFlag:
     """A point of the matrix model: symmetric, with eigenvalue a_i of
@@ -45,13 +55,7 @@ class EmbeddedFlag:
     trace_tol: InitVar[float] = TRACE_TOL
 
     def __post_init__(self, eig_tol: float, trace_tol: float):
-        if self.x.n != self.spectrum.signature.n:
-            raise SignatureMismatch(
-                f"matrix is {self.x.n}x{self.x.n} but signature has n={self.spectrum.signature.n}"
-            )
-        target = np.sort(self.spectrum.repeated())
-        actual = np.linalg.eigvalsh(self.x.entries)
-        worst = float(np.max(np.abs(actual - target)))
+        worst = _eig_deviation(self.x, self.spectrum)
         if worst > eig_tol:
             raise SpectrumMismatch(
                 f"eigenvalues deviate from the prescribed spectrum by {worst:.3e} > {eig_tol:.3e}"
@@ -98,11 +102,7 @@ def act(r: np.ndarray, f: FlagPoint, orth_tol: float = ORTH_TOL) -> FlagPoint:
 def membership(x: SymmetricMatrix, spec: Spectrum, tol: float = EIG_TOL) -> bool:
     """Does x lie on the model manifold, i.e. does its eigenvalue multiset
     match {a_i repeated n_i times} within tol?"""
-    if x.n != spec.signature.n:
-        raise SignatureMismatch(f"matrix is {x.n}x{x.n}, signature has n={spec.signature.n}")
-    target = np.sort(spec.repeated())
-    actual = np.linalg.eigvalsh(x.entries)
-    return bool(np.max(np.abs(actual - target)) <= tol)
+    return _eig_deviation(x, spec) <= tol
 
 
 def recover(x: SymmetricMatrix, spec: Spectrum, eig_tol: float = EIG_TOL) -> FlagPoint:

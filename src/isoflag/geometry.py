@@ -30,25 +30,16 @@ from .flagcore import (
 )
 
 
-@dataclass(frozen=True)
-class MetricSpec:
-    """The invariant metric determined by a spectrum; the weight on block
-    (i, j) is (a_i - a_j)^2, positive since the values are distinct."""
-
-    spectrum: Spectrum
-
-    def weight(self, i: int, j: int) -> float:
-        v = self.spectrum.values
-        return (v[i] - v[j]) ** 2
-
-
-def metric_inner(b: TangentBlock, c: TangentBlock, m: MetricSpec) -> float:
-    """<B, C> = 2 sum_{i<j} (a_i - a_j)^2 tr(B_ij' C_ij)."""
+def metric_inner(b: TangentBlock, c: TangentBlock, spec: Spectrum) -> float:
+    """<B, C> = 2 sum_{i<j} (a_i - a_j)^2 tr(B_ij' C_ij), the invariant metric
+    determined by the spectrum; each weight (a_i - a_j)^2 is positive since
+    the values are distinct."""
     _check_same_signature(b.signature, c.signature)
-    _check_same_signature(b.signature, m.spectrum.signature)
+    _check_same_signature(b.signature, spec.signature)
+    v = spec.values
     total = 0.0
     for (i, j), bb, cc in zip(b.signature.block_pairs(), b.blocks, c.blocks):
-        total += m.weight(i, j) * float(np.sum(bb * cc))
+        total += (v[i] - v[j]) ** 2 * float(np.sum(bb * cc))
     return 2.0 * total
 
 
@@ -89,7 +80,7 @@ def isometry_defect(b: TangentBlock, spec: Spectrum) -> float:
     _check_same_signature(b.signature, spec.signature)
     bracket = _bracket_with_model(b, spec)
     lhs = float(np.sum(bracket * bracket))
-    rhs = metric_inner(b, b, MetricSpec(spec))
+    rhs = metric_inner(b, b, spec)
     return abs(lhs - rhs)
 
 
@@ -188,21 +179,8 @@ def gradient_descent(
         step = default_step(spec)
     x = init
     norms: list[float] = []
-    converged = False
     iterations = 0
-    for _ in range(max_iters):
-        g = np.asarray(objective_grad(np.asarray(x.x.entries)), dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise StepNotFinite("objective gradient returned non-finite entries")
-        t = project_to_tangent(SymmetricMatrix(g), x)
-        gn = float(np.linalg.norm(t.v.entries))
-        norms.append(gn)
-        if gn <= grad_tol:
-            converged = True
-            break
-        x = retract(x, t, -step)
-        iterations += 1
-    else:
+    while True:
         g = np.asarray(objective_grad(np.asarray(x.x.entries)), dtype=float)
         if not np.all(np.isfinite(g)):
             raise StepNotFinite("objective gradient returned non-finite entries")
@@ -210,4 +188,8 @@ def gradient_descent(
         gn = float(np.linalg.norm(t.v.entries))
         norms.append(gn)
         converged = gn <= grad_tol
+        if converged or iterations >= max_iters:
+            break
+        x = retract(x, t, -step)
+        iterations += 1
     return DescentResult(x, tuple(norms), iterations, converged)

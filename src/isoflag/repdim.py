@@ -276,8 +276,6 @@ class SearchBox:
     most mu1_cap, and (for even n) both signs of the last entry."""
 
     mu1_cap_doubled: int
-    includes_spin: bool = True
-    includes_negative_last: bool = True
 
     @property
     def mu1_cap(self) -> Fraction:
@@ -333,7 +331,7 @@ def enumerate_low_dim(n: int, max_dim: int, mu1_cap=4) -> EnumerationReport:
                 real_form = doubled[-1] == 0 and (m < 2 or doubled[-2] == 0)
             hits.append(EnumerationHit(w, dim, real_form, sign_pair))
     hits.sort(key=lambda h: (h.dimension, h.weight.doubled))
-    return EnumerationReport(n, max_dim, tuple(hits), SearchBox(cap, True, n % 2 == 0))
+    return EnumerationReport(n, max_dim, tuple(hits), SearchBox(cap))
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,13 @@ from isoflag import (
     whitney_bound,
     whitney_comparison,
 )
-from isoflag.bounds import gunther_bound_alt
 from isoflag.errors import KOutOfRange, ValidationError
+
+
+def gunther_bound_alt(m: int) -> int:
+    """Gunther's bound with the constant folded inside the max:
+    max{m(m+3) + 10, m(m+5)} / 2, the reference for gunther_bound."""
+    return max(m * (m + 3) + 10, m * (m + 5)) // 2
 
 
 class TestFlagDimension:

@@ -40,6 +40,16 @@ class TestMatrixFiles:
         with pytest.raises(Exception):
             read_matrix_file(str(path))
 
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_entry_exit_2(self, capsys, tmp_path, entry):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2\n{entry} 0\n0 1\n")
+        code, out, err = run(capsys, "project", "--matrix-file", str(path), "--ks", "1",
+                             "--spectrum", "1,-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ValidationError:") and "finite" in err
+
     def test_missing_file_is_validation(self, capsys):
         code, _, err = run(capsys, "recover", "--matrix-file", "/nonexistent", "--ks", "1")
         assert code == 2
