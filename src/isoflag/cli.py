@@ -140,13 +140,6 @@ def read_matrix_file(path: str) -> np.ndarray:
     return a
 
 
-def format_matrix_file(a: np.ndarray) -> str:
-    a = np.asarray(a)
-    lines = [str(a.shape[0])]
-    lines.extend(_row(row) for row in a)
-    return "\n".join(lines) + "\n"
-
-
 def _signature_spectrum(args, n: int):
     sig = make_signature(n, parse_int_list(args.ks))
     if getattr(args, "spectrum", None):

@@ -129,15 +129,15 @@ def recover(x: SymmetricMatrix, spec: Spectrum, eig_tol: float = EIG_TOL) -> Fla
         j = int(np.argmin(np.abs(values - ev)))
         if abs(values[j] - ev) > eig_tol:
             raise SpectrumMismatch(
-                f"eigenvalue {ev!r} is {abs(values[j] - ev):.3e} from the nearest "
-                f"spectrum value {values[j]!r}"
+                f"eigenvalue {float(ev)!r} is {abs(values[j] - ev):.3e} from the nearest "
+                f"spectrum value {float(values[j])!r}"
             )
         columns[j].append(col)
     sizes = sig.block_sizes
     for j, (cols, size) in enumerate(zip(columns, sizes)):
         if len(cols) != size:
             raise SpectrumMismatch(
-                f"value {values[j]!r} needs multiplicity {size}, found {len(cols)}"
+                f"value {float(values[j])!r} needs multiplicity {size}, found {len(cols)}"
             )
     q = np.concatenate([vec[:, cols] for cols in columns], axis=1)
     if np.linalg.det(q) < 0:

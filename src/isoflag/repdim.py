@@ -15,18 +15,20 @@ as doubled integers so half-integral entries stay exact, and products are
 accumulated as integer numerator/denominator pairs whose quotient is
 checked to divide exactly.  Floating point is deliberately absent.
 
-The classification utilities enumerate every dominant weight inside a box
-and mechanically confirm which modules fit below the dimension of the
-traceless symmetric matrices, (n-1)(n+2)/2.
+The classification utilities find every dominant weight inside a box whose
+dimension is at most a cutoff, and mechanically confirm which modules fit
+below the dimension of the traceless symmetric matrices, (n-1)(n+2)/2.
+The box is walked depth first and pruned: every Weyl factor
+<lam+rho, alpha>/<rho, alpha> grows when a dominant weight is added to lam,
+so a branch whose smallest weight already exceeds the cutoff holds no hit.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import (
     DeltaOutOfRange,
@@ -284,25 +286,40 @@ class SearchBox:
 
 @dataclass(frozen=True)
 class EnumerationReport:
+    """The hits of one enumeration, plus how much of the box the walk saw.
+
+    ``visited`` counts the weights whose dimension the walk evaluated (the
+    mirror checks of even-n hits aside) and ``pruned`` the ones among them
+    that exceeded ``max_dim`` and so cut their branch.  Both describe the
+    walk, not its result: they are left out of ``repr`` and equality.
+    """
+
     n: int
     max_dim: int
     hits: tuple[EnumerationHit, ...]
     search_box: SearchBox
-
-
-def _dominant_in_box(m: int, cap_doubled: int, parity: int) -> Iterator[tuple[int, ...]]:
-    """All nonincreasing tuples of one parity with entries in [parity, cap]."""
-    vals = range(cap_doubled - (cap_doubled - parity) % 2, parity - 1, -2)
-    yield from itertools.combinations_with_replacement(vals, m)
+    visited: int = field(repr=False, compare=False)
+    pruned: int = field(repr=False, compare=False)
 
 
 def enumerate_low_dim(n: int, max_dim: int, mu1_cap=4) -> EnumerationReport:
-    """Exhaustively list every dominant weight with mu_1 <= mu1_cap whose
-    module dimension is at most max_dim.
+    """List every dominant weight with mu_1 <= mu1_cap whose module
+    dimension is at most max_dim.
 
-    Both parities are walked.  For even n the negative-last-entry branch is
-    visited explicitly, confirmed to carry the same dimension as its
-    mirror, and reported once with ``sign_pair`` set.
+    Both parities are walked depth first, fixing the doubled entries from
+    the last to the first, each in [parity, cap] and nonincreasing.  A node
+    with entries k..m-1 fixed is evaluated at its smallest completion, the
+    weight that repeats entry k in every open leading position.  Every
+    weight below the node, and the smallest completion of every larger value
+    at position k, is that completion plus a dominant weight.  Each Weyl
+    factor <lam+rho, alpha>/<rho, alpha> grows when a dominant weight is
+    added to lam, so once the completion exceeds max_dim the rest of that
+    position's values are cut without losing a hit.  The first child of a
+    node repeats its parent's completion and is not evaluated again.
+
+    For even n the negative-last-entry branch is visited explicitly at each
+    hit, confirmed to carry the same dimension as its mirror, and reported
+    once with ``sign_pair`` set.
     Hits are sorted by dimension, then lexicographically.
     """
     if n < 3:
@@ -314,12 +331,25 @@ def enumerate_low_dim(n: int, max_dim: int, mu1_cap=4) -> EnumerationReport:
     m = n // 2
     max_dim = int(max_dim)
     hits = []
-    for parity in (0, 1):
-        for doubled in _dominant_in_box(m, cap, parity):
-            w = HighestWeight(n, doubled)
-            dim = weyl_dim(w)
-            if dim > max_dim:
+    visited = pruned = 0
+    # A node fixes entry k above the fixed entries `suffix`, starting from
+    # `lo`; `dim` is the dimension of the smallest completion at `lo` when
+    # the parent already evaluated it.
+    todo = [(m - 1, (), parity, None) for parity in (0, 1)]
+    while todo:
+        k, suffix, lo, dim = todo.pop()
+        for v in range(lo, cap + 1, 2):
+            if v > lo or dim is None:
+                visited += 1
+                dim = weyl_dim(HighestWeight(n, (v,) * (k + 1) + suffix))
+                if dim > max_dim:
+                    pruned += 1
+                    break
+            if k > 0:
+                todo.append((k - 1, (v,) + suffix, v, dim))
                 continue
+            doubled = (v,) + suffix
+            w = HighestWeight(n, doubled)
             sign_pair = n % 2 == 0 and doubled[-1] > 0
             if sign_pair:
                 mirror = HighestWeight(n, doubled[:-1] + (-doubled[-1],))
@@ -331,7 +361,7 @@ def enumerate_low_dim(n: int, max_dim: int, mu1_cap=4) -> EnumerationReport:
                 real_form = doubled[-1] == 0 and (m < 2 or doubled[-2] == 0)
             hits.append(EnumerationHit(w, dim, real_form, sign_pair))
     hits.sort(key=lambda h: (h.dimension, h.weight.doubled))
-    return EnumerationReport(n, max_dim, tuple(hits), SearchBox(cap))
+    return EnumerationReport(n, max_dim, tuple(hits), SearchBox(cap), visited, pruned)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Shared sampling helpers for the tests."""
+"""Shared sampling and file-writing helpers for the tests."""
 
 from __future__ import annotations
 
@@ -43,3 +43,11 @@ def random_block_stabilizer(sig: FlagSignature, rng: np.random.Generator) -> np.
 def random_symmetric(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     a = rng.standard_normal((n, n)) * scale
     return (a + a.T) / 2.0
+
+
+def format_matrix_file(a: np.ndarray) -> str:
+    """The matrix-file text the CLI reads: the size n, then n rows of
+    17-significant-digit entries."""
+    a = np.asarray(a)
+    rows = (" ".join(format(float(v), ".17g") for v in row) for row in a)
+    return "\n".join([str(a.shape[0]), *rows]) + "\n"

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from isoflag import Spectrum, block_diagonal_model, default_traceless_spectrum, make_signature
-from isoflag.cli import format_matrix_file, main, read_matrix_file
+from isoflag.cli import main, read_matrix_file
+
+from _helpers import format_matrix_file
 
 
 def run(capsys, *argv):

@@ -179,6 +179,18 @@ class TestRecover:
         with pytest.raises(SpectrumMismatch):
             recover(bad, spec)
 
+    @pytest.mark.parametrize("diagonal, message", [
+        ([-2.0, -2.0, 2.0, 2.0], "eigenvalue -2.0 is 1.000e+00 from the nearest spectrum value -1.0"),
+        ([1.0, 1.0, 1.0, -1.0], "value 1.0 needs multiplicity 2, found 3"),
+    ])
+    def test_errors_print_plain_floats(self, diagonal, message):
+        # numpy 2 reprs its scalars as np.float64(...); messages must not
+        spec = Spectrum((1.0, -1.0), make_signature(4, [2]))
+        with pytest.raises(SpectrumMismatch) as err:
+            recover(SymmetricMatrix(np.diag(diagonal)), spec)
+        assert str(err.value) == message
+        assert "np.float64" not in str(err.value)
+
     def test_narrow_gap_is_loud(self):
         sig = make_signature(2, [1])
         spec = Spectrum((1.5e-8, 0.0), sig)  # above construction tol, below 2*eig_tol

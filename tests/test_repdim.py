@@ -17,6 +17,7 @@ from isoflag import (
     verify_classification,
     weyl_dim,
 )
+from isoflag.repdim import EnumerationHit, EnumerationReport, SearchBox
 from isoflag.errors import (
     DeltaOutOfRange,
     HypothesisViolated,
@@ -59,6 +60,32 @@ def all_dominant_doubled(n: int, cap_doubled: int, parity: int, include_negative
         yield tup
         if include_negative and n % 2 == 0 and tup[-1] > 0:
             yield tup[:-1] + (-tup[-1],)
+
+
+def box_dimensions(n: int, cap_doubled: int):
+    """Every tuple of the mu1_cap box, both parities, with its dimension."""
+    return [
+        (doubled, weyl_dim(HighestWeight(n, doubled)))
+        for parity in (0, 1)
+        for doubled in all_dominant_doubled(n, cap_doubled, parity)
+    ]
+
+
+def enumerate_low_dim_box(n: int, max_dim: int, cap_doubled: int, box) -> EnumerationReport:
+    """Reference for enumerate_low_dim: filter the whole box (from
+    box_dimensions) by dimension, with no pruning."""
+    m = n // 2
+    hits = []
+    for doubled, dim in box:
+        if dim > max_dim:
+            continue
+        sign_pair = n % 2 == 0 and doubled[-1] > 0
+        if sign_pair:
+            assert weyl_dim(HighestWeight(n, doubled[:-1] + (-doubled[-1],))) == dim
+        real_form = doubled[-1] == 0 and (n % 2 == 1 or m < 2 or doubled[-2] == 0)
+        hits.append(EnumerationHit(HighestWeight(n, doubled), dim, real_form, sign_pair))
+    hits.sort(key=lambda h: (h.dimension, h.weight.doubled))
+    return EnumerationReport(n, max_dim, tuple(hits), SearchBox(cap_doubled), len(box), 0)
 
 
 class TestHighestWeight:
@@ -339,6 +366,23 @@ class TestEnumerate:
         with pytest.raises(ValidationError):
             enumerate_low_dim(9, 10, mu1_cap=1)
 
+    @pytest.mark.parametrize("n", range(3, 34))
+    def test_matches_whole_box_reference(self, n):
+        bound = traceless_sym_dim(n)
+        max_dims = (1, n, n * (n - 1) // 2, bound, 2 * bound, 10**6)
+        for cap in (2, Fraction(5, 2), 3, Fraction(7, 2), 4):
+            box = box_dimensions(n, int(2 * cap))
+            for max_dim in max_dims:
+                expected = enumerate_low_dim_box(n, max_dim, int(2 * cap), box)
+                assert repr(enumerate_low_dim(n, max_dim, cap)) == repr(expected)
+
+    def test_pruning_visits_few_weights(self):
+        # the n=32 box holds 5,814 tuples, of which 4 are hits
+        report = enumerate_low_dim(32, traceless_sym_dim(32))
+        assert len(report.hits) == 4
+        assert report.visited <= 100
+        assert 0 < report.pruned <= report.visited
+
 
 class TestVerifyClassification:
     def test_n17_passes(self):
@@ -351,6 +395,18 @@ class TestVerifyClassification:
         report = verify_classification(18)
         assert report.passed
         assert sorted(h.dimension for h in report.hits) == [1, 18, 153, 170]
+
+    @pytest.mark.parametrize("n", range(17, 65))
+    def test_four_weights_up_to_64(self, n):
+        m = n // 2
+        report = verify_classification(n)
+        assert report.passed
+        assert {h.weight.doubled: h.dimension for h in report.hits} == {
+            (0,) * m: 1,
+            (2,) + (0,) * (m - 1): n,
+            (2, 2) + (0,) * (m - 2): n * (n - 1) // 2,
+            (4,) + (0,) * (m - 1): traceless_sym_dim(n),
+        }
 
     def test_below_hypothesis_is_loud(self):
         with pytest.raises(HypothesisViolated):
