@@ -27,7 +27,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import repdim as repdim_mod
-from .embed import EIG_TOL, embed, recover
+from .embed import EIG_TOL, _eigh, embed, recover
 from .errors import NumericalError, ValidationError
 from .flagcore import (
     SPECTRUM_GAP_TOL,
@@ -167,7 +167,7 @@ def cmd_embed(args) -> Output:
     else:
         f = random_flag_point(sig, args.seed)
     x = embed(f, spec).x.entries
-    eigenvalues = np.linalg.eigvalsh(x)
+    eigenvalues = _eigh(x, vectors=False)
     trace = float(np.trace(x))
     return Output(
         json=lambda: {

@@ -15,8 +15,8 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import (
+    EigenSolverFailed,
     EigenvalueGapTooSmall,
-    NotSpecialOrthogonal,
     SignatureMismatch,
     SpectrumMismatch,
 )
@@ -28,10 +28,32 @@ from .flagcore import (
     Spectrum,
     SymmetricMatrix,
     _check_same_signature,
+    _check_special_orthogonal,
     _embedded_image,
 )
 
 EIG_TOL = 1e-8
+
+
+def _eigh(a: np.ndarray, vectors: bool = True):
+    """``np.linalg.eigh(a)``, or ``eigvalsh(a)`` without the vectors: the one
+    call site of the symmetric eigen-solver, which raises LAPACK's failure
+    to converge as ``EigenSolverFailed``."""
+    try:
+        return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as e:
+        n = a.shape[0]
+        raise EigenSolverFailed(f"symmetric eigen-solver failed on a {n}x{n} matrix: {e}") from None
+
+
+def _block_frame(vec: np.ndarray, spec: Spectrum) -> np.ndarray:
+    """Put the eigenvectors ``vec`` of a matrix whose eigenvalues match the
+    spectrum, in eigh's ascending order, into block order: the stable
+    argsort of the repeated spectrum lists the block positions by ascending
+    value, so each column goes to its block and keeps its order there."""
+    q = np.empty(vec.shape)
+    q[:, np.argsort(spec.repeated(), kind="stable")] = vec
+    return q
 
 
 def _eig_deviation(x: SymmetricMatrix, spec: Spectrum) -> float:
@@ -40,7 +62,7 @@ def _eig_deviation(x: SymmetricMatrix, spec: Spectrum) -> float:
     if x.n != spec.signature.n:
         raise SignatureMismatch(f"matrix is {x.n}x{x.n} but signature has n={spec.signature.n}")
     target = np.sort(spec.repeated())
-    actual = np.linalg.eigvalsh(x.entries)
+    actual = _eigh(x.entries, vectors=False)
     return float(np.max(np.abs(actual - target)))
 
 
@@ -91,12 +113,8 @@ def act(r: np.ndarray, f: FlagPoint, orth_tol: float = ORTH_TOL) -> FlagPoint:
     embedded matrix, embed(act(r, f)) = r embed(f) r'.
     """
     r = np.asarray(r, dtype=float)
-    n = f.signature.n
-    if r.shape != (n, n):
-        raise NotSpecialOrthogonal(f"expected a {n}x{n} matrix, got shape {r.shape}")
-    if np.linalg.norm(r.T @ r - np.eye(n)) > orth_tol or np.linalg.det(r) < 0:
-        raise NotSpecialOrthogonal("rotation must be orthogonal with determinant +1")
-    return FlagPoint(r @ f.q, f.signature)
+    _check_special_orthogonal(r, f.signature.n, orth_tol)
+    return FlagPoint(r @ f.q, f.signature, orth_tol)
 
 
 def membership(x: SymmetricMatrix, spec: Spectrum, tol: float = EIG_TOL) -> bool:
@@ -122,24 +140,23 @@ def recover(x: SymmetricMatrix, spec: Spectrum, eig_tol: float = EIG_TOL) -> Fla
         raise EigenvalueGapTooSmall(
             f"spectrum min gap {spec.min_gap:.3e} <= 2 * eig_tol = {2 * eig_tol:.3e}"
         )
-    lam, vec = np.linalg.eigh(x.entries)
+    lam, vec = _eigh(x.entries)
     values = np.asarray(spec.values)
-    columns: list[list[int]] = [[] for _ in values]
-    for col, ev in enumerate(lam):
+    found = [0] * len(values)
+    for ev in lam:
         j = int(np.argmin(np.abs(values - ev)))
         if abs(values[j] - ev) > eig_tol:
             raise SpectrumMismatch(
                 f"eigenvalue {float(ev)!r} is {abs(values[j] - ev):.3e} from the nearest "
                 f"spectrum value {float(values[j])!r}"
             )
-        columns[j].append(col)
-    sizes = sig.block_sizes
-    for j, (cols, size) in enumerate(zip(columns, sizes)):
-        if len(cols) != size:
+        found[j] += 1
+    for j, (count, size) in enumerate(zip(found, sig.block_sizes)):
+        if count != size:
             raise SpectrumMismatch(
-                f"value {float(values[j])!r} needs multiplicity {size}, found {len(cols)}"
+                f"value {float(values[j])!r} needs multiplicity {size}, found {count}"
             )
-    q = np.concatenate([vec[:, cols] for cols in columns], axis=1)
+    q = _block_frame(vec, spec)
     if np.linalg.det(q) < 0:
         q[:, -1] = -q[:, -1]
     return FlagPoint(q, sig)

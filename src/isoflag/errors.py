@@ -87,5 +87,9 @@ class DegenerateBoundaryGap(NumericalError):
         self.gap = gap
 
 
+class EigenSolverFailed(NumericalError):
+    """The symmetric eigen-solver did not converge (numpy's LinAlgError)."""
+
+
 class StepNotFinite(NumericalError):
     """Objective gradient returned non-finite entries."""

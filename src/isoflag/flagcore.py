@@ -180,6 +180,20 @@ def complete_traceless_spectrum(sig: FlagSignature, base: Sequence[float]) -> Sp
     return Spectrum(base + (float(last),), sig)
 
 
+def _check_special_orthogonal(q: np.ndarray, n: int, orth_tol: float) -> None:
+    """Raise ``NotSpecialOrthogonal`` unless q is n x n, orthogonal within
+    orth_tol and of determinant +1.  A non-finite entry makes a defect NaN,
+    which fails the ``not defect <= tol`` comparisons."""
+    if q.shape != (n, n):
+        raise NotSpecialOrthogonal(f"expected a {n}x{n} matrix, got shape {q.shape}")
+    defect = np.linalg.norm(q.T @ q - np.eye(n))
+    if not defect <= orth_tol:
+        raise NotSpecialOrthogonal(f"Q'Q - I has Frobenius norm {defect:.3e} > {orth_tol:.3e}")
+    det = float(np.linalg.det(q))
+    if not abs(det - 1.0) <= max(orth_tol, 1e-9):
+        raise NotSpecialOrthogonal(f"det Q = {det!r}, want +1")
+
+
 @dataclass(frozen=True, eq=False)
 class FlagPoint:
     """A flag represented by a special orthogonal matrix Q.
@@ -195,17 +209,9 @@ class FlagPoint:
     orth_tol: InitVar[float] = ORTH_TOL
 
     def __post_init__(self, orth_tol: float):
-        n = self.signature.n
         q = _frozen_array(self.q)
-        if q.shape != (n, n):
-            raise NotSpecialOrthogonal(f"expected a {n}x{n} matrix, got shape {q.shape}")
+        _check_special_orthogonal(q, self.signature.n, orth_tol)
         object.__setattr__(self, "q", q)
-        defect = np.linalg.norm(q.T @ q - np.eye(n))
-        if defect > orth_tol:
-            raise NotSpecialOrthogonal(f"Q'Q - I has Frobenius norm {defect:.3e} > {orth_tol:.3e}")
-        det = float(np.linalg.det(q))
-        if abs(det - 1.0) > max(orth_tol, 1e-9):
-            raise NotSpecialOrthogonal(f"det Q = {det!r}, want +1")
 
 
 def identity_flag(sig: FlagSignature) -> FlagPoint:
@@ -241,8 +247,8 @@ class SymmetricMatrix:
         a = np.array(self.entries, dtype=float, copy=True)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
-        defect = np.linalg.norm(a - a.T)
-        if defect > sym_tol:
+        defect = np.linalg.norm(a - a.T)  # NaN for a non-finite entry, which fails the test
+        if not defect <= sym_tol:
             raise NotSymmetric(f"asymmetry {defect:.3e} exceeds {sym_tol:.3e}")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
@@ -289,6 +295,8 @@ class TangentBlock:
                 raise NotSkewSymmetric(
                     f"block ({i},{j}) must have shape {(sizes[i], sizes[j])}, got {arr.shape}"
                 )
+            if not np.all(np.isfinite(arr)):
+                raise NotSkewSymmetric(f"block ({i},{j}) has non-finite entries")
             frozen.append(arr)
         object.__setattr__(self, "blocks", tuple(frozen))
 
@@ -306,11 +314,11 @@ class TangentBlock:
         a = np.asarray(mat, dtype=float)
         if a.shape != (sig.n, sig.n):
             raise NotSkewSymmetric(f"expected shape {(sig.n, sig.n)}, got {a.shape}")
-        if np.linalg.norm(a + a.T) > tol:
+        if not np.linalg.norm(a + a.T) <= tol:
             raise NotSkewSymmetric("matrix is not skew-symmetric")
         sl = sig.block_slices()
         for i, s in enumerate(sl):
-            if np.linalg.norm(a[s, s]) > tol:
+            if not np.linalg.norm(a[s, s]) <= tol:
                 raise NotSkewSymmetric(f"diagonal block {i} is nonzero")
         return cls(sig, tuple(a[sl[i], sl[j]] for i, j in sig.block_pairs()))
 

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .embed import EmbeddedFlag, embed, recover
+from .embed import EmbeddedFlag, _block_frame, _eigh, embed
 from .errors import DegenerateBoundaryGap, SignatureMismatch, SpectrumInvalid, StepNotFinite
 from .flagcore import (
     SPECTRUM_GAP_TOL,
@@ -86,10 +86,16 @@ def isometry_defect(b: TangentBlock, spec: Spectrum) -> float:
 
 def project_to_tangent(g: SymmetricMatrix, base: EmbeddedFlag) -> EmbeddedTangent:
     """Frobenius-orthogonal projection of g onto the tangent space at base.x:
-    conjugate into the eigenframe, zero the diagonal blocks, conjugate back."""
+    conjugate into the eigenframe, zero the diagonal blocks, conjugate back.
+
+    The frame is the eigenvectors of base.x in block order, taken afresh on
+    each call.  base was checked against its spectrum when it was built, so
+    no eigenvalue matching, orthogonality or determinant check runs here;
+    the sign of a column does not change the projector.
+    """
     if g.n != base.signature.n:
         raise SignatureMismatch(f"matrix is {g.n}x{g.n}, base has n={base.signature.n}")
-    q = recover(base.x, base.spectrum).q
+    q = _block_frame(_eigh(base.x.entries)[1], base.spectrum)
     m = q.T @ g.entries @ q
     for s in base.signature.block_slices():
         m[s, s] = 0.0
@@ -110,7 +116,7 @@ def nearest_point(a: SymmetricMatrix, spec: Spectrum, gap_tol: float = SPECTRUM_
         raise SignatureMismatch(f"matrix is {a.n}x{a.n}, signature has n={sig.n}")
     if any(nxt >= prev for prev, nxt in zip(spec.values, spec.values[1:])):
         raise SpectrumInvalid(f"nearest point needs a strictly decreasing spectrum, got {spec.values}")
-    lam, vec = np.linalg.eigh(a.entries)
+    lam, vec = _eigh(a.entries)
     lam = lam[::-1]
     vec = vec[:, ::-1]
     for k in sig.ks:
@@ -173,8 +179,12 @@ def gradient_descent(
     negative direction; iteration stops once the projected-gradient norm
     falls to ``grad_tol`` or after ``max_iters`` steps.  The recorded norm
     trace is diagnostic only; monotone decrease is not guaranteed.
+    ``init`` must be embedded with ``spec`` itself: the default step comes
+    from ``spec`` and every retraction lands on ``init.spectrum``.
     """
     _check_same_signature(init.signature, spec.signature)
+    if init.spectrum != spec:
+        raise SpectrumInvalid(f"init has spectrum {init.spectrum.values}, descent was given {spec.values}")
     if step is None:
         step = default_step(spec)
     x = init

@@ -40,6 +40,11 @@ def random_block_stabilizer(sig: FlagSignature, rng: np.random.Generator) -> np.
     return s
 
 
+def no_convergence(*args, **kwargs):
+    """Stand-in for a LAPACK eigen-solver that fails, as numpy reports it."""
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 def random_symmetric(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     a = rng.standard_normal((n, n)) * scale
     return (a + a.T) / 2.0

@@ -8,7 +8,7 @@ import pytest
 from isoflag import Spectrum, block_diagonal_model, default_traceless_spectrum, make_signature
 from isoflag.cli import main, read_matrix_file
 
-from _helpers import format_matrix_file
+from _helpers import format_matrix_file, no_convergence
 
 
 def run(capsys, *argv):
@@ -153,6 +153,16 @@ class TestProjectCommand:
         assert code == 3
         assert err.startswith("DegenerateBoundaryGap:")
         assert "gap" in err
+
+    def test_eigen_solver_failure_exit_3(self, capsys, tmp_path, monkeypatch):
+        path, _, _ = write_model(tmp_path, 4, [2], (1.0, -1.0))
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        code, out, err = run(capsys, "project", "--matrix-file", str(path), "--ks", "2",
+                             "--spectrum", "1,-1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("EigenSolverFailed:") and "did not converge" in err
+        assert err.count("\n") == 1
 
 
 class TestOptimizeCommand:

@@ -19,13 +19,19 @@ from isoflag import (
     traceless_split,
 )
 from isoflag.errors import (
+    EigenSolverFailed,
     EigenvalueGapTooSmall,
     NotSpecialOrthogonal,
     SignatureMismatch,
     SpectrumMismatch,
 )
 
-from _helpers import haar_special_orthogonal, random_block_stabilizer, random_signature
+from _helpers import (
+    haar_special_orthogonal,
+    no_convergence,
+    random_block_stabilizer,
+    random_signature,
+)
 
 
 def rotation(theta):
@@ -136,6 +142,24 @@ class TestAct:
         with pytest.raises(NotSpecialOrthogonal):
             act(np.diag([1.0, 1.0, -1.0]), f)
 
+    def test_rejects_non_orthogonal(self):
+        f = random_flag_point(make_signature(3, [1]), 0)
+        with pytest.raises(NotSpecialOrthogonal, match="Q'Q - I"):
+            act(2.0 * np.eye(3), f)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        f = random_flag_point(make_signature(3, [1]), 0)
+        r = np.eye(3)
+        r[1, 2] = bad
+        with pytest.raises(NotSpecialOrthogonal):
+            act(r, f)
+
+    def test_rejects_wrong_shape(self):
+        f = random_flag_point(make_signature(3, [1]), 0)
+        with pytest.raises(NotSpecialOrthogonal, match="expected a 3x3"):
+            act(np.eye(4), f)
+
 
 class TestRecover:
     def test_base_model_recovers_base_flag(self):
@@ -199,6 +223,12 @@ class TestRecover:
 
 
 class TestMembership:
+    def test_eigen_solver_failure_is_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        spec = default_traceless_spectrum(make_signature(4, [2]))
+        with pytest.raises(EigenSolverFailed, match="did not converge"):
+            membership(SymmetricMatrix(np.eye(4)), spec)
+
     def test_embedded_points_belong(self):
         sig = make_signature(6, [3])
         spec = default_traceless_spectrum(sig)

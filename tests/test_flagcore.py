@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from isoflag import (
     FlagPoint,
     Spectrum,
+    SymmetricMatrix,
     TangentBlock,
     complete_traceless_spectrum,
     default_traceless_spectrum,
@@ -21,6 +22,7 @@ from isoflag.errors import (
     NonIncreasingKs,
     NotSkewSymmetric,
     NotSpecialOrthogonal,
+    NotSymmetric,
     SignatureMismatch,
     SpectrumInvalid,
 )
@@ -240,3 +242,40 @@ class TestTangentBlock:
         c = random_tangent_block(sig, 7)
         for x, y in zip(b.blocks, c.blocks):
             assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+class TestNonFiniteEntries:
+    """Every public constructor rejects a non-finite entry with its own
+    ValidationError, not with a numpy error later on."""
+
+    def test_flag_point(self, bad):
+        q = np.eye(3)
+        q[0, 0] = bad
+        with pytest.raises(NotSpecialOrthogonal):
+            FlagPoint(q, make_signature(3, [1]))
+
+    def test_symmetric_matrix_diagonal(self, bad):
+        with pytest.raises(NotSymmetric):
+            SymmetricMatrix(np.diag([1.0, bad, 0.0]))
+
+    def test_symmetric_matrix_symmetric_pair(self, bad):
+        a = np.zeros((3, 3))
+        a[0, 2] = a[2, 0] = bad
+        with pytest.raises(NotSymmetric):
+            SymmetricMatrix(a)
+
+    def test_tangent_block(self, bad):
+        sig = make_signature(4, [1, 2])
+        b = random_tangent_block(sig, 0)
+        blocks = [blk.copy() for blk in b.blocks]
+        blocks[-1][0, 0] = bad
+        with pytest.raises(NotSkewSymmetric):
+            TangentBlock(sig, tuple(blocks))
+
+    def test_tangent_block_from_matrix(self, bad):
+        sig = make_signature(4, [2])
+        mat = random_tangent_block(sig, 1).to_matrix()
+        mat[0, 3], mat[3, 0] = bad, -bad
+        with pytest.raises(NotSkewSymmetric):
+            TangentBlock.from_matrix(sig, mat)

@@ -22,11 +22,19 @@ from isoflag import (
     push_tangent,
     random_flag_point,
     random_tangent_block,
+    recover,
     retract,
 )
-from isoflag.errors import DegenerateBoundaryGap, SignatureMismatch, SpectrumInvalid, StepNotFinite
+from isoflag.errors import (
+    DegenerateBoundaryGap,
+    EigenSolverFailed,
+    NumericalError,
+    SignatureMismatch,
+    SpectrumInvalid,
+    StepNotFinite,
+)
 
-from _helpers import random_signature, random_symmetric
+from _helpers import no_convergence, random_signature, random_symmetric
 
 
 def one_block(sig, beta):
@@ -169,7 +177,61 @@ class TestProjection:
         assert np.sum(pg * h.entries) == pytest.approx(np.sum(g.entries * ph), abs=1e-10)
 
 
+def reference_frame(x, spec):
+    """Reference frame by eigenvalue matching: send each ascending
+    eigenvalue to its nearest spectrum value, concatenate the eigenvectors
+    block by block, flip one column to determinant +1."""
+    lam, vec = np.linalg.eigh(x.entries)
+    values = np.asarray(spec.values)
+    columns = [[] for _ in values]
+    for col, ev in enumerate(lam):
+        columns[int(np.argmin(np.abs(values - ev)))].append(col)
+    q = np.concatenate([vec[:, cols] for cols in columns], axis=1)
+    if np.linalg.det(q) < 0:
+        q[:, -1] = -q[:, -1]
+    return q
+
+
+def reference_projection(g, base):
+    q = reference_frame(base.x, base.spectrum)
+    m = q.T @ g.entries @ q
+    for s in base.signature.block_slices():
+        m[s, s] = 0.0
+    v = q @ m @ q.T
+    return (v + v.T) / 2.0
+
+
+class TestProjectionBlockOrder:
+    """The eigenframe puts eigh's ascending eigenvectors in block order for
+    every order of the spectrum values, not only the decreasing one that
+    nearest_point requires: recover and project_to_tangent agree bit for
+    bit with the reference."""
+
+    @pytest.mark.parametrize("order", ["decreasing", "increasing", "shuffled"])
+    def test_bit_identical_to_reference(self, order):
+        rng = np.random.default_rng({"decreasing": 40, "increasing": 41, "shuffled": 42}[order])
+        for _ in range(100):
+            sig = random_signature(rng, n_max=12)
+            values = default_traceless_spectrum(sig).values
+            if order == "increasing":
+                values = values[::-1]
+            elif order == "shuffled":
+                values = tuple(rng.permutation(values))
+            spec = Spectrum(values, sig)
+            base = embed(random_flag_point(sig, int(rng.integers(1_000_000))), spec)
+            g = SymmetricMatrix(random_symmetric(sig.n, rng))
+            assert np.array_equal(recover(base.x, spec).q, reference_frame(base.x, spec))
+            assert np.array_equal(project_to_tangent(g, base).v.entries, reference_projection(g, base))
+
+
 class TestNearestPoint:
+    def test_eigen_solver_failure_is_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        spec = default_traceless_spectrum(make_signature(4, [2]))
+        with pytest.raises(EigenSolverFailed, match="did not converge") as err:
+            nearest_point(SymmetricMatrix(np.eye(4)), spec)
+        assert isinstance(err.value, NumericalError)
+
     def test_fixed_points_on_manifold(self):
         sig = make_signature(6, [2])
         spec = default_traceless_spectrum(sig)
@@ -293,6 +355,15 @@ class TestGradientDescent:
         init = embed(random_flag_point(sig, 3), spec)
         with pytest.raises(StepNotFinite):
             gradient_descent(lambda x: np.full_like(x, np.nan), spec, init)
+
+    def test_rejects_init_on_another_spectrum(self):
+        # Gr(1, R^3): init on (5, -2.5) would descend on its own manifold
+        sig = make_signature(3, [1])
+        spec = default_traceless_spectrum(sig)
+        assert spec.values == (2 / 3, -1 / 3)
+        init = embed(random_flag_point(sig, 6), Spectrum((5.0, -2.5), sig))
+        with pytest.raises(SpectrumInvalid):
+            gradient_descent(lambda x: x, spec, init)
 
     def test_max_iters_caps_the_run(self):
         sig = make_signature(4, [1])
