@@ -27,7 +27,6 @@ from .bounds import (
     whitney_comparison,
 )
 from .embed import (
-    EIG_TOL,
     EmbeddedFlag,
     act,
     block_diagonal_model,
@@ -46,10 +45,10 @@ from .errors import (
     ValidationError,
 )
 from .flagcore import (
+    EIG_TOL,
     ORTH_TOL,
     SPECTRUM_GAP_TOL,
     SYM_TOL,
-    TRACE_TOL,
     FlagPoint,
     FlagSignature,
     Spectrum,

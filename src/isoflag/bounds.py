@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ValidationError
-from .flagcore import FlagSignature
+from .flagcore import ORTH_TOL, FlagSignature
 
 
 def flag_dimension(sig: FlagSignature) -> int:
@@ -99,13 +99,13 @@ def stiefel_min_dim(k: int, n: int) -> StiefelBound:
     return StiefelBound(k * n, n >= 17 and 2 * k < n - 1)
 
 
-def stiefel_check(y: np.ndarray, tol: float = 1e-10) -> bool:
-    """Is y an orthonormal frame, i.e. ||Y'Y - I||_F <= tol?"""
+def stiefel_check(y: np.ndarray) -> bool:
+    """Is y an orthonormal frame, i.e. ||Y'Y - I||_F <= ORTH_TOL?"""
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
         return False
     k = y.shape[1]
-    return bool(np.linalg.norm(y.T @ y - np.eye(k)) <= tol)
+    return bool(np.linalg.norm(y.T @ y - np.eye(k)) <= ORTH_TOL)
 
 
 @dataclass(frozen=True)
@@ -135,21 +135,23 @@ def bound_table(sig: FlagSignature, group_order: int | None = None) -> BoundRepo
     model's dimension (equivalently |G| > (n-1)(n+2)/4m)."""
     m = flag_dimension(sig)
     iso = isospectral_bound(sig.n)
+    gunther = gunther_bound(m)
+    whitney = whitney_bound(m)
     comparisons = {
-        "isospectral_lt_gunther": gunther_comparison(sig),
-        "whitney_condition": whitney_comparison(sig),
+        "isospectral_lt_gunther": iso < gunther,
+        "whitney_condition": iso <= whitney,
     }
     wang = None
     if group_order is not None:
-        wang = wang_whitney_composed(m, group_order)
+        wang = wang_bound(whitney, group_order)
         comparisons["wang_composed_gt_isospectral"] = wang > iso
     label = "exact equivariant minimum" if sig.n >= 17 else "achieved upper bound"
     return BoundReport(
         signature=sig,
         flag_dim=m,
         isospectral=iso,
-        gunther=gunther_bound(m),
-        whitney=whitney_bound(m),
+        gunther=gunther,
+        whitney=whitney,
         wang=wang,
         comparisons=comparisons,
         isospectral_label=label,

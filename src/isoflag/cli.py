@@ -27,9 +27,10 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import repdim as repdim_mod
-from .embed import EIG_TOL, _eigh, embed, recover
+from .embed import _eigh, embed, recover
 from .errors import NumericalError, ValidationError
 from .flagcore import (
+    EIG_TOL,
     SPECTRUM_GAP_TOL,
     FlagPoint,
     Spectrum,

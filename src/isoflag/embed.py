@@ -10,29 +10,22 @@ and is invertible: the flag is recovered from the eigenspaces of X.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EigenSolverFailed,
-    EigenvalueGapTooSmall,
-    SignatureMismatch,
-    SpectrumMismatch,
-)
+from .errors import EigenSolverFailed, EigenvalueGapTooSmall, SpectrumMismatch
 from .flagcore import (
-    ORTH_TOL,
-    TRACE_TOL,
+    EIG_TOL,
     FlagPoint,
     FlagSignature,
     Spectrum,
     SymmetricMatrix,
     _check_same_signature,
+    _check_size,
     _check_special_orthogonal,
     _embedded_image,
 )
-
-EIG_TOL = 1e-8
 
 
 def _eigh(a: np.ndarray, vectors: bool = True):
@@ -59,8 +52,7 @@ def _block_frame(vec: np.ndarray, spec: Spectrum) -> np.ndarray:
 def _eig_deviation(x: SymmetricMatrix, spec: Spectrum) -> float:
     """Largest distance between the sorted eigenvalues of x and the spectrum
     values repeated by block size."""
-    if x.n != spec.signature.n:
-        raise SignatureMismatch(f"matrix is {x.n}x{x.n} but signature has n={spec.signature.n}")
+    _check_size(x, spec.signature)
     target = np.sort(spec.repeated())
     actual = _eigh(x.entries, vectors=False)
     return float(np.max(np.abs(actual - target)))
@@ -73,17 +65,15 @@ class EmbeddedFlag:
 
     x: SymmetricMatrix
     spectrum: Spectrum
-    eig_tol: InitVar[float] = EIG_TOL
-    trace_tol: InitVar[float] = TRACE_TOL
 
-    def __post_init__(self, eig_tol: float, trace_tol: float):
+    def __post_init__(self):
         worst = _eig_deviation(self.x, self.spectrum)
-        if worst > eig_tol:
+        if worst > EIG_TOL:
             raise SpectrumMismatch(
-                f"eigenvalues deviate from the prescribed spectrum by {worst:.3e} > {eig_tol:.3e}"
+                f"eigenvalues deviate from the prescribed spectrum by {worst:.3e} > {EIG_TOL:.3e}"
             )
         drift = abs(self.x.trace - self.spectrum.block_trace)
-        if drift > max(trace_tol, eig_tol * self.x.n):
+        if drift > EIG_TOL * self.x.n:
             raise SpectrumMismatch(f"trace off by {drift:.3e}")
 
     @property
@@ -106,21 +96,21 @@ def embed(f: FlagPoint, spec: Spectrum) -> EmbeddedFlag:
     return EmbeddedFlag(SymmetricMatrix(_embedded_image(f, spec)), spec)
 
 
-def act(r: np.ndarray, f: FlagPoint, orth_tol: float = ORTH_TOL) -> FlagPoint:
+def act(r: np.ndarray, f: FlagPoint) -> FlagPoint:
     """Rotate a flag: the representative becomes r Q.
 
     Equivariance: embedding the rotated flag equals conjugating the
     embedded matrix, embed(act(r, f)) = r embed(f) r'.
     """
     r = np.asarray(r, dtype=float)
-    _check_special_orthogonal(r, f.signature.n, orth_tol)
-    return FlagPoint(r @ f.q, f.signature, orth_tol)
+    _check_special_orthogonal(r, f.signature.n)
+    return FlagPoint(r @ f.q, f.signature)
 
 
-def membership(x: SymmetricMatrix, spec: Spectrum, tol: float = EIG_TOL) -> bool:
+def membership(x: SymmetricMatrix, spec: Spectrum) -> bool:
     """Does x lie on the model manifold, i.e. does its eigenvalue multiset
-    match {a_i repeated n_i times} within tol?"""
-    return _eig_deviation(x, spec) <= tol
+    match {a_i repeated n_i times} within EIG_TOL?"""
+    return _eig_deviation(x, spec) <= EIG_TOL
 
 
 def recover(x: SymmetricMatrix, spec: Spectrum, eig_tol: float = EIG_TOL) -> FlagPoint:
@@ -134,8 +124,7 @@ def recover(x: SymmetricMatrix, spec: Spectrum, eig_tol: float = EIG_TOL) -> Fla
     without moving the flag.
     """
     sig = spec.signature
-    if x.n != sig.n:
-        raise SignatureMismatch(f"matrix is {x.n}x{x.n}, signature has n={sig.n}")
+    _check_size(x, sig)
     if spec.min_gap <= 2 * eig_tol:
         raise EigenvalueGapTooSmall(
             f"spectrum min gap {spec.min_gap:.3e} <= 2 * eig_tol = {2 * eig_tol:.3e}"

@@ -10,7 +10,7 @@ each block.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -27,10 +27,13 @@ from .errors import (
     SpectrumInvalid,
 )
 
-ORTH_TOL = 1e-10
-SYM_TOL = 1e-10
-TRACE_TOL = 1e-10
-SPECTRUM_GAP_TOL = 1e-8
+# Every tolerance of the package.  The matrix model is exact, so each one
+# only absorbs floating-point roundoff.
+ORTH_TOL = 1e-10  # ||Q'Q - I||_F of a rotation or an orthonormal frame
+_DET_TOL = 1e-9  # |det Q - 1| of a rotation
+SYM_TOL = 1e-10  # asymmetry of a SymmetricMatrix; skew defect of TangentBlock.from_matrix
+EIG_TOL = 1e-8  # eigenvalues against the spectrum (trace: n * EIG_TOL); flags_equal
+SPECTRUM_GAP_TOL = 1e-8  # spectrum values, and nearest_point's gaps at block boundaries
 
 
 def _frozen_array(a) -> np.ndarray:
@@ -96,19 +99,23 @@ def _check_same_signature(a: FlagSignature, b: FlagSignature) -> None:
         raise SignatureMismatch(f"signatures differ: {a} vs {b}")
 
 
+def _check_size(x: SymmetricMatrix, sig: FlagSignature) -> None:
+    if x.n != sig.n:
+        raise SignatureMismatch(f"matrix is {x.n}x{x.n}, signature has n={sig.n}")
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """One real value per block of a signature.
 
     Blocks carrying equal values would merge into a single eigenspace, so
-    the values must be pairwise separated by more than ``gap_tol``.
+    the values must be pairwise separated by more than ``SPECTRUM_GAP_TOL``.
     """
 
     values: tuple[float, ...]
     signature: FlagSignature
-    gap_tol: InitVar[float] = SPECTRUM_GAP_TOL
 
-    def __post_init__(self, gap_tol: float):
+    def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         if len(vals) != self.signature.num_blocks:
@@ -117,9 +124,9 @@ class Spectrum:
             )
         if not all(np.isfinite(vals)):
             raise SpectrumInvalid(f"spectrum values must be finite, got {vals}")
-        if self.min_gap <= gap_tol:
+        if self.min_gap <= SPECTRUM_GAP_TOL:
             raise SpectrumInvalid(
-                f"spectrum values too close: min gap {self.min_gap:.3e} <= {gap_tol:.3e}"
+                f"spectrum values too close: min gap {self.min_gap:.3e} <= {SPECTRUM_GAP_TOL:.3e}"
             )
 
     @property
@@ -135,9 +142,6 @@ class Spectrum:
     def block_trace(self) -> float:
         """Trace of the model matrix: sum of n_i * a_i."""
         return float(np.dot(self.signature.block_sizes, self.values))
-
-    def is_traceless(self, tol: float = TRACE_TOL) -> bool:
-        return abs(self.block_trace) <= tol
 
     def repeated(self) -> np.ndarray:
         """Eigenvalue multiset in block order: a_i repeated n_i times."""
@@ -180,17 +184,19 @@ def complete_traceless_spectrum(sig: FlagSignature, base: Sequence[float]) -> Sp
     return Spectrum(base + (float(last),), sig)
 
 
-def _check_special_orthogonal(q: np.ndarray, n: int, orth_tol: float) -> None:
-    """Raise ``NotSpecialOrthogonal`` unless q is n x n, orthogonal within
-    orth_tol and of determinant +1.  A non-finite entry makes a defect NaN,
-    which fails the ``not defect <= tol`` comparisons."""
+def _check_special_orthogonal(q: np.ndarray, n: int) -> None:
+    """Raise ``NotSpecialOrthogonal`` unless q is n x n, finite, orthogonal
+    within ORTH_TOL and of determinant +1.  Overflow in Q'Q can still make
+    the defect NaN, which fails the ``not defect <= tol`` comparison."""
     if q.shape != (n, n):
         raise NotSpecialOrthogonal(f"expected a {n}x{n} matrix, got shape {q.shape}")
+    if not np.all(np.isfinite(q)):
+        raise NotSpecialOrthogonal("entries must be finite")
     defect = np.linalg.norm(q.T @ q - np.eye(n))
-    if not defect <= orth_tol:
-        raise NotSpecialOrthogonal(f"Q'Q - I has Frobenius norm {defect:.3e} > {orth_tol:.3e}")
+    if not defect <= ORTH_TOL:
+        raise NotSpecialOrthogonal(f"Q'Q - I has Frobenius norm {defect:.3e} > {ORTH_TOL:.3e}")
     det = float(np.linalg.det(q))
-    if not abs(det - 1.0) <= max(orth_tol, 1e-9):
+    if not abs(det - 1.0) <= _DET_TOL:
         raise NotSpecialOrthogonal(f"det Q = {det!r}, want +1")
 
 
@@ -206,11 +212,10 @@ class FlagPoint:
 
     q: np.ndarray
     signature: FlagSignature
-    orth_tol: InitVar[float] = ORTH_TOL
 
-    def __post_init__(self, orth_tol: float):
+    def __post_init__(self):
         q = _frozen_array(self.q)
-        _check_special_orthogonal(q, self.signature.n, orth_tol)
+        _check_special_orthogonal(q, self.signature.n)
         object.__setattr__(self, "q", q)
 
 
@@ -241,15 +246,18 @@ class SymmetricMatrix:
     """A real symmetric n x n matrix (validated on construction)."""
 
     entries: np.ndarray
-    sym_tol: InitVar[float] = SYM_TOL
 
-    def __post_init__(self, sym_tol: float):
+    def __post_init__(self):
         a = np.array(self.entries, dtype=float, copy=True)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
-        defect = np.linalg.norm(a - a.T)  # NaN for a non-finite entry, which fails the test
-        if not defect <= sym_tol:
-            raise NotSymmetric(f"asymmetry {defect:.3e} exceeds {sym_tol:.3e}")
+        # A non-finite entry makes the defect NaN, which fails the test; the
+        # finite check runs only then, since this constructor is on the hot path.
+        defect = np.linalg.norm(a - a.T)
+        if not defect <= SYM_TOL:
+            if not np.all(np.isfinite(a)):
+                raise NotSymmetric("entries must be finite")
+            raise NotSymmetric(f"asymmetry {defect:.3e} exceeds {SYM_TOL:.3e}")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -260,9 +268,6 @@ class SymmetricMatrix:
     @property
     def trace(self) -> float:
         return float(np.trace(self.entries))
-
-    def is_traceless(self, tol: float = TRACE_TOL) -> bool:
-        return abs(self.trace) <= tol
 
     def __array__(self, dtype=None):
         return np.asarray(self.entries, dtype=dtype)
@@ -309,16 +314,18 @@ class TangentBlock:
         return cls(sig, tuple(full))
 
     @classmethod
-    def from_matrix(cls, sig: FlagSignature, mat: np.ndarray, tol: float = SYM_TOL) -> "TangentBlock":
+    def from_matrix(cls, sig: FlagSignature, mat: np.ndarray) -> "TangentBlock":
         """Split a skew-symmetric matrix with zero diagonal blocks into blocks."""
         a = np.asarray(mat, dtype=float)
         if a.shape != (sig.n, sig.n):
             raise NotSkewSymmetric(f"expected shape {(sig.n, sig.n)}, got {a.shape}")
-        if not np.linalg.norm(a + a.T) <= tol:
+        if not np.all(np.isfinite(a)):
+            raise NotSkewSymmetric("entries must be finite")
+        if not np.linalg.norm(a + a.T) <= SYM_TOL:
             raise NotSkewSymmetric("matrix is not skew-symmetric")
         sl = sig.block_slices()
         for i, s in enumerate(sl):
-            if not np.linalg.norm(a[s, s]) <= tol:
+            if not np.linalg.norm(a[s, s]) <= SYM_TOL:
                 raise NotSkewSymmetric(f"diagonal block {i} is nonzero")
         return cls(sig, tuple(a[sl[i], sl[j]] for i, j in sig.block_pairs()))
 
@@ -349,12 +356,10 @@ class TangentBlock:
         return TangentBlock(self.signature, tuple(c * b for b in self.blocks))
 
 
-def random_tangent_block(sig: FlagSignature, seed: int = 0, scale: float = 1.0) -> TangentBlock:
+def random_tangent_block(sig: FlagSignature, seed: int = 0) -> TangentBlock:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     sizes = sig.block_sizes
-    return TangentBlock(
-        sig, tuple(scale * rng.standard_normal((sizes[i], sizes[j])) for i, j in sig.block_pairs())
-    )
+    return TangentBlock(sig, tuple(rng.standard_normal((sizes[i], sizes[j])) for i, j in sig.block_pairs()))
 
 
 def _embedded_image(point: FlagPoint, spectrum: Spectrum) -> np.ndarray:
@@ -364,7 +369,7 @@ def _embedded_image(point: FlagPoint, spectrum: Spectrum) -> np.ndarray:
     return (x + x.T) / 2.0
 
 
-def flags_equal(x: FlagPoint, y: FlagPoint, tol: float = 1e-8) -> bool:
+def flags_equal(x: FlagPoint, y: FlagPoint) -> bool:
     """Coset equality: do x and y represent the same flag?
 
     Tested through the embedded images under the canonical spectrum, which
@@ -372,4 +377,4 @@ def flags_equal(x: FlagPoint, y: FlagPoint, tol: float = 1e-8) -> bool:
     """
     _check_same_signature(x.signature, y.signature)
     spec = default_traceless_spectrum(x.signature)
-    return bool(np.linalg.norm(_embedded_image(x, spec) - _embedded_image(y, spec)) <= tol)
+    return bool(np.linalg.norm(_embedded_image(x, spec) - _embedded_image(y, spec)) <= EIG_TOL)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .embed import EmbeddedFlag, _block_frame, _eigh, embed
-from .errors import DegenerateBoundaryGap, SignatureMismatch, SpectrumInvalid, StepNotFinite
+from .errors import DegenerateBoundaryGap, SpectrumInvalid, StepNotFinite
 from .flagcore import (
     SPECTRUM_GAP_TOL,
     FlagPoint,
@@ -27,6 +27,7 @@ from .flagcore import (
     SymmetricMatrix,
     TangentBlock,
     _check_same_signature,
+    _check_size,
 )
 
 
@@ -93,8 +94,7 @@ def project_to_tangent(g: SymmetricMatrix, base: EmbeddedFlag) -> EmbeddedTangen
     no eigenvalue matching, orthogonality or determinant check runs here;
     the sign of a column does not change the projector.
     """
-    if g.n != base.signature.n:
-        raise SignatureMismatch(f"matrix is {g.n}x{g.n}, base has n={base.signature.n}")
+    _check_size(g, base.signature)
     q = _block_frame(_eigh(base.x.entries)[1], base.spectrum)
     m = q.T @ g.entries @ q
     for s in base.signature.block_slices():
@@ -112,8 +112,7 @@ def nearest_point(a: SymmetricMatrix, spec: Spectrum, gap_tol: float = SPECTRUM_
     the answer non-unique and raise ``DegenerateBoundaryGap``.
     """
     sig = spec.signature
-    if a.n != sig.n:
-        raise SignatureMismatch(f"matrix is {a.n}x{a.n}, signature has n={sig.n}")
+    _check_size(a, sig)
     if any(nxt >= prev for prev, nxt in zip(spec.values, spec.values[1:])):
         raise SpectrumInvalid(f"nearest point needs a strictly decreasing spectrum, got {spec.values}")
     lam, vec = _eigh(a.entries)
@@ -129,9 +128,9 @@ def nearest_point(a: SymmetricMatrix, spec: Spectrum, gap_tol: float = SPECTRUM_
     return EmbeddedFlag(SymmetricMatrix((x + x.T) / 2.0), spec)
 
 
-def distance_to_model(a: SymmetricMatrix, spec: Spectrum, gap_tol: float = SPECTRUM_GAP_TOL) -> float:
+def distance_to_model(a: SymmetricMatrix, spec: Spectrum) -> float:
     """Frobenius distance from a to the model manifold."""
-    return float(np.linalg.norm(a.entries - nearest_point(a, spec, gap_tol).x.entries))
+    return float(np.linalg.norm(a.entries - nearest_point(a, spec).x.entries))
 
 
 def retract(base: EmbeddedFlag, v: EmbeddedTangent, step: float) -> EmbeddedFlag:

@@ -137,11 +137,11 @@ class TestStiefel:
         assert not stiefel_check(np.zeros((5, 2)))
 
     def test_check_rejects_tolerance_scale_perturbation(self):
-        tol = 1e-8
-        y = np.eye(6)[:, :3]
-        y[0, 0] += 10 * tol
-        assert not stiefel_check(y, tol=tol)
-        assert stiefel_check(y, tol=1e-6)
+        # ORTH_TOL = 1e-10 bounds ||Y'Y - I||_F, and a bump e moves it by about 2e
+        for bump, frame in ((1e-9, False), (1e-12, True)):
+            y = np.eye(6)[:, :3]
+            y[0, 0] += bump
+            assert stiefel_check(y) is frame
 
 
 class TestBoundTable:
@@ -177,6 +177,17 @@ class TestBoundTable:
                     assert isinstance(v, int)
                 assert r.comparisons["isospectral_lt_gunther"]
                 assert r.flag_dim == (n * n - sum(s * s for s in sig.block_sizes)) // 2
+
+    def test_columns_equal_the_public_functions(self):
+        for n in range(2, 13):
+            for sig in all_signatures(n):
+                r = bound_table(sig, group_order=3)
+                assert r.comparisons == {
+                    "isospectral_lt_gunther": gunther_comparison(sig),
+                    "whitney_condition": whitney_comparison(sig),
+                    "wang_composed_gt_isospectral": wang_whitney_composed(r.flag_dim, 3) > r.isospectral,
+                }
+                assert r.wang == wang_whitney_composed(r.flag_dim, 3)
 
 
 class TestSignatureEnumeration:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from isoflag import (
+    EIG_TOL,
     EmbeddedFlag,
     FlagPoint,
     Spectrum,
@@ -14,6 +15,8 @@ from isoflag import (
     identity_flag,
     make_signature,
     membership,
+    nearest_point,
+    project_to_tangent,
     random_flag_point,
     recover,
     traceless_split,
@@ -243,11 +246,10 @@ class TestMembership:
     def test_perturbation_beyond_tolerance(self):
         sig = make_signature(5, [2])
         spec = Spectrum((3.0, -2.0), sig)
-        tol = 1e-6
-        bumped = block_diagonal_model(spec).entries.copy()
-        bumped[0, 0] += 10 * tol
-        assert not membership(SymmetricMatrix(bumped), spec, tol=tol)
-        assert membership(SymmetricMatrix(bumped), spec, tol=20 * tol)
+        for bump, member in ((10 * EIG_TOL, False), (0.5 * EIG_TOL, True)):
+            bumped = block_diagonal_model(spec).entries.copy()
+            bumped[0, 0] += bump
+            assert membership(SymmetricMatrix(bumped), spec) is member
 
 
 class TestTracelessSplit:
@@ -278,3 +280,20 @@ class TestTracelessSplit:
         assert abs(c2) <= 1e-14
         assert np.allclose(again.entries, x0.entries, atol=1e-14)
         assert np.allclose(x0.entries + c * np.eye(6), x.entries, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x, spec: EmbeddedFlag(x, spec),
+        lambda x, spec: membership(x, spec),
+        lambda x, spec: recover(x, spec),
+        lambda x, spec: nearest_point(x, spec),
+        lambda x, spec: project_to_tangent(x, embed(identity_flag(spec.signature), spec)),
+    ],
+    ids=["EmbeddedFlag", "membership", "recover", "nearest_point", "project_to_tangent"],
+)
+def test_wrong_size_matrix_gives_one_message(call):
+    spec = default_traceless_spectrum(make_signature(3, [1]))
+    with pytest.raises(SignatureMismatch, match=r"^matrix is 4x4, signature has n=3$"):
+        call(SymmetricMatrix(np.eye(4)), spec)

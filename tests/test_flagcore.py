@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from isoflag import (
     Spectrum,
     SymmetricMatrix,
     TangentBlock,
+    act,
     complete_traceless_spectrum,
     default_traceless_spectrum,
     flags_equal,
@@ -85,10 +88,11 @@ class TestSpectrum:
             Spectrum((1.0, 0.0, -1.0), sig)
 
     def test_gap_tolerance_is_overridable(self):
+        # the boundary is SPECTRUM_GAP_TOL = 1e-8
         sig = make_signature(3, [1])
         with pytest.raises(SpectrumInvalid):
             Spectrum((1e-9, 0.0), sig)
-        Spectrum((1e-9, 0.0), sig, gap_tol=1e-10)
+        Spectrum((2e-8, 0.0), sig)
 
     @given(signatures())
     @settings(max_examples=60)
@@ -279,3 +283,35 @@ class TestNonFiniteEntries:
         mat[0, 3], mat[3, 0] = bad, -bad
         with pytest.raises(NotSkewSymmetric):
             TangentBlock.from_matrix(sig, mat)
+
+    @pytest.mark.parametrize("check", ["flag_point", "act", "from_matrix"])
+    def test_finite_check_runs_first(self, bad, check):
+        """The finite check runs before any defect is computed, so the error
+        names the input and numpy warns of no invalid value."""
+        sig = make_signature(4, [2])
+        q = np.eye(4)
+        q[0, 3] = bad
+        skew = random_tangent_block(sig, 1).to_matrix()
+        skew[0, 3], skew[3, 0] = bad, -bad
+        build, error = {
+            "flag_point": (lambda: FlagPoint(q, sig), NotSpecialOrthogonal),
+            "act": (lambda: act(q, identity_flag(sig)), NotSpecialOrthogonal),
+            "from_matrix": (lambda: TangentBlock.from_matrix(sig, skew), NotSkewSymmetric),
+        }[check]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(error, match="^entries must be finite$"):
+                build()
+
+    @pytest.mark.parametrize("where", ["diagonal", "symmetric_pair"])
+    def test_symmetric_matrix_message_names_no_nan(self, bad, where):
+        a = np.zeros((3, 3))
+        if where == "diagonal":
+            a[1, 1] = bad
+        else:
+            a[0, 2] = a[2, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in the defect
+            with pytest.raises(NotSymmetric) as info:
+                SymmetricMatrix(a)
+        assert str(info.value) == "entries must be finite"  # no "nan" from the defect
