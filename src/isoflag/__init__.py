@@ -66,7 +66,6 @@ from .geometry import (
     DescentResult,
     EmbeddedTangent,
     default_step,
-    distance_to_model,
     gradient_descent,
     isometry_defect,
     metric_inner,

@@ -25,6 +25,8 @@ from .flagcore import (
     _check_size,
     _check_special_orthogonal,
     _embedded_image,
+    _frozen_array,
+    _prechecked,
 )
 
 
@@ -45,17 +47,78 @@ def _block_frame(vec: np.ndarray, spec: Spectrum) -> np.ndarray:
     argsort of the repeated spectrum lists the block positions by ascending
     value, so each column goes to its block and keeps its order there."""
     q = np.empty(vec.shape)
-    q[:, np.argsort(spec.repeated(), kind="stable")] = vec
+    q[:, spec._block_order] = vec
     return q
 
 
-def _eig_deviation(x: SymmetricMatrix, spec: Spectrum) -> float:
-    """Largest distance between the sorted eigenvalues of x and the spectrum
-    values repeated by block size."""
-    _check_size(x, spec.signature)
+def _eig_deviation(x: np.ndarray, spec: Spectrum) -> float:
+    """Largest distance between the sorted eigenvalues of the n x n symmetric
+    x and the spectrum values repeated by block size."""
     target = np.sort(spec.repeated())
-    actual = _eigh(x.entries, vectors=False)
+    actual = _eigh(x, vectors=False)
     return float(np.max(np.abs(actual - target)))
+
+
+def _check_on_model(x: np.ndarray, spec: Spectrum) -> None:
+    """Raise ``SpectrumMismatch`` unless the n x n symmetric x has the
+    eigenvalues of the model within EIG_TOL and its trace within n * EIG_TOL."""
+    worst = _eig_deviation(x, spec)
+    if not worst <= EIG_TOL:
+        raise SpectrumMismatch(
+            f"eigenvalues deviate from the prescribed spectrum by {worst:.3e} > {EIG_TOL:.3e}"
+        )
+    drift = abs(float(x.trace()) - spec.block_trace)
+    if not drift <= EIG_TOL * x.shape[0]:
+        raise SpectrumMismatch(f"trace off by {drift:.3e}")
+
+
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
+
+
+def _gamma(m: int) -> float:
+    """m u / (1 - m u), u the unit roundoff: the relative error bound of a
+    sum or dot product of m terms in double precision."""
+    mu = m * _UNIT_ROUNDOFF
+    return mu / (1 - mu)
+
+
+def _ostrowski_certifies(x: np.ndarray, q: np.ndarray, spec: Spectrum) -> bool:
+    """Does one matrix product prove that x, computed from the frame q by
+    ``_embedded_image``, passes ``_check_on_model``?
+
+    Ostrowski's theorem (Horn & Johnson, *Matrix Analysis*, Thm 4.5.9): the
+    k-th smallest eigenvalue of q diag(a) q' is theta_k times the k-th
+    smallest a, with theta_k between the extreme eigenvalues of q'q.  So each
+    lies within max|a| * ||q'q - I||_2 <= max|a| * ||q'q - I||_F of its value.
+    Rounding adds at most max|a| * 4 n gamma(n + 3) for the two products and
+    the symmetrization (Weyl's inequality carries it to the eigenvalues), and
+    a relative gamma(n^2 + 1) to the computed norm; both hold while that norm
+    is at most 1/2, which keeps ||q||_F^2 below 2n.  The trace is compared
+    directly, as ``_check_on_model`` compares it.
+    """
+    n = x.shape[0]
+    e = q.T @ q
+    e.flat[:: n + 1] -= 1.0
+    delta = float(np.linalg.norm(e))
+    if not delta <= 0.5:
+        return False
+    bound = max(map(abs, spec.values)) * (delta * (1 + _gamma(n * n + 1)) + 4 * n * _gamma(n + 3))
+    drift = abs(float(x.trace()) - spec.block_trace)
+    return bound <= EIG_TOL and drift <= EIG_TOL * n
+
+
+def _model_image(q: np.ndarray, spec: Spectrum) -> np.ndarray:
+    """q diag(a) q' for a frame q, checked to lie on the model as
+    ``EmbeddedFlag`` checks it, and read-only.
+
+    The Ostrowski certificate stands in for the eigenvalue check; when it
+    cannot prove membership, the eigenvalue check itself runs, so every
+    accept or reject, and every error message, is the eigenvalue check's."""
+    x = _embedded_image(q, spec)
+    if not _ostrowski_certifies(x, q, spec):
+        _check_on_model(x, spec)
+    x.setflags(write=False)
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,18 +130,22 @@ class EmbeddedFlag:
     spectrum: Spectrum
 
     def __post_init__(self):
-        worst = _eig_deviation(self.x, self.spectrum)
-        if worst > EIG_TOL:
-            raise SpectrumMismatch(
-                f"eigenvalues deviate from the prescribed spectrum by {worst:.3e} > {EIG_TOL:.3e}"
-            )
-        drift = abs(self.x.trace - self.spectrum.block_trace)
-        if drift > EIG_TOL * self.x.n:
-            raise SpectrumMismatch(f"trace off by {drift:.3e}")
+        _check_size(self.x.entries, self.spectrum.signature)
+        _check_on_model(self.x.entries, self.spectrum)
 
     @property
     def signature(self) -> FlagSignature:
         return self.spectrum.signature
+
+
+def _certified_flag(x: np.ndarray, spec: Spectrum) -> EmbeddedFlag:
+    """The EmbeddedFlag of a matrix that ``_model_image`` returned: it is
+    already checked, so neither constructor checks it again.  The
+    ``SymmetricMatrix`` gets its own copy, as its constructor would give it:
+    keeping the image itself leaves the freed temporaries that built it
+    between the kept matrices, and embedding 216 points at n = 96..160 then
+    took about 1 MB more peak RSS."""
+    return _prechecked(EmbeddedFlag, x=_prechecked(SymmetricMatrix, entries=_frozen_array(x)), spectrum=spec)
 
 
 def block_diagonal_model(spec: Spectrum) -> SymmetricMatrix:
@@ -93,7 +160,7 @@ def embed(f: FlagPoint, spec: Spectrum) -> EmbeddedFlag:
     its eigenvalue multiset is {a_i with multiplicity n_i} exactly.
     """
     _check_same_signature(f.signature, spec.signature)
-    return EmbeddedFlag(SymmetricMatrix(_embedded_image(f, spec)), spec)
+    return _certified_flag(_model_image(f.q, spec), spec)
 
 
 def act(r: np.ndarray, f: FlagPoint) -> FlagPoint:
@@ -110,7 +177,8 @@ def act(r: np.ndarray, f: FlagPoint) -> FlagPoint:
 def membership(x: SymmetricMatrix, spec: Spectrum) -> bool:
     """Does x lie on the model manifold, i.e. does its eigenvalue multiset
     match {a_i repeated n_i times} within EIG_TOL?"""
-    return _eig_deviation(x, spec) <= EIG_TOL
+    _check_size(x.entries, spec.signature)
+    return _eig_deviation(x.entries, spec) <= EIG_TOL
 
 
 def recover(x: SymmetricMatrix, spec: Spectrum, eig_tol: float = EIG_TOL) -> FlagPoint:
@@ -124,7 +192,7 @@ def recover(x: SymmetricMatrix, spec: Spectrum, eig_tol: float = EIG_TOL) -> Fla
     without moving the flag.
     """
     sig = spec.signature
-    _check_size(x, sig)
+    _check_size(x.entries, sig)
     if spec.min_gap <= 2 * eig_tol:
         raise EigenvalueGapTooSmall(
             f"spectrum min gap {spec.min_gap:.3e} <= 2 * eig_tol = {2 * eig_tol:.3e}"

@@ -11,6 +11,7 @@ each block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -40,6 +41,16 @@ def _frozen_array(a) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _prechecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, built
+    without running its ``__post_init__``: for values that a private step has
+    already checked as that validator would, so the check does not run twice."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -80,6 +91,10 @@ class FlagSignature:
         return tuple(b - a for a, b in zip(cuts, cuts[1:]))
 
     def block_slices(self) -> tuple[slice, ...]:
+        return self._block_slices
+
+    @cached_property
+    def _block_slices(self) -> tuple[slice, ...]:
         cuts = (0,) + self.ks + (self.n,)
         return tuple(slice(a, b) for a, b in zip(cuts, cuts[1:]))
 
@@ -99,9 +114,11 @@ def _check_same_signature(a: FlagSignature, b: FlagSignature) -> None:
         raise SignatureMismatch(f"signatures differ: {a} vs {b}")
 
 
-def _check_size(x: SymmetricMatrix, sig: FlagSignature) -> None:
-    if x.n != sig.n:
-        raise SignatureMismatch(f"matrix is {x.n}x{x.n}, signature has n={sig.n}")
+def _check_size(a: np.ndarray, sig: FlagSignature) -> None:
+    """Raise ``SignatureMismatch`` unless the square matrix a is n x n."""
+    n = a.shape[0]
+    if n != sig.n:
+        raise SignatureMismatch(f"matrix is {n}x{n}, signature has n={sig.n}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +155,7 @@ class Spectrum:
     def max_gap(self) -> float:
         return max(self.values) - min(self.values)
 
-    @property
+    @cached_property
     def block_trace(self) -> float:
         """Trace of the model matrix: sum of n_i * a_i."""
         return float(np.dot(self.signature.block_sizes, self.values))
@@ -146,6 +163,19 @@ class Spectrum:
     def repeated(self) -> np.ndarray:
         """Eigenvalue multiset in block order: a_i repeated n_i times."""
         return np.repeat(self.values, self.signature.block_sizes)
+
+    # The numeric steps read these on every call; a Spectrum is immutable,
+    # so each is computed once, on first use.
+    @cached_property
+    def _diagonal(self) -> np.ndarray:
+        """``repeated()``, read-only."""
+        return _frozen_array(self.repeated())
+
+    @cached_property
+    def _block_order(self) -> np.ndarray:
+        """The stable argsort of ``repeated()``: the block positions listed by
+        ascending value, in block order within each value."""
+        return np.argsort(self._diagonal, kind="stable")
 
 
 def default_traceless_spectrum(sig: FlagSignature) -> Spectrum:
@@ -241,6 +271,18 @@ def random_flag_point(sig: FlagSignature, seed: int = 0) -> FlagPoint:
     return FlagPoint(q, sig)
 
 
+def _check_symmetric(a: np.ndarray) -> None:
+    """Raise ``NotSymmetric`` unless the finite array a is a square matrix
+    within SYM_TOL of its transpose in the Frobenius norm."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
+    d = a - a.T
+    if d.any():  # an exactly symmetric a, the usual case, needs no norm
+        defect = np.linalg.norm(d)
+        if not defect <= SYM_TOL:
+            raise NotSymmetric(f"asymmetry {defect:.3e} exceeds {SYM_TOL:.3e}")
+
+
 @dataclass(frozen=True, eq=False)
 class SymmetricMatrix:
     """A real symmetric n x n matrix (validated on construction)."""
@@ -249,15 +291,9 @@ class SymmetricMatrix:
 
     def __post_init__(self):
         a = np.array(self.entries, dtype=float, copy=True)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
-        # A non-finite entry makes the defect NaN, which fails the test; the
-        # finite check runs only then, since this constructor is on the hot path.
-        defect = np.linalg.norm(a - a.T)
-        if not defect <= SYM_TOL:
-            if not np.all(np.isfinite(a)):
-                raise NotSymmetric("entries must be finite")
-            raise NotSymmetric(f"asymmetry {defect:.3e} exceeds {SYM_TOL:.3e}")
+        if not np.all(np.isfinite(a)):
+            raise NotSymmetric("entries must be finite")
+        _check_symmetric(a)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -362,10 +398,10 @@ def random_tangent_block(sig: FlagSignature, seed: int = 0) -> TangentBlock:
     return TangentBlock(sig, tuple(rng.standard_normal((sizes[i], sizes[j])) for i, j in sig.block_pairs()))
 
 
-def _embedded_image(point: FlagPoint, spectrum: Spectrum) -> np.ndarray:
-    """Conjugate the block-scalar model by Q; symmetrized for hygiene."""
-    w = spectrum.repeated()
-    x = (point.q * w) @ point.q.T
+def _embedded_image(q: np.ndarray, spectrum: Spectrum) -> np.ndarray:
+    """Conjugate the block-scalar model by the frame q, q diag(a) q' with a
+    the repeated spectrum; symmetrized, so the result is exactly symmetric."""
+    x = (q * spectrum._diagonal) @ q.T
     return (x + x.T) / 2.0
 
 
@@ -377,4 +413,4 @@ def flags_equal(x: FlagPoint, y: FlagPoint) -> bool:
     """
     _check_same_signature(x.signature, y.signature)
     spec = default_traceless_spectrum(x.signature)
-    return bool(np.linalg.norm(_embedded_image(x, spec) - _embedded_image(y, spec)) <= EIG_TOL)
+    return bool(np.linalg.norm(_embedded_image(x.q, spec) - _embedded_image(y.q, spec)) <= EIG_TOL)

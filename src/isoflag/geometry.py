@@ -9,6 +9,14 @@ forward gives the commutator Q [B, M] Q', whose Frobenius norm squared
 equals <B, B> identically.  On top of this sit the tangent projector, the
 nearest-point map onto the model manifold, the induced retraction, and a
 projected-gradient descent loop.
+
+Each of ``project_to_tangent``, ``nearest_point`` and ``retract`` checks
+its inputs and wraps the result of one private array step
+(``_tangent_step``, ``_nearest_step``, ``_retract_step``).  The descent
+loop runs those steps on plain arrays: it checks ``init`` and ``spec`` once,
+the user's gradient on every iteration, and builds no wrapper until it
+returns.  Every model point a step produces is checked by the certificate
+in ``embed._model_image`` instead of by an eigen-solve.
 """
 
 from __future__ import annotations
@@ -18,16 +26,18 @@ from typing import Callable
 
 import numpy as np
 
-from .embed import EmbeddedFlag, _block_frame, _eigh, embed
+from .embed import EmbeddedFlag, _block_frame, _certified_flag, _eigh, _model_image, embed
 from .errors import DegenerateBoundaryGap, SpectrumInvalid, StepNotFinite
 from .flagcore import (
     SPECTRUM_GAP_TOL,
     FlagPoint,
+    FlagSignature,
     Spectrum,
     SymmetricMatrix,
     TangentBlock,
     _check_same_signature,
     _check_size,
+    _check_symmetric,
 )
 
 
@@ -85,6 +95,17 @@ def isometry_defect(b: TangentBlock, spec: Spectrum) -> float:
     return abs(lhs - rhs)
 
 
+def _tangent_step(g: np.ndarray, x: np.ndarray, spec: Spectrum) -> np.ndarray:
+    """``project_to_tangent`` on arrays: g projected onto the tangent space
+    at the model point x, in the eigenframe of x."""
+    q = _block_frame(_eigh(x)[1], spec)
+    m = q.T @ g @ q
+    for s in spec.signature.block_slices():
+        m[s, s] = 0.0
+    v = q @ m @ q.T
+    return (v + v.T) / 2.0
+
+
 def project_to_tangent(g: SymmetricMatrix, base: EmbeddedFlag) -> EmbeddedTangent:
     """Frobenius-orthogonal projection of g onto the tangent space at base.x:
     conjugate into the eigenframe, zero the diagonal blocks, conjugate back.
@@ -94,13 +115,30 @@ def project_to_tangent(g: SymmetricMatrix, base: EmbeddedFlag) -> EmbeddedTangen
     no eigenvalue matching, orthogonality or determinant check runs here;
     the sign of a column does not change the projector.
     """
-    _check_size(g, base.signature)
-    q = _block_frame(_eigh(base.x.entries)[1], base.spectrum)
-    m = q.T @ g.entries @ q
-    for s in base.signature.block_slices():
-        m[s, s] = 0.0
-    v = q @ m @ q.T
-    return EmbeddedTangent(SymmetricMatrix((v + v.T) / 2.0), base)
+    _check_size(g.entries, base.signature)
+    v = _tangent_step(g.entries, base.x.entries, base.spectrum)
+    return EmbeddedTangent(SymmetricMatrix(v), base)
+
+
+def _check_decreasing(spec: Spectrum) -> None:
+    if any(nxt >= prev for prev, nxt in zip(spec.values, spec.values[1:])):
+        raise SpectrumInvalid(f"nearest point needs a strictly decreasing spectrum, got {spec.values}")
+
+
+def _nearest_step(a: np.ndarray, spec: Spectrum, gap_tol: float) -> np.ndarray:
+    """``nearest_point`` on arrays, for a strictly decreasing spectrum: the
+    read-only model matrix closest to the symmetric a, certified on the model.
+    A NaN gap, which only an overflowed a gives, fails the gap test too."""
+    lam, vec = _eigh(a)
+    lam = lam.tolist()[::-1]
+    vec = vec[:, ::-1]
+    for k in spec.signature.ks:
+        gap = lam[k - 1] - lam[k]
+        if not gap > gap_tol:
+            raise DegenerateBoundaryGap(
+                f"eigenvalue gap {gap:.3e} at block boundary {k} is <= {gap_tol:.3e}", gap=gap
+            )
+    return _model_image(vec, spec)
 
 
 def nearest_point(a: SymmetricMatrix, spec: Spectrum, gap_tol: float = SPECTRUM_GAP_TOL) -> EmbeddedFlag:
@@ -111,26 +149,14 @@ def nearest_point(a: SymmetricMatrix, spec: Spectrum, gap_tol: float = SPECTRUM_
     values: a = U L U' maps to U M U'.  Ties across a block boundary make
     the answer non-unique and raise ``DegenerateBoundaryGap``.
     """
-    sig = spec.signature
-    _check_size(a, sig)
-    if any(nxt >= prev for prev, nxt in zip(spec.values, spec.values[1:])):
-        raise SpectrumInvalid(f"nearest point needs a strictly decreasing spectrum, got {spec.values}")
-    lam, vec = _eigh(a.entries)
-    lam = lam[::-1]
-    vec = vec[:, ::-1]
-    for k in sig.ks:
-        gap = float(lam[k - 1] - lam[k])
-        if gap <= gap_tol:
-            raise DegenerateBoundaryGap(
-                f"eigenvalue gap {gap:.3e} at block boundary {k} is <= {gap_tol:.3e}", gap=gap
-            )
-    x = (vec * spec.repeated()) @ vec.T
-    return EmbeddedFlag(SymmetricMatrix((x + x.T) / 2.0), spec)
+    _check_size(a.entries, spec.signature)
+    _check_decreasing(spec)
+    return _certified_flag(_nearest_step(a.entries, spec, gap_tol), spec)
 
 
-def distance_to_model(a: SymmetricMatrix, spec: Spectrum) -> float:
-    """Frobenius distance from a to the model manifold."""
-    return float(np.linalg.norm(a.entries - nearest_point(a, spec).x.entries))
+def _retract_step(x: np.ndarray, v: np.ndarray, step: float, spec: Spectrum) -> np.ndarray:
+    """``retract`` on arrays, for a nonzero step."""
+    return _nearest_step(x + step * v, spec, SPECTRUM_GAP_TOL)
 
 
 def retract(base: EmbeddedFlag, v: EmbeddedTangent, step: float) -> EmbeddedFlag:
@@ -141,8 +167,9 @@ def retract(base: EmbeddedFlag, v: EmbeddedTangent, step: float) -> EmbeddedFlag
     """
     if step == 0.0:
         return base
-    moved = SymmetricMatrix(base.x.entries + step * v.v.entries)
-    return nearest_point(moved, base.spectrum)
+    spec = base.spectrum
+    _check_decreasing(spec)
+    return _certified_flag(_retract_step(base.x.entries, v.v.entries, step, spec), spec)
 
 
 def default_step(spec: Spectrum) -> float:
@@ -180,25 +207,48 @@ def gradient_descent(
     trace is diagnostic only; monotone decrease is not guaranteed.
     ``init`` must be embedded with ``spec`` itself: the default step comes
     from ``spec`` and every retraction lands on ``init.spectrum``.
+
+    What is checked, and where: ``init`` and ``spec`` on entry; the array
+    ``objective_grad`` returns on every iteration (non-finite entries raise
+    ``StepNotFinite``, a non-square or asymmetric one ``NotSymmetric``, a
+    wrong size ``SignatureMismatch``); a non-decreasing spectrum at the
+    first retraction, as ``nearest_point`` checks it; and every iterate,
+    by the Ostrowski certificate or, where that cannot decide, by the
+    eigenvalue check of ``EmbeddedFlag``.  ``objective_grad`` receives each
+    iterate as a read-only array.  The returned point is that last
+    iterate, or ``init`` itself when no step was taken.
     """
     _check_same_signature(init.signature, spec.signature)
     if init.spectrum != spec:
         raise SpectrumInvalid(f"init has spectrum {init.spectrum.values}, descent was given {spec.values}")
     if step is None:
         step = default_step(spec)
-    x = init
+    x = init.x.entries
     norms: list[float] = []
     iterations = 0
     while True:
-        g = np.asarray(objective_grad(np.asarray(x.x.entries)), dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise StepNotFinite("objective gradient returned non-finite entries")
-        t = project_to_tangent(SymmetricMatrix(g), x)
-        gn = float(np.linalg.norm(t.v.entries))
+        g = _checked_gradient(objective_grad(x), spec.signature)
+        v = _tangent_step(g, x, spec)
+        gn = float(np.linalg.norm(v))
         norms.append(gn)
         converged = gn <= grad_tol
         if converged or iterations >= max_iters:
             break
-        x = retract(x, t, -step)
+        if step != 0.0:
+            if iterations == 0:
+                _check_decreasing(spec)  # where the first retraction checks it
+            x = _retract_step(x, v, -step, spec)
         iterations += 1
-    return DescentResult(x, tuple(norms), iterations, converged)
+    point = init if x is init.x.entries else _certified_flag(x, spec)
+    return DescentResult(point, tuple(norms), iterations, converged)
+
+
+def _checked_gradient(g, sig: FlagSignature) -> np.ndarray:
+    """The user's gradient as a float array, checked as ``SymmetricMatrix``
+    and ``project_to_tangent`` check theirs."""
+    g = np.asarray(g, dtype=float)
+    if not np.isfinite(g).all():
+        raise StepNotFinite("objective gradient returned non-finite entries")
+    _check_symmetric(g)
+    _check_size(g, sig)
+    return g

@@ -101,6 +101,17 @@ class TestEmbedCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) == 3 and all(len(r) == 3 for r in rows)
 
+    def test_one_eigen_solve(self, capsys, monkeypatch):
+        """embed's own check is the certificate, so the only eigen-solve is
+        the one that computes the printed eigenvalues."""
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, _solver=solver, _name=name: calls.append(_name) or _solver(a))
+        code, out, _ = run(capsys, "embed", "--n", "5", "--ks", "2", "--seed", "7")
+        assert code == 0 and "eigenvalues: " in out
+        assert calls == ["eigvalsh"]
+
     def test_q_file_input(self, capsys, tmp_path):
         q = np.eye(3)
         path = tmp_path / "q.txt"

@@ -1,5 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoflag import (
     EIG_TOL,
@@ -12,6 +16,7 @@ from isoflag import (
     default_traceless_spectrum,
     embed,
     flags_equal,
+    gradient_descent,
     identity_flag,
     make_signature,
     membership,
@@ -29,11 +34,15 @@ from isoflag.errors import (
     SpectrumMismatch,
 )
 
+from isoflag.embed import _check_on_model, _eig_deviation, _ostrowski_certifies
+from isoflag.flagcore import _embedded_image
+
 from _helpers import (
     haar_special_orthogonal,
     no_convergence,
     random_block_stabilizer,
     random_signature,
+    random_symmetric,
 )
 
 
@@ -250,6 +259,90 @@ class TestMembership:
             bumped = block_diagonal_model(spec).entries.copy()
             bumped[0, 0] += bump
             assert membership(SymmetricMatrix(bumped), spec) is member
+
+
+class TestCertificate:
+    """A matrix built as q diag(a) q' from a frame q is checked by Ostrowski's
+    bound on ||q'q - I|| instead of by an eigen-solve; when the bound cannot
+    prove membership, the eigen-solve runs as before."""
+
+    @given(
+        n=st.integers(min_value=2, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        log_scale=st.floats(min_value=-3.0, max_value=3.0),
+        log_noise=st.floats(min_value=-17.0, max_value=-5.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_only_what_the_eigenvalue_check_accepts(self, n, seed, log_scale, log_noise):
+        rng = np.random.default_rng(seed)
+        sig = random_signature(rng, n_min=n, n_max=n)
+        spec = Spectrum(tuple(10.0**log_scale * v for v in default_traceless_spectrum(sig).values), sig)
+        q = haar_special_orthogonal(n, rng) + 10.0**log_noise * rng.standard_normal((n, n))
+        x = _embedded_image(q, spec)
+        if _ostrowski_certifies(x, q, spec):
+            assert _eig_deviation(x, spec) <= EIG_TOL
+            assert abs(x.trace() - spec.block_trace) <= n * EIG_TOL
+
+    @pytest.mark.parametrize("n", [2, 8, 40, 160])
+    def test_accepts_orthogonal_frames(self, n):
+        rng = np.random.default_rng(n)
+        sig = random_signature(rng, n_min=n, n_max=n)
+        spec = default_traceless_spectrum(sig)
+        q = haar_special_orthogonal(n, rng)
+        assert _ostrowski_certifies(_embedded_image(q, spec), q, spec)
+
+    def test_embed_solves_nothing(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        sig = make_signature(7, [2, 3])
+        x = embed(random_flag_point(sig, 1), default_traceless_spectrum(sig)).x.entries
+        assert x.flags.writeable is False
+
+    def test_embed_falls_back_at_large_scale(self):
+        """The bound grows with max|a| and cannot decide at (1e8, -1e8);
+        embed's verdict is then the eigenvalue check's, whatever it is."""
+        sig = make_signature(50, [25])
+        spec = Spectrum((1e8, -1e8), sig)
+        f = random_flag_point(sig, 2)
+        x = _embedded_image(f.q, spec)
+        assert not _ostrowski_certifies(x, f.q, spec)
+
+        def verdict(check):
+            try:
+                check()
+            except SpectrumMismatch as err:
+                return str(err)
+            return None
+
+        assert verdict(lambda: embed(f, spec)) == verdict(lambda: _check_on_model(x, spec))
+
+    def test_non_orthonormal_eigenvectors_fail_through_the_eigenvalue_check(self, monkeypatch):
+        """An eigen-solver whose vectors are off by 1e-6 from orthonormal: the
+        certificate cannot prove the projection, and the eigenvalue check
+        rejects it with the message it always gave."""
+        rng = np.random.default_rng(12)
+        sig = make_signature(6, [2, 4])
+        spec = default_traceless_spectrum(sig)
+        a = random_symmetric(6, rng)
+        stretch = 1.0 + 1e-6 * np.arange(1, 7) / 6
+
+        def skewed_eigh(m, vectors=True):
+            lam, vec = np.linalg.eigh(m)
+            return lam, vec * stretch
+
+        q = skewed_eigh(a)[1][:, ::-1]
+        assert 1e-7 < np.linalg.norm(q.T @ q - np.eye(6)) < 1e-5
+        x = (q * spec.repeated()) @ q.T
+        x = (x + x.T) / 2.0
+        worst = np.max(np.abs(np.linalg.eigvalsh(x) - np.sort(spec.repeated())))
+        message = f"eigenvalues deviate from the prescribed spectrum by {worst:.3e} > {EIG_TOL:.3e}"
+        monkeypatch.setattr(sys.modules["isoflag.geometry"], "_eigh", skewed_eigh)
+        with pytest.raises(SpectrumMismatch) as err:
+            nearest_point(SymmetricMatrix(a), spec)
+        assert str(err.value) == message
+        init = embed(random_flag_point(sig, 3), spec)
+        with pytest.raises(SpectrumMismatch, match=r"^eigenvalues deviate from the prescribed spectrum by 1\.000e-06 > "):
+            gradient_descent(lambda x: x - a, spec, init)
 
 
 class TestTracelessSplit:

@@ -1,15 +1,18 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from isoflag import (
+    EmbeddedFlag,
+    EmbeddedTangent,
     FlagPoint,
     Spectrum,
     SymmetricMatrix,
     TangentBlock,
     default_step,
     default_traceless_spectrum,
-    distance_to_model,
     embed,
     gradient_descent,
     identity_flag,
@@ -28,6 +31,7 @@ from isoflag import (
 from isoflag.errors import (
     DegenerateBoundaryGap,
     EigenSolverFailed,
+    NotSymmetric,
     NumericalError,
     SignatureMismatch,
     SpectrumInvalid,
@@ -35,6 +39,12 @@ from isoflag.errors import (
 )
 
 from _helpers import no_convergence, random_signature, random_symmetric
+
+
+def distance_to_model(a, spec):
+    """Frobenius distance from a to the model manifold (the reference for
+    ``nearest_point``'s fixed points; no library code needs it)."""
+    return float(np.linalg.norm(a.entries - nearest_point(a, spec).x.entries))
 
 
 def one_block(sig, beta):
@@ -376,3 +386,176 @@ class TestGradientDescent:
         assert res.iterations == 10
         assert not res.converged
         assert len(res.grad_norms) == 11
+
+
+def reference_descent(objective_grad, spec, init, step=None, max_iters=500, grad_tol=1e-6):
+    """The descent loop as it ran on the public wrappers: every gradient and
+    step wrapped in ``SymmetricMatrix``/``EmbeddedTangent``, and every
+    iterate checked by ``EmbeddedFlag``'s eigenvalue test.  The reference
+    that ``gradient_descent``'s array loop must match bit for bit."""
+    if step is None:
+        step = default_step(spec)
+    x = init
+    norms = []
+    iterations = 0
+    while True:
+        g = np.asarray(objective_grad(np.asarray(x.x.entries)), dtype=float)
+        if not np.all(np.isfinite(g)):
+            raise StepNotFinite("objective gradient returned non-finite entries")
+        t = project_to_tangent(SymmetricMatrix(g), x)
+        gn = float(np.linalg.norm(t.v.entries))
+        norms.append(gn)
+        converged = gn <= grad_tol
+        if converged or iterations >= max_iters:
+            break
+        x = EmbeddedFlag(SymmetricMatrix(retract(x, t, -step).x.entries), spec)
+        iterations += 1
+    return x, tuple(norms), iterations, converged
+
+
+def descent_case(n, p, seed):
+    """A target near a random model point and a random start, as the
+    benchmark draws them."""
+    rng = np.random.default_rng([n, p, seed])
+    ks = sorted(int(k) for k in rng.choice(np.arange(1, n), size=p, replace=False))
+    sig = make_signature(n, ks)
+    spec = default_traceless_spectrum(sig)
+    model = embed(random_flag_point(sig, int(rng.integers(2**62))), spec).x.entries
+    noise = rng.standard_normal((n, n))
+    target = model + 0.1 / np.sqrt(n) * (noise + noise.T) / 2.0
+    init = embed(random_flag_point(sig, int(rng.integers(2**62))), spec)
+    return spec, target, init
+
+
+SMALL_STRATA = [(n, p) for n in range(4, 13) for p in range(1, 5) if p < n]
+
+
+class TestDescentMatchesWrapperLoop:
+    """``gradient_descent`` runs on plain arrays with the certificate in
+    place of the per-iterate eigenvalue check; the iterates, norms, counts
+    and verdict are those of the wrapper-based loop."""
+
+    @staticmethod
+    def assert_same(spec, target, init, step):
+        got = gradient_descent(lambda x: x - target, spec, init, step=step)
+        x, norms, iterations, converged = reference_descent(lambda x: x - target, spec, init, step=step)
+        assert np.array_equal(got.point.x.entries, x.x.entries)
+        assert got.grad_norms == norms
+        assert got.iterations == iterations
+        assert got.converged == converged
+        assert got.point.x.entries.flags.writeable is False
+
+    @pytest.mark.parametrize("n,p", SMALL_STRATA)
+    def test_small_default_step(self, n, p):
+        self.assert_same(*descent_case(n, p, 0), None)
+
+    @pytest.mark.parametrize("n,p", [(96, 1), (96, 4), (160, 1), (160, 4)])
+    def test_large_unit_step(self, n, p):
+        self.assert_same(*descent_case(n, p, 0), 1.0)
+
+    def test_no_step_returns_init(self):
+        spec, target, init = descent_case(6, 2, 1)
+        for kwargs in ({"max_iters": 0}, {"step": 0.0, "max_iters": 5}):
+            assert gradient_descent(lambda x: x - target, spec, init, **kwargs).point is init
+
+
+class TestDescentCallCounts:
+    def test_two_eigen_solves_and_no_wrappers_per_iteration(self, monkeypatch):
+        events = []
+        geometry_module = sys.modules["isoflag.geometry"]
+        embed_module = sys.modules["isoflag.embed"]
+        solver = embed_module._eigh
+
+        def counted_eigh(*args, **kwargs):
+            events.append("eigh")
+            return solver(*args, **kwargs)
+
+        for module in (geometry_module, embed_module):
+            monkeypatch.setattr(module, "_eigh", counted_eigh)
+        for cls in (SymmetricMatrix, EmbeddedFlag, EmbeddedTangent):
+            def counted_init(self, *args, _init=cls.__init__, **kwargs):
+                events.append(f"new {type(self).__name__}")
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted_init)
+        prechecked = embed_module._prechecked
+
+        def counted_prechecked(cls, **fields):
+            events.append(f"new {cls.__name__}")
+            return prechecked(cls, **fields)
+
+        monkeypatch.setattr(embed_module, "_prechecked", counted_prechecked)
+        spec, target, init = descent_case(8, 2, 2)
+
+        def grad(x):
+            events.append("grad")
+            return x - target
+
+        res = gradient_descent(grad, spec, init)
+        assert res.converged and res.iterations > 50
+        first = events.index("grad")
+        last = len(events) - 1 - events[::-1].index("grad")
+        between = events[first:last + 1]
+        assert [e for e in between if e.startswith("new")] == []
+        per_iteration = "".join("|" if e == "grad" else "e" for e in between).split("|")[1:-1]
+        assert per_iteration == ["ee"] * res.iterations
+        # after the last gradient: its projection, then the returned point,
+        # built once and not checked again
+        assert events[last + 1:] == ["eigh", "new SymmetricMatrix", "new EmbeddedFlag"]
+
+
+class TestDescentGradientContract:
+    """The user's gradient is checked on every iteration, with the errors
+    ``SymmetricMatrix`` and ``project_to_tangent`` raised for it."""
+
+    @pytest.mark.parametrize(
+        "make,error,message",
+        [
+            (lambda x: np.full_like(x, np.nan), StepNotFinite, "objective gradient returned non-finite entries"),
+            (lambda x: np.full((4, 3), np.inf), StepNotFinite, "objective gradient returned non-finite entries"),
+            (lambda x: np.triu(np.ones_like(x)), NotSymmetric, r"asymmetry 3\.464e\+00 exceeds 1\.000e-10"),
+            (lambda x: np.ones((4, 3)), NotSymmetric, r"expected a square matrix, got shape \(4, 3\)"),
+            (lambda x: np.ones(4), NotSymmetric, r"expected a square matrix, got shape \(4,\)"),
+            (lambda x: np.eye(5), SignatureMismatch, "matrix is 5x5, signature has n=4"),
+        ],
+        ids=["nan", "nan-non-square", "asymmetric", "non-square", "vector", "wrong-n"],
+    )
+    def test_errors(self, make, error, message):
+        sig = make_signature(4, [2])
+        spec = default_traceless_spectrum(sig)
+        init = embed(random_flag_point(sig, 3), spec)
+        target = random_symmetric(4, np.random.default_rng(3))
+        calls = []
+
+        def grad(x):  # a bad gradient on the third iteration
+            calls.append(None)
+            return make(x) if len(calls) == 3 else x - target
+
+        with pytest.raises(error, match=f"^{message}$"):
+            gradient_descent(grad, spec, init)
+        with pytest.raises(error, match=f"^{message}$"):
+            calls.clear()
+            reference_descent(grad, spec, init)
+        assert len(calls) == 3
+
+    def test_gradient_sees_read_only_iterates(self):
+        spec, target, init = descent_case(5, 2, 3)
+        seen = []
+
+        def grad(x):
+            seen.append(x.flags.writeable)
+            return x - target
+
+        gradient_descent(grad, spec, init, max_iters=20)
+        assert len(seen) == 21 and not any(seen)
+
+    def test_increasing_spectrum_rejected_at_first_step_only(self):
+        sig = make_signature(3, [1])
+        spec = Spectrum((-1 / 3, 2 / 3), sig)
+        init = embed(random_flag_point(sig, 4), spec)
+        target = random_symmetric(3, np.random.default_rng(4))
+        with pytest.raises(SpectrumInvalid, match="strictly decreasing"):
+            gradient_descent(lambda x: x - target, spec, init)
+        # no retraction, no check: as when the loop called retract
+        assert gradient_descent(lambda x: x - target, spec, init, max_iters=0).point is init
+        assert gradient_descent(lambda x: x - target, spec, init, step=0.0, max_iters=3).iterations == 3
