@@ -25,7 +25,6 @@ from .flagcore import (
     _check_size,
     _check_special_orthogonal,
     _embedded_image,
-    _frozen_array,
     _prechecked,
 )
 
@@ -93,8 +92,13 @@ def _ostrowski_certifies(x: np.ndarray, q: np.ndarray, spec: Spectrum) -> bool:
     Rounding adds at most max|a| * 4 n gamma(n + 3) for the two products and
     the symmetrization (Weyl's inequality carries it to the eigenvalues), and
     a relative gamma(n^2 + 1) to the computed norm; both hold while that norm
-    is at most 1/2, which keeps ||q||_F^2 below 2n.  The trace is compared
-    directly, as ``_check_on_model`` compares it.
+    is at most 1/2, which keeps ||q||_F^2 below 2n.  That bounds the exact
+    eigenvalues of x.  ``_check_on_model`` reads the ones eigvalsh computes,
+    the exact eigenvalues of x + E with ||E||_2 <= p(n) u ||x||_2 (LAPACK
+    Users' Guide, section 4.7, p(n) "a modestly growing function of n");
+    with p(n) taken as 4n and ||x||_2 <= 2 max|a|, the bound leaves
+    max|a| * 8 n u for them.  The trace is compared directly, as
+    ``_check_on_model`` compares it.
     """
     n = x.shape[0]
     e = q.T @ q
@@ -102,7 +106,8 @@ def _ostrowski_certifies(x: np.ndarray, q: np.ndarray, spec: Spectrum) -> bool:
     delta = float(np.linalg.norm(e))
     if not delta <= 0.5:
         return False
-    bound = max(map(abs, spec.values)) * (delta * (1 + _gamma(n * n + 1)) + 4 * n * _gamma(n + 3))
+    rounding = 4 * n * _gamma(n + 3) + 8 * n * _UNIT_ROUNDOFF
+    bound = max(map(abs, spec.values)) * (delta * (1 + _gamma(n * n + 1)) + rounding)
     drift = abs(float(x.trace()) - spec.block_trace)
     return bound <= EIG_TOL and drift <= EIG_TOL * n
 
@@ -111,9 +116,12 @@ def _model_image(q: np.ndarray, spec: Spectrum) -> np.ndarray:
     """q diag(a) q' for a frame q, checked to lie on the model as
     ``EmbeddedFlag`` checks it, and read-only.
 
-    The Ostrowski certificate stands in for the eigenvalue check; when it
-    cannot prove membership, the eigenvalue check itself runs, so every
-    accept or reject, and every error message, is the eigenvalue check's."""
+    The Ostrowski certificate stands in for the eigenvalue check.  It
+    accepts only a matrix whose exact eigenvalues are within EIG_TOL of the
+    spectrum, less the margin it leaves for eigvalsh's backward error, so
+    the eigenvalue check accepts it too whenever that error is within the
+    margin.  When the certificate cannot prove membership, the eigenvalue
+    check itself runs and gives the verdict and the error message."""
     x = _embedded_image(q, spec)
     if not _ostrowski_certifies(x, q, spec):
         _check_on_model(x, spec)
@@ -140,12 +148,11 @@ class EmbeddedFlag:
 
 def _certified_flag(x: np.ndarray, spec: Spectrum) -> EmbeddedFlag:
     """The EmbeddedFlag of a matrix that ``_model_image`` returned: it is
-    already checked, so neither constructor checks it again.  The
-    ``SymmetricMatrix`` gets its own copy, as its constructor would give it:
-    keeping the image itself leaves the freed temporaries that built it
-    between the kept matrices, and embedding 216 points at n = 96..160 then
-    took about 1 MB more peak RSS."""
-    return _prechecked(EmbeddedFlag, x=_prechecked(SymmetricMatrix, entries=_frozen_array(x)), spectrum=spec)
+    already checked against the spectrum, so that check does not run again.
+    ``SymmetricMatrix`` takes its own copy: keeping the image itself leaves
+    the freed temporaries that built it between the kept matrices, and
+    embedding 216 points at n = 96..160 then took about 1 MB more peak RSS."""
+    return _prechecked(EmbeddedFlag, x=SymmetricMatrix(x), spectrum=spec)
 
 
 def block_diagonal_model(spec: Spectrum) -> SymmetricMatrix:

@@ -10,13 +10,15 @@ equals <B, B> identically.  On top of this sit the tangent projector, the
 nearest-point map onto the model manifold, the induced retraction, and a
 projected-gradient descent loop.
 
-Each of ``project_to_tangent``, ``nearest_point`` and ``retract`` checks
-its inputs and wraps the result of one private array step
-(``_tangent_step``, ``_nearest_step``, ``_retract_step``).  The descent
-loop runs those steps on plain arrays: it checks ``init`` and ``spec`` once,
-the user's gradient on every iteration, and builds no wrapper until it
-returns.  Every model point a step produces is checked by the certificate
-in ``embed._model_image`` instead of by an eigen-solve.
+``project_to_tangent`` and ``retract`` check their inputs and wrap the
+result of one private array step (``_tangent_step``, ``_retract_step``);
+``nearest_point`` and ``_retract_step`` share the eigen-solve
+``_descending_eigh`` and the model image ``embed._model_image``, each with
+its own gap tolerance.  The descent loop runs the array steps: it checks
+``init`` and ``spec`` once, the user's gradient on every iteration, and
+builds no wrapper until it returns.  Every model point a step produces is
+checked by the Ostrowski certificate in ``embed._model_image``, which runs
+the eigenvalue check of ``EmbeddedFlag`` only where it cannot decide.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .embed import EmbeddedFlag, _block_frame, _certified_flag, _eigh, _model_image, embed
-from .errors import DegenerateBoundaryGap, SpectrumInvalid, StepNotFinite
+from .errors import DegenerateBoundaryGap, NotSymmetric, NumericalError, SpectrumInvalid, StepNotFinite
 from .flagcore import (
     SPECTRUM_GAP_TOL,
     FlagPoint,
@@ -125,20 +127,13 @@ def _check_decreasing(spec: Spectrum) -> None:
         raise SpectrumInvalid(f"nearest point needs a strictly decreasing spectrum, got {spec.values}")
 
 
-def _nearest_step(a: np.ndarray, spec: Spectrum, gap_tol: float) -> np.ndarray:
-    """``nearest_point`` on arrays, for a strictly decreasing spectrum: the
-    read-only model matrix closest to the symmetric a, certified on the model.
-    A NaN gap, which only an overflowed a gives, fails the gap test too."""
+def _descending_eigh(a: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """The eigenvalues of the symmetric a in decreasing order, and the
+    eigenvectors as columns in that order: the eigen-solve of
+    ``nearest_point``, whose callers test the gaps at the block boundaries
+    and take ``_model_image`` of the vectors."""
     lam, vec = _eigh(a)
-    lam = lam.tolist()[::-1]
-    vec = vec[:, ::-1]
-    for k in spec.signature.ks:
-        gap = lam[k - 1] - lam[k]
-        if not gap > gap_tol:
-            raise DegenerateBoundaryGap(
-                f"eigenvalue gap {gap:.3e} at block boundary {k} is <= {gap_tol:.3e}", gap=gap
-            )
-    return _model_image(vec, spec)
+    return lam.tolist()[::-1], vec[:, ::-1]
 
 
 def nearest_point(a: SymmetricMatrix, spec: Spectrum, gap_tol: float = SPECTRUM_GAP_TOL) -> EmbeddedFlag:
@@ -151,12 +146,37 @@ def nearest_point(a: SymmetricMatrix, spec: Spectrum, gap_tol: float = SPECTRUM_
     """
     _check_size(a.entries, spec.signature)
     _check_decreasing(spec)
-    return _certified_flag(_nearest_step(a.entries, spec, gap_tol), spec)
+    lam, vec = _descending_eigh(a.entries)
+    for k in spec.signature.ks:
+        gap = lam[k - 1] - lam[k]
+        if not gap > gap_tol:
+            raise DegenerateBoundaryGap(
+                f"eigenvalue gap {gap:.3e} at block boundary {k} is <= {gap_tol:.3e}", gap=gap
+            )
+    return _certified_flag(_model_image(vec, spec), spec)
 
 
 def _retract_step(x: np.ndarray, v: np.ndarray, step: float, spec: Spectrum) -> np.ndarray:
-    """``retract`` on arrays, for a nonzero step."""
-    return _nearest_step(x + step * v, spec, SPECTRUM_GAP_TOL)
+    """``retract`` on arrays, for a nonzero step and a strictly decreasing
+    spectrum: the read-only nearest point to x + step * v, certified on the
+    model.  A step that overflows raises ``NotSymmetric``, as building
+    x + step * v as a ``SymmetricMatrix`` would, and not the error that the
+    eigen-solve or the gap test raises first on it; the finiteness test
+    runs only after such an error, so a normal step does not pay for it."""
+    moved = x + step * v
+    try:
+        lam, vec = _descending_eigh(moved)
+        for k in spec.signature.ks:
+            gap = lam[k - 1] - lam[k]
+            if not gap > SPECTRUM_GAP_TOL:
+                raise DegenerateBoundaryGap(
+                    f"eigenvalue gap {gap:.3e} at block boundary {k} is <= {SPECTRUM_GAP_TOL:.3e}", gap=gap
+                )
+        return _model_image(vec, spec)
+    except NumericalError:
+        if not np.isfinite(moved).all():
+            raise NotSymmetric("entries must be finite") from None
+        raise
 
 
 def retract(base: EmbeddedFlag, v: EmbeddedTangent, step: float) -> EmbeddedFlag:

@@ -559,3 +559,23 @@ class TestDescentGradientContract:
         # no retraction, no check: as when the loop called retract
         assert gradient_descent(lambda x: x - target, spec, init, max_iters=0).point is init
         assert gradient_descent(lambda x: x - target, spec, init, step=0.0, max_iters=3).iterations == 3
+
+
+class TestOverflowedStep:
+    """A step so long that x + step * v overflows raises ``NotSymmetric``, as
+    building x + step * v as a ``SymmetricMatrix`` does, and not the error
+    of the eigen-solve that the overflowed matrix fails first."""
+
+    def test_retract(self):
+        spec, target, init = descent_case(6, 2, 1)
+        v = project_to_tangent(SymmetricMatrix(1e3 * (init.x.entries - target)), init)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NotSymmetric, match="^entries must be finite$"):
+                retract(init, v, 1e308)
+
+    def test_descent(self):
+        spec, target, init = descent_case(6, 2, 1)
+        for descent in (gradient_descent, reference_descent):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                with pytest.raises(NotSymmetric, match="^entries must be finite$"):
+                    descent(lambda x: 1e3 * (x - target), spec, init, step=1e308)

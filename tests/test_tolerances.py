@@ -43,11 +43,8 @@ def modules():
 
 def test_only_the_cli_tolerances_are_parameters():
     found = sorted((stem, owner, name) for stem, tree in modules() for owner, name in tolerance_names(tree))
-    # _nearest_step is nearest_point's array step: it takes nearest_point's
-    # gap_tol, and SPECTRUM_GAP_TOL from the descent loop.
     assert found == [
         ("embed", "recover", "eig_tol"),
-        ("geometry", "_nearest_step", "gap_tol"),
         ("geometry", "gradient_descent", "grad_tol"),
         ("geometry", "nearest_point", "gap_tol"),
     ]
