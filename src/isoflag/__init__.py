@@ -17,14 +17,11 @@ from .bounds import (
     bound_table,
     flag_dimension,
     gunther_bound,
-    gunther_comparison,
     isospectral_bound,
     stiefel_check,
     stiefel_min_dim,
     wang_bound,
-    wang_whitney_composed,
     whitney_bound,
-    whitney_comparison,
 )
 from .embed import (
     EmbeddedFlag,

@@ -5,19 +5,22 @@ The matrix model lives in the traceless symmetric matrices, dimension
 (n-1)(n+2)/2, and that value is compared here against the classical
 general-purpose bounds evaluated at the flag manifold's dimension m:
 Whitney's smooth bound 2m, Gunther's isometric bound, and Wang's
-finite-group equivariant bound d|G|.
+finite-group equivariant bound d|G|.  Every one of them, and every
+comparison between them, depends only on (n, m, |G|), so a sweep over
+all signatures evaluates one ``bound_table`` per (n, m) group.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .errors import ValidationError
-from .flagcore import ORTH_TOL, FlagSignature
+from .flagcore import ORTH_TOL, FlagSignature, _prechecked
 
 
 def flag_dimension(sig: FlagSignature) -> int:
@@ -50,37 +53,12 @@ def whitney_bound(m: int) -> int:
     return 2 * m
 
 
-def whitney_comparison(sig: FlagSignature) -> bool:
-    """True iff the matrix model beats (or ties) Whitney's bound, via the
-    block-size inequality
-
-        sum n_i (n_i + 1) <= 2 [1 + sum_{i<j} n_i n_j],
-
-    which is equivalent to the direct comparison
-    isospectral_bound(n) <= n^2 - sum n_i^2."""
-    sizes = sig.block_sizes
-    lhs = sum(s * (s + 1) for s in sizes)
-    rhs = 2 * (1 + sum(a * b for a, b in itertools.combinations(sizes, 2)))
-    return lhs <= rhs
-
-
-def gunther_comparison(sig: FlagSignature) -> bool:
-    """True iff the matrix model beats Gunther's bound strictly; true for
-    every signature since m >= n - 1."""
-    return isospectral_bound(sig.n) < gunther_bound(flag_dimension(sig))
-
-
 def wang_bound(d: int, group_order: int) -> int:
     """d |G|: ambient dimension of the equivariant embedding a finite group
     of order |G| induces from any embedding into R^d."""
     if d < 1 or group_order < 1:
         raise ValidationError(f"need d, group_order >= 1, got {d}, {group_order}")
     return d * group_order
-
-
-def wang_whitney_composed(m: int, group_order: int) -> int:
-    """2m |G|: Wang's bound fed with Whitney's embedding."""
-    return wang_bound(whitney_bound(m), group_order)
 
 
 @dataclass(frozen=True)
@@ -130,9 +108,12 @@ class BoundReport:
 def bound_table(sig: FlagSignature, group_order: int | None = None) -> BoundReport:
     """Evaluate every bound for one signature.
 
-    With a group order given, the Wang column holds the Whitney-composed
-    value 2m|G| and the comparisons record whether it exceeds the matrix
-    model's dimension (equivalently |G| > (n-1)(n+2)/4m)."""
+    Each column depends only on (n, m, |G|) with m = flag_dimension(sig),
+    so one report serves every signature with the same n and m, and
+    ``bounds sweep`` evaluates one per group.  With a group order given,
+    the Wang column holds the Whitney-composed value 2m|G| and the
+    comparisons record whether it exceeds the matrix model's dimension
+    (equivalently |G| > (n-1)(n+2)/4m)."""
     m = flag_dimension(sig)
     iso = isospectral_bound(sig.n)
     gunther = gunther_bound(m)
@@ -160,7 +141,12 @@ def bound_table(sig: FlagSignature, group_order: int | None = None) -> BoundRepo
 
 def all_signatures(n: int) -> Iterator[FlagSignature]:
     """Every flag signature in R^n: the 2^{n-1} - 1 nonempty subsets of
-    {1, ..., n-1} as chains k_1 < ... < k_p."""
+    {1, ..., n-1} as chains k_1 < ... < k_p.
+
+    ``combinations`` yields each chain as a strictly increasing tuple of
+    ints inside (0, n), which is what ``FlagSignature``'s validator checks,
+    so the signatures are built without it."""
+    n = operator.index(n)
     for p in range(1, n):
         for ks in itertools.combinations(range(1, n), p):
-            yield FlagSignature(n, ks)
+            yield _prechecked(FlagSignature, n=n, ks=ks)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -74,8 +75,31 @@ def _print(line: str = "") -> None:
     sys.stdout.write(line + "\n")
 
 
+@dataclass(frozen=True)
+class _GroupedRows:
+    """A nonempty JSON array of objects, one per (signature, group) pair in
+    ``rows``: the signature's n and ks, then the members of ``tails[group]``,
+    which ``_emit_json`` encodes once for all the rows of its group."""
+
+    rows: list
+    tails: list[dict]
+
+
 def _emit_json(payload: dict) -> None:
-    _print(json.dumps(payload, indent=2))
+    grouped = {k: v for k, v in payload.items() if isinstance(v, _GroupedRows)}
+    text = json.dumps({k: [] if k in grouped else v for k, v in payload.items()}, indent=2)
+    for key, value in grouped.items():
+        # A row's members are 6 spaces deep, so an encoded tail loses its braces
+        # and gains 4; n and ks are ints, whose JSON text is their str().
+        tails = [json.dumps(t, indent=2)[1:-2].replace("\n", "\n    ") for t in value.tails]
+        rows = ",\n".join(
+            f'    {{\n      "n": {sig.n},\n      "ks": [\n        '
+            + ",\n        ".join(map(str, sig.ks)) + f"\n      ],{tails[g]}\n    }}"
+            for sig, g in value.rows
+        )
+        # only a top-level member starts a line with two spaces and a quote
+        text = text.replace(f'\n  "{key}": []', f'\n  "{key}": [\n{rows}\n  ]')
+    _print(text)
 
 
 def _emit_csv(rows) -> None:
@@ -349,10 +373,10 @@ def cmd_repdim_verify(args) -> Output:
     )
 
 
-def _bound_payload(r: bounds_mod.BoundReport) -> dict:
+def _bound_columns(r: bounds_mod.BoundReport) -> dict:
+    """A bound row's members after ``n`` and ``ks``: they depend only on
+    (n, flag_dim, group order), so a sweep builds them once per group."""
     return {
-        "n": r.signature.n,
-        "ks": list(r.signature.ks),
         "flag_dim": r.flag_dim,
         "isospectral": r.isospectral,
         "gunther": r.gunther,
@@ -363,24 +387,20 @@ def _bound_payload(r: bounds_mod.BoundReport) -> dict:
     }
 
 
-def _bound_csv_row(r: bounds_mod.BoundReport):
-    return [
-        r.signature.n,
-        " ".join(map(str, r.signature.ks)),
-        r.flag_dim,
-        r.isospectral,
-        r.gunther,
-        r.whitney,
-        "" if r.wang is None else r.wang,
-        r.comparisons["isospectral_lt_gunther"],
-        r.comparisons["whitney_condition"],
-    ]
-
-
 _BOUND_CSV_HEADER = [
     "n", "ks", "flag_dim", "isospectral", "gunther", "whitney", "wang",
     "isospectral_lt_gunther", "whitney_condition",
 ]
+
+
+def _bound_csv(rows, groups: list[bounds_mod.BoundReport]) -> list:
+    """The CSV of (signature, group index) rows, each group's columns built once."""
+    tails = [
+        [r.flag_dim, r.isospectral, r.gunther, r.whitney, "" if r.wang is None else r.wang,
+         r.comparisons["isospectral_lt_gunther"], r.comparisons["whitney_condition"]]
+        for r in groups
+    ]
+    return [_BOUND_CSV_HEADER, *([sig.n, " ".join(map(str, sig.ks)), *tails[g]] for sig, g in rows)]
 
 
 def cmd_bounds(args) -> Output:
@@ -404,8 +424,8 @@ def cmd_bounds(args) -> Output:
         return lines
 
     return Output(
-        json=lambda: _bound_payload(r),
-        csv=lambda: [_BOUND_CSV_HEADER, _bound_csv_row(r)],
+        json=lambda: {"n": sig.n, "ks": list(sig.ks), **_bound_columns(r)},
+        csv=lambda: _bound_csv([(sig, 0)], [r]),
         text=text,
     )
 
@@ -413,36 +433,41 @@ def cmd_bounds(args) -> Output:
 def cmd_bounds_sweep(args) -> Output:
     if args.max_n < 2:
         raise ValidationError(f"--max-n must be at least 2, got {args.max_n}")
-    reports = []
+    groups = []  # one report per (n, flag_dim): every other column follows from those
+    rows = []  # (signature, index of its group) in all_signatures order
     failures = 0
     for n in range(2, args.max_n + 1):
+        index = {}
         for sig in bounds_mod.all_signatures(n):
-            r = bounds_mod.bound_table(sig, args.group_order)
-            if not r.comparisons["isospectral_lt_gunther"]:
-                failures += 1
-            reports.append(r)
+            g = index.setdefault(bounds_mod.flag_dimension(sig), len(groups))
+            if g == len(groups):
+                groups.append(bounds_mod.bound_table(sig, args.group_order))
+            failures += not groups[g].comparisons["isospectral_lt_gunther"]
+            rows.append((sig, g))
 
     def text():
-        for r in reports:
-            yield (
-                f"n={r.signature.n} ks={_ks_text(r.signature)} flag_dim={r.flag_dim} "
-                f"isospectral={r.isospectral} gunther={r.gunther} whitney={r.whitney}"
-            )
-        yield f"rows: {len(reports)}  gunther_failures: {failures}"
+        tails = [f" flag_dim={r.flag_dim} isospectral={r.isospectral} gunther={r.gunther} "
+                 f"whitney={r.whitney}" for r in groups]
+        for sig, g in rows:
+            yield f"n={sig.n} ks={_ks_text(sig)}{tails[g]}"
+        yield f"rows: {len(rows)}  gunther_failures: {failures}"
 
     return Output(
         json=lambda: {
             "max_n": args.max_n,
-            "rows": [_bound_payload(r) for r in reports],
+            "rows": _GroupedRows(rows, [_bound_columns(r) for r in groups]),
             "gunther_failures": failures,
         },
-        csv=lambda: [_BOUND_CSV_HEADER, *map(_bound_csv_row, reports)],
+        csv=lambda: _bound_csv(rows, groups),
         text=text,
         code=0 if failures == 0 else 1,
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It holds no handler:
+    ``main`` finds one by the command path each time it is called."""
     parser = argparse.ArgumentParser(
         prog="isoflag",
         description="Flag manifolds as fixed-spectrum symmetric matrices.",
@@ -461,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--q-file", help="matrix file holding an explicit representative")
     pe.add_argument("--seed", type=int, default=0, help="seed for a random flag")
     add_format(pe)
-    pe.set_defaults(func=cmd_embed)
 
     pr = sub.add_parser("recover", help="read the flag off a model matrix")
     pr.add_argument("--matrix-file", required=True)
@@ -470,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--spectrum")
     pr.add_argument("--eig-tol", type=float, default=EIG_TOL)
     add_format(pr)
-    pr.set_defaults(func=cmd_recover)
 
     pp = sub.add_parser("project", help="nearest model point to a symmetric matrix")
     pp.add_argument("--matrix-file", required=True)
@@ -479,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--spectrum")
     pp.add_argument("--gap-tol", type=float, default=SPECTRUM_GAP_TOL)
     add_format(pp)
-    pp.set_defaults(func=cmd_project)
 
     po = sub.add_parser("optimize", help="gradient descent toward a target matrix")
     po.add_argument("--target-file", required=True)
@@ -491,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--grad-tol", type=float, default=1e-6)
     po.add_argument("--seed", type=int, default=0, help="seed for the starting flag")
     add_format(po)
-    po.set_defaults(func=cmd_optimize)
 
     pd = sub.add_parser("repdim", help="exact SO(n) irreducible module dimensions")
     dsub = pd.add_subparsers(dest="repdim_command", required=True)
@@ -500,48 +521,44 @@ def build_parser() -> argparse.ArgumentParser:
     pdd.add_argument("--n", type=int, required=True)
     pdd.add_argument("--weight", required=True, help='e.g. "2,0,0" or "1/2,1/2,1/2"')
     add_format(pdd)
-    pdd.set_defaults(func=cmd_repdim_dim)
 
     pde = dsub.add_parser("enumerate", help="all dominant weights below a dimension cutoff")
     pde.add_argument("--n", type=int, required=True)
     pde.add_argument("--max-dim", type=int, required=True)
     pde.add_argument("--cap", default=4, help="first-entry cap of the search box")
     add_format(pde)
-    pde.set_defaults(func=cmd_repdim_enumerate)
 
     pdv = dsub.add_parser("verify", help="verify the low-dimension classification")
     pdv.add_argument("--n", type=int, required=True)
     pdv.add_argument("--cap", default=4)
     add_format(pdv)
-    pdv.set_defaults(func=cmd_repdim_verify)
 
     pb = sub.add_parser("bounds", help="ambient-dimension bound table")
     pb.add_argument("--n", type=int)
     pb.add_argument("--ks")
     pb.add_argument("--group-order", type=int)
     add_format(pb)
-    pb.set_defaults(func=cmd_bounds)
     bsub = pb.add_subparsers(dest="bounds_command")
     pbs = bsub.add_parser("sweep", help="all signatures up to an ambient dimension")
     pbs.add_argument("--max-n", type=int, required=True)
     pbs.add_argument("--group-order", type=int)
     add_format(pbs)
-    pbs.set_defaults(func=cmd_bounds_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        out = args.func(args)
+        # handler names follow the command path: "repdim dim" is cmd_repdim_dim,
+        # looked up at call time so that a wrapped or patched handler is called
+        sub = getattr(args, "repdim_command", None) or getattr(args, "bounds_command", None)
+        command = f"{args.command} {sub}" if sub else args.command
+        out = globals()["cmd_" + command.replace(" ", "_")](args)
         if args.format == "json":
-            # handler names follow the command path: cmd_repdim_dim is "repdim dim"
-            command = args.func.__name__.removeprefix("cmd_").replace("_", " ")
             _emit_json({"schema_version": SCHEMA_VERSION, "command": command, **out.json()})
         elif args.format == "csv":
             _emit_csv(out.csv())

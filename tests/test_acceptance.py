@@ -32,7 +32,6 @@ from isoflag import (
     spin_dimension,
     verify_classification,
     weyl_dim,
-    whitney_comparison,
 )
 
 from _helpers import haar_special_orthogonal, random_signature, random_symmetric
@@ -191,10 +190,15 @@ def test_criterion_8_bound_comparisons_exhaustive():
                 report = bound_table(sig)
                 assert report.comparisons["isospectral_lt_gunther"], sig
                 assert report.flag_dim >= n - 1, sig
+        # Whitney's bound 2m against the model, directly and through the
+        # block sizes: sum n_i (n_i + 1) <= 2 [1 + sum_{i<j} n_i n_j]
         for n in range(2, 11):
             for sig in all_signatures(n):
                 direct = isospectral_bound(n) <= 2 * flag_dimension(sig)
-                assert whitney_comparison(sig) == direct, sig
+                sizes = sig.block_sizes
+                cross = sum(a * b for i, a in enumerate(sizes) for b in sizes[i + 1:])
+                assert (sum(s * (s + 1) for s in sizes) <= 2 * (1 + cross)) == direct, sig
+                assert bound_table(sig).comparisons["whitney_condition"] == direct, sig
 
 
 def test_criterion_9_spot_values_recomputed():

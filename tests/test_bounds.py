@@ -1,20 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from isoflag import (
+    FlagSignature,
     all_signatures,
     bound_table,
     flag_dimension,
     gunther_bound,
-    gunther_comparison,
     isospectral_bound,
     make_signature,
     stiefel_check,
     stiefel_min_dim,
     wang_bound,
-    wang_whitney_composed,
     whitney_bound,
-    whitney_comparison,
 )
 from isoflag.errors import KOutOfRange, ValidationError
 
@@ -23,6 +23,33 @@ def gunther_bound_alt(m: int) -> int:
     """Gunther's bound with the constant folded inside the max:
     max{m(m+3) + 10, m(m+5)} / 2, the reference for gunther_bound."""
     return max(m * (m + 3) + 10, m * (m + 5)) // 2
+
+
+def whitney_comparison(sig: FlagSignature) -> bool:
+    """True iff the matrix model beats (or ties) Whitney's bound, via the
+    block-size inequality
+
+        sum n_i (n_i + 1) <= 2 [1 + sum_{i<j} n_i n_j],
+
+    which is equivalent to the direct comparison
+    isospectral_bound(n) <= n^2 - sum n_i^2: the reference for
+    bound_table's ``whitney_condition``."""
+    sizes = sig.block_sizes
+    lhs = sum(s * (s + 1) for s in sizes)
+    rhs = 2 * (1 + sum(a * b for a, b in itertools.combinations(sizes, 2)))
+    return lhs <= rhs
+
+
+def gunther_comparison(sig: FlagSignature) -> bool:
+    """True iff the matrix model beats Gunther's bound strictly, the
+    reference for bound_table's ``isospectral_lt_gunther``."""
+    return isospectral_bound(sig.n) < gunther_bound(flag_dimension(sig))
+
+
+def wang_whitney_composed(m: int, group_order: int) -> int:
+    """2m |G|: Wang's bound fed with Whitney's embedding, the reference for
+    bound_table's ``wang`` column."""
+    return wang_bound(whitney_bound(m), group_order)
 
 
 class TestFlagDimension:
@@ -199,3 +226,24 @@ class TestSignatureEnumeration:
         for sig in all_signatures(6):
             assert sig.n == 6
             assert sum(sig.block_sizes) == 6
+
+    def test_built_without_the_validator_yet_equal_to_validated(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"FlagSignature validator ran on {self}")
+
+        monkeypatch.setattr(FlagSignature, "__post_init__", refuse)
+        swept = {n: list(all_signatures(n)) for n in range(2, 13)}
+        monkeypatch.undo()
+        for n, sigs in swept.items():
+            chains = [ks for p in range(1, n) for ks in itertools.combinations(range(1, n), p)]
+            assert [sig.ks for sig in sigs] == chains
+            for sig in sigs:
+                checked = FlagSignature(n, sig.ks)
+                assert sig == checked and hash(sig) == hash(checked)
+                assert sig.block_slices() == checked.block_slices()
+                assert type(sig.n) is int and type(sig.ks) is tuple
+                assert all(type(k) is int for k in sig.ks)
+
+    def test_numpy_integer_n(self):
+        sigs = list(all_signatures(np.int64(4)))
+        assert len(sigs) == 7 and all(type(sig.n) is int for sig in sigs)

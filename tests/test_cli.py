@@ -1,12 +1,25 @@
 import csv
+import dataclasses
 import io
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from isoflag import Spectrum, block_diagonal_model, default_traceless_spectrum, make_signature
-from isoflag.cli import main, read_matrix_file
+from isoflag import (
+    FlagSignature,
+    Spectrum,
+    all_signatures,
+    block_diagonal_model,
+    bound_table,
+    default_traceless_spectrum,
+    flag_dimension,
+    make_signature,
+)
+from isoflag import bounds as bounds_mod
+from isoflag import cli
+from isoflag.cli import build_parser, main, read_matrix_file
 
 from _helpers import format_matrix_file, no_convergence
 
@@ -274,6 +287,130 @@ class TestBoundsCommand:
         payload = json.loads(out)
         assert payload["wang"] == 24
         assert payload["comparisons"]["wang_composed_gt_isospectral"] is True
+
+
+def reference_sweep(max_n: int, group_order) -> dict[str, tuple[int, str]]:
+    """``bounds sweep`` rendered one signature at a time, the way the sweep
+    did before it grouped signatures: a validated signature and a
+    ``bound_table`` per row, one ``json.dumps`` of the whole document, one
+    ``csv.writer`` row and one f-string line per row.  Maps each format to
+    (exit code, stdout)."""
+    reports = [
+        bound_table(FlagSignature(n, ks), group_order)
+        for n in range(2, max_n + 1)
+        for p in range(1, n)
+        for ks in itertools.combinations(range(1, n), p)
+    ]
+    failures = sum(not r.comparisons["isospectral_lt_gunther"] for r in reports)
+    rows = [
+        {
+            "n": r.signature.n,
+            "ks": list(r.signature.ks),
+            "flag_dim": r.flag_dim,
+            "isospectral": r.isospectral,
+            "gunther": r.gunther,
+            "whitney": r.whitney,
+            "wang": r.wang,
+            "isospectral_label": r.isospectral_label,
+            "comparisons": dict(r.comparisons),
+        }
+        for r in reports
+    ]
+    document = {"schema_version": 1, "command": "bounds sweep", "max_n": max_n, "rows": rows,
+                "gunther_failures": failures}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["n", "ks", "flag_dim", "isospectral", "gunther", "whitney", "wang",
+                     "isospectral_lt_gunther", "whitney_condition"])
+    for r in reports:
+        writer.writerow([r.signature.n, " ".join(map(str, r.signature.ks)), r.flag_dim,
+                         r.isospectral, r.gunther, r.whitney, "" if r.wang is None else r.wang,
+                         r.comparisons["isospectral_lt_gunther"], r.comparisons["whitney_condition"]])
+    lines = [
+        f"n={r.signature.n} ks={','.join(map(str, r.signature.ks))} flag_dim={r.flag_dim} "
+        f"isospectral={r.isospectral} gunther={r.gunther} whitney={r.whitney}"
+        for r in reports
+    ]
+    lines.append(f"rows: {len(reports)}  gunther_failures: {failures}")
+    code = 0 if failures == 0 else 1
+    return {
+        "json": (code, json.dumps(document, indent=2) + "\n"),
+        "csv": (code, buf.getvalue()),
+        "text": (code, "".join(line + "\n" for line in lines)),
+    }
+
+
+def sweep_argv(max_n: int, group_order, fmt: str) -> list[str]:
+    argv = ["bounds", "sweep", "--max-n", str(max_n), "--format", fmt]
+    return argv if group_order is None else [*argv, "--group-order", str(group_order)]
+
+
+def sweep_groups(max_n: int) -> dict[tuple[int, int], int]:
+    """Rows of a sweep per (n, flag_dim) group."""
+    sizes: dict[tuple[int, int], int] = {}
+    for n in range(2, max_n + 1):
+        for sig in all_signatures(n):
+            key = (n, flag_dimension(sig))
+            sizes[key] = sizes.get(key, 0) + 1
+    return sizes
+
+
+class TestBoundsSweep:
+    @pytest.mark.parametrize("group_order", [None, 3])
+    @pytest.mark.parametrize("max_n", range(2, 11))
+    def test_matches_per_signature_reference(self, capsys, max_n, group_order):
+        for fmt, (code, out) in reference_sweep(max_n, group_order).items():
+            assert run(capsys, *sweep_argv(max_n, group_order, fmt)) == (code, out, ""), fmt
+
+    def test_failures_counted_per_signature(self, capsys, monkeypatch):
+        target = (6, flag_dimension(make_signature(6, [2, 4])))
+        size = sweep_groups(6)[target]
+        assert size > 1
+        table = bounds_mod.bound_table
+
+        def failing(sig, group_order=None):
+            r = table(sig, group_order)
+            if (sig.n, r.flag_dim) != target:
+                return r
+            return dataclasses.replace(r, comparisons={**r.comparisons, "isospectral_lt_gunther": False})
+
+        monkeypatch.setattr(bounds_mod, "bound_table", failing)
+        code, out, _ = run(capsys, *sweep_argv(6, None, "json"))
+        assert code == 1 and json.loads(out)["gunther_failures"] == size
+        code, out, _ = run(capsys, *sweep_argv(6, None, "text"))
+        assert code == 1 and out.splitlines()[-1].endswith(f"gunther_failures: {size}")
+
+    def test_one_bound_table_per_group(self, capsys, monkeypatch):
+        calls = []
+        table = bounds_mod.bound_table
+        monkeypatch.setattr(bounds_mod, "bound_table",
+                            lambda sig, group_order=None: calls.append((sig.n, flag_dimension(sig)))
+                            or table(sig, group_order))
+        code, _, _ = run(capsys, "bounds", "sweep", "--max-n", "10")
+        assert code == 0
+        assert sorted(calls) == sorted(sweep_groups(10))
+
+    def test_one_json_encoding_per_group(self, capsys, monkeypatch):
+        calls = []
+        dumps = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(1) or dumps(*a, **k))
+        code, out, _ = run(capsys, *sweep_argv(10, None, "json"))
+        assert code == 0 and len(json.loads(out)["rows"]) == sum(sweep_groups(10).values())
+        assert len(calls) <= len(sweep_groups(10)) + 1
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_main_calls_the_handler_bound_at_call_time(self, capsys, monkeypatch):
+        build_parser()
+        seen = []
+        handler = cli.cmd_bounds_sweep
+        monkeypatch.setattr(cli, "cmd_bounds_sweep", lambda args: seen.append(args.max_n) or handler(args))
+        code, out, _ = run(capsys, "bounds", "sweep", "--max-n", "3")
+        assert code == 0 and out.endswith("rows: 4  gunther_failures: 0\n")
+        assert seen == [3]
 
 
 class TestJsonContract:

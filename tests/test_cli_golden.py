@@ -15,6 +15,7 @@ OpenBLAS; a different BLAS may change the last printed digits.
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from isoflag.cli import main
+from isoflag.cli import build_parser, main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -103,6 +104,28 @@ def test_error_cases_exit_nonzero(golden):
     }
     assert golden["error-spectrum-mismatch"]["stderr"].startswith("SpectrumMismatch:")
     assert golden["error-degenerate-gap"]["stderr"].startswith("DegenerateBoundaryGap:")
+
+
+def fresh_parse_error(argv) -> dict:
+    """What a newly built parser prints for argv that it rejects."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
+        build_parser.__wrapped__().parse_args(argv)
+    return {"code": exit_info.value.code, "stdout": "", "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("error_first", [True, False])
+def test_parse_errors_leave_the_cached_parser_intact(golden, error_first, tmp_path, monkeypatch):
+    write_matrix_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    errors = [["embed", "--n", "2", "--ks", "1", "--bogus"], ["bounds", "sweep"], ["repdim"], []]
+    good = ["bounds-sweep-json", "embed-identity-text", "repdim-verify-csv"]
+    for error, case in zip(errors, itertools.cycle(good)):
+        expected = fresh_parse_error(error)
+        assert expected["code"] == 2
+        steps = [(error, expected), (CASES[case], golden[case])]
+        for argv, want in steps if error_first else steps[::-1]:
+            assert run_case(argv) == want
 
 
 if __name__ == "__main__":
