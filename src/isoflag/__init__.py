@@ -18,7 +18,6 @@ from .bounds import (
     flag_dimension,
     gunther_bound,
     isospectral_bound,
-    stiefel_check,
     stiefel_min_dim,
     wang_bound,
     whitney_bound,
@@ -58,6 +57,7 @@ from .flagcore import (
     make_signature,
     random_flag_point,
     random_tangent_block,
+    stiefel_check,
 )
 from .geometry import (
     DescentResult,

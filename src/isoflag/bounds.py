@@ -17,17 +17,16 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from .errors import ValidationError
-from .flagcore import ORTH_TOL, FlagSignature, _prechecked
+from .flagcore import FlagSignature, _prechecked
+from .repdim import traceless_sym_dim
 
 
 def flag_dimension(sig: FlagSignature) -> int:
-    """dim Flag(k_1, ..., k_p; R^n) = (n^2 - sum n_i^2) / 2."""
-    n2 = sig.n**2 - sum(s**2 for s in sig.block_sizes)
-    assert n2 % 2 == 0
-    return n2 // 2
+    """dim Flag(k_1, ..., k_p; R^n) = sum n_i (n - k_i) = (n^2 - sum n_i^2) / 2,
+    with block sizes n_i = k_i - k_{i-1} and k_0 = 0: each block pairs once
+    with the n - k_i dimensions after it."""
+    return sum((k - prev) * (sig.n - k) for prev, k in zip((0,) + sig.ks, sig.ks))
 
 
 def gunther_bound(m: int) -> int:
@@ -43,7 +42,7 @@ def isospectral_bound(n: int) -> int:
     any flag manifold in R^n (traceless symmetric matrices)."""
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
-    return (n - 1) * (n + 2) // 2
+    return traceless_sym_dim(n)
 
 
 def whitney_bound(m: int) -> int:
@@ -75,15 +74,6 @@ def stiefel_min_dim(k: int, n: int) -> StiefelBound:
     if not 1 <= k < n:
         raise ValidationError(f"need 1 <= k < n, got k={k}, n={n}")
     return StiefelBound(k * n, n >= 17 and 2 * k < n - 1)
-
-
-def stiefel_check(y: np.ndarray) -> bool:
-    """Is y an orthonormal frame, i.e. ||Y'Y - I||_F <= ORTH_TOL?"""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2:
-        return False
-    k = y.shape[1]
-    return bool(np.linalg.norm(y.T @ y - np.eye(k)) <= ORTH_TOL)
 
 
 @dataclass(frozen=True)

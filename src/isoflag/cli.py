@@ -558,13 +558,18 @@ def main(argv=None) -> int:
         sub = getattr(args, "repdim_command", None) or getattr(args, "bounds_command", None)
         command = f"{args.command} {sub}" if sub else args.command
         out = globals()["cmd_" + command.replace(" ", "_")](args)
-        if args.format == "json":
-            _emit_json({"schema_version": SCHEMA_VERSION, "command": command, **out.json()})
-        elif args.format == "csv":
-            _emit_csv(out.csv())
-        else:
-            for line in out.text():
-                _print(line)
+        limit = sys.get_int_max_str_digits()  # lifted only while the output is printed,
+        sys.set_int_max_str_digits(0)  # so that exact integers print in full
+        try:
+            if args.format == "json":
+                _emit_json({"schema_version": SCHEMA_VERSION, "command": command, **out.json()})
+            elif args.format == "csv":
+                _emit_csv(out.csv())
+            else:
+                for line in out.text():
+                    _print(line)
+        finally:
+            sys.set_int_max_str_digits(limit)
         return out.code
     except ValidationError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)

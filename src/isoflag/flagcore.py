@@ -216,6 +216,17 @@ def complete_traceless_spectrum(sig: FlagSignature, base: Sequence[float]) -> Sp
     return Spectrum(base + (float(last),), sig)
 
 
+def _orth_defect(y: np.ndarray) -> float:
+    """||Y'Y - I||_F, the defect ORTH_TOL bounds for rotations and frames."""
+    return np.linalg.norm(y.T @ y - np.eye(y.shape[1]))
+
+
+def stiefel_check(y) -> bool:
+    """Is y an orthonormal frame, i.e. ||Y'Y - I||_F <= ORTH_TOL?"""
+    y = np.asarray(y, dtype=float)
+    return y.ndim == 2 and bool(_orth_defect(y) <= ORTH_TOL)
+
+
 def _check_special_orthogonal(q: np.ndarray, n: int) -> None:
     """Raise ``NotSpecialOrthogonal`` unless q is n x n, finite, orthogonal
     within ORTH_TOL and of determinant +1.  Overflow in Q'Q can still make
@@ -224,7 +235,7 @@ def _check_special_orthogonal(q: np.ndarray, n: int) -> None:
         raise NotSpecialOrthogonal(f"expected a {n}x{n} matrix, got shape {q.shape}")
     if not np.all(np.isfinite(q)):
         raise NotSpecialOrthogonal("entries must be finite")
-    defect = np.linalg.norm(q.T @ q - np.eye(n))
+    defect = _orth_defect(q)
     if not defect <= ORTH_TOL:
         raise NotSpecialOrthogonal(f"Q'Q - I has Frobenius norm {defect:.3e} > {ORTH_TOL:.3e}")
     det = float(np.linalg.det(q))

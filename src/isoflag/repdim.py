@@ -105,10 +105,6 @@ class HighestWeight:
             doubled.append(int(f))
         return cls(n, tuple(doubled))
 
-    @classmethod
-    def zero(cls, n: int) -> "HighestWeight":
-        return cls(n, (0,) * (n // 2))
-
 
 def parse_weight(n: int, text: str) -> HighestWeight:
     """Parse the CLI weight syntax: comma-separated entries, each an integer
@@ -324,8 +320,11 @@ def enumerate_low_dim(n: int, max_dim: int, mu1_cap=4) -> EnumerationReport:
     """
     if n < 3:
         raise HypothesisViolated(f"need n >= 3, got {n}")
-    cap = 2 * Fraction(mu1_cap)
-    if cap.denominator != 1 or cap < 4:
+    try:
+        cap = 2 * Fraction(mu1_cap)
+    except (ValueError, ZeroDivisionError):
+        cap = None
+    if cap is None or cap.denominator != 1 or cap < 4:
         raise ValidationError(f"mu1_cap must be a half-integer >= 2, got {mu1_cap!r}")
     cap = int(cap)
     m = n // 2
@@ -401,8 +400,8 @@ def verify_classification(n: int, mu1_cap=4) -> ClassificationReport:
        bound: 0, (1,0,...), (1,1,0,...), (2,0,...), with their closed-form
        dimensions 1, n, n(n-1)/2, (n-1)(n+2)/2;
     3. the comparison weights (2,1^{q-1},0,...) for q = 2..m and
-       (1^q,0,...) for q = 3..m all exceed the bound ((1,1,0,...) is the
-       lone exception below it);
+       (1^q,0,...) for q = 3..m, listed doubled, all exceed the bound
+       ((1,1,0,...) is the lone exception below it);
     4. the single-row closed form exceeds the bound at s = 3 and s = 4.
     """
     if n < 17:
@@ -432,16 +431,10 @@ def verify_classification(n: int, mu1_cap=4) -> ClassificationReport:
         )
     )
 
-    comparison = [(2,) * 1 + (1,) * (q - 1) + (0,) * (m - q) for q in range(2, m + 1)]
-    comparison += [(1,) * q + (0,) * (m - q) for q in range(3, m + 1)]
-    worst = None
-    all_exceed = True
-    for halves in comparison:
-        dim = weyl_dim(HighestWeight.from_halves(n, halves))
-        if dim <= bound:
-            all_exceed = False
-        if worst is None or dim < worst:
-            worst = dim
+    comparison = [(4,) + (2,) * (q - 1) + (0,) * (m - q) for q in range(2, m + 1)]
+    comparison += [(2,) * q + (0,) * (m - q) for q in range(3, m + 1)]
+    worst = min(weyl_dim(HighestWeight(n, doubled)) for doubled in comparison)
+    all_exceed = worst > bound
     checks.append(
         CheckResult(
             "proof_case_weights_exceed_bound",

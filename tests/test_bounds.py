@@ -19,6 +19,14 @@ from isoflag import (
 from isoflag.errors import KOutOfRange, ValidationError
 
 
+def flag_dimension_by_blocks(sig: FlagSignature) -> int:
+    """(n^2 - sum n_i^2) / 2 over the block sizes n_i: the reference for
+    flag_dimension, which sums n_i (n - k_i) over the chain."""
+    n2 = sig.n**2 - sum(s**2 for s in sig.block_sizes)
+    assert n2 % 2 == 0
+    return n2 // 2
+
+
 def gunther_bound_alt(m: int) -> int:
     """Gunther's bound with the constant folded inside the max:
     max{m(m+3) + 10, m(m+5)} / 2, the reference for gunther_bound."""
@@ -66,6 +74,19 @@ class TestFlagDimension:
         for n in range(2, 15):
             for sig in all_signatures(n):
                 assert flag_dimension(sig) >= n - 1
+
+    def test_equals_block_size_form_exhaustive(self):
+        for n in range(2, 15):
+            for sig in all_signatures(n):
+                assert flag_dimension(sig) == flag_dimension_by_blocks(sig)
+
+    def test_equals_block_size_form_on_random_chains(self):
+        rng = np.random.default_rng(200)
+        for _ in range(300):
+            p = int(rng.integers(1, 200))
+            ks = sorted(int(k) for k in rng.choice(np.arange(1, 200), size=p, replace=False))
+            sig = make_signature(200, ks)
+            assert flag_dimension(sig) == flag_dimension_by_blocks(sig)
 
 
 class TestGunther:

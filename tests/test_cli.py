@@ -3,6 +3,7 @@ import dataclasses
 import io
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -16,12 +17,17 @@ from isoflag import (
     default_traceless_spectrum,
     flag_dimension,
     make_signature,
+    parse_weight,
+    weyl_dim,
 )
 from isoflag import bounds as bounds_mod
 from isoflag import cli
 from isoflag.cli import build_parser, main, read_matrix_file
 
 from _helpers import format_matrix_file, no_convergence
+
+# 1000, 999, ..., 921: the n = 160 weight whose dimension has 5,545 digits
+HUGE_WEIGHT = ",".join(map(str, range(1000, 920, -1)))
 
 
 def run(capsys, *argv):
@@ -225,6 +231,52 @@ class TestRepdimCommand:
         text = out.strip()
         assert text.isdigit()
         assert "e" not in text and "E" not in text
+
+    @pytest.fixture
+    def default_int_limit(self):
+        """Run the test under CPython's default 4,300-digit int/str limit."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield 4300
+        sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_dimension_past_the_int_str_limit(self, capsys, default_int_limit, fmt):
+        code, out, err = run(capsys, "repdim", "dim", "--n", "160", "--weight", HUGE_WEIGHT,
+                             "--format", fmt)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == default_int_limit
+        sys.set_int_max_str_digits(0)
+        digits = str(weyl_dim(parse_weight(160, HUGE_WEIGHT)))
+        sys.set_int_max_str_digits(default_int_limit)
+        assert len(digits) == 5545
+        expected = {
+            "text": f"{digits}\n",
+            "json": f'  "dimension": {digits}\n}}\n',
+            "csv": f"weight,dimension\n\"{HUGE_WEIGHT}\",{digits}\n",
+        }[fmt]
+        assert out.endswith(expected)
+
+    def test_error_while_rendering_restores_the_int_str_limit(
+        self, capsys, default_int_limit, monkeypatch
+    ):
+        def refuse():
+            raise cli.ValidationError("cannot render")
+
+        monkeypatch.setattr(cli, "cmd_repdim_dim",
+                            lambda args: cli.Output(json=refuse, csv=refuse, text=refuse))
+        code, _, err = run(capsys, "repdim", "dim", "--n", "5", "--weight", "1")
+        assert (code, err) == (2, "ValidationError: cannot render\n")
+        assert sys.get_int_max_str_digits() == default_int_limit
+
+    @pytest.mark.parametrize("cap", ["abc", "1/0"])
+    @pytest.mark.parametrize("command", [["enumerate", "--max-dim", "152"], ["verify"]])
+    def test_cap_that_is_not_a_number_exit_2(self, capsys, command, cap):
+        code, out, err = run(capsys, "repdim", command[0], "--n", "17", *command[1:], "--cap", cap)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"ValidationError: mu1_cap must be a half-integer >= 2, got {cap!r}"
+        ]
 
     def test_enumerate_rows(self, capsys):
         code, out, _ = run(capsys, "repdim", "enumerate", "--n", "17", "--max-dim", "152",

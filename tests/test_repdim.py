@@ -30,6 +30,20 @@ from isoflag.errors import (
 HALF = Fraction(1, 2)
 
 
+def proof_case_check_by_halves(n: int) -> tuple[bool, str]:
+    """``passed`` and ``detail`` of the comparison-weight check, with the
+    weights (2,1^{q-1},0,...), q = 2..m, and (1^q,0,...), q = 3..m, written
+    in halves and built through ``from_halves``: the reference for
+    verify_classification's doubled list."""
+    m = n // 2
+    bound = traceless_sym_dim(n)
+    comparison = [(2,) + (1,) * (q - 1) + (0,) * (m - q) for q in range(2, m + 1)]
+    comparison += [(1,) * q + (0,) * (m - q) for q in range(3, m + 1)]
+    dims = [weyl_dim(HighestWeight.from_halves(n, halves)) for halves in comparison]
+    detail = f"{len(comparison)} comparison weights, smallest dimension {min(dims)} vs bound {bound}"
+    return all(d > bound for d in dims), detail
+
+
 def dim_by_positive_roots(n: int, halves) -> Fraction:
     """Independent oracle: the character-theoretic dimension as the product
     of <lam+rho, alpha> / <rho, alpha> over the positive roots e_i +- e_j
@@ -407,6 +421,12 @@ class TestVerifyClassification:
             (2, 2) + (0,) * (m - 2): n * (n - 1) // 2,
             (4,) + (0,) * (m - 1): traceless_sym_dim(n),
         }
+
+    @pytest.mark.parametrize("n", range(17, 65))
+    def test_proof_case_check_matches_halves_reference(self, n):
+        checks = {c.name: c for c in verify_classification(n).checks}
+        check = checks["proof_case_weights_exceed_bound"]
+        assert (check.passed, check.detail) == proof_case_check_by_halves(n)
 
     def test_below_hypothesis_is_loud(self):
         with pytest.raises(HypothesisViolated):
