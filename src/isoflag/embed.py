@@ -24,6 +24,7 @@ from .flagcore import (
     _check_same_signature,
     _check_size,
     _check_special_orthogonal,
+    _check_tolerance,
     _embedded_image,
     _prechecked,
 )
@@ -200,6 +201,7 @@ def recover(x: SymmetricMatrix, spec: Spectrum, eig_tol: float = EIG_TOL) -> Fla
     """
     sig = spec.signature
     _check_size(x.entries, sig)
+    _check_tolerance("eig_tol", eig_tol)
     if spec.min_gap <= 2 * eig_tol:
         raise EigenvalueGapTooSmall(
             f"spectrum min gap {spec.min_gap:.3e} <= 2 * eig_tol = {2 * eig_tol:.3e}"

@@ -10,6 +10,7 @@ each block.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -26,15 +27,22 @@ from .errors import (
     NotSymmetric,
     SignatureMismatch,
     SpectrumInvalid,
+    ValidationError,
 )
 
 # Every tolerance of the package.  The matrix model is exact, so each one
 # only absorbs floating-point roundoff.
 ORTH_TOL = 1e-10  # ||Q'Q - I||_F of a rotation or an orthonormal frame
 _DET_TOL = 1e-9  # |det Q - 1| of a rotation
-SYM_TOL = 1e-10  # asymmetry of a SymmetricMatrix; skew defect of TangentBlock.from_matrix
+SYM_TOL = 1e-10  # asymmetry of a SymmetricMatrix; skew defect and zero diagonal blocks of a TangentBlock
 EIG_TOL = 1e-8  # eigenvalues against the spectrum (trace: n * EIG_TOL); flags_equal
 SPECTRUM_GAP_TOL = 1e-8  # spectrum values, and nearest_point's gaps at block boundaries
+
+
+def _check_tolerance(name: str, value: float) -> None:
+    """Raise ``ValidationError`` unless the tolerance ``name`` is finite and >= 0."""
+    if not (np.isfinite(value) and value >= 0):
+        raise ValidationError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _frozen_array(a) -> np.ndarray:
@@ -97,11 +105,6 @@ class FlagSignature:
     def _block_slices(self) -> tuple[slice, ...]:
         cuts = (0,) + self.ks + (self.n,)
         return tuple(slice(a, b) for a, b in zip(cuts, cuts[1:]))
-
-    def block_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Index pairs (i, j), i < j, of the off-diagonal upper blocks."""
-        r = self.num_blocks
-        return tuple((i, j) for i in range(r) for j in range(i + 1, r))
 
 
 def make_signature(n: int, ks: Iterable[int]) -> FlagSignature:
@@ -217,8 +220,9 @@ def complete_traceless_spectrum(sig: FlagSignature, base: Sequence[float]) -> Sp
 
 
 def _orth_defect(y: np.ndarray) -> float:
-    """||Y'Y - I||_F, the defect ORTH_TOL bounds for rotations and frames."""
-    return np.linalg.norm(y.T @ y - np.eye(y.shape[1]))
+    """||Y'Y - I||_F, the defect ORTH_TOL bounds; inf or NaN, unwarned, if Y'Y overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.norm(y.T @ y - np.eye(y.shape[1]))
 
 
 def stiefel_check(y) -> bool:
@@ -230,7 +234,7 @@ def stiefel_check(y) -> bool:
 def _check_special_orthogonal(q: np.ndarray, n: int) -> None:
     """Raise ``NotSpecialOrthogonal`` unless q is n x n, finite, orthogonal
     within ORTH_TOL and of determinant +1.  Overflow in Q'Q can still make
-    the defect NaN, which fails the ``not defect <= tol`` comparison."""
+    the defect inf or NaN, which fails the ``not defect <= tol`` comparison."""
     if q.shape != (n, n):
         raise NotSpecialOrthogonal(f"expected a {n}x{n} matrix, got shape {q.shape}")
     if not np.all(np.isfinite(q)):
@@ -304,7 +308,9 @@ class SymmetricMatrix:
         a = np.array(self.entries, dtype=float, copy=True)
         if not np.all(np.isfinite(a)):
             raise NotSymmetric("entries must be finite")
-        _check_symmetric(a)
+        # guarded here, not in _check_symmetric, which every descent iteration runs
+        with np.errstate(over="ignore", invalid="ignore"):
+            _check_symmetric(a)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -322,91 +328,67 @@ class SymmetricMatrix:
 
 @dataclass(frozen=True, eq=False)
 class TangentBlock:
-    """Velocity of a flag: the off-diagonal blocks B_ij, i < j, of a
-    skew-symmetric matrix whose diagonal blocks vanish.
-
-    Stored as the upper blocks only, in the pair order of
-    ``signature.block_pairs()``; the lower blocks are determined by
-    B_ji = -B_ij'.
-    """
+    """Velocity of a flag: a read-only skew n x n ``matrix`` B with zero diagonal blocks; the
+    constructor keeps its argument's upper blocks bit for bit and sets B_ji = -B_ij', B_ii = 0."""
 
     signature: FlagSignature
-    blocks: tuple[np.ndarray, ...]
+    matrix: np.ndarray
 
     def __post_init__(self):
-        sizes = self.signature.block_sizes
-        pairs = self.signature.block_pairs()
-        if len(self.blocks) != len(pairs):
-            raise NotSkewSymmetric(
-                f"need {len(pairs)} blocks for {self.signature}, got {len(self.blocks)}"
-            )
-        frozen = []
-        for (i, j), b in zip(pairs, self.blocks):
-            arr = _frozen_array(b)
-            if arr.shape != (sizes[i], sizes[j]):
-                raise NotSkewSymmetric(
-                    f"block ({i},{j}) must have shape {(sizes[i], sizes[j])}, got {arr.shape}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise NotSkewSymmetric(f"block ({i},{j}) has non-finite entries")
-            frozen.append(arr)
-        object.__setattr__(self, "blocks", tuple(frozen))
-
-    @classmethod
-    def from_block_map(cls, sig: FlagSignature, blocks: Mapping[tuple[int, int], np.ndarray]) -> "TangentBlock":
-        sizes = sig.block_sizes
-        full = []
-        for i, j in sig.block_pairs():
-            full.append(np.asarray(blocks.get((i, j), np.zeros((sizes[i], sizes[j]))), dtype=float))
-        return cls(sig, tuple(full))
-
-    @classmethod
-    def from_matrix(cls, sig: FlagSignature, mat: np.ndarray) -> "TangentBlock":
-        """Split a skew-symmetric matrix with zero diagonal blocks into blocks."""
-        a = np.asarray(mat, dtype=float)
+        sig = self.signature
+        a = np.asarray(self.matrix, dtype=float)
         if a.shape != (sig.n, sig.n):
             raise NotSkewSymmetric(f"expected shape {(sig.n, sig.n)}, got {a.shape}")
         if not np.all(np.isfinite(a)):
             raise NotSkewSymmetric("entries must be finite")
-        if not np.linalg.norm(a + a.T) <= SYM_TOL:
-            raise NotSkewSymmetric("matrix is not skew-symmetric")
-        sl = sig.block_slices()
-        for i, s in enumerate(sl):
-            if not np.linalg.norm(a[s, s]) <= SYM_TOL:
-                raise NotSkewSymmetric(f"diagonal block {i} is nonzero")
-        return cls(sig, tuple(a[sl[i], sl[j]] for i, j in sig.block_pairs()))
+        upper = np.triu(a, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.linalg.norm(a + a.T) <= SYM_TOL:
+                raise NotSkewSymmetric("matrix is not skew-symmetric")
+            for i, s in enumerate(sig.block_slices()):
+                if not np.linalg.norm(a[s, s]) <= SYM_TOL:
+                    raise NotSkewSymmetric(f"diagonal block {i} is nonzero")
+                upper[s, s] = 0.0
+        object.__setattr__(self, "matrix", _frozen_array(upper - upper.T))
+
+    @classmethod
+    def from_block_map(cls, sig: FlagSignature, blocks: Mapping[tuple[int, int], np.ndarray]) -> "TangentBlock":
+        """B with upper blocks B_ij = ``blocks[(i, j)]``, i < j; absent pairs are zero."""
+        sizes, sl = sig.block_sizes, sig.block_slices()
+        a = np.zeros((sig.n, sig.n))
+        for i, j in itertools.combinations(range(sig.num_blocks), 2):
+            if (i, j) in blocks:
+                blk = np.asarray(blocks[i, j], dtype=float)
+                if blk.shape != (sizes[i], sizes[j]):
+                    raise NotSkewSymmetric(f"block ({i},{j}) must have shape {(sizes[i], sizes[j])}, got {blk.shape}")
+                a[sl[i], sl[j]] = blk
+                a[sl[j], sl[i]] = -blk.T
+        return cls(sig, a)
+
+    @classmethod
+    def from_matrix(cls, sig: FlagSignature, mat: np.ndarray) -> "TangentBlock":
+        """``TangentBlock(sig, mat)``."""
+        return cls(sig, mat)
 
     def block(self, i: int, j: int) -> np.ndarray:
-        """Block (i, j) for any i != j; lower blocks come from skew-symmetry."""
-        pairs = self.signature.block_pairs()
-        if i < j:
-            return self.blocks[pairs.index((i, j))]
-        if i > j:
-            return -self.blocks[pairs.index((j, i))].T
-        sizes = self.signature.block_sizes
-        return np.zeros((sizes[i], sizes[i]))
+        """Block (i, j), read-only; zero for i == j."""
+        return self.matrix[self.signature.block_slices()[i], self.signature.block_slices()[j]]
 
     def to_matrix(self) -> np.ndarray:
-        n = self.signature.n
-        sl = self.signature.block_slices()
-        out = np.zeros((n, n))
-        for (i, j), b in zip(self.signature.block_pairs(), self.blocks):
-            out[sl[i], sl[j]] = b
-            out[sl[j], sl[i]] = -b.T
-        return out
+        return self.matrix.copy()
 
     def frobenius_norm(self) -> float:
-        """Norm of the assembled skew matrix, sqrt(2 * sum ||B_ij||^2)."""
-        return float(np.sqrt(2.0 * sum(float(np.sum(b * b)) for b in self.blocks)))
+        return float(np.linalg.norm(self.matrix))
 
     def scaled(self, c: float) -> "TangentBlock":
-        return TangentBlock(self.signature, tuple(c * b for b in self.blocks))
+        return TangentBlock(self.signature, c * self.matrix)
 
 
 def random_tangent_block(sig: FlagSignature, seed: int = 0) -> TangentBlock:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     sizes = sig.block_sizes
-    return TangentBlock(sig, tuple(rng.standard_normal((sizes[i], sizes[j])) for i, j in sig.block_pairs()))
+    pairs = itertools.combinations(range(sig.num_blocks), 2)
+    return TangentBlock.from_block_map(sig, {(i, j): rng.standard_normal((sizes[i], sizes[j])) for i, j in pairs})
 
 
 def _embedded_image(q: np.ndarray, spectrum: Spectrum) -> np.ndarray:

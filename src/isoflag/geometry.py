@@ -40,20 +40,18 @@ from .flagcore import (
     _check_same_signature,
     _check_size,
     _check_symmetric,
+    _check_tolerance,
 )
 
 
 def metric_inner(b: TangentBlock, c: TangentBlock, spec: Spectrum) -> float:
-    """<B, C> = 2 sum_{i<j} (a_i - a_j)^2 tr(B_ij' C_ij), the invariant metric
-    determined by the spectrum; each weight (a_i - a_j)^2 is positive since
-    the values are distinct."""
+    """<B, C> = 2 sum_{i<j} (a_i - a_j)^2 tr(B_ij' C_ij), the invariant metric of
+    the spectrum, summed over all entries with d the repeated spectrum; each
+    weight (a_i - a_j)^2 is positive since the values are distinct."""
     _check_same_signature(b.signature, c.signature)
     _check_same_signature(b.signature, spec.signature)
-    v = spec.values
-    total = 0.0
-    for (i, j), bb, cc in zip(b.signature.block_pairs(), b.blocks, c.blocks):
-        total += (v[i] - v[j]) ** 2 * float(np.sum(bb * cc))
-    return 2.0 * total
+    d = spec._diagonal
+    return float(np.sum((d[:, None] - d[None, :]) ** 2 * b.matrix * c.matrix))
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,15 +65,8 @@ class EmbeddedTangent:
 
 def _bracket_with_model(b: TangentBlock, spec: Spectrum) -> np.ndarray:
     """[B, M] for the block-scalar model M: block (i, j) is (a_j - a_i) B_ij."""
-    sig = b.signature
-    sl = sig.block_slices()
-    vals = spec.values
-    out = np.zeros((sig.n, sig.n))
-    for (i, j), blk in zip(sig.block_pairs(), b.blocks):
-        scaled = (vals[j] - vals[i]) * blk
-        out[sl[i], sl[j]] = scaled
-        out[sl[j], sl[i]] = scaled.T
-    return out
+    d = spec._diagonal
+    return b.matrix * (d[None, :] - d[:, None])
 
 
 def push_tangent(b: TangentBlock, f: FlagPoint, spec: Spectrum) -> EmbeddedTangent:
@@ -145,6 +136,7 @@ def nearest_point(a: SymmetricMatrix, spec: Spectrum, gap_tol: float = SPECTRUM_
     the answer non-unique and raise ``DegenerateBoundaryGap``.
     """
     _check_size(a.entries, spec.signature)
+    _check_tolerance("gap_tol", gap_tol)
     _check_decreasing(spec)
     lam, vec = _descending_eigh(a.entries)
     for k in spec.signature.ks:
@@ -185,6 +177,7 @@ def retract(base: EmbeddedFlag, v: EmbeddedTangent, step: float) -> EmbeddedFlag
     Lands exactly on the manifold and agrees with the straight line to
     first order, so the deviation from base.x + step * v is O(step^2).
     """
+    _check_size(v.v.entries, base.signature)
     if step == 0.0:
         return base
     spec = base.spectrum

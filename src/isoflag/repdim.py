@@ -97,13 +97,22 @@ class HighestWeight:
 
     @classmethod
     def from_halves(cls, n: int, values: Sequence) -> "HighestWeight":
-        doubled = []
-        for v in values:
-            f = 2 * Fraction(v)
-            if f.denominator != 1:
-                raise MixedParity(f"entry {v!r} is not an integer or half-integer")
-            doubled.append(int(f))
-        return cls(n, tuple(doubled))
+        return cls(n, tuple(_doubled_entry(v) for v in values))
+
+
+# What Fraction() raises for a string it cannot parse, x/0, NaN and inf.
+_NOT_A_FRACTION = (ValueError, ZeroDivisionError, OverflowError)
+
+
+def _doubled_entry(v) -> int:
+    """2v for one weight entry v: a number, or a string like ``1/2``."""
+    try:
+        f = 2 * Fraction(v)
+    except _NOT_A_FRACTION as e:
+        raise ValidationError(f"bad weight entry {v!r}: {e}") from None
+    if f.denominator != 1:
+        raise MixedParity(f"entry {v!r} is not an integer or half-integer")
+    return int(f)
 
 
 def parse_weight(n: int, text: str) -> HighestWeight:
@@ -114,15 +123,7 @@ def parse_weight(n: int, text: str) -> HighestWeight:
     entries = [t.strip() for t in text.split(",") if t.strip()]
     if not entries:
         raise ValidationError("empty weight")
-    doubled = []
-    for t in entries:
-        try:
-            f = 2 * Fraction(t)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ValidationError(f"bad weight entry {t!r}: {e}") from None
-        if f.denominator != 1:
-            raise MixedParity(f"entry {t!r} is not an integer or half-integer")
-        doubled.append(int(f))
+    doubled = [_doubled_entry(t) for t in entries]
     m = n // 2
     if len(doubled) < m:
         if any(d % 2 for d in doubled):
@@ -225,8 +226,11 @@ def shift_decrease_check(w: HighestWeight, delta) -> bool:
     downshifted sequence is then still dominant), and the shift must not
     mix parities when trailing zeros remain.
     """
-    dd = 2 * Fraction(delta)
-    if dd.denominator != 1:
+    try:
+        dd = 2 * Fraction(delta)
+    except _NOT_A_FRACTION:
+        dd = None
+    if dd is None or dd.denominator != 1:
         raise DeltaOutOfRange(f"delta {delta!r} is not an integer or half-integer")
     dd = int(dd)
     d = w.doubled
@@ -322,7 +326,7 @@ def enumerate_low_dim(n: int, max_dim: int, mu1_cap=4) -> EnumerationReport:
         raise HypothesisViolated(f"need n >= 3, got {n}")
     try:
         cap = 2 * Fraction(mu1_cap)
-    except (ValueError, ZeroDivisionError):
+    except _NOT_A_FRACTION:
         cap = None
     if cap is None or cap.denominator != 1 or cap < 4:
         raise ValidationError(f"mu1_cap must be a half-integer >= 2, got {mu1_cap!r}")

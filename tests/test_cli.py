@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,47 @@ class TestProjectCommand:
         assert out == ""
         assert err.startswith("EigenSolverFailed:") and "did not converge" in err
         assert err.count("\n") == 1
+
+
+class TestBadToleranceFlags:
+    """A NaN, infinite or negative tolerance flag is an input error (exit 2),
+    not a flag accepted silently nor a numerical failure."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_recover_eig_tol(self, capsys, tmp_path, value):
+        path = tmp_path / "d.txt"
+        path.write_text(format_matrix_file(np.diag([5.0, 5.0, -5.0, -5.0])))
+        code, out, err = run(capsys, "recover", "--matrix-file", str(path), "--ks", "2", "--eig-tol", value)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"ValidationError: eig_tol must be finite and >= 0, got {float(value)}"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_project_gap_tol(self, capsys, tmp_path, value):
+        path = tmp_path / "eye.txt"
+        path.write_text(format_matrix_file(np.eye(3)))  # an exact tie at the block boundary
+        code, out, err = run(capsys, "project", "--matrix-file", str(path), "--ks", "1", "--gap-tol", value)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"ValidationError: gap_tol must be finite and >= 0, got {float(value)}"]
+
+
+class TestOverflowingEntries:
+    """Finite file entries whose defect overflows give the one stderr line,
+    with no numpy RuntimeWarning before it."""
+
+    @pytest.mark.parametrize("command, rows, error", [
+        (["embed", "--n", "2", "--ks", "1", "--q-file"], [[1e200, 1e200], [1e200, 1e200]],
+         "NotSpecialOrthogonal: Q'Q - I has Frobenius norm inf > 1.000e-10"),
+        (["project", "--ks", "1", "--matrix-file"], [[1e308, 1e308], [-1e308, 1e308]],
+         "NotSymmetric: asymmetry inf exceeds 1.000e-10"),
+    ])
+    def test_one_stderr_line(self, capsys, tmp_path, command, rows, error):
+        path = tmp_path / "big.txt"
+        path.write_text(format_matrix_file(np.array(rows)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, *command, str(path))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [error]
 
 
 class TestOptimizeCommand:

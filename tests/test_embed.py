@@ -32,6 +32,7 @@ from isoflag.errors import (
     NotSpecialOrthogonal,
     SignatureMismatch,
     SpectrumMismatch,
+    ValidationError,
 )
 
 from isoflag.embed import _check_on_model, _eig_deviation, _ostrowski_certifies
@@ -226,6 +227,12 @@ class TestRecover:
             recover(SymmetricMatrix(np.diag(diagonal)), spec)
         assert str(err.value) == message
         assert "np.float64" not in str(err.value)
+
+    @pytest.mark.parametrize("eig_tol", [float("nan"), float("inf"), -1.0])
+    def test_rejects_bad_eig_tol(self, eig_tol):
+        spec = Spectrum((0.5, -0.5), make_signature(4, [2]))
+        with pytest.raises(ValidationError, match=r"^eig_tol must be finite and >= 0, got "):
+            recover(SymmetricMatrix(np.diag([5.0, 5.0, -5.0, -5.0])), spec, eig_tol=eig_tol)
 
     def test_narrow_gap_is_loud(self):
         sig = make_signature(2, [1])

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from isoflag import (
     make_signature,
     random_flag_point,
     random_tangent_block,
+    stiefel_check,
 )
 from isoflag.errors import (
     AmbientTooSmall,
@@ -30,7 +32,7 @@ from isoflag.errors import (
     SpectrumInvalid,
 )
 
-from _helpers import random_block_stabilizer
+from _helpers import random_block_stabilizer, random_signature
 
 
 @st.composite
@@ -244,8 +246,99 @@ class TestTangentBlock:
         sig = make_signature(5, [2])
         b = random_tangent_block(sig, 7)
         c = random_tangent_block(sig, 7)
-        for x, y in zip(b.blocks, c.blocks):
-            assert np.array_equal(x, y)
+        assert np.array_equal(b.matrix, c.matrix)
+
+
+def blockwise_random_tangent(sig, seed):
+    """The skew matrix assembled from upper blocks drawn pair by pair, in the
+    order (0, 1), (0, 2), ..., (1, 2), ...: the reference that
+    ``random_tangent_block`` must reproduce bit for bit."""
+    rng = np.random.default_rng(seed)
+    sizes, sl = sig.block_sizes, sig.block_slices()
+    out = np.zeros((sig.n, sig.n))
+    for i, j in itertools.combinations(range(sig.num_blocks), 2):
+        b = rng.standard_normal((sizes[i], sizes[j]))
+        out[sl[i], sl[j]] = b
+        out[sl[j], sl[i]] = -b.T
+    return out
+
+
+class TestTangentBlockStorage:
+    def test_random_draws_match_blockwise_reference(self):
+        rng = np.random.default_rng(12)
+        for seed in range(300):
+            sig = random_signature(rng, n_max=12)
+            assert np.array_equal(random_tangent_block(sig, seed).to_matrix(), blockwise_random_tangent(sig, seed))
+
+    def test_near_skew_input_is_stored_exactly_skew(self):
+        """Upper blocks kept bit for bit, lower blocks exactly minus their
+        transpose, diagonal blocks exactly zero."""
+        sig = make_signature(5, [2, 3])
+        rng = np.random.default_rng(4)
+        a = blockwise_random_tangent(sig, 4) + 1e-12 * rng.standard_normal((5, 5))
+        b = TangentBlock(sig, a)
+        sl = sig.block_slices()
+        for i, j in itertools.combinations(range(sig.num_blocks), 2):
+            assert np.array_equal(b.block(i, j), a[sl[i], sl[j]])
+            assert np.array_equal(b.block(j, i), -a[sl[i], sl[j]].T)
+        for i in range(sig.num_blocks):
+            assert not b.block(i, i).any()
+        assert not b.matrix.flags.writeable
+        assert np.array_equal(TangentBlock.from_matrix(sig, a).matrix, b.matrix)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.zeros((4, 5)), r"^expected shape \(4, 4\), got \(4, 5\)$"),
+        (np.eye(4), r"^matrix is not skew-symmetric$"),
+    ])
+    def test_constructor_messages(self, bad, message):
+        with pytest.raises(NotSkewSymmetric, match=message):
+            TangentBlock(make_signature(4, [2]), bad)
+
+    def test_block_map_shape_message(self):
+        sig = make_signature(4, [1, 2])
+        with pytest.raises(NotSkewSymmetric, match=r"^block \(0,2\) must have shape \(1, 2\), got \(2, 1\)$"):
+            TangentBlock.from_block_map(sig, {(0, 2): np.ones((2, 1))})
+
+    def test_absent_block_map_pairs_are_zero(self):
+        sig = make_signature(4, [1, 2])
+        b = TangentBlock.from_block_map(sig, {(1, 2): np.array([[3.0, 4.0]])})
+        assert not b.block(0, 1).any() and not b.block(0, 2).any()
+        assert np.array_equal(b.block(2, 1), np.array([[-3.0], [-4.0]]))
+
+
+class TestOverflowingDefects:
+    """Finite entries so large that a defect overflows fail the check they
+    are given to, without a numpy RuntimeWarning before the answer."""
+
+    def _quiet(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return build()
+
+    def test_stiefel_check(self):
+        assert self._quiet(lambda: stiefel_check(np.full((3, 2), 1e200))) is False
+
+    def test_flag_point(self):
+        with pytest.raises(NotSpecialOrthogonal, match="Frobenius norm inf"):
+            self._quiet(lambda: FlagPoint(np.full((2, 2), 1e200), make_signature(2, [1])))
+
+    def test_symmetric_matrix(self):
+        a = np.array([[1e308, 1e308], [-1e308, 1e308]])
+        with pytest.raises(NotSymmetric, match="^asymmetry inf exceeds"):
+            self._quiet(lambda: SymmetricMatrix(a))
+
+    @pytest.mark.parametrize("where, message", [
+        ("symmetric_pair", "^matrix is not skew-symmetric$"),
+        ("diagonal_block", "^diagonal block 0 is nonzero$"),
+    ])
+    def test_tangent_block(self, where, message):
+        a = np.zeros((4, 4))
+        if where == "symmetric_pair":
+            a[0, 3] = a[3, 0] = 1e308
+        else:
+            a[0, 1], a[1, 0] = 1e200, -1e200
+        with pytest.raises(NotSkewSymmetric, match=message):
+            self._quiet(lambda: TangentBlock(make_signature(4, [2]), a))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -271,11 +364,10 @@ class TestNonFiniteEntries:
 
     def test_tangent_block(self, bad):
         sig = make_signature(4, [1, 2])
-        b = random_tangent_block(sig, 0)
-        blocks = [blk.copy() for blk in b.blocks]
-        blocks[-1][0, 0] = bad
+        blk = random_tangent_block(sig, 0).block(1, 2).copy()
+        blk[0, 0] = bad
         with pytest.raises(NotSkewSymmetric):
-            TangentBlock(sig, tuple(blocks))
+            TangentBlock.from_block_map(sig, {(1, 2): blk})
 
     def test_tangent_block_from_matrix(self, bad):
         sig = make_signature(4, [2])

@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import numpy as np
@@ -36,7 +37,9 @@ from isoflag.errors import (
     SignatureMismatch,
     SpectrumInvalid,
     StepNotFinite,
+    ValidationError,
 )
+from isoflag.geometry import _bracket_with_model
 
 from _helpers import no_convergence, random_signature, random_symmetric
 
@@ -45,6 +48,46 @@ def distance_to_model(a, spec):
     """Frobenius distance from a to the model manifold (the reference for
     ``nearest_point``'s fixed points; no library code needs it)."""
     return float(np.linalg.norm(a.entries - nearest_point(a, spec).x.entries))
+
+
+def pairwise_metric(b, c, spec):
+    """<B, C> = 2 sum_{i<j} (a_i - a_j)^2 tr(B_ij' C_ij) summed block pair by
+    block pair, as the formula reads: the reference for ``metric_inner``."""
+    v = spec.values
+    total = 0.0
+    for i, j in itertools.combinations(range(spec.signature.num_blocks), 2):
+        total += (v[i] - v[j]) ** 2 * float(np.sum(b.block(i, j) * c.block(i, j)))
+    return 2.0 * total
+
+
+def pairwise_bracket(b, spec):
+    """[B, M] assembled block pair by block pair, block (i, j) being
+    (a_j - a_i) B_ij: the reference for ``_bracket_with_model``."""
+    sig = b.signature
+    sl = sig.block_slices()
+    v = spec.values
+    out = np.zeros((sig.n, sig.n))
+    for i, j in itertools.combinations(range(sig.num_blocks), 2):
+        scaled = (v[j] - v[i]) * b.block(i, j)
+        out[sl[i], sl[j]] = scaled
+        out[sl[j], sl[i]] = scaled.T
+    return out
+
+
+class TestAgainstPairwiseReferences:
+    def test_random_signatures_and_spectra(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            sig = random_signature(rng, n_max=12)
+            spec = Spectrum(tuple(rng.standard_normal(sig.num_blocks)), sig)
+            b, c = random_tangent_block(sig, rng), random_tangent_block(sig, rng)
+            f = random_flag_point(sig, int(rng.integers(1_000_000)))
+            bracket = pairwise_bracket(b, spec)
+            assert np.array_equal(_bracket_with_model(b, spec), bracket)
+            v = f.q @ bracket @ f.q.T
+            assert np.array_equal(push_tangent(b, f, spec).v.entries, (v + v.T) / 2.0)
+            bound = 1e-12 * np.sqrt(pairwise_metric(b, b, spec) * pairwise_metric(c, c, spec))
+            assert abs(metric_inner(b, c, spec) - pairwise_metric(b, c, spec)) <= bound
 
 
 def one_block(sig, beta):
@@ -285,6 +328,13 @@ class TestNearestPoint:
         with pytest.raises(SpectrumInvalid):
             nearest_point(SymmetricMatrix(np.eye(3)), spec)
 
+    @pytest.mark.parametrize("gap_tol", [float("nan"), float("inf"), -1.0])
+    def test_rejects_bad_gap_tol(self, gap_tol):
+        # the identity ties at the boundary: a negative tolerance would pass it
+        spec = default_traceless_spectrum(make_signature(3, [1]))
+        with pytest.raises(ValidationError, match=r"^gap_tol must be finite and >= 0, got "):
+            nearest_point(SymmetricMatrix(np.eye(3)), spec, gap_tol=gap_tol)
+
     def test_idempotent(self):
         rng = np.random.default_rng(11)
         sig = make_signature(5, [1, 3])
@@ -312,6 +362,15 @@ class TestRetract:
         spec, base, v = self._base_and_tangent(2)
         for h in (1e-3, 0.1, 1.0):
             assert membership(retract(base, v, h).x, spec)
+
+    def test_tangent_of_another_size(self):
+        _, base, _ = self._base_and_tangent(1)
+        sig = make_signature(4, [2])
+        other = embed(identity_flag(sig), default_traceless_spectrum(sig))
+        v = project_to_tangent(SymmetricMatrix(np.eye(4)), other)
+        for step in (0.1, 0.0):
+            with pytest.raises(SignatureMismatch, match=r"^matrix is 4x4, signature has n=5$"):
+                retract(base, v, step)
 
     def test_second_order_agreement(self):
         spec, base, v = self._base_and_tangent(3)

@@ -153,6 +153,37 @@ class TestParseWeight:
             parse_weight(5, "a,b")
 
 
+# Entries Fraction() refuses: a bad string (ValueError), x/0 (ZeroDivisionError),
+# NaN (ValueError) and inf (OverflowError).
+NOT_FRACTIONS = ["abc", "1/0", float("nan"), float("inf")]
+
+
+class TestEntriesThatAreNotNumbers:
+    """Each entry point that reads a half-integer raises its own error, with
+    its own message, where Fraction() raises a bare Python error."""
+
+    @pytest.mark.parametrize("bad", NOT_FRACTIONS)
+    def test_from_halves_words_it_as_parse_weight(self, bad):
+        with pytest.raises(ValidationError, match=r"^bad weight entry ") as err:
+            HighestWeight.from_halves(7, [bad, 0, 0])
+        assert type(err.value) is ValidationError
+        if isinstance(bad, str):
+            with pytest.raises(ValidationError) as parsed:
+                parse_weight(7, f"{bad},0,0")
+            assert str(err.value) == str(parsed.value)
+
+    @pytest.mark.parametrize("bad", NOT_FRACTIONS)
+    def test_shift_delta(self, bad):
+        w = HighestWeight.from_halves(7, (2, 1, 0))
+        with pytest.raises(DeltaOutOfRange, match=r"is not an integer or half-integer$"):
+            shift_decrease_check(w, bad)
+
+    @pytest.mark.parametrize("bad", NOT_FRACTIONS)
+    def test_enumerate_cap(self, bad):
+        with pytest.raises(ValidationError, match=r"^mu1_cap must be a half-integer >= 2, got "):
+            enumerate_low_dim(7, 30, bad)
+
+
 class TestWeylDim:
     def test_trivial_module(self):
         assert weyl_dim(HighestWeight.from_halves(5, (0, 0))) == 1
