@@ -8,16 +8,22 @@ Whitney's smooth bound 2m, Gunther's isometric bound, and Wang's
 finite-group equivariant bound d|G|.  Every one of them, and every
 comparison between them, depends only on (n, m, |G|), so a sweep over
 all signatures evaluates one ``bound_table`` per (n, m) group.
+
+The signatures in R^n are the chains 0 < k_1 < ... < k_p < n, and one
+walk enumerates them (``_walk_chains``): level p is built from level p-1
+by appending every k after each shorter chain's last entry.  Taking the
+shorter chains in lexicographic order gives the chains of each length in
+``itertools.combinations`` order.  A chain carries its dim Flag and its
+ks text along, each its prefix's value plus one term, (k - k_{p-1})(n - k)
+and a separator and str(k), so a row of a sweep costs O(1) in its length.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ValidationError
+from .errors import ValidationError, _index
 from .flagcore import FlagSignature, _prechecked
 from .repdim import traceless_sym_dim
 
@@ -129,14 +135,32 @@ def bound_table(sig: FlagSignature, group_order: int | None = None) -> BoundRepo
     )
 
 
+def _walk_chains(n: int, sep: str) -> Iterator[tuple[tuple[int, ...], int, str]]:
+    """(ks, flag dimension, sep.join(map(str, ks))) for every chain
+    0 < k_1 < ... < k_p < n, by p and then in ``combinations`` order.
+
+    Each chain extends its prefix, whose dimension gains (k - last)(n - k)
+    and whose text gains sep + str(k); the one-entry chains extend the
+    empty chain, with dimension 0 and last entry 0."""
+    tails = [sep + str(k) for k in range(n)]
+    level = [((k,), k * (n - k), str(k)) for k in range(1, n)]
+    while level:
+        yield from level
+        level = [
+            (ks + (k,), m + (k - ks[-1]) * (n - k), text + tails[k])
+            for ks, m, text in level
+            for k in range(ks[-1] + 1, n)
+        ]
+
+
 def all_signatures(n: int) -> Iterator[FlagSignature]:
     """Every flag signature in R^n: the 2^{n-1} - 1 nonempty subsets of
-    {1, ..., n-1} as chains k_1 < ... < k_p.
+    {1, ..., n-1} as chains k_1 < ... < k_p, by p and then in
+    ``itertools.combinations`` order.
 
-    ``combinations`` yields each chain as a strictly increasing tuple of
-    ints inside (0, n), which is what ``FlagSignature``'s validator checks,
-    so the signatures are built without it."""
-    n = operator.index(n)
-    for p in range(1, n):
-        for ks in itertools.combinations(range(1, n), p):
-            yield _prechecked(FlagSignature, n=n, ks=ks)
+    The walk yields each chain as a strictly increasing tuple of ints
+    inside (0, n), which is what ``FlagSignature``'s validator checks, so
+    the signatures are built without it."""
+    n = _index(n, "n")
+    for ks, _, _ in _walk_chains(n, ","):
+        yield _prechecked(FlagSignature, n=n, ks=ks)

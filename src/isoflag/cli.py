@@ -34,8 +34,10 @@ from .flagcore import (
     EIG_TOL,
     SPECTRUM_GAP_TOL,
     FlagPoint,
+    FlagSignature,
     Spectrum,
     SymmetricMatrix,
+    _prechecked,
     default_traceless_spectrum,
     identity_flag,
     make_signature,
@@ -67,8 +69,13 @@ def _row(values) -> str:
     return " ".join(_fmt(v) for v in values)
 
 
-def _ks_text(sig) -> str:
-    return ",".join(map(str, sig.ks))
+# How each format joins a chain's entries: text "1,3", CSV "1 3", and JSON
+# array items on lines 8 spaces deep, as json.dumps(indent=2) puts a row's ks.
+_KS_SEP = {"text": ",", "csv": " ", "json": ",\n        "}
+
+
+def _ks_text(sig, fmt: str = "text") -> str:
+    return _KS_SEP[fmt].join(map(str, sig.ks))
 
 
 def _print(line: str = "") -> None:
@@ -77,9 +84,10 @@ def _print(line: str = "") -> None:
 
 @dataclass(frozen=True)
 class _GroupedRows:
-    """A nonempty JSON array of objects, one per (signature, group) pair in
-    ``rows``: the signature's n and ks, then the members of ``tails[group]``,
-    which ``_emit_json`` encodes once for all the rows of its group."""
+    """A nonempty JSON array of objects, one per (n, ks text, group) row in
+    ``rows``: n and the ks array, whose entries the text already joins with
+    ``_KS_SEP["json"]``, then the members of ``tails[group]``, which
+    ``_emit_json`` encodes once for all the rows of its group."""
 
     rows: list
     tails: list[dict]
@@ -90,12 +98,11 @@ def _emit_json(payload: dict) -> None:
     text = json.dumps({k: [] if k in grouped else v for k, v in payload.items()}, indent=2)
     for key, value in grouped.items():
         # A row's members are 6 spaces deep, so an encoded tail loses its braces
-        # and gains 4; n and ks are ints, whose JSON text is their str().
+        # and gains 4; n and the ks entries are ints, whose JSON text is their str().
         tails = [json.dumps(t, indent=2)[1:-2].replace("\n", "\n    ") for t in value.tails]
         rows = ",\n".join(
-            f'    {{\n      "n": {sig.n},\n      "ks": [\n        '
-            + ",\n        ".join(map(str, sig.ks)) + f"\n      ],{tails[g]}\n    }}"
-            for sig, g in value.rows
+            f'    {{\n      "n": {n},\n      "ks": [\n        {ks}\n      ],{tails[g]}\n    }}'
+            for n, ks, g in value.rows
         )
         # only a top-level member starts a line with two spaces and a quote
         text = text.replace(f'\n  "{key}": []', f'\n  "{key}": [\n{rows}\n  ]')
@@ -394,13 +401,13 @@ _BOUND_CSV_HEADER = [
 
 
 def _bound_csv(rows, groups: list[bounds_mod.BoundReport]) -> list:
-    """The CSV of (signature, group index) rows, each group's columns built once."""
+    """The CSV of (n, ks text, group index) rows, each group's columns built once."""
     tails = [
         [r.flag_dim, r.isospectral, r.gunther, r.whitney, "" if r.wang is None else r.wang,
          r.comparisons["isospectral_lt_gunther"], r.comparisons["whitney_condition"]]
         for r in groups
     ]
-    return [_BOUND_CSV_HEADER, *([sig.n, " ".join(map(str, sig.ks)), *tails[g]] for sig, g in rows)]
+    return [_BOUND_CSV_HEADER, *([n, ks, *tails[g]] for n, ks, g in rows)]
 
 
 def cmd_bounds(args) -> Output:
@@ -425,7 +432,7 @@ def cmd_bounds(args) -> Output:
 
     return Output(
         json=lambda: {"n": sig.n, "ks": list(sig.ks), **_bound_columns(r)},
-        csv=lambda: _bound_csv([(sig, 0)], [r]),
+        csv=lambda: _bound_csv([(sig.n, _ks_text(sig, "csv"), 0)], [r]),
         text=text,
     )
 
@@ -434,22 +441,24 @@ def cmd_bounds_sweep(args) -> Output:
     if args.max_n < 2:
         raise ValidationError(f"--max-n must be at least 2, got {args.max_n}")
     groups = []  # one report per (n, flag_dim): every other column follows from those
-    rows = []  # (signature, index of its group) in all_signatures order
+    rows = []  # (n, ks text in the output's format, index of its group), in all_signatures order
     failures = 0
     for n in range(2, args.max_n + 1):
         index = {}
-        for sig in bounds_mod.all_signatures(n):
-            g = index.setdefault(bounds_mod.flag_dimension(sig), len(groups))
-            if g == len(groups):
+        for ks, m, ks_text in bounds_mod._walk_chains(n, _KS_SEP[args.format]):
+            g = index.get(m)
+            if g is None:
+                g = index[m] = len(groups)
+                sig = _prechecked(FlagSignature, n=n, ks=ks)  # a walked chain is valid
                 groups.append(bounds_mod.bound_table(sig, args.group_order))
             failures += not groups[g].comparisons["isospectral_lt_gunther"]
-            rows.append((sig, g))
+            rows.append((n, ks_text, g))
 
     def text():
         tails = [f" flag_dim={r.flag_dim} isospectral={r.isospectral} gunther={r.gunther} "
                  f"whitney={r.whitney}" for r in groups]
-        for sig, g in rows:
-            yield f"n={sig.n} ks={_ks_text(sig)}{tails[g]}"
+        for n, ks, g in rows:
+            yield f"n={n} ks={ks}{tails[g]}"
         yield f"rows: {len(rows)}  gunther_failures: {failures}"
 
     return Output(

@@ -3,8 +3,12 @@
 Two families: ``ValidationError`` for inputs that violate a documented
 precondition (the CLI maps these to exit code 2), and ``NumericalError``
 for degeneracies discovered mid-computation where any answer would be
-meaningless (exit code 3).
+meaningless (exit code 3).  ``_index`` is the integer coercion that the
+integer-valued constructors share, so that a float or string is refused
+with a ``ValidationError`` rather than truncated or passed to ``int()``.
 """
+
+import operator
 
 
 class IsoflagError(Exception):
@@ -29,6 +33,19 @@ class KOutOfRange(ValidationError):
 
 class NonIncreasingKs(ValidationError):
     """Subspace dimensions must be strictly increasing."""
+
+
+class NotAnInteger(ValidationError):
+    """A dimension or weight entry is not an integer (a float, string or NaN)."""
+
+
+def _index(value, what: str) -> int:
+    """``value`` as an int through ``operator.index``: ints, bools and numpy
+    integers pass, and anything else raises ``NotAnInteger``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise NotAnInteger(f"{what} must be an integer, got {type(value).__name__}") from None
 
 
 class SignatureMismatch(ValidationError):

@@ -28,6 +28,7 @@ from .errors import (
     SignatureMismatch,
     SpectrumInvalid,
     ValidationError,
+    _index,
 )
 
 # Every tolerance of the package.  The matrix model is exact, so each one
@@ -72,8 +73,8 @@ class FlagSignature:
     ks: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
+        object.__setattr__(self, "n", _index(self.n, "ambient dimension"))
+        object.__setattr__(self, "ks", tuple(_index(k, "subspace dimension") for k in self.ks))
         if self.n < 2:
             raise AmbientTooSmall(f"ambient dimension must be at least 2, got {self.n}")
         if not self.ks:

@@ -37,6 +37,7 @@ from .errors import (
     MixedParity,
     NotDominant,
     ValidationError,
+    _index,
 )
 
 
@@ -52,8 +53,8 @@ class HighestWeight:
     doubled: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "doubled", tuple(int(d) for d in self.doubled))
+        object.__setattr__(self, "n", _index(self.n, "n"))
+        object.__setattr__(self, "doubled", tuple(_index(d, "doubled weight entry") for d in self.doubled))
         if self.n < 3:
             raise NotDominant(f"need n >= 3, got n={self.n}")
         m = self.n // 2
@@ -322,6 +323,7 @@ def enumerate_low_dim(n: int, max_dim: int, mu1_cap=4) -> EnumerationReport:
     once with ``sign_pair`` set.
     Hits are sorted by dimension, then lexicographically.
     """
+    n = _index(n, "n")
     if n < 3:
         raise HypothesisViolated(f"need n >= 3, got {n}")
     try:
@@ -332,7 +334,7 @@ def enumerate_low_dim(n: int, max_dim: int, mu1_cap=4) -> EnumerationReport:
         raise ValidationError(f"mu1_cap must be a half-integer >= 2, got {mu1_cap!r}")
     cap = int(cap)
     m = n // 2
-    max_dim = int(max_dim)
+    max_dim = _index(max_dim, "max_dim")
     hits = []
     visited = pruned = 0
     # A node fixes entry k above the fixed entries `suffix`, starting from

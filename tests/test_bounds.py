@@ -16,6 +16,7 @@ from isoflag import (
     wang_bound,
     whitney_bound,
 )
+from isoflag.bounds import _walk_chains
 from isoflag.errors import KOutOfRange, ValidationError
 
 
@@ -268,3 +269,18 @@ class TestSignatureEnumeration:
     def test_numpy_integer_n(self):
         sigs = list(all_signatures(np.int64(4)))
         assert len(sigs) == 7 and all(type(sig.n) is int for sig in sigs)
+
+
+class TestChainWalk:
+    """The walk against a fresh computation of each chain: ``combinations``
+    order, ``flag_dimension`` and ``str.join``."""
+
+    @pytest.mark.parametrize("sep", [",", " ", ",\n        "])
+    def test_matches_the_reference_for_every_chain(self, sep):
+        for n in range(15):
+            walked = list(_walk_chains(n, sep))
+            chains = [ks for p in range(1, n) for ks in itertools.combinations(range(1, n), p)]
+            assert [ks for ks, _, _ in walked] == chains
+            for ks, m, text in walked:
+                assert m == flag_dimension(FlagSignature(n, ks)), (n, ks)
+                assert text == sep.join(map(str, ks)), (n, ks)

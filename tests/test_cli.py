@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -483,6 +484,60 @@ class TestBoundsSweep:
         code, _, _ = run(capsys, "bounds", "sweep", "--max-n", "10")
         assert code == 0
         assert sorted(calls) == sorted(sweep_groups(10))
+
+    def test_no_flag_dimension_call_outside_bound_table(self, capsys, monkeypatch):
+        groups = len(sweep_groups(10))
+        table, dim = bounds_mod.bound_table, bounds_mod.flag_dimension
+        inside, outside, depth = [], [], [0]
+
+        def counted_table(sig, group_order=None):
+            depth[0] += 1
+            try:
+                return table(sig, group_order)
+            finally:
+                depth[0] -= 1
+
+        def counted_dim(sig):
+            (inside if depth[0] else outside).append(sig)
+            return dim(sig)
+
+        monkeypatch.setattr(bounds_mod, "bound_table", counted_table)
+        monkeypatch.setattr(bounds_mod, "flag_dimension", counted_dim)
+        for fmt in ("text", "csv", "json"):
+            code, _, _ = run(capsys, *sweep_argv(10, None, fmt))
+            assert code == 0
+        assert outside == [] and len(inside) == 3 * groups
+
+    def test_one_signature_per_group(self, capsys, monkeypatch):
+        groups = len(sweep_groups(10))
+        built = []
+        validate = FlagSignature.__post_init__
+        monkeypatch.setattr(FlagSignature, "__post_init__", lambda sig: built.append(sig) or validate(sig))
+        for module in (cli, bounds_mod):
+            prechecked = module._prechecked
+            monkeypatch.setattr(module, "_prechecked",
+                                lambda cls, _p=prechecked, **f: built.append(cls) or _p(cls, **f))
+        for fmt in ("text", "csv", "json"):
+            built.clear()
+            code, _, _ = run(capsys, *sweep_argv(10, None, fmt))
+            assert code == 0 and len(built) == groups
+
+    # SHA-256 of the stdout of `bounds sweep --max-n 13`, taken before the
+    # sweep walked its chains: the largest sweep the benchmark runs.
+    MAX_N_13_DIGESTS = {
+        ("text", None): "e59bf1e46fd1b9635e13a93f7f9cc5f2bdfc2de948c3a8d9d342de91cc3473ae",
+        ("csv", None): "6402ec3fd0ac9d29ff186ac217f37333df66b75d54119ec2f5f10e8dbdab6286",
+        ("json", None): "410021baa07f86cf9a6989036adce922ea5d9c94a7566d661abc7d6f61dfabc7",
+        ("text", 3): "e59bf1e46fd1b9635e13a93f7f9cc5f2bdfc2de948c3a8d9d342de91cc3473ae",
+        ("csv", 3): "b1edcd6bf9bae13949717322a0f863ab97391fa464810dce2786a71aa5aeaa6e",
+        ("json", 3): "df2a3f8e8d01d14180155e0c84eb59a20ca9f1196f4e354b9ef72b1cb43d6550",
+    }
+
+    @pytest.mark.parametrize("fmt, group_order", sorted(MAX_N_13_DIGESTS, key=str))
+    def test_max_n_13_bytes(self, capsys, fmt, group_order):
+        code, out, err = run(capsys, *sweep_argv(13, group_order, fmt))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.MAX_N_13_DIGESTS[fmt, group_order]
 
     def test_one_json_encoding_per_group(self, capsys, monkeypatch):
         calls = []

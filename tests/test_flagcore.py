@@ -25,6 +25,7 @@ from isoflag.errors import (
     AmbientTooSmall,
     KOutOfRange,
     NonIncreasingKs,
+    NotAnInteger,
     NotSkewSymmetric,
     NotSpecialOrthogonal,
     NotSymmetric,
@@ -70,6 +71,19 @@ class TestSignature:
     def test_rejects_tiny_ambient(self):
         with pytest.raises(AmbientTooSmall):
             make_signature(1, [1])
+
+    def test_rejects_infinite_ambient(self):
+        with pytest.raises(NotAnInteger, match=r"^ambient dimension must be an integer, got float$"):
+            make_signature(float("inf"), [1])
+
+    def test_rejects_fractional_k_instead_of_truncating(self):
+        with pytest.raises(NotAnInteger, match=r"^subspace dimension must be an integer, got float$"):
+            make_signature(5, [1.5])
+
+    def test_numpy_integers_become_ints(self):
+        sig = make_signature(np.int64(5), [np.int32(1), np.uint8(3)])
+        assert sig == make_signature(5, [1, 3])
+        assert type(sig.n) is int and all(type(k) is int for k in sig.ks)
 
     @given(signatures())
     def test_block_sizes_partition_n(self, sig):

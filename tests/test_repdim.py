@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from isoflag.errors import (
     HypothesisViolated,
     IndexOutOfRange,
     MixedParity,
+    NotAnInteger,
     NotDominant,
     ValidationError,
 )
@@ -127,6 +129,27 @@ class TestHighestWeight:
     def test_string_form(self):
         assert str(HighestWeight.from_halves(5, (HALF, HALF))) == "1/2,1/2"
         assert str(HighestWeight.from_halves(7, (2, 1, 0))) == "2,1,0"
+
+    def test_rejects_nan_entry(self):
+        with pytest.raises(NotAnInteger, match=r"^doubled weight entry must be an integer, got float$"):
+            HighestWeight(7, (float("nan"), 0, 0))
+
+    def test_rejects_string_entry(self):
+        with pytest.raises(NotAnInteger, match=r"^doubled weight entry must be an integer, got str$"):
+            HighestWeight(7, ("abc", 0, 0))
+
+    def test_rejects_fractional_entry_instead_of_truncating(self):
+        with pytest.raises(NotAnInteger):
+            HighestWeight(7, (2.5, 0, 0))
+
+    def test_rejects_float_n(self):
+        with pytest.raises(NotAnInteger, match=r"^n must be an integer, got float$"):
+            HighestWeight(7.0, (2, 0, 0))
+
+    def test_numpy_integers_become_ints(self):
+        w = HighestWeight(np.int64(7), (np.int32(4), np.uint8(2), 0))
+        assert w == HighestWeight(7, (4, 2, 0))
+        assert type(w.n) is int and all(type(d) is int for d in w.doubled)
 
 
 class TestParseWeight:
@@ -410,6 +433,17 @@ class TestEnumerate:
     def test_rejects_small_cap(self):
         with pytest.raises(ValidationError):
             enumerate_low_dim(9, 10, mu1_cap=1)
+
+    def test_rejects_infinite_max_dim(self):
+        with pytest.raises(NotAnInteger, match=r"^max_dim must be an integer, got float$"):
+            enumerate_low_dim(7, float("inf"))
+
+    def test_rejects_fractional_n(self):
+        with pytest.raises(NotAnInteger, match=r"^n must be an integer, got float$"):
+            enumerate_low_dim(7.5, 30)
+
+    def test_numpy_integer_arguments(self):
+        assert repr(enumerate_low_dim(np.int64(9), np.int64(200))) == repr(enumerate_low_dim(9, 200))
 
     @pytest.mark.parametrize("n", range(3, 34))
     def test_matches_whole_box_reference(self, n):
