@@ -12,24 +12,20 @@ the module-dimension classification behind that minimality, and
 
 from .bounds import (
     BoundReport,
-    StiefelBound,
     all_signatures,
     bound_table,
     flag_dimension,
     gunther_bound,
     isospectral_bound,
-    stiefel_min_dim,
     wang_bound,
     whitney_bound,
 )
 from .embed import (
     EmbeddedFlag,
     act,
-    block_diagonal_model,
     embed,
     membership,
     recover,
-    traceless_split,
 )
 from .errors import (
     DegenerateBoundaryGap,
@@ -50,14 +46,12 @@ from .flagcore import (
     Spectrum,
     SymmetricMatrix,
     TangentBlock,
-    complete_traceless_spectrum,
     default_traceless_spectrum,
     flags_equal,
     identity_flag,
     make_signature,
     random_flag_point,
     random_tangent_block,
-    stiefel_check,
 )
 from .geometry import (
     DescentResult,
@@ -76,11 +70,9 @@ from .repdim import (
     EnumerationHit,
     EnumerationReport,
     HighestWeight,
-    SearchBox,
     enumerate_low_dim,
     fundamental_weight,
     parse_weight,
-    shift_decrease_check,
     single_row_dim,
     spin_dimension,
     traceless_sym_dim,

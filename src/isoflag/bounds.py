@@ -38,6 +38,7 @@ def flag_dimension(sig: FlagSignature) -> int:
 def gunther_bound(m: int) -> int:
     """max{m(m+3)/2 + 5, m(m+5)/2}: ambient dimension sufficient for an
     isometric embedding of any Riemannian manifold of dimension m."""
+    m = _index(m, "m")
     if m < 1:
         raise ValidationError(f"need m >= 1, got {m}")
     return max(m * (m + 3) // 2 + 5, m * (m + 5) // 2)
@@ -46,6 +47,7 @@ def gunther_bound(m: int) -> int:
 def isospectral_bound(n: int) -> int:
     """(n-1)(n+2)/2: the ambient dimension achieved by the matrix model of
     any flag manifold in R^n (traceless symmetric matrices)."""
+    n = _index(n, "n")
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
     return traceless_sym_dim(n)
@@ -53,6 +55,7 @@ def isospectral_bound(n: int) -> int:
 
 def whitney_bound(m: int) -> int:
     """2m: ambient dimension sufficient for a smooth embedding."""
+    m = _index(m, "m")
     if m < 1:
         raise ValidationError(f"need m >= 1, got {m}")
     return 2 * m
@@ -61,25 +64,10 @@ def whitney_bound(m: int) -> int:
 def wang_bound(d: int, group_order: int) -> int:
     """d |G|: ambient dimension of the equivariant embedding a finite group
     of order |G| induces from any embedding into R^d."""
+    d, group_order = _index(d, "d"), _index(group_order, "group_order")
     if d < 1 or group_order < 1:
         raise ValidationError(f"need d, group_order >= 1, got {d}, {group_order}")
     return d * group_order
-
-
-@dataclass(frozen=True)
-class StiefelBound:
-    ambient: int
-    minimal_hypothesis: bool
-
-
-def stiefel_min_dim(k: int, n: int) -> StiefelBound:
-    """kn: ambient dimension of the orthonormal-frame model {Y : Y'Y = I}.
-
-    ``minimal_hypothesis`` reports whether the range in which this is known
-    to be the equivariant minimum holds: n >= 17 and k < (n-1)/2."""
-    if not 1 <= k < n:
-        raise ValidationError(f"need 1 <= k < n, got k={k}, n={n}")
-    return StiefelBound(k * n, n >= 17 and 2 * k < n - 1)
 
 
 @dataclass(frozen=True)

@@ -333,7 +333,7 @@ def cmd_repdim_enumerate(args) -> Output:
         json=lambda: {
             "n": report.n,
             "max_dim": report.max_dim,
-            "mu1_cap": str(report.search_box.mu1_cap),
+            "mu1_cap": str(report.mu1_cap),
             "hits": [
                 {
                     "weight": str(h.weight),
@@ -350,7 +350,7 @@ def cmd_repdim_enumerate(args) -> Output:
             *map(_hit_row, report.hits),
         ],
         text=lambda: [
-            f"n={report.n} max_dim={report.max_dim} mu1_cap={report.search_box.mu1_cap}",
+            f"n={report.n} max_dim={report.max_dim} mu1_cap={report.mu1_cap}",
             *map(_hit_line, report.hits),
         ],
     )

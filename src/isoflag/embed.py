@@ -156,11 +156,6 @@ def _certified_flag(x: np.ndarray, spec: Spectrum) -> EmbeddedFlag:
     return _prechecked(EmbeddedFlag, x=SymmetricMatrix(x), spectrum=spec)
 
 
-def block_diagonal_model(spec: Spectrum) -> SymmetricMatrix:
-    """The base point diag(a_1 I_{n_1}, ..., a_{p+1} I_{n_{p+1}})."""
-    return SymmetricMatrix(np.diag(spec.repeated()))
-
-
 def embed(f: FlagPoint, spec: Spectrum) -> EmbeddedFlag:
     """Realize the flag f as the symmetric matrix Q M Q'.
 
@@ -226,10 +221,3 @@ def recover(x: SymmetricMatrix, spec: Spectrum, eig_tol: float = EIG_TOL) -> Fla
     if np.linalg.det(q) < 0:
         q[:, -1] = -q[:, -1]
     return FlagPoint(q, sig)
-
-
-def traceless_split(x: SymmetricMatrix) -> tuple[SymmetricMatrix, float]:
-    """Split x into its traceless part and its scalar part:
-    x = x0 + c * I with trace(x0) = 0 and c = trace(x) / n."""
-    c = x.trace / x.n
-    return SymmetricMatrix(x.entries - c * np.eye(x.n)), c

@@ -3,9 +3,9 @@
 Two families: ``ValidationError`` for inputs that violate a documented
 precondition (the CLI maps these to exit code 2), and ``NumericalError``
 for degeneracies discovered mid-computation where any answer would be
-meaningless (exit code 3).  ``_index`` is the integer coercion that the
-integer-valued constructors share, so that a float or string is refused
-with a ``ValidationError`` rather than truncated or passed to ``int()``.
+meaningless (exit code 3).  ``_index`` is the integer coercion that every
+integer argument goes through, so that a float or string is refused with
+a ``ValidationError`` rather than truncated or passed to ``int()``.
 """
 
 import operator
@@ -78,10 +78,6 @@ class MixedParity(ValidationError):
 
 class IndexOutOfRange(ValidationError):
     """Fundamental-weight index outside 1..m."""
-
-
-class DeltaOutOfRange(ValidationError):
-    """Shift amount incompatible with the weight being shifted."""
 
 
 class HypothesisViolated(ValidationError):

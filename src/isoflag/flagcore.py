@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .errors import (
 
 # Every tolerance of the package.  The matrix model is exact, so each one
 # only absorbs floating-point roundoff.
-ORTH_TOL = 1e-10  # ||Q'Q - I||_F of a rotation or an orthonormal frame
+ORTH_TOL = 1e-10  # ||Q'Q - I||_F of a rotation
 _DET_TOL = 1e-9  # |det Q - 1| of a rotation
 SYM_TOL = 1e-10  # asymmetry of a SymmetricMatrix; skew defect and zero diagonal blocks of a TangentBlock
 EIG_TOL = 1e-8  # eigenvalues against the spectrum (trace: n * EIG_TOL); flags_equal
@@ -84,11 +84,6 @@ class FlagSignature:
                 raise KOutOfRange(f"subspace dimension {k} outside (0, {self.n})")
         if any(a >= b for a, b in zip(self.ks, self.ks[1:])):
             raise NonIncreasingKs(f"subspace dimensions must strictly increase, got {self.ks}")
-
-    @property
-    def p(self) -> int:
-        """Number of proper subspaces in the chain."""
-        return len(self.ks)
 
     @property
     def num_blocks(self) -> int:
@@ -202,45 +197,17 @@ def default_traceless_spectrum(sig: FlagSignature) -> Spectrum:
     return Spectrum(vals, sig)
 
 
-def complete_traceless_spectrum(sig: FlagSignature, base: Sequence[float]) -> Spectrum:
-    """Extend strictly decreasing positive values a_1 > ... > a_p > 0 to a
-    traceless spectrum by solving for the last value:
-
-        a_{p+1} = -(n_1 a_1 + ... + n_p a_p) / n_{p+1}
-    """
-    base = tuple(float(b) for b in base)
-    if len(base) != sig.p:
-        raise SpectrumInvalid(f"need {sig.p} base values, got {len(base)}")
-    if any(b <= 0 for b in base):
-        raise SpectrumInvalid(f"base values must be positive, got {base}")
-    if any(nxt >= prev for prev, nxt in zip(base, base[1:])):
-        raise SpectrumInvalid(f"base values must strictly decrease, got {base}")
-    sizes = sig.block_sizes
-    last = -Fraction(sum(Fraction(s) * Fraction(b) for s, b in zip(sizes, base)), sizes[-1])
-    return Spectrum(base + (float(last),), sig)
-
-
-def _orth_defect(y: np.ndarray) -> float:
-    """||Y'Y - I||_F, the defect ORTH_TOL bounds; inf or NaN, unwarned, if Y'Y overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.linalg.norm(y.T @ y - np.eye(y.shape[1]))
-
-
-def stiefel_check(y) -> bool:
-    """Is y an orthonormal frame, i.e. ||Y'Y - I||_F <= ORTH_TOL?"""
-    y = np.asarray(y, dtype=float)
-    return y.ndim == 2 and bool(_orth_defect(y) <= ORTH_TOL)
-
-
 def _check_special_orthogonal(q: np.ndarray, n: int) -> None:
     """Raise ``NotSpecialOrthogonal`` unless q is n x n, finite, orthogonal
     within ORTH_TOL and of determinant +1.  Overflow in Q'Q can still make
-    the defect inf or NaN, which fails the ``not defect <= tol`` comparison."""
+    the defect inf or NaN, which fails the ``not defect <= tol`` comparison
+    without a warning."""
     if q.shape != (n, n):
         raise NotSpecialOrthogonal(f"expected a {n}x{n} matrix, got shape {q.shape}")
     if not np.all(np.isfinite(q)):
         raise NotSpecialOrthogonal("entries must be finite")
-    defect = _orth_defect(q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.linalg.norm(q.T @ q - np.eye(n))
     if not defect <= ORTH_TOL:
         raise NotSpecialOrthogonal(f"Q'Q - I has Frobenius norm {defect:.3e} > {ORTH_TOL:.3e}")
     det = float(np.linalg.det(q))
@@ -272,6 +239,17 @@ def identity_flag(sig: FlagSignature) -> FlagPoint:
     return FlagPoint(np.eye(sig.n), sig)
 
 
+def _generator(seed) -> np.random.Generator:
+    """``seed`` itself if it is a numpy ``Generator``, else a fresh one seeded
+    by it; a seed that is not a non-negative integer raises ``ValidationError``."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    seed = _index(seed, "seed")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def random_flag_point(sig: FlagSignature, seed: int = 0) -> FlagPoint:
     """Haar-uniform random flag, deterministic for a fixed seed.
 
@@ -279,8 +257,7 @@ def random_flag_point(sig: FlagSignature, seed: int = 0) -> FlagPoint:
     orthogonal matrix; a final column flip moves the det = -1 half onto
     SO(n) without breaking uniformity.
     """
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((sig.n, sig.n))
+    a = _generator(seed).standard_normal((sig.n, sig.n))
     q, r = np.linalg.qr(a)
     q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)
     if np.linalg.det(q) < 0:
@@ -314,14 +291,6 @@ class SymmetricMatrix:
             _check_symmetric(a)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.entries))
 
     def __array__(self, dtype=None):
         return np.asarray(self.entries, dtype=dtype)
@@ -366,11 +335,6 @@ class TangentBlock:
                 a[sl[j], sl[i]] = -blk.T
         return cls(sig, a)
 
-    @classmethod
-    def from_matrix(cls, sig: FlagSignature, mat: np.ndarray) -> "TangentBlock":
-        """``TangentBlock(sig, mat)``."""
-        return cls(sig, mat)
-
     def block(self, i: int, j: int) -> np.ndarray:
         """Block (i, j), read-only; zero for i == j."""
         return self.matrix[self.signature.block_slices()[i], self.signature.block_slices()[j]]
@@ -386,7 +350,7 @@ class TangentBlock:
 
 
 def random_tangent_block(sig: FlagSignature, seed: int = 0) -> TangentBlock:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _generator(seed)
     sizes = sig.block_sizes
     pairs = itertools.combinations(range(sig.num_blocks), 2)
     return TangentBlock.from_block_map(sig, {(i, j): rng.standard_normal((sizes[i], sizes[j])) for i, j in pairs})

@@ -221,17 +221,19 @@ def gradient_descent(
     ``init`` must be embedded with ``spec`` itself: the default step comes
     from ``spec`` and every retraction lands on ``init.spectrum``.
 
-    What is checked, and where: ``init`` and ``spec`` on entry; the array
-    ``objective_grad`` returns on every iteration (non-finite entries raise
-    ``StepNotFinite``, a non-square or asymmetric one ``NotSymmetric``, a
-    wrong size ``SignatureMismatch``); a non-decreasing spectrum at the
-    first retraction, as ``nearest_point`` checks it; and every iterate,
-    by the Ostrowski certificate or, where that cannot decide, by the
-    eigenvalue check of ``EmbeddedFlag``.  ``objective_grad`` receives each
-    iterate as a read-only array.  The returned point is that last
-    iterate, or ``init`` itself when no step was taken.
+    What is checked, and where: ``init``, ``spec`` and ``grad_tol`` on
+    entry; the array ``objective_grad`` returns on every iteration
+    (non-finite entries raise ``StepNotFinite``, a non-square or asymmetric
+    one ``NotSymmetric``, a wrong size ``SignatureMismatch``); a
+    non-decreasing spectrum at the first retraction, as ``nearest_point``
+    checks it; and every iterate, by the Ostrowski certificate or, where
+    that cannot decide, by the eigenvalue check of ``EmbeddedFlag``.
+    ``objective_grad`` receives each iterate as a read-only array.  The
+    returned point is that last iterate, or ``init`` itself when no step
+    was taken.
     """
     _check_same_signature(init.signature, spec.signature)
+    _check_tolerance("grad_tol", grad_tol)
     if init.spectrum != spec:
         raise SpectrumInvalid(f"init has spectrum {init.spectrum.values}, descent was given {spec.values}")
     if step is None:

@@ -31,7 +31,6 @@ from math import comb
 from typing import Sequence
 
 from .errors import (
-    DeltaOutOfRange,
     HypothesisViolated,
     IndexOutOfRange,
     MixedParity,
@@ -86,10 +85,6 @@ class HighestWeight:
     def is_spin(self) -> bool:
         return self.doubled[0] % 2 == 1
 
-    @property
-    def is_zero(self) -> bool:
-        return all(d == 0 for d in self.doubled)
-
     def halves(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(d, 2) for d in self.doubled)
 
@@ -101,15 +96,11 @@ class HighestWeight:
         return cls(n, tuple(_doubled_entry(v) for v in values))
 
 
-# What Fraction() raises for a string it cannot parse, x/0, NaN and inf.
-_NOT_A_FRACTION = (ValueError, ZeroDivisionError, OverflowError)
-
-
 def _doubled_entry(v) -> int:
     """2v for one weight entry v: a number, or a string like ``1/2``."""
     try:
         f = 2 * Fraction(v)
-    except _NOT_A_FRACTION as e:
+    except (ValueError, ZeroDivisionError, OverflowError) as e:  # an unparsable string, x/0, NaN, inf
         raise ValidationError(f"bad weight entry {v!r}: {e}") from None
     if f.denominator != 1:
         raise MixedParity(f"entry {v!r} is not an integer or half-integer")
@@ -166,6 +157,7 @@ def fundamental_weight(n: int, i: int) -> HighestWeight:
     For odd n the last one is the spin weight (1/2, ..., 1/2); for even n
     the last two are the half-spin weights (1/2, ..., 1/2, -/+ 1/2).
     """
+    n, i = _index(n, "n"), _index(i, "i")
     if n < 3:
         raise HypothesisViolated(f"need n >= 3, got {n}")
     m = n // 2
@@ -189,6 +181,7 @@ def fundamental_weight(n: int, i: int) -> HighestWeight:
 def spin_dimension(n: int) -> int:
     """2^m for n = 2m+1, 2^{m-1} for n = 2m: the spin module dimension,
     equal to weyl_dim at the spin fundamental weight(s)."""
+    n = _index(n, "n")
     if n < 3:
         raise HypothesisViolated(f"need n >= 3, got {n}")
     m = n // 2
@@ -204,6 +197,7 @@ def single_row_dim(n: int, s: int) -> int:
     Must agree with weyl_dim on the same weight; kept separate so the two
     routes check each other.
     """
+    n, s = _index(n, "n"), _index(s, "s")
     if n < 5:
         raise HypothesisViolated(f"need n >= 5, got {n}")
     if s < 0:
@@ -217,38 +211,6 @@ def single_row_dim(n: int, s: int) -> int:
     if val.denominator != 1:
         raise ArithmeticError(f"single-row dimension is not integral for n={n}, s={s}")
     return int(val)
-
-
-def shift_decrease_check(w: HighestWeight, delta) -> bool:
-    """Subtract delta from every nonzero leading entry of w and test that
-    the dimension strictly drops.
-
-    Requires 0 < delta <= mu_k where mu_k is the last nonzero entry (the
-    downshifted sequence is then still dominant), and the shift must not
-    mix parities when trailing zeros remain.
-    """
-    try:
-        dd = 2 * Fraction(delta)
-    except _NOT_A_FRACTION:
-        dd = None
-    if dd is None or dd.denominator != 1:
-        raise DeltaOutOfRange(f"delta {delta!r} is not an integer or half-integer")
-    dd = int(dd)
-    d = w.doubled
-    nonzero = [idx for idx, v in enumerate(d) if v != 0]
-    if not nonzero:
-        raise DeltaOutOfRange("the zero weight has no entry to shift")
-    k = nonzero[-1]
-    if d[k] < 0:
-        raise DeltaOutOfRange(f"last nonzero entry {Fraction(d[k], 2)} is negative")
-    if not 0 < dd <= d[k]:
-        raise DeltaOutOfRange(
-            f"delta must satisfy 0 < delta <= {Fraction(d[k], 2)}, got {Fraction(dd, 2)}"
-        )
-    if k + 1 < len(d) and dd % 2 != 0:
-        raise DeltaOutOfRange("half-integer shift would mix parities with the trailing zeros")
-    shifted = tuple(v - dd for v in d[: k + 1]) + d[k + 1 :]
-    return weyl_dim(w) > weyl_dim(HighestWeight(w.n, shifted))
 
 
 @dataclass(frozen=True)
@@ -274,31 +236,21 @@ class EnumerationHit:
 
 
 @dataclass(frozen=True)
-class SearchBox:
-    """The exhaustive enumeration region: both parities, first entry at
-    most mu1_cap, and (for even n) both signs of the last entry."""
-
-    mu1_cap_doubled: int
-
-    @property
-    def mu1_cap(self) -> Fraction:
-        return Fraction(self.mu1_cap_doubled, 2)
-
-
-@dataclass(frozen=True)
 class EnumerationReport:
     """The hits of one enumeration, plus how much of the box the walk saw.
 
-    ``visited`` counts the weights whose dimension the walk evaluated (the
-    mirror checks of even-n hits aside) and ``pruned`` the ones among them
-    that exceeded ``max_dim`` and so cut their branch.  Both describe the
-    walk, not its result: they are left out of ``repr`` and equality.
+    The box holds both parities, first entry at most ``mu1_cap``, and (for
+    even n) both signs of the last entry.  ``visited`` counts the weights
+    whose dimension the walk evaluated (the mirror checks of even-n hits
+    aside) and ``pruned`` the ones among them that exceeded ``max_dim`` and
+    so cut their branch.  Both describe the walk, not its result: they are
+    left out of ``repr`` and equality.
     """
 
     n: int
     max_dim: int
     hits: tuple[EnumerationHit, ...]
-    search_box: SearchBox
+    mu1_cap: Fraction
     visited: int = field(repr=False, compare=False)
     pruned: int = field(repr=False, compare=False)
 
@@ -327,12 +279,11 @@ def enumerate_low_dim(n: int, max_dim: int, mu1_cap=4) -> EnumerationReport:
     if n < 3:
         raise HypothesisViolated(f"need n >= 3, got {n}")
     try:
-        cap = 2 * Fraction(mu1_cap)
-    except _NOT_A_FRACTION:
-        cap = None
-    if cap is None or cap.denominator != 1 or cap < 4:
+        cap = _doubled_entry(mu1_cap)
+    except ValidationError:
+        cap = 0  # refused below, with the message that names mu1_cap
+    if cap < 4:
         raise ValidationError(f"mu1_cap must be a half-integer >= 2, got {mu1_cap!r}")
-    cap = int(cap)
     m = n // 2
     max_dim = _index(max_dim, "max_dim")
     hits = []
@@ -366,7 +317,7 @@ def enumerate_low_dim(n: int, max_dim: int, mu1_cap=4) -> EnumerationReport:
                 real_form = doubled[-1] == 0 and (m < 2 or doubled[-2] == 0)
             hits.append(EnumerationHit(w, dim, real_form, sign_pair))
     hits.sort(key=lambda h: (h.dimension, h.weight.doubled))
-    return EnumerationReport(n, max_dim, tuple(hits), SearchBox(cap), visited, pruned)
+    return EnumerationReport(n, max_dim, tuple(hits), Fraction(cap, 2), visited, pruned)
 
 
 @dataclass(frozen=True)
@@ -393,6 +344,7 @@ class ClassificationReport:
 
 def traceless_sym_dim(n: int) -> int:
     """(n-1)(n+2)/2, the dimension of the traceless symmetric matrices."""
+    n = _index(n, "n")
     return (n - 1) * (n + 2) // 2
 
 

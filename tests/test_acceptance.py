@@ -19,16 +19,20 @@ from isoflag import (
     default_traceless_spectrum,
     embed,
     flag_dimension,
+    flags_equal,
     fundamental_weight,
     gradient_descent,
     isometry_defect,
     isospectral_bound,
     make_signature,
+    membership,
     nearest_point,
+    project_to_tangent,
     random_flag_point,
     random_tangent_block,
     recover,
     push_tangent,
+    retract,
     spin_dimension,
     verify_classification,
     weyl_dim,
@@ -104,6 +108,7 @@ def test_criterion_4_equivariance():
             lhs = embed(act(r, f), spec).x.entries
             rhs = r @ embed(f, spec).x.entries @ r.T
             assert np.linalg.norm(lhs - rhs) <= 1e-10
+            assert membership(SymmetricMatrix(rhs), spec)  # the model is SO(n)-invariant
 
 
 def test_criterion_5_isometry_identity_and_pushforward():
@@ -122,7 +127,8 @@ def test_criterion_5_isometry_identity_and_pushforward():
             f = random_flag_point(sig, int(rng.integers(1 << 31)))
             b = random_tangent_block(sig, rng)
             b = b.scaled(1.0 / b.frobenius_norm())
-            v = push_tangent(b, f, spec).v.entries
+            pushed = push_tangent(b, f, spec)
+            v = pushed.v.entries
             bm = b.to_matrix()
 
             def curve(t):
@@ -130,6 +136,11 @@ def test_criterion_5_isometry_identity_and_pushforward():
 
             fd = (curve(h) - curve(-h)) / (2 * h)
             assert np.linalg.norm(fd - v) <= 1e-6
+            # a pushforward is tangent, and a retraction follows the line to first order
+            base = pushed.base
+            assert np.linalg.norm(project_to_tangent(pushed.v, base).v.entries - v) <= 1e-10
+            moved = retract(base, pushed, h).x.entries
+            assert np.linalg.norm(moved - (base.x.entries + h * v)) <= 10 * h**2
 
 
 def test_criterion_6_round_trip():
@@ -140,8 +151,10 @@ def test_criterion_6_round_trip():
             spec = default_traceless_spectrum(sig)
             f = random_flag_point(sig, int(rng.integers(1 << 31)))
             x = embed(f, spec).x
-            y = embed(recover(x, spec), spec).x
+            g = recover(x, spec)
+            y = embed(g, spec).x
             assert np.linalg.norm(x.entries - y.entries) <= 1e-8
+            assert flags_equal(g, f)
 
 
 def _haar_batch(count, n, rng):

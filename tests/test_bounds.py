@@ -11,8 +11,6 @@ from isoflag import (
     gunther_bound,
     isospectral_bound,
     make_signature,
-    stiefel_check,
-    stiefel_min_dim,
     wang_bound,
     whitney_bound,
 )
@@ -162,35 +160,6 @@ class TestWang:
     def test_rejects_bad_input(self):
         with pytest.raises(ValidationError):
             wang_bound(0, 3)
-
-
-class TestStiefel:
-    def test_min_dim_cases(self):
-        b = stiefel_min_dim(3, 20)
-        assert b.ambient == 60 and b.minimal_hypothesis
-        b = stiefel_min_dim(3, 10)
-        assert b.ambient == 30 and not b.minimal_hypothesis
-        b = stiefel_min_dim(1, 17)
-        assert b.ambient == 17 and b.minimal_hypothesis
-
-    def test_hypothesis_edge(self):
-        # k < (n-1)/2 must be strict
-        assert stiefel_min_dim(8, 17).minimal_hypothesis is False
-        assert stiefel_min_dim(7, 17).minimal_hypothesis is True
-
-    def test_check_accepts_frames(self):
-        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
-        assert stiefel_check(q[:, :3])
-
-    def test_check_rejects_zero(self):
-        assert not stiefel_check(np.zeros((5, 2)))
-
-    def test_check_rejects_tolerance_scale_perturbation(self):
-        # ORTH_TOL = 1e-10 bounds ||Y'Y - I||_F, and a bump e moves it by about 2e
-        for bump, frame in ((1e-9, False), (1e-12, True)):
-            y = np.eye(6)[:, :3]
-            y[0, 0] += bump
-            assert stiefel_check(y) is frame
 
 
 class TestBoundTable:

@@ -14,7 +14,6 @@ from isoflag import (
     FlagSignature,
     Spectrum,
     all_signatures,
-    block_diagonal_model,
     bound_table,
     default_traceless_spectrum,
     flag_dimension,
@@ -41,7 +40,7 @@ def run(capsys, *argv):
 def write_model(tmp_path, n, ks, values, name="model.txt", shift=None):
     sig = make_signature(n, ks)
     spec = Spectrum(values, sig)
-    x = block_diagonal_model(spec).entries
+    x = np.diag(spec.repeated())
     if shift is not None:
         x = x + shift
     path = tmp_path / name
@@ -216,6 +215,22 @@ class TestBadToleranceFlags:
         code, out, err = run(capsys, "project", "--matrix-file", str(path), "--ks", "1", "--gap-tol", value)
         assert (code, out) == (2, "")
         assert err.splitlines() == [f"ValidationError: gap_tol must be finite and >= 0, got {float(value)}"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_optimize_grad_tol(self, capsys, tmp_path, value):
+        path, _, _ = write_model(tmp_path, 4, [2], (0.5, -0.5))
+        code, out, err = run(capsys, "optimize", "--target-file", str(path), "--ks", "2", "--grad-tol", value)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"ValidationError: grad_tol must be finite and >= 0, got {float(value)}"]
+
+
+@pytest.mark.parametrize("command", ["embed", "optimize"])
+def test_negative_seed_is_an_input_error(capsys, tmp_path, command):
+    path, _, _ = write_model(tmp_path, 3, [1], (1.0, -0.5))
+    argv = {"embed": ["--n", "3"], "optimize": ["--target-file", str(path)]}[command]
+    code, out, err = run(capsys, command, *argv, "--ks", "1", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["ValidationError: seed must be >= 0, got -1"]
 
 
 class TestOverflowingEntries:

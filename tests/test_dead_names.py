@@ -1,15 +1,19 @@
-"""Every module-level private name in the package is read somewhere in it.
+"""Every name the package defines is reached from outside the tests of it.
 
-The project ships no linter, so this stdlib ``ast`` check stands in for the
-unused-name part of one: a ``_private`` function, class or assignment at
+The project ships no linter, so these stdlib ``ast`` checks stand in for the
+unused-name part of one.  A ``_private`` function, class or assignment at
 module level in ``src/isoflag/*.py`` that no module of the package loads,
-by name or as an attribute, is dead code.
+by name or as an attribute, is dead code.  A public name, one that
+``isoflag/__init__`` imports, stays only while another module of the
+package, the benchmark in ``bench/`` or the acceptance suite loads it: a
+name that only its own tests reach checks no claim of the paper.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "isoflag"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "isoflag"
 
 
 def private_definitions(tree: ast.Module):
@@ -45,3 +49,12 @@ def test_every_private_module_name_is_used():
         if name not in used
     ]
     assert dead == []
+
+
+def test_every_public_name_is_reached():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    public = [a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    readers = [p for p in PACKAGE.glob("*.py") if p.stem != "__init__"]
+    readers += [*(ROOT / "bench").rglob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    used = {name for path in readers for name in loaded_names(ast.parse(path.read_text()))}
+    assert public and [name for name in public if name not in used] == []

@@ -12,7 +12,6 @@ from isoflag import (
     Spectrum,
     SymmetricMatrix,
     act,
-    block_diagonal_model,
     default_traceless_spectrum,
     embed,
     flags_equal,
@@ -24,7 +23,6 @@ from isoflag import (
     project_to_tangent,
     random_flag_point,
     recover,
-    traceless_split,
 )
 from isoflag.errors import (
     EigenSolverFailed,
@@ -51,28 +49,12 @@ def rotation(theta):
     return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
 
 
-class TestBlockDiagonalModel:
-    def test_two_points(self):
-        spec = Spectrum((1.0, -1.0), make_signature(2, [1]))
-        assert np.array_equal(block_diagonal_model(spec).entries, np.diag([1.0, -1.0]))
-
-    def test_grassmannian(self):
-        spec = Spectrum((3.0, -2.0), make_signature(5, [2]))
-        model = block_diagonal_model(spec)
-        assert np.array_equal(model.entries, np.diag([3.0, 3.0, -2.0, -2.0, -2.0]))
-        assert model.trace == 0.0
-
-    def test_complete_flag(self):
-        spec = Spectrum((2.0, 1.0, -3.0), make_signature(3, [1, 2]))
-        assert np.array_equal(block_diagonal_model(spec).entries, np.diag([2.0, 1.0, -3.0]))
-
-
 class TestEmbed:
     def test_identity_representative(self):
         sig = make_signature(5, [2])
         spec = Spectrum((3.0, -2.0), sig)
         x = embed(identity_flag(sig), spec).x
-        assert np.allclose(x.entries, block_diagonal_model(spec).entries)
+        assert np.allclose(x.entries, np.diag(spec.repeated()))
 
     @pytest.mark.parametrize("theta", [0.1, 0.7, 2.0, -1.2])
     def test_rotation_closed_form(self, theta):
@@ -178,7 +160,7 @@ class TestRecover:
     def test_base_model_recovers_base_flag(self):
         sig = make_signature(5, [2])
         spec = Spectrum((3.0, -2.0), sig)
-        f = recover(block_diagonal_model(spec), spec)
+        f = recover(SymmetricMatrix(np.diag(spec.repeated())), spec)
         assert flags_equal(f, identity_flag(sig))
 
     def test_round_trip_images(self):
@@ -205,7 +187,7 @@ class TestRecover:
     def test_wrong_spectrum_is_loud(self):
         sig = make_signature(4, [2])
         spec = Spectrum((1.0, -1.0), sig)
-        scaled = SymmetricMatrix(2.0 * block_diagonal_model(spec).entries)
+        scaled = SymmetricMatrix(2.0 * np.diag(spec.repeated()))
         with pytest.raises(SpectrumMismatch):
             recover(scaled, spec)
 
@@ -263,7 +245,7 @@ class TestMembership:
         sig = make_signature(5, [2])
         spec = Spectrum((3.0, -2.0), sig)
         for bump, member in ((10 * EIG_TOL, False), (0.5 * EIG_TOL, True)):
-            bumped = block_diagonal_model(spec).entries.copy()
+            bumped = np.diag(spec.repeated())
             bumped[0, 0] += bump
             assert membership(SymmetricMatrix(bumped), spec) is member
 
@@ -350,36 +332,6 @@ class TestCertificate:
         init = embed(random_flag_point(sig, 3), spec)
         with pytest.raises(SpectrumMismatch, match=r"^eigenvalues deviate from the prescribed spectrum by 1\.000e-06 > "):
             gradient_descent(lambda x: x - a, spec, init)
-
-
-class TestTracelessSplit:
-    def test_traceless_input_passes_through(self):
-        x = SymmetricMatrix(np.diag([1.0, -1.0]))
-        x0, c = traceless_split(x)
-        assert c == 0.0
-        assert np.array_equal(x0.entries, x.entries)
-
-    def test_identity(self):
-        x0, c = traceless_split(SymmetricMatrix(np.eye(4)))
-        assert c == 1.0
-        assert np.allclose(x0.entries, 0.0)
-
-    def test_shifted_model(self):
-        base = np.diag([3.0, 3.0, -2.0, -2.0, -2.0])
-        x0, c = traceless_split(SymmetricMatrix(base + np.eye(5)))
-        assert c == 1.0
-        assert np.allclose(x0.entries, base)
-
-    def test_idempotent_and_exact_recombination(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((6, 6))
-        x = SymmetricMatrix((a + a.T) / 2)
-        x0, c = traceless_split(x)
-        assert abs(x0.trace) <= 1e-13
-        again, c2 = traceless_split(x0)
-        assert abs(c2) <= 1e-14
-        assert np.allclose(again.entries, x0.entries, atol=1e-14)
-        assert np.allclose(x0.entries + c * np.eye(6), x.entries, atol=1e-14)
 
 
 @pytest.mark.parametrize(

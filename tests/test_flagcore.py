@@ -12,14 +12,12 @@ from isoflag import (
     SymmetricMatrix,
     TangentBlock,
     act,
-    complete_traceless_spectrum,
     default_traceless_spectrum,
     flags_equal,
     identity_flag,
     make_signature,
     random_flag_point,
     random_tangent_block,
-    stiefel_check,
 )
 from isoflag.errors import (
     AmbientTooSmall,
@@ -31,6 +29,7 @@ from isoflag.errors import (
     NotSymmetric,
     SignatureMismatch,
     SpectrumInvalid,
+    ValidationError,
 )
 
 from _helpers import random_block_stabilizer, random_signature
@@ -47,7 +46,7 @@ class TestSignature:
     def test_grassmannian(self):
         sig = make_signature(5, [2])
         assert sig.block_sizes == (2, 3)
-        assert sig.p == 1
+        assert len(sig.ks) == 1
 
     def test_complete_flag(self):
         sig = make_signature(3, [1, 2])
@@ -89,7 +88,7 @@ class TestSignature:
     def test_block_sizes_partition_n(self, sig):
         assert sum(sig.block_sizes) == sig.n
         assert all(s >= 1 for s in sig.block_sizes)
-        assert len(sig.block_sizes) == sig.p + 1
+        assert len(sig.block_sizes) == len(sig.ks) + 1
 
 
 class TestSpectrum:
@@ -126,27 +125,6 @@ class TestSpectrum:
         assert a > 0
         assert a == pytest.approx(-b, abs=1e-15)
 
-    def test_complete_two_blocks(self):
-        spec = complete_traceless_spectrum(make_signature(2, [1]), [1.0])
-        assert spec.values == (1.0, -1.0)
-
-    def test_complete_three_blocks(self):
-        # 1*2 + 1*1 + 1*a3 = 0  =>  a3 = -3
-        spec = complete_traceless_spectrum(make_signature(3, [1, 2]), [2.0, 1.0])
-        assert spec.values == (2.0, 1.0, -3.0)
-
-    def test_complete_grassmannian(self):
-        # 2*3 + 3*a2 = 0  =>  a2 = -2
-        spec = complete_traceless_spectrum(make_signature(5, [2]), [3.0])
-        assert spec.values == (3.0, -2.0)
-
-    def test_complete_rejects_bad_base(self):
-        sig = make_signature(3, [1, 2])
-        with pytest.raises(SpectrumInvalid):
-            complete_traceless_spectrum(sig, [1.0, 2.0])
-        with pytest.raises(SpectrumInvalid):
-            complete_traceless_spectrum(sig, [1.0, -1.0])
-
     def test_repeated_multiset(self):
         sig = make_signature(5, [2])
         spec = Spectrum((3.0, -2.0), sig)
@@ -179,6 +157,37 @@ class TestRandomFlagPoint:
             FlagPoint(np.ones((3, 3)), sig)
         with pytest.raises(NotSpecialOrthogonal):
             FlagPoint(np.diag([1.0, 1.0, -1.0]), sig)  # det -1
+
+    def test_rejects_tolerance_scale_perturbation(self):
+        # ORTH_TOL = 1e-10 bounds ||Q'Q - I||_F, and a bump e of one entry moves it by about 2e
+        sig = make_signature(6, [3])
+        for bump, accepted in ((1e-9, False), (1e-12, True)):
+            q = np.eye(6)
+            q[0, 0] += bump
+            if accepted:
+                FlagPoint(q, sig)
+            else:
+                with pytest.raises(NotSpecialOrthogonal, match="^Q'Q - I has Frobenius norm"):
+                    FlagPoint(q, sig)
+
+
+@pytest.mark.parametrize("draw, field", [(random_flag_point, "q"), (random_tangent_block, "matrix")])
+class TestSeed:
+    """Both samplers take a non-negative integer seed or a numpy Generator."""
+
+    @pytest.mark.parametrize("seed, error, message", [
+        (-1, ValidationError, r"^seed must be >= 0, got -1$"),
+        (1.5, NotAnInteger, r"^seed must be an integer, got float$"),
+        ("3", NotAnInteger, r"^seed must be an integer, got str$"),
+    ])
+    def test_rejects_bad_seed(self, draw, field, seed, error, message):
+        with pytest.raises(error, match=message):
+            draw(make_signature(4, [2]), seed)
+
+    def test_generator_draws_as_its_seed(self, draw, field):
+        sig = make_signature(4, [2])
+        a, b = draw(sig, 5), draw(sig, np.random.default_rng(5))
+        assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 class TestFlagsEqual:
@@ -229,7 +238,7 @@ class TestTangentBlock:
         b = random_tangent_block(sig, 3)
         mat = b.to_matrix()
         assert np.linalg.norm(mat + mat.T) == 0.0
-        c = TangentBlock.from_matrix(sig, mat)
+        c = TangentBlock(sig, mat)
         assert np.allclose(c.to_matrix(), mat)
 
     def test_block_accessor(self):
@@ -244,12 +253,12 @@ class TestTangentBlock:
         mat[0, 1] = 1.0
         mat[1, 0] = -1.0  # inside the first 2x2 diagonal block
         with pytest.raises(NotSkewSymmetric):
-            TangentBlock.from_matrix(sig, mat)
+            TangentBlock(sig, mat)
 
     def test_from_matrix_rejects_nonskew(self):
         sig = make_signature(4, [2])
         with pytest.raises(NotSkewSymmetric):
-            TangentBlock.from_matrix(sig, np.eye(4))
+            TangentBlock(sig, np.eye(4))
 
     def test_frobenius_norm_matches_assembled(self):
         sig = make_signature(6, [1, 4])
@@ -298,7 +307,6 @@ class TestTangentBlockStorage:
         for i in range(sig.num_blocks):
             assert not b.block(i, i).any()
         assert not b.matrix.flags.writeable
-        assert np.array_equal(TangentBlock.from_matrix(sig, a).matrix, b.matrix)
 
     @pytest.mark.parametrize("bad, message", [
         (np.zeros((4, 5)), r"^expected shape \(4, 4\), got \(4, 5\)$"),
@@ -328,9 +336,6 @@ class TestOverflowingDefects:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             return build()
-
-    def test_stiefel_check(self):
-        assert self._quiet(lambda: stiefel_check(np.full((3, 2), 1e200))) is False
 
     def test_flag_point(self):
         with pytest.raises(NotSpecialOrthogonal, match="Frobenius norm inf"):
@@ -388,7 +393,7 @@ class TestNonFiniteEntries:
         mat = random_tangent_block(sig, 1).to_matrix()
         mat[0, 3], mat[3, 0] = bad, -bad
         with pytest.raises(NotSkewSymmetric):
-            TangentBlock.from_matrix(sig, mat)
+            TangentBlock(sig, mat)
 
     @pytest.mark.parametrize("check", ["flag_point", "act", "from_matrix"])
     def test_finite_check_runs_first(self, bad, check):
@@ -402,7 +407,7 @@ class TestNonFiniteEntries:
         build, error = {
             "flag_point": (lambda: FlagPoint(q, sig), NotSpecialOrthogonal),
             "act": (lambda: act(q, identity_flag(sig)), NotSpecialOrthogonal),
-            "from_matrix": (lambda: TangentBlock.from_matrix(sig, skew), NotSkewSymmetric),
+            "from_matrix": (lambda: TangentBlock(sig, skew), NotSkewSymmetric),
         }[check]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

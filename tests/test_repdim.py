@@ -11,16 +11,14 @@ from isoflag import (
     enumerate_low_dim,
     fundamental_weight,
     parse_weight,
-    shift_decrease_check,
     single_row_dim,
     spin_dimension,
     traceless_sym_dim,
     verify_classification,
     weyl_dim,
 )
-from isoflag.repdim import EnumerationHit, EnumerationReport, SearchBox
+from isoflag.repdim import EnumerationHit, EnumerationReport
 from isoflag.errors import (
-    DeltaOutOfRange,
     HypothesisViolated,
     IndexOutOfRange,
     MixedParity,
@@ -101,7 +99,7 @@ def enumerate_low_dim_box(n: int, max_dim: int, cap_doubled: int, box) -> Enumer
         real_form = doubled[-1] == 0 and (n % 2 == 1 or m < 2 or doubled[-2] == 0)
         hits.append(EnumerationHit(HighestWeight(n, doubled), dim, real_form, sign_pair))
     hits.sort(key=lambda h: (h.dimension, h.weight.doubled))
-    return EnumerationReport(n, max_dim, tuple(hits), SearchBox(cap_doubled), len(box), 0)
+    return EnumerationReport(n, max_dim, tuple(hits), Fraction(cap_doubled, 2), len(box), 0)
 
 
 class TestHighestWeight:
@@ -194,12 +192,6 @@ class TestEntriesThatAreNotNumbers:
             with pytest.raises(ValidationError) as parsed:
                 parse_weight(7, f"{bad},0,0")
             assert str(err.value) == str(parsed.value)
-
-    @pytest.mark.parametrize("bad", NOT_FRACTIONS)
-    def test_shift_delta(self, bad):
-        w = HighestWeight.from_halves(7, (2, 1, 0))
-        with pytest.raises(DeltaOutOfRange, match=r"is not an integer or half-integer$"):
-            shift_decrease_check(w, bad)
 
     @pytest.mark.parametrize("bad", NOT_FRACTIONS)
     def test_enumerate_cap(self, bad):
@@ -330,38 +322,34 @@ class TestSingleRowDim:
             assert single_row_dim(n, s) == weyl_dim(w)
 
 
+def shift_decreases(w: HighestWeight, dd: int) -> bool:
+    """Does the dimension drop when dd/2 is taken from every entry of w up to
+    its last nonzero one?  That takes away a dominant weight, and
+    ``enumerate_low_dim`` prunes on the dimension growing with each one added."""
+    d = w.doubled
+    k = max(i for i, v in enumerate(d) if v != 0)
+    shifted = HighestWeight(w.n, tuple(v - dd for v in d[: k + 1]) + d[k + 1 :])
+    return weyl_dim(w) > weyl_dim(shifted)
+
+
 class TestShiftDecrease:
     def test_example_17(self):
         w = HighestWeight.from_halves(17, (3, 1) + (0,) * 6)
-        assert shift_decrease_check(w, 1)
+        assert shift_decreases(w, 2)
 
     def test_example_two_zero(self):
         w = HighestWeight.from_halves(5, (2, 0))
         assert weyl_dim(HighestWeight.from_halves(5, (1, 0))) == 5
-        assert shift_decrease_check(w, 1)  # 14 > 5
+        assert shift_decreases(w, 2)  # 14 > 5
 
     def test_example_one_one(self):
         w = HighestWeight.from_halves(5, (1, 1))
-        assert shift_decrease_check(w, 1)  # 10 > 1
+        assert shift_decreases(w, 2)  # 10 > 1
 
     def test_spin_shift(self):
         w = HighestWeight.from_halves(9, (Fraction(3, 2),) * 4)
-        assert shift_decrease_check(w, HALF)
-        assert shift_decrease_check(w, 1)
-
-    def test_delta_bounds(self):
-        w = HighestWeight.from_halves(5, (2, 1))
-        with pytest.raises(DeltaOutOfRange):
-            shift_decrease_check(w, 0)
-        with pytest.raises(DeltaOutOfRange):
-            shift_decrease_check(w, 2)  # exceeds the last nonzero entry
-        with pytest.raises(DeltaOutOfRange):
-            shift_decrease_check(HighestWeight.from_halves(5, (0, 0)), 1)
-
-    def test_parity_mixing_shift_rejected(self):
-        w = HighestWeight.from_halves(7, (2, 2, 0))
-        with pytest.raises(DeltaOutOfRange):
-            shift_decrease_check(w, HALF)
+        assert shift_decreases(w, 1)
+        assert shift_decreases(w, 2)
 
     @pytest.mark.parametrize("n", range(5, 21))
     def test_exhaustive_integral_box(self, n):
@@ -370,8 +358,7 @@ class TestShiftDecrease:
             if not nonzero:
                 continue
             for dd in range(2, nonzero[-1] + 1, 2):
-                w = HighestWeight(n, doubled)
-                assert shift_decrease_check(w, Fraction(dd, 2))
+                assert shift_decreases(HighestWeight(n, doubled), dd)
 
 
 class TestEnumerate:
@@ -409,7 +396,7 @@ class TestEnumerate:
     def test_trivial_cutoff(self):
         report = enumerate_low_dim(6, 1, mu1_cap=2)
         assert len(report.hits) == 1
-        assert report.hits[0].weight.is_zero
+        assert report.hits[0].weight.doubled == (0, 0, 0)
 
     def test_even_n_sign_pairs_flagged(self):
         report = enumerate_low_dim(8, 60, mu1_cap=2)
@@ -428,7 +415,7 @@ class TestEnumerate:
         dims = [h.dimension for h in report.hits]
         assert dims == sorted(dims)
         assert all(h.dimension <= 200 for h in report.hits)
-        assert report.search_box.mu1_cap == 4
+        assert report.mu1_cap == 4
 
     def test_rejects_small_cap(self):
         with pytest.raises(ValidationError):
