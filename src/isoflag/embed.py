@@ -11,6 +11,7 @@ and is invertible: the flag is recovered from the eigenspaces of X.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .flagcore import (
     _check_special_orthogonal,
     _check_tolerance,
     _embedded_image,
+    _frobenius,
     _prechecked,
 )
 
@@ -46,9 +48,7 @@ def _block_frame(vec: np.ndarray, spec: Spectrum) -> np.ndarray:
     spectrum, in eigh's ascending order, into block order: the stable
     argsort of the repeated spectrum lists the block positions by ascending
     value, so each column goes to its block and keeps its order there."""
-    q = np.empty(vec.shape)
-    q[:, spec._block_order] = vec
-    return q
+    return vec.take(spec._frame_columns, axis=1)
 
 
 def _eig_deviation(x: np.ndarray, spec: Spectrum) -> float:
@@ -59,6 +59,12 @@ def _eig_deviation(x: np.ndarray, spec: Spectrum) -> float:
     return float(np.max(np.abs(actual - target)))
 
 
+def _trace_drift(x: np.ndarray, spec: Spectrum) -> float:
+    """|tr x - sum n_i a_i|, the trace summed as ``x.trace()`` sums it (one
+    ``add.reduce`` over the diagonal) without its method dispatch."""
+    return abs(float(x.diagonal().sum()) - spec.block_trace)
+
+
 def _check_on_model(x: np.ndarray, spec: Spectrum) -> None:
     """Raise ``SpectrumMismatch`` unless the n x n symmetric x has the
     eigenvalues of the model within EIG_TOL and its trace within n * EIG_TOL."""
@@ -67,7 +73,7 @@ def _check_on_model(x: np.ndarray, spec: Spectrum) -> None:
         raise SpectrumMismatch(
             f"eigenvalues deviate from the prescribed spectrum by {worst:.3e} > {EIG_TOL:.3e}"
         )
-    drift = abs(float(x.trace()) - spec.block_trace)
+    drift = _trace_drift(x, spec)
     if not drift <= EIG_TOL * x.shape[0]:
         raise SpectrumMismatch(f"trace off by {drift:.3e}")
 
@@ -80,6 +86,14 @@ def _gamma(m: int) -> float:
     sum or dot product of m terms in double precision."""
     mu = m * _UNIT_ROUNDOFF
     return mu / (1 - mu)
+
+
+@lru_cache(maxsize=None)
+def _rounding_terms(n: int) -> tuple[float, float]:
+    """The two rounding terms of the certificate at size n: the factor
+    1 + gamma(n^2 + 1) on the computed norm, and 4 n gamma(n + 3) + 8 n u
+    for the products, the symmetrization and eigvalsh."""
+    return 1 + _gamma(n * n + 1), 4 * n * _gamma(n + 3) + 8 * n * _UNIT_ROUNDOFF
 
 
 def _ostrowski_certifies(x: np.ndarray, q: np.ndarray, spec: Spectrum) -> bool:
@@ -104,12 +118,12 @@ def _ostrowski_certifies(x: np.ndarray, q: np.ndarray, spec: Spectrum) -> bool:
     n = x.shape[0]
     e = q.T @ q
     e.flat[:: n + 1] -= 1.0
-    delta = float(np.linalg.norm(e))
+    delta = _frobenius(e)
     if not delta <= 0.5:
         return False
-    rounding = 4 * n * _gamma(n + 3) + 8 * n * _UNIT_ROUNDOFF
-    bound = max(map(abs, spec.values)) * (delta * (1 + _gamma(n * n + 1)) + rounding)
-    drift = abs(float(x.trace()) - spec.block_trace)
+    growth, rounding = _rounding_terms(n)
+    bound = spec._max_abs * (delta * growth + rounding)
+    drift = _trace_drift(x, spec)
     return bound <= EIG_TOL and drift <= EIG_TOL * n
 
 

@@ -11,6 +11,7 @@ each block.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -40,8 +41,16 @@ EIG_TOL = 1e-8  # eigenvalues against the spectrum (trace: n * EIG_TOL); flags_e
 SPECTRUM_GAP_TOL = 1e-8  # spectrum values, and nearest_point's gaps at block boundaries
 
 
+# The largest n * max|a_i| a Spectrum may have.  Every entry of q diag(a) q'
+# for a frame q is then at most max|a_i| in magnitude up to roundoff, and its
+# symmetrization, its trace, the model trace sum n_i a_i and the differences
+# the eigenvalue and trace checks take stay at least a factor 4 below the
+# largest double, so none of them overflows.
+SPECTRUM_MAX = 2.0**1020
+
+
 def _check_tolerance(name: str, value: float) -> None:
-    """Raise ``ValidationError`` unless the tolerance ``name`` is finite and >= 0."""
+    """Raise ``ValidationError`` unless the parameter ``name`` is finite and >= 0."""
     if not (np.isfinite(value) and value >= 0):
         raise ValidationError(f"{name} must be finite and >= 0, got {value}")
 
@@ -60,6 +69,14 @@ def _prechecked(cls, **fields):
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """``np.linalg.norm(a)`` of a float array, computed as numpy computes it,
+    the square root of the dot product of ``a`` raveled in memory order with
+    itself, without ``norm``'s argument handling."""
+    r = a.ravel(order="K")
+    return math.sqrt(r.dot(r))
 
 
 @dataclass(frozen=True)
@@ -102,6 +119,15 @@ class FlagSignature:
         cuts = (0,) + self.ks + (self.n,)
         return tuple(slice(a, b) for a, b in zip(cuts, cuts[1:]))
 
+    @cached_property
+    def _diagonal_block_entries(self) -> np.ndarray:
+        """The flat indices of the diagonal blocks' entries in an n x n
+        C-order matrix."""
+        mask = np.zeros((self.n, self.n), dtype=bool)
+        for s in self._block_slices:
+            mask[s, s] = True
+        return np.flatnonzero(mask)
+
 
 def make_signature(n: int, ks: Iterable[int]) -> FlagSignature:
     """Validate and build a flag signature; ``ks`` of length 1 is a Grassmannian."""
@@ -125,7 +151,9 @@ class Spectrum:
     """One real value per block of a signature.
 
     Blocks carrying equal values would merge into a single eigenspace, so
-    the values must be pairwise separated by more than ``SPECTRUM_GAP_TOL``.
+    the values must be pairwise separated by more than ``SPECTRUM_GAP_TOL``;
+    and n * max|a_i| must be at most ``SPECTRUM_MAX`` (about 1.1e307), so
+    that the model matrix can be formed and checked without overflow.
     """
 
     values: tuple[float, ...]
@@ -140,6 +168,12 @@ class Spectrum:
             )
         if not all(np.isfinite(vals)):
             raise SpectrumInvalid(f"spectrum values must be finite, got {vals}")
+        n = self.signature.n
+        if not self._max_abs <= SPECTRUM_MAX / n:
+            raise SpectrumInvalid(
+                f"spectrum too large: n * max|a_i| must be at most {SPECTRUM_MAX:.3e}, "
+                f"got n={n} and max|a_i| = {self._max_abs:.3e}"
+            )
         if self.min_gap <= SPECTRUM_GAP_TOL:
             raise SpectrumInvalid(
                 f"spectrum values too close: min gap {self.min_gap:.3e} <= {SPECTRUM_GAP_TOL:.3e}"
@@ -173,10 +207,17 @@ class Spectrum:
         return _frozen_array(self.repeated())
 
     @cached_property
-    def _block_order(self) -> np.ndarray:
-        """The stable argsort of ``repeated()``: the block positions listed by
-        ascending value, in block order within each value."""
-        return np.argsort(self._diagonal, kind="stable")
+    def _max_abs(self) -> float:
+        """max|a_i|."""
+        return max(map(abs, self.values))
+
+    @cached_property
+    def _frame_columns(self) -> np.ndarray:
+        """For each block position, the column of eigh's ascending-order
+        eigenvectors that belongs there: the inverse of the stable argsort of
+        ``repeated()``, which lists the block positions by ascending value,
+        in block order within each value."""
+        return np.argsort(np.argsort(self._diagonal, kind="stable"))
 
 
 def default_traceless_spectrum(sig: FlagSignature) -> Spectrum:
@@ -268,10 +309,12 @@ def random_flag_point(sig: FlagSignature, seed: int = 0) -> FlagPoint:
 
 def _check_symmetric(a: np.ndarray) -> None:
     """Raise ``NotSymmetric`` unless the finite array a is a square matrix
-    within SYM_TOL of its transpose in the Frobenius norm."""
+    within SYM_TOL of its transpose in the Frobenius norm.  Finite entries
+    whose difference overflows give an ``inf`` defect, without a warning."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
-    defect = np.linalg.norm(a - a.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.linalg.norm(a - a.T)
     if not defect <= SYM_TOL:
         raise NotSymmetric(f"asymmetry {defect:.3e} exceeds {SYM_TOL:.3e}")
 
@@ -286,9 +329,7 @@ class SymmetricMatrix:
         a = np.array(self.entries, dtype=float, copy=True)
         if not np.all(np.isfinite(a)):
             raise NotSymmetric("entries must be finite")
-        # guarded here, not in _check_symmetric, which every descent iteration runs
-        with np.errstate(over="ignore", invalid="ignore"):
-            _check_symmetric(a)
+        _check_symmetric(a)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 

@@ -100,7 +100,7 @@ def _doubled_entry(v) -> int:
     """2v for one weight entry v: a number, or a string like ``1/2``."""
     try:
         f = 2 * Fraction(v)
-    except (ValueError, ZeroDivisionError, OverflowError) as e:  # an unparsable string, x/0, NaN, inf
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError) as e:  # an unparsable string, x/0, NaN, inf, None
         raise ValidationError(f"bad weight entry {v!r}: {e}") from None
     if f.denominator != 1:
         raise MixedParity(f"entry {v!r} is not an integer or half-integer")

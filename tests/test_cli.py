@@ -224,6 +224,49 @@ class TestBadToleranceFlags:
         assert err.splitlines() == [f"ValidationError: grad_tol must be finite and >= 0, got {float(value)}"]
 
 
+class TestOptimizeBudgetFlags:
+    """A NaN, infinite or negative ``--step`` and a negative ``--max-iters``
+    are input errors naming the parameter; a zero of either returns the
+    initial point."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_step(self, capsys, tmp_path, value):
+        path, _, _ = write_model(tmp_path, 4, [2], (0.5, -0.5))
+        code, out, err = run(capsys, "optimize", "--target-file", str(path), "--ks", "2", "--step", value)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"ValidationError: step must be finite and >= 0, got {float(value)}"]
+
+    def test_negative_max_iters(self, capsys, tmp_path):
+        path, _, _ = write_model(tmp_path, 4, [2], (0.5, -0.5))
+        code, out, err = run(capsys, "optimize", "--target-file", str(path), "--ks", "2", "--max-iters", "-1")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["ValidationError: max_iters must be >= 0, got -1"]
+
+    @pytest.mark.parametrize("flag, iterations", [("--step", 500), ("--max-iters", 0)])
+    def test_zero_returns_init(self, capsys, tmp_path, flag, iterations):
+        path, _, _ = write_model(tmp_path, 4, [2], (0.5, -0.5))
+        code, out, _ = run(capsys, "optimize", "--target-file", str(path), "--ks", "2",
+                           "--spectrum", "0.5,-0.5", flag, "0", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["iterations"], payload["converged"]) == (iterations, False)
+        code, out, _ = run(capsys, "embed", "--n", "4", "--ks", "2", "--spectrum", "0.5,-0.5", "--format", "json")
+        assert code == 0
+        assert payload["matrix"] == json.loads(out)["matrix"]
+
+
+def test_spectrum_too_large_to_model_is_an_input_error(capsys):
+    """n * max|a_i| above 2^1020 is refused before q diag(a) q' overflows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "embed", "--n", "2", "--ks", "1", "--spectrum", "1e308,-1e308")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "SpectrumInvalid: spectrum too large: n * max|a_i| must be at most 1.124e+307, "
+        "got n=2 and max|a_i| = 1.000e+308"
+    ]
+
+
 @pytest.mark.parametrize("command", ["embed", "optimize"])
 def test_negative_seed_is_an_input_error(capsys, tmp_path, command):
     path, _, _ = write_model(tmp_path, 3, [1], (1.0, -0.5))

@@ -13,6 +13,7 @@ from isoflag import (
     TangentBlock,
     act,
     default_traceless_spectrum,
+    embed,
     flags_equal,
     identity_flag,
     make_signature,
@@ -31,6 +32,7 @@ from isoflag.errors import (
     SpectrumInvalid,
     ValidationError,
 )
+from isoflag.flagcore import SPECTRUM_MAX
 
 from _helpers import random_block_stabilizer, random_signature
 
@@ -101,6 +103,22 @@ class TestSpectrum:
         sig = make_signature(3, [1])
         with pytest.raises(SpectrumInvalid):
             Spectrum((1.0, 0.0, -1.0), sig)
+
+    def test_magnitude_limit(self):
+        """n * max|a_i| may reach SPECTRUM_MAX = 2^1020 and no further; at
+        the limit the model of a frame forms and passes its check with no
+        warning."""
+        sig = make_signature(4, [1, 2])
+        top = SPECTRUM_MAX / 4
+        with pytest.raises(SpectrumInvalid, match=r"^spectrum too large: n \* max\|a_i\| must be at most "):
+            Spectrum((np.nextafter(top, np.inf), 0.0, -1.0), sig)
+        with pytest.raises(SpectrumInvalid, match="spectrum too large"):
+            Spectrum((1.0, 0.0, -np.nextafter(top, np.inf)), sig)
+        spec = Spectrum((top, top / 2, -top), sig)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = embed(identity_flag(sig), spec).x.entries
+        assert np.array_equal(np.diag(x), [top, top / 2, -top, -top])
 
     def test_gap_tolerance_is_overridable(self):
         # the boundary is SPECTRUM_GAP_TOL = 1e-8

@@ -32,6 +32,7 @@ from isoflag import (
 from isoflag.errors import (
     DegenerateBoundaryGap,
     EigenSolverFailed,
+    NotAnInteger,
     NotSymmetric,
     NumericalError,
     SignatureMismatch,
@@ -246,7 +247,9 @@ def reference_frame(x, spec):
 
 
 def reference_projection(g, base):
-    q = reference_frame(base.x, base.spectrum)
+    # in C order, as the library builds its frame: at n = 35 BLAS rounds
+    # q' g q differently for the F-order frame that concatenate returns
+    q = np.ascontiguousarray(reference_frame(base.x, base.spectrum))
     m = q.T @ g.entries @ q
     for s in base.signature.block_slices():
         m[s, s] = 0.0
@@ -274,6 +277,17 @@ class TestProjectionBlockOrder:
             base = embed(random_flag_point(sig, int(rng.integers(1_000_000))), spec)
             g = SymmetricMatrix(random_symmetric(sig.n, rng))
             assert np.array_equal(recover(base.x, spec).q, reference_frame(base.x, spec))
+            assert np.array_equal(project_to_tangent(g, base).v.entries, reference_projection(g, base))
+
+    def test_bit_identical_above_the_flat_zeroing_size(self):
+        """Above n = 32 the diagonal blocks are zeroed by slices, not by
+        flat indices; the projection is the reference's there too."""
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            sig = random_signature(rng, n_min=30, n_max=40)
+            spec = default_traceless_spectrum(sig)
+            base = embed(random_flag_point(sig, int(rng.integers(1_000_000))), spec)
+            g = SymmetricMatrix(random_symmetric(sig.n, rng))
             assert np.array_equal(project_to_tangent(g, base).v.entries, reference_projection(g, base))
 
 
@@ -446,6 +460,26 @@ class TestGradientDescent:
         assert not res.converged
         assert len(res.grad_norms) == 11
 
+    @pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+    def test_rejects_bad_step(self, step):
+        spec, target, init = descent_case(5, 2, 4)
+        with pytest.raises(ValidationError, match=f"^step must be finite and >= 0, got {step}$"):
+            gradient_descent(lambda x: x - target, spec, init, step=step)
+
+    @pytest.mark.parametrize("max_iters, error, message", [
+        (-1, ValidationError, "max_iters must be >= 0, got -1"),
+        (2.5, NotAnInteger, "max_iters must be an integer, got float"),
+        ("10", NotAnInteger, "max_iters must be an integer, got str"),
+    ])
+    def test_rejects_bad_max_iters(self, max_iters, error, message):
+        spec, target, init = descent_case(5, 2, 4)
+        with pytest.raises(error, match=f"^{message}$"):
+            gradient_descent(lambda x: x - target, spec, init, max_iters=max_iters)
+
+    def test_numpy_integer_max_iters(self):
+        spec, target, init = descent_case(5, 2, 4)
+        assert gradient_descent(lambda x: x - target, spec, init, max_iters=np.int64(3)).iterations == 3
+
 
 def reference_descent(objective_grad, spec, init, step=None, max_iters=500, grad_tol=1e-6):
     """The descent loop as it ran on the public wrappers: every gradient and
@@ -520,6 +554,9 @@ class TestDescentMatchesWrapperLoop:
 
 class TestDescentCallCounts:
     def test_two_eigen_solves_and_no_wrappers_per_iteration(self, monkeypatch):
+        """Between two gradient calls an iteration makes its two eigen-solves
+        and no call of ``np.linalg.norm``, ``np.isfinite`` or ``np.errstate``,
+        and builds no wrapper."""
         events = []
         geometry_module = sys.modules["isoflag.geometry"]
         embed_module = sys.modules["isoflag.embed"]
@@ -544,6 +581,12 @@ class TestDescentCallCounts:
             return prechecked(cls, **fields)
 
         monkeypatch.setattr(embed_module, "_prechecked", counted_prechecked)
+        for owner, name in ((np.linalg, "norm"), (np, "isfinite"), (np, "errstate")):
+            def counted(*args, _name=name, _call=getattr(owner, name), **kwargs):
+                events.append(_name)
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
         spec, target, init = descent_case(8, 2, 2)
 
         def grad(x):
@@ -554,13 +597,13 @@ class TestDescentCallCounts:
         assert res.converged and res.iterations > 50
         first = events.index("grad")
         last = len(events) - 1 - events[::-1].index("grad")
-        between = events[first:last + 1]
-        assert [e for e in between if e.startswith("new")] == []
-        per_iteration = "".join("|" if e == "grad" else "e" for e in between).split("|")[1:-1]
-        assert per_iteration == ["ee"] * res.iterations
+        per_iteration = [part.split() for part in " ".join(events[first:last + 1]).split("grad")[1:-1]]
+        assert per_iteration == [["eigh", "eigh"]] * res.iterations
         # after the last gradient: its projection, then the returned point,
-        # built once and not checked again
-        assert events[last + 1:] == ["eigh", "new SymmetricMatrix", "new EmbeddedFlag"]
+        # whose SymmetricMatrix runs its own checks once
+        assert events[last + 1:] == [
+            "eigh", "new SymmetricMatrix", "isfinite", "errstate", "norm", "new EmbeddedFlag"
+        ]
 
 
 class TestDescentGradientContract:
@@ -576,10 +619,20 @@ class TestDescentGradientContract:
             (lambda x: np.ones((4, 3)), NotSymmetric, r"expected a square matrix, got shape \(4, 3\)"),
             (lambda x: np.ones(4), NotSymmetric, r"expected a square matrix, got shape \(4,\)"),
             (lambda x: np.eye(5), SignatureMismatch, "matrix is 5x5, signature has n=4"),
+            (lambda x: x + np.diag([np.inf, 0.0, 0.0, 0.0]), StepNotFinite,
+             "objective gradient returned non-finite entries"),
+            (lambda x: x + np.array([[0, 1e308, 0, 0], [-1e308, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+             NotSymmetric, r"asymmetry inf exceeds 1\.000e-10"),
         ],
-        ids=["nan", "nan-non-square", "asymmetric", "non-square", "vector", "wrong-n"],
+        ids=["nan", "nan-non-square", "asymmetric", "non-square", "vector", "wrong-n", "inf-diagonal",
+             "overflowing-asymmetry"],
     )
     def test_errors(self, make, error, message):
+        """Each bad gradient raises its error and no RuntimeWarning (which the
+        test configuration turns into an error): a symmetric gradient with
+        one infinite diagonal entry, or a finite one whose g - g' overflows,
+        fails the fast check without computing g - g' and then fails the
+        ordered checks."""
         sig = make_signature(4, [2])
         spec = default_traceless_spectrum(sig)
         init = embed(random_flag_point(sig, 3), spec)
@@ -596,6 +649,17 @@ class TestDescentGradientContract:
             calls.clear()
             reference_descent(grad, spec, init)
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("make, max_iters", [
+        (lambda x, t: x - t + np.triu(np.full_like(x, 1e-11), 1), 20),  # asymmetry 4.5e-11 <= SYM_TOL
+        (lambda x, t: 1e155 * x, 0),  # its squared norm overflows: the ordered checks accept it
+    ], ids=["asymmetric-within-tolerance", "huge"])
+    def test_accepted_gradients_match_the_wrapper_loop(self, make, max_iters):
+        spec, target, init = descent_case(5, 2, 3)
+        got = gradient_descent(lambda x: make(x, target), spec, init, max_iters=max_iters)
+        x, norms, iterations, _ = reference_descent(lambda x: make(x, target), spec, init, max_iters=max_iters)
+        assert np.array_equal(got.point.x.entries, x.x.entries)
+        assert got.grad_norms == norms and got.iterations == iterations == max_iters
 
     def test_gradient_sees_read_only_iterates(self):
         spec, target, init = descent_case(5, 2, 3)

@@ -176,7 +176,7 @@ class TestParseWeight:
 
 # Entries Fraction() refuses: a bad string (ValueError), x/0 (ZeroDivisionError),
 # NaN (ValueError) and inf (OverflowError).
-NOT_FRACTIONS = ["abc", "1/0", float("nan"), float("inf")]
+NOT_FRACTIONS = ["abc", "1/0", float("nan"), float("inf"), None, [1]]
 
 
 class TestEntriesThatAreNotNumbers:
