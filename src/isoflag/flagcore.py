@@ -119,15 +119,6 @@ class FlagSignature:
         cuts = (0,) + self.ks + (self.n,)
         return tuple(slice(a, b) for a, b in zip(cuts, cuts[1:]))
 
-    @cached_property
-    def _diagonal_block_entries(self) -> np.ndarray:
-        """The flat indices of the diagonal blocks' entries in an n x n
-        C-order matrix."""
-        mask = np.zeros((self.n, self.n), dtype=bool)
-        for s in self._block_slices:
-            mask[s, s] = True
-        return np.flatnonzero(mask)
-
 
 def make_signature(n: int, ks: Iterable[int]) -> FlagSignature:
     """Validate and build a flag signature; ``ks`` of length 1 is a Grassmannian."""
@@ -216,8 +207,13 @@ class Spectrum:
         """For each block position, the column of eigh's ascending-order
         eigenvectors that belongs there: the inverse of the stable argsort of
         ``repeated()``, which lists the block positions by ascending value,
-        in block order within each value."""
-        return np.argsort(np.argsort(self._diagonal, kind="stable"))
+        in block order within each value.  The inverse is a scatter, not a
+        second argsort: sorting the integer order faults in about 320 KB of
+        numpy's sort code that nothing else in a descent runs."""
+        order = np.argsort(self._diagonal, kind="stable")
+        inv = np.empty_like(order)
+        inv[order] = np.arange(order.size)
+        return inv
 
 
 def default_traceless_spectrum(sig: FlagSignature) -> Spectrum:

@@ -106,25 +106,13 @@ def isometry_defect(b: TangentBlock, spec: Spectrum) -> float:
     return abs(lhs - rhs)
 
 
-# Up to this n, ``_tangent_step`` zeroes the diagonal blocks with one
-# assignment through their flat indices: about 0.5 us at n = 4..12, against
-# 0.5-0.7 us for each block's slice.  Above it the slices are faster (at
-# n = 160, 7-11 us against 17-35 us) and keep no O(n^2) index array on each
-# signature.
-_FLAT_ZEROING_MAX_N = 32
-
-
 def _tangent_step(g: np.ndarray, x: np.ndarray, spec: Spectrum) -> np.ndarray:
     """``project_to_tangent`` on arrays: g projected onto the tangent space
     at the model point x, in the eigenframe of x."""
     q = _block_frame(_eigh(x)[1], spec)
     m = q.T @ g @ q
-    sig = spec.signature
-    if sig.n <= _FLAT_ZEROING_MAX_N:
-        m.ravel()[sig._diagonal_block_entries] = 0.0  # a view: the product is C-contiguous
-    else:
-        for s in sig.block_slices():
-            m[s, s] = 0.0
+    for s in spec.signature.block_slices():
+        m[s, s] = 0.0
     v = q @ m @ q.T
     return (v + v.T) / 2.0
 
