@@ -10,12 +10,15 @@ comparison between them, depends only on (n, m, |G|), so a sweep over
 all signatures evaluates one ``bound_table`` per (n, m) group.
 
 The signatures in R^n are the chains 0 < k_1 < ... < k_p < n, and one
-walk enumerates them (``_walk_chains``): level p is built from level p-1
-by appending every k after each shorter chain's last entry.  Taking the
-shorter chains in lexicographic order gives the chains of each length in
+walk enumerates them a level at a time (``_walk_chains``): level p, the
+chains of length p, is built from level p-1 by appending every k after
+each shorter chain's last entry.  Taking the shorter chains in
+lexicographic order gives the chains of each length in
 ``itertools.combinations`` order.  A chain carries its dim Flag and its
 ks text along, each its prefix's value plus one term, (k - k_{p-1})(n - k)
 and a separator and str(k), so a row of a sweep costs O(1) in its length.
+``bounds sweep`` renders and writes each level as one chunk, so its memory
+holds one level of chains and its text, never the whole sweep.
 """
 
 from __future__ import annotations
@@ -123,21 +126,25 @@ def bound_table(sig: FlagSignature, group_order: int | None = None) -> BoundRepo
     )
 
 
-def _walk_chains(n: int, sep: str) -> Iterator[tuple[tuple[int, ...], int, str]]:
-    """(ks, flag dimension, sep.join(map(str, ks))) for every chain
-    0 < k_1 < ... < k_p < n, by p and then in ``combinations`` order.
+def _walk_chains(n: int, sep: str) -> Iterator[list[tuple[tuple[int, ...], int, str]]]:
+    """The chains 0 < k_1 < ... < k_p < n a level at a time: for p = 1, 2, ...,
+    the list of (ks, flag dimension, sep.join(map(str, ks))) for every chain
+    of length p, in ``combinations`` order.
 
     Each chain extends its prefix, whose dimension gains (k - last)(n - k)
     and whose text gains sep + str(k); the one-entry chains extend the
-    empty chain, with dimension 0 and last entry 0."""
+    empty chain, with dimension 0 and last entry 0.  Those three terms
+    depend only on (last, k), so they are tabulated once per walk."""
     tails = [sep + str(k) for k in range(n)]
+    extend = [[((k,), (k - last) * (n - k), tails[k]) for k in range(last + 1, n)]
+              for last in range(n)]
     level = [((k,), k * (n - k), str(k)) for k in range(1, n)]
     while level:
-        yield from level
+        yield level
         level = [
-            (ks + (k,), m + (k - ks[-1]) * (n - k), text + tails[k])
+            (ks + k, m + dm, text + tail)
             for ks, m, text in level
-            for k in range(ks[-1] + 1, n)
+            for k, dm, tail in extend[ks[-1]]
         ]
 
 
@@ -150,5 +157,6 @@ def all_signatures(n: int) -> Iterator[FlagSignature]:
     inside (0, n), which is what ``FlagSignature``'s validator checks, so
     the signatures are built without it."""
     n = _index(n, "n")
-    for ks, _, _ in _walk_chains(n, ","):
-        yield _prechecked(FlagSignature, n=n, ks=ks)
+    for level in _walk_chains(n, ","):
+        for ks, _, _ in level:
+            yield _prechecked(FlagSignature, n=n, ks=ks)

@@ -53,12 +53,26 @@ class Output:
     """A command's result, with one formatting function per output format.
 
     ``main`` calls only the function for the requested format, so a command
-    never formats output that is not printed."""
+    never formats output that is not printed.  A command whose output is
+    too large to hold, ``bounds sweep``, returns a ``Stream`` instead: it
+    writes its rows one level of chains at a time, so memory holds one
+    level, not the output."""
 
     json: Callable[[], dict]
     csv: Callable[[], Iterable[Sequence]]
     text: Callable[[], Iterable[str]]
     code: int = 0
+
+
+@dataclass(frozen=True)
+class Stream:
+    """A result written while it is computed: ``write(fmt, head)`` writes a
+    header (for JSON, the members of ``head`` open the document), then the
+    rows a chunk at a time, then a footer, and returns the exit code, which
+    is known only after the rows.  Nothing is written before the first
+    chunk is rendered, so an input refused there leaves stdout empty."""
+
+    write: Callable[[str, dict], int]
 
 
 def _fmt(x) -> str:
@@ -80,33 +94,6 @@ def _ks_text(sig, fmt: str = "text") -> str:
 
 def _print(line: str = "") -> None:
     sys.stdout.write(line + "\n")
-
-
-@dataclass(frozen=True)
-class _GroupedRows:
-    """A nonempty JSON array of objects, one per (n, ks text, group) row in
-    ``rows``: n and the ks array, whose entries the text already joins with
-    ``_KS_SEP["json"]``, then the members of ``tails[group]``, which
-    ``_emit_json`` encodes once for all the rows of its group."""
-
-    rows: list
-    tails: list[dict]
-
-
-def _emit_json(payload: dict) -> None:
-    grouped = {k: v for k, v in payload.items() if isinstance(v, _GroupedRows)}
-    text = json.dumps({k: [] if k in grouped else v for k, v in payload.items()}, indent=2)
-    for key, value in grouped.items():
-        # A row's members are 6 spaces deep, so an encoded tail loses its braces
-        # and gains 4; n and the ks entries are ints, whose JSON text is their str().
-        tails = [json.dumps(t, indent=2)[1:-2].replace("\n", "\n    ") for t in value.tails]
-        rows = ",\n".join(
-            f'    {{\n      "n": {n},\n      "ks": [\n        {ks}\n      ],{tails[g]}\n    }}'
-            for n, ks, g in value.rows
-        )
-        # only a top-level member starts a line with two spaces and a quote
-        text = text.replace(f'\n  "{key}": []', f'\n  "{key}": [\n{rows}\n  ]')
-    _print(text)
 
 
 def _emit_csv(rows) -> None:
@@ -400,14 +387,10 @@ _BOUND_CSV_HEADER = [
 ]
 
 
-def _bound_csv(rows, groups: list[bounds_mod.BoundReport]) -> list:
-    """The CSV of (n, ks text, group index) rows, each group's columns built once."""
-    tails = [
-        [r.flag_dim, r.isospectral, r.gunther, r.whitney, "" if r.wang is None else r.wang,
-         r.comparisons["isospectral_lt_gunther"], r.comparisons["whitney_condition"]]
-        for r in groups
-    ]
-    return [_BOUND_CSV_HEADER, *([n, ks, *tails[g]] for n, ks, g in rows)]
+def _bound_csv_columns(r: bounds_mod.BoundReport) -> list:
+    """A bound row's CSV fields after ``n`` and ``ks``."""
+    return [r.flag_dim, r.isospectral, r.gunther, r.whitney, "" if r.wang is None else r.wang,
+            r.comparisons["isospectral_lt_gunther"], r.comparisons["whitney_condition"]]
 
 
 def cmd_bounds(args) -> Output:
@@ -432,45 +415,70 @@ def cmd_bounds(args) -> Output:
 
     return Output(
         json=lambda: {"n": sig.n, "ks": list(sig.ks), **_bound_columns(r)},
-        csv=lambda: _bound_csv([(sig.n, _ks_text(sig, "csv"), 0)], [r]),
+        csv=lambda: [_BOUND_CSV_HEADER, [sig.n, _ks_text(sig, "csv"), *_bound_csv_columns(r)]],
         text=text,
     )
 
 
-def cmd_bounds_sweep(args) -> Output:
+def _sweep_tail(r: bounds_mod.BoundReport, fmt: str) -> str:
+    """The text of a sweep row after its ks, the same for every row of r's
+    (n, flag_dim) group: the text fields, the CSV fields, or the JSON
+    members, whose lines a row object holds 6 spaces deep."""
+    if fmt == "text":
+        return (f" flag_dim={r.flag_dim} isospectral={r.isospectral} gunther={r.gunther} "
+                f"whitney={r.whitney}")
+    if fmt == "csv":
+        return "," + ",".join(map(str, _bound_csv_columns(r)))  # no field needs quoting
+    members = json.dumps(_bound_columns(r), indent=2)[1:-2].replace("\n", "\n    ")
+    return f"\n      ],{members}\n    }}"
+
+
+def _write_sweep(max_n: int, group_order: int | None, fmt: str, head: dict) -> int:
+    """Write ``bounds sweep`` one level of ``_walk_chains`` at a time and
+    return its exit code: 1 if any signature fails the Gunther comparison.
+
+    Each (n, flag_dim) group gets one ``bound_table`` and one rendered tail;
+    a level's rows are one join of row head, ks text and tail, written at
+    once.  The header goes out with the first level, after the first
+    ``bound_table`` has checked the group order."""
+    write = sys.stdout.write
+    # rows are separated, not terminated, so that JSON needs no trailing comma
+    sep = ",\n" if fmt == "json" else "\n"
+    lead = {
+        "text": "",
+        "csv": ",".join(_BOUND_CSV_HEADER) + "\n",
+        # an indent=2 document ends with "\n}": the rows array is its last member but one
+        "json": json.dumps({**head, "max_n": max_n}, indent=2)[:-2] + ',\n  "rows": [\n',
+    }[fmt]
+    rows = failures = 0
+    for n in range(2, max_n + 1):
+        row_head = {"text": f"n={n} ks=", "csv": f"{n},",
+                    "json": f'    {{\n      "n": {n},\n      "ks": [\n        '}[fmt]
+        tails, failing = {}, set()  # by flag_dim; every other column follows from (n, flag_dim)
+        for level in bounds_mod._walk_chains(n, _KS_SEP[fmt]):
+            for m, ks in {m: ks for ks, m, _ in level if m not in tails}.items():
+                sig = _prechecked(FlagSignature, n=n, ks=ks)  # a walked chain is valid
+                r = bounds_mod.bound_table(sig, group_order)
+                tails[m] = _sweep_tail(r, fmt)
+                if not r.comparisons["isospectral_lt_gunther"]:
+                    failing.add(m)
+            write(lead + sep.join([row_head + text + tails[m] for _, m, text in level]))
+            lead = sep
+            rows += len(level)
+            if failing:
+                failures += sum(m in failing for _, m, _ in level)
+    write({
+        "text": f"\nrows: {rows}  gunther_failures: {failures}\n",
+        "csv": "\n",
+        "json": f'\n  ],\n  "gunther_failures": {failures}\n}}\n',
+    }[fmt])
+    return 0 if failures == 0 else 1
+
+
+def cmd_bounds_sweep(args) -> Stream:
     if args.max_n < 2:
         raise ValidationError(f"--max-n must be at least 2, got {args.max_n}")
-    groups = []  # one report per (n, flag_dim): every other column follows from those
-    rows = []  # (n, ks text in the output's format, index of its group), in all_signatures order
-    failures = 0
-    for n in range(2, args.max_n + 1):
-        index = {}
-        for ks, m, ks_text in bounds_mod._walk_chains(n, _KS_SEP[args.format]):
-            g = index.get(m)
-            if g is None:
-                g = index[m] = len(groups)
-                sig = _prechecked(FlagSignature, n=n, ks=ks)  # a walked chain is valid
-                groups.append(bounds_mod.bound_table(sig, args.group_order))
-            failures += not groups[g].comparisons["isospectral_lt_gunther"]
-            rows.append((n, ks_text, g))
-
-    def text():
-        tails = [f" flag_dim={r.flag_dim} isospectral={r.isospectral} gunther={r.gunther} "
-                 f"whitney={r.whitney}" for r in groups]
-        for n, ks, g in rows:
-            yield f"n={n} ks={ks}{tails[g]}"
-        yield f"rows: {len(rows)}  gunther_failures: {failures}"
-
-    return Output(
-        json=lambda: {
-            "max_n": args.max_n,
-            "rows": _GroupedRows(rows, [_bound_columns(r) for r in groups]),
-            "gunther_failures": failures,
-        },
-        csv=lambda: _bound_csv(rows, groups),
-        text=text,
-        code=0 if failures == 0 else 1,
-    )
+    return Stream(lambda fmt, head: _write_sweep(args.max_n, args.group_order, fmt, head))
 
 
 @functools.cache
@@ -567,11 +575,14 @@ def main(argv=None) -> int:
         sub = getattr(args, "repdim_command", None) or getattr(args, "bounds_command", None)
         command = f"{args.command} {sub}" if sub else args.command
         out = globals()["cmd_" + command.replace(" ", "_")](args)
+        head = {"schema_version": SCHEMA_VERSION, "command": command}
         limit = sys.get_int_max_str_digits()  # lifted only while the output is printed,
         sys.set_int_max_str_digits(0)  # so that exact integers print in full
         try:
+            if isinstance(out, Stream):
+                return out.write(args.format, head)
             if args.format == "json":
-                _emit_json({"schema_version": SCHEMA_VERSION, "command": command, **out.json()})
+                _print(json.dumps({**head, **out.json()}, indent=2))
             elif args.format == "csv":
                 _emit_csv(out.csv())
             else:

@@ -62,14 +62,38 @@ from .flagcore import (
 )
 
 
+def _max_gap_squared(spec: Spectrum) -> float:
+    """max_{i,j} (a_i - a_j)^2, the largest weight of the metric, or
+    ``SpectrumInvalid`` where it overflows (a spread above about 1.3e154)."""
+    try:
+        return spec.max_gap**2
+    except OverflowError:
+        raise SpectrumInvalid(
+            f"spectrum spread {spec.max_gap:.3e} is too large: its square overflows"
+        ) from None
+
+
+def _finite_sum(terms: Callable[[], np.ndarray], what: str) -> float:
+    """float(np.sum(terms())), or ``NumericalError`` where a term or the sum
+    overflows: a finite spectrum and finite blocks can still make a product
+    or a sum past the largest double, which numpy would only warn about."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(terms()))
+    if not math.isfinite(total):
+        raise NumericalError(f"{what} overflows")
+    return total
+
+
 def metric_inner(b: TangentBlock, c: TangentBlock, spec: Spectrum) -> float:
     """<B, C> = 2 sum_{i<j} (a_i - a_j)^2 tr(B_ij' C_ij), the invariant metric of
     the spectrum, summed over all entries with d the repeated spectrum; each
     weight (a_i - a_j)^2 is positive since the values are distinct."""
     _check_same_signature(b.signature, c.signature)
     _check_same_signature(b.signature, spec.signature)
+    _max_gap_squared(spec)  # every weight is finite
     d = spec._diagonal
-    return float(np.sum((d[:, None] - d[None, :]) ** 2 * b.matrix * c.matrix))
+    w = (d[:, None] - d[None, :]) ** 2
+    return _finite_sum(lambda: w * b.matrix * c.matrix, "metric sum <B, C>")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,10 +123,8 @@ def push_tangent(b: TangentBlock, f: FlagPoint, spec: Spectrum) -> EmbeddedTange
 def isometry_defect(b: TangentBlock, spec: Spectrum) -> float:
     """| ||[B, M]||_F^2 - <B, B> |; identically zero up to roundoff, which
     is what makes the model an isometric realization."""
-    _check_same_signature(b.signature, spec.signature)
-    bracket = _bracket_with_model(b, spec)
-    lhs = float(np.sum(bracket * bracket))
     rhs = metric_inner(b, b, spec)
+    lhs = _finite_sum(lambda: np.square(_bracket_with_model(b, spec)), "||[B, M]||_F^2")
     return abs(lhs - rhs)
 
 
@@ -205,7 +227,7 @@ def retract(base: EmbeddedFlag, v: EmbeddedTangent, step: float) -> EmbeddedFlag
 
 def default_step(spec: Spectrum) -> float:
     """0.1 / max_{i,j} (a_i - a_j)^2: invariant under rescaling the spectrum."""
-    return 0.1 / spec.max_gap**2
+    return 0.1 / _max_gap_squared(spec)
 
 
 @dataclass(frozen=True)

@@ -241,13 +241,15 @@ class TestSignatureEnumeration:
 
 
 class TestChainWalk:
-    """The walk against a fresh computation of each chain: ``combinations``
-    order, ``flag_dimension`` and ``str.join``."""
+    """The walk against a fresh computation of each chain: one level per
+    chain length, ``combinations`` order, ``flag_dimension`` and ``str.join``."""
 
     @pytest.mark.parametrize("sep", [",", " ", ",\n        "])
     def test_matches_the_reference_for_every_chain(self, sep):
         for n in range(15):
-            walked = list(_walk_chains(n, sep))
+            levels = list(_walk_chains(n, sep))
+            assert [{len(ks) for ks, _, _ in level} for level in levels] == [{p} for p in range(1, n)]
+            walked = list(itertools.chain.from_iterable(levels))
             chains = [ks for p in range(1, n) for ks in itertools.combinations(range(1, n), p)]
             assert [ks for ks, _, _ in walked] == chains
             for ks, m, text in walked:

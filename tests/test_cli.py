@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -532,6 +533,37 @@ class TestBoundsSweep:
         assert code == 1 and json.loads(out)["gunther_failures"] == size
         code, out, _ = run(capsys, *sweep_argv(6, None, "text"))
         assert code == 1 and out.splitlines()[-1].endswith(f"gunther_failures: {size}")
+        code, out, _ = run(capsys, *sweep_argv(6, None, "csv"))
+        rows = list(csv.reader(io.StringIO(out)))
+        gcol = rows[0].index("isospectral_lt_gunther")
+        assert code == 1 and [r[gcol] for r in rows[1:]].count("False") == size
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("group_order", ["0", "-1"])
+    def test_bad_group_order_writes_nothing(self, capsys, fmt, group_order):
+        code, out, err = run(capsys, *sweep_argv(3, group_order, fmt))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"ValidationError: need d, group_order >= 1, got 2, {group_order}"]
+
+    def test_memory_holds_a_level_not_the_output(self, monkeypatch):
+        class Sink:
+            """A stdout that counts the bytes written and keeps none."""
+
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(sweep_argv(15, None, "json"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sink.size > 10_000_000
+        assert peak < sink.size
 
     def test_one_bound_table_per_group(self, capsys, monkeypatch):
         calls = []

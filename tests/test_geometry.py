@@ -1,5 +1,6 @@
 import itertools
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -689,3 +690,41 @@ class TestOverflowedStep:
             with pytest.warns(RuntimeWarning, match="overflow"):
                 with pytest.raises(NotSymmetric, match="^entries must be finite$"):
                     descent(lambda x: 1e3 * (x - target), spec, init, step=1e308)
+
+
+class TestOverflowingSpectrum:
+    """A finite spectrum spread past about 1.3e154, or finite blocks whose
+    weighted products pass the largest double, give an isoflag error and
+    no warning: ``SpectrumInvalid`` where the squared spread overflows,
+    ``NumericalError`` where a metric sum does."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_squared_spread_overflows(self):
+        spec = Spectrum((1e200, -1e200), make_signature(3, [1]))
+        b = random_tangent_block(spec.signature, 0)
+        for call in (lambda: default_step(spec), lambda: metric_inner(b, b, spec),
+                     lambda: isometry_defect(b, spec)):
+            with pytest.raises(SpectrumInvalid, match="square overflows"):
+                call()
+
+    def test_metric_sum_overflows(self):
+        spec = Spectrum((1e100, -1e100), make_signature(3, [1]))
+        big = np.zeros((3, 3))
+        big[0, 1:] = 1e150
+        b = TangentBlock(spec.signature, big - big.T)
+        assert default_step(spec) == 0.1 / (2e100) ** 2
+        for call in (lambda: metric_inner(b, b, spec), lambda: isometry_defect(b, spec)):
+            with pytest.raises(NumericalError, match="overflows"):
+                call()
+
+    def test_largest_squarable_spread(self):
+        half = np.nextafter(np.sqrt(np.finfo(float).max), 0.0) / 2.0
+        spec = Spectrum((half, -half), make_signature(2, [1]))
+        b = TangentBlock.from_block_map(spec.signature, {(0, 1): np.array([[1e-100]])})
+        assert default_step(spec) == 0.1 / spec.max_gap**2
+        assert np.isfinite(metric_inner(b, b, spec)) and np.isfinite(isometry_defect(b, spec))
