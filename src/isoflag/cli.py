@@ -369,7 +369,7 @@ def cmd_repdim_verify(args) -> Output:
 
 def _bound_columns(r: bounds_mod.BoundReport) -> dict:
     """A bound row's members after ``n`` and ``ks``: they depend only on
-    (n, flag_dim, group order), so a sweep builds them once per group."""
+    (n, flag_dim, group order)."""
     return {
         "flag_dim": r.flag_dim,
         "isospectral": r.isospectral,
@@ -420,6 +420,11 @@ def cmd_bounds(args) -> Output:
     )
 
 
+# The JSON text of a string.  A sweep writes the same few labels and
+# comparison names in every group, so each is encoded once per process.
+_json_str = functools.cache(json.dumps)
+
+
 def _sweep_tail(r: bounds_mod.BoundReport, fmt: str) -> str:
     """The text of a sweep row after its ks, the same for every row of r's
     (n, flag_dim) group: the text fields, the CSV fields, or the JSON
@@ -429,8 +434,15 @@ def _sweep_tail(r: bounds_mod.BoundReport, fmt: str) -> str:
                 f"whitney={r.whitney}")
     if fmt == "csv":
         return "," + ",".join(map(str, _bound_csv_columns(r)))  # no field needs quoting
-    members = json.dumps(_bound_columns(r), indent=2)[1:-2].replace("\n", "\n    ")
-    return f"\n      ],{members}\n    }}"
+    # the layout of json.dumps(_bound_columns(r), indent=2), written out:
+    # with indent, json runs its pure-Python encoder
+    comparisons = ",".join([f"\n        {_json_str(k)}: {'true' if v else 'false'}"
+                            for k, v in r.comparisons.items()])
+    wang = "null" if r.wang is None else r.wang
+    return (f'\n      ],\n      "flag_dim": {r.flag_dim},\n      "isospectral": {r.isospectral},'
+            f'\n      "gunther": {r.gunther},\n      "whitney": {r.whitney},\n      "wang": {wang},'
+            f'\n      "isospectral_label": {_json_str(r.isospectral_label)},'
+            f'\n      "comparisons": {{{comparisons}\n      }}\n    }}')
 
 
 def _write_sweep(max_n: int, group_order: int | None, fmt: str, head: dict) -> int:

@@ -113,11 +113,18 @@ def _bracket_with_model(b: TangentBlock, spec: Spectrum) -> np.ndarray:
 
 def push_tangent(b: TangentBlock, f: FlagPoint, spec: Spectrum) -> EmbeddedTangent:
     """Pushforward of the velocity B at the flag f: v = Q [B, M] Q',
-    the derivative at t = 0 of t -> (Q e^{tB}) M (Q e^{tB})'."""
+    the derivative at t = 0 of t -> (Q e^{tB}) M (Q e^{tB})'.
+
+    Raises ``NumericalError`` where a finite block times the spectrum gaps,
+    or its conjugate, overflows, which numpy would only warn about."""
     _check_same_signature(b.signature, f.signature)
     _check_same_signature(b.signature, spec.signature)
-    v = f.q @ _bracket_with_model(b, spec) @ f.q.T
-    return EmbeddedTangent(SymmetricMatrix((v + v.T) / 2.0), embed(f, spec))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = f.q @ _bracket_with_model(b, spec) @ f.q.T
+        v = (v + v.T) / 2.0
+    if not np.isfinite(v).all():
+        raise NumericalError("pushforward overflows")
+    return EmbeddedTangent(SymmetricMatrix(v), embed(f, spec))
 
 
 def isometry_defect(b: TangentBlock, spec: Spectrum) -> float:

@@ -11,8 +11,9 @@ odd and mu_{m-1} >= |mu_m| when n is even.  The dimension is the product
                           * (mu_i + mu_j + n - i - j)/(n - i - j)
 
 Everything here runs in exact big-integer arithmetic: weights are stored
-as doubled integers so half-integral entries stay exact, and products are
-accumulated as integer numerator/denominator pairs whose quotient is
+as doubled integers so half-integral entries stay exact, and the dimension
+is one integer product over the positive roots in the doubled lam+rho
+coordinates, divided by the same product at lam = 0 (cached per n) and
 checked to divide exactly.  Floating point is deliberately absent.
 
 The classification utilities find every dominant weight inside a box whose
@@ -27,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, prod
 from typing import Sequence
 
 from .errors import (
@@ -38,6 +40,7 @@ from .errors import (
     ValidationError,
     _index,
 )
+from .flagcore import _prechecked
 
 
 @dataclass(frozen=True, order=True)
@@ -126,24 +129,33 @@ def parse_weight(n: int, text: str) -> HighestWeight:
     return HighestWeight(n, tuple(doubled))
 
 
+def _shifted_product(n: int, doubled: Sequence[int]) -> int:
+    """prod_{i<j} (l_i^2 - l_j^2), times prod_i l_i for odd n, over the
+    doubled lam+rho coordinates l_i = doubled[i-1] + n - 2i.
+
+    The Weyl factors <lam+rho, e_i -+ e_j> and <lam+rho, e_i> are
+    (l_i -+ l_j)/2 and l_i/2; the halves cancel against the same product
+    at lam = 0, which is ``_rho_product(n)``."""
+    shifted = [d + n - 2 * i for i, d in enumerate(doubled, 1)]
+    sq = [x * x for x in shifted]
+    return prod([a - b for i, a in enumerate(sq) for b in sq[i + 1:]] + (shifted if n % 2 else []))
+
+
+@lru_cache(maxsize=64)
+def _rho_product(n: int) -> int:
+    """The Weyl denominator for SO(n): ``_shifted_product`` at lam = 0."""
+    return _shifted_product(n, (0,) * (n // 2))
+
+
 def weyl_dim(w: HighestWeight) -> int:
     """Dimension of the irreducible SO(n, C) module with highest weight w.
 
-    Evaluated as an exact integer; the denominator product is required to
-    divide the numerator product exactly, never rounded.
+    Evaluated as an exact integer, the product over the positive roots in
+    the doubled lam+rho coordinates (``_shifted_product``) divided by the
+    same product at lam = 0; the division is required to be exact, never
+    rounded.
     """
-    n, d, m = w.n, w.doubled, w.m
-    num = 1
-    den = 1
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            num *= (d[i - 1] - d[j - 1] + 2 * (j - i)) * (d[i - 1] + d[j - 1] + 2 * (n - i - j))
-            den *= 4 * (j - i) * (n - i - j)
-    if n % 2 == 1:
-        for i in range(1, m + 1):
-            num *= d[i - 1] + n - 2 * i
-            den *= n - 2 * i
-    q, r = divmod(num, den)
+    q, r = divmod(_shifted_product(w.n, w.doubled), _rho_product(w.n))
     if r != 0:
         raise ArithmeticError(f"dimension product is not integral for weight {w}")
     if q <= 0:
@@ -290,14 +302,16 @@ def enumerate_low_dim(n: int, max_dim: int, mu1_cap=4) -> EnumerationReport:
     visited = pruned = 0
     # A node fixes entry k above the fixed entries `suffix`, starting from
     # `lo`; `dim` is the dimension of the smallest completion at `lo` when
-    # the parent already evaluated it.
+    # the parent already evaluated it.  A completion is m ints of one parity,
+    # nonincreasing and >= 0, so dominant: it is built without the validator,
+    # which runs on the hits and their mirrors.
     todo = [(m - 1, (), parity, None) for parity in (0, 1)]
     while todo:
         k, suffix, lo, dim = todo.pop()
         for v in range(lo, cap + 1, 2):
             if v > lo or dim is None:
                 visited += 1
-                dim = weyl_dim(HighestWeight(n, (v,) * (k + 1) + suffix))
+                dim = weyl_dim(_prechecked(HighestWeight, n=n, doubled=(v,) * (k + 1) + suffix))
                 if dim > max_dim:
                     pruned += 1
                     break
@@ -358,10 +372,12 @@ def verify_classification(n: int, mu1_cap=4) -> ClassificationReport:
        bound: 0, (1,0,...), (1,1,0,...), (2,0,...), with their closed-form
        dimensions 1, n, n(n-1)/2, (n-1)(n+2)/2;
     3. the comparison weights (2,1^{q-1},0,...) for q = 2..m and
-       (1^q,0,...) for q = 3..m, listed doubled, all exceed the bound
+       (1^q,0,...) for q = 3..m, listed doubled (dominant by construction,
+       so built without the validator), all exceed the bound
        ((1,1,0,...) is the lone exception below it);
     4. the single-row closed form exceeds the bound at s = 3 and s = 4.
     """
+    n = _index(n, "n")
     if n < 17:
         raise HypothesisViolated(f"classification requires n >= 17, got {n}")
     m = n // 2
@@ -391,7 +407,7 @@ def verify_classification(n: int, mu1_cap=4) -> ClassificationReport:
 
     comparison = [(4,) + (2,) * (q - 1) + (0,) * (m - q) for q in range(2, m + 1)]
     comparison += [(2,) * q + (0,) * (m - q) for q in range(3, m + 1)]
-    worst = min(weyl_dim(HighestWeight(n, doubled)) for doubled in comparison)
+    worst = min(weyl_dim(_prechecked(HighestWeight, n=n, doubled=doubled)) for doubled in comparison)
     all_exceed = worst > bound
     checks.append(
         CheckResult(

@@ -722,6 +722,18 @@ class TestOverflowingSpectrum:
             with pytest.raises(NumericalError, match="overflows"):
                 call()
 
+    def test_pushforward_overflows(self):
+        spec = Spectrum((1e100, -1e100), make_signature(3, [1]))
+        f = identity_flag(spec.signature)
+        big = np.zeros((3, 3))
+        big[0, 1:] = 1e250
+        with pytest.raises(NumericalError, match="^pushforward overflows$"):
+            push_tangent(TangentBlock(spec.signature, big - big.T), f, spec)
+        big[0, 1:] = 1e200  # times the gap 2e100 stays finite, and keeps every bit
+        b = TangentBlock(spec.signature, big - big.T)
+        v = _bracket_with_model(b, spec)
+        assert np.array_equal(push_tangent(b, f, spec).v.entries, (v + v.T) / 2.0)
+
     def test_largest_squarable_spread(self):
         half = np.nextafter(np.sqrt(np.finfo(float).max), 0.0) / 2.0
         spec = Spectrum((half, -half), make_signature(2, [1]))

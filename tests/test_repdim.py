@@ -17,6 +17,7 @@ from isoflag import (
     verify_classification,
     weyl_dim,
 )
+from isoflag import repdim
 from isoflag.repdim import EnumerationHit, EnumerationReport
 from isoflag.errors import (
     HypothesisViolated,
@@ -65,6 +66,27 @@ def dim_by_positive_roots(n: int, halves) -> Fraction:
             num *= top[i]
             den *= rho[i]
     return num / den
+
+
+def weyl_dim_pairwise(w: HighestWeight) -> int:
+    """Reference for weyl_dim: the factors (d_i - d_j + 2(j - i)) and
+    (d_i + d_j + 2(n - i - j)) over the doubled entries, each pair with its
+    own denominator 4(j - i)(n - i - j), and d_i + n - 2i over n - 2i for
+    odd n, multiplied out before one exact division."""
+    n, d, m = w.n, w.doubled, w.m
+    num = 1
+    den = 1
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            num *= (d[i - 1] - d[j - 1] + 2 * (j - i)) * (d[i - 1] + d[j - 1] + 2 * (n - i - j))
+            den *= 4 * (j - i) * (n - i - j)
+    if n % 2 == 1:
+        for i in range(1, m + 1):
+            num *= d[i - 1] + n - 2 * i
+            den *= n - 2 * i
+    q, r = divmod(num, den)
+    assert r == 0 and q > 0
+    return q
 
 
 def all_dominant_doubled(n: int, cap_doubled: int, parity: int, include_negative=False):
@@ -267,6 +289,25 @@ class TestWeylDim:
         assert isinstance(dim, int) and dim >= 1
 
 
+    @given(n=st.integers(min_value=3, max_value=60), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_reference(self, n, data):
+        m = n // 2
+        parity = data.draw(st.integers(min_value=0, max_value=1), label="parity")
+        entries = sorted(
+            data.draw(
+                st.lists(st.integers(min_value=0, max_value=12).map(lambda v: 2 * v + parity),
+                         min_size=m, max_size=m),
+                label="entries",
+            ),
+            reverse=True,
+        )
+        if n % 2 == 0 and entries[-1] > 0 and data.draw(st.booleans(), label="negative last"):
+            entries[-1] = -entries[-1]
+        w = HighestWeight(n, tuple(entries))
+        assert weyl_dim(w) == weyl_dim_pairwise(w)
+
+
 class TestFundamentalWeights:
     def test_odd_cases(self):
         assert fundamental_weight(7, 2).halves() == (1, 1, 0)
@@ -450,6 +491,55 @@ class TestEnumerate:
         assert 0 < report.pruned <= report.visited
 
 
+class TestTrustedWalk:
+    """The walk and the comparison weights are built without the validator,
+    so every weight they hand to weyl_dim must pass it anyway, and the
+    validator runs once per hit and once per mirror."""
+
+    @pytest.fixture
+    def revalidated(self, monkeypatch):
+        seen = []
+
+        def checked_weyl_dim(w):
+            seen.append(HighestWeight(w.n, w.doubled))  # raises on a bad weight
+            return weyl_dim(w)
+
+        monkeypatch.setattr(repdim, "weyl_dim", checked_weyl_dim)
+        return seen
+
+    @pytest.mark.parametrize("n", range(3, 25))
+    def test_walk_weights_are_dominant(self, n, revalidated):
+        for cap in (2, Fraction(5, 2), 3, Fraction(7, 2), 4):
+            report = enumerate_low_dim(n, traceless_sym_dim(n), cap)
+            mirrors = sum(h.sign_pair for h in report.hits)
+            assert len(revalidated) == report.visited + mirrors
+            revalidated.clear()
+
+    @pytest.mark.parametrize("n", range(17, 25))
+    def test_comparison_weights_are_dominant(self, n, revalidated):
+        enumerate_low_dim(n, traceless_sym_dim(n))
+        walk = len(revalidated)
+        revalidated.clear()
+        assert verify_classification(n).passed
+        m = n // 2
+        assert len(revalidated) == walk + (m - 1) + (m - 2)  # the 2m - 3 comparison weights
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 12, 17, 18, 24])
+    def test_validator_runs_once_per_hit_and_mirror(self, n, monkeypatch):
+        calls = []
+        validate = HighestWeight.__post_init__
+
+        def counted(w):
+            calls.append(w.doubled)
+            validate(w)
+
+        monkeypatch.setattr(HighestWeight, "__post_init__", counted)
+        for max_dim in (n, traceless_sym_dim(n), 2 * traceless_sym_dim(n)):
+            report = enumerate_low_dim(n, max_dim)
+            assert len(calls) == len(report.hits) + sum(h.sign_pair for h in report.hits)
+            calls.clear()
+
+
 class TestVerifyClassification:
     def test_n17_passes(self):
         report = verify_classification(17)
@@ -483,6 +573,14 @@ class TestVerifyClassification:
     def test_below_hypothesis_is_loud(self):
         with pytest.raises(HypothesisViolated):
             verify_classification(16)
+
+    @pytest.mark.parametrize("bad", ["abc", None, 17.0, float("nan")])
+    def test_rejects_non_integer_n(self, bad):
+        with pytest.raises(NotAnInteger, match="^n must be an integer"):
+            verify_classification(bad)
+
+    def test_numpy_integer_n(self):
+        assert repr(verify_classification(np.int64(17))) == repr(verify_classification(17))
 
     def test_check_names_are_stable(self):
         report = verify_classification(17)
