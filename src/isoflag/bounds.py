@@ -6,8 +6,12 @@ The matrix model lives in the traceless symmetric matrices, dimension
 general-purpose bounds evaluated at the flag manifold's dimension m:
 Whitney's smooth bound 2m, Gunther's isometric bound, and Wang's
 finite-group equivariant bound d|G|.  Every one of them, and every
-comparison between them, depends only on (n, m, |G|), so a sweep over
-all signatures evaluates one ``bound_table`` per (n, m) group.
+comparison between them, depends only on (n, m, |G|), so ``_columns``
+computes them from those trusted integers, once per (n, m) group of a sweep.
+
+The Gunther comparison cannot fail: m >= n - 1 (equal for lines and
+hyperplanes), Gunther's bound increases in m, and at m = n - 1 it exceeds
+(n-1)(n+2)/2 by max(5, n - 1).  A sweep still counts failures and exits 1 on one.
 
 The signatures in R^n are the chains 0 < k_1 < ... < k_p < n, and one
 walk enumerates them a level at a time (``_walk_chains``): level p, the
@@ -24,6 +28,7 @@ holds one level of chains and its text, never the whole sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator
 
 from .errors import ValidationError, _index
@@ -44,6 +49,10 @@ def gunther_bound(m: int) -> int:
     m = _index(m, "m")
     if m < 1:
         raise ValidationError(f"need m >= 1, got {m}")
+    return _gunther(m)
+
+
+def _gunther(m: int) -> int:
     return max(m * (m + 3) // 2 + 5, m * (m + 5) // 2)
 
 
@@ -95,57 +104,48 @@ class BoundReport:
 def bound_table(sig: FlagSignature, group_order: int | None = None) -> BoundReport:
     """Evaluate every bound for one signature.
 
-    Each column depends only on (n, m, |G|) with m = flag_dimension(sig),
-    so one report serves every signature with the same n and m, and
-    ``bounds sweep`` evaluates one per group.  With a group order given,
-    the Wang column holds the Whitney-composed value 2m|G| and the
-    comparisons record whether it exceeds the matrix model's dimension
-    (equivalently |G| > (n-1)(n+2)/4m)."""
-    m = flag_dimension(sig)
-    iso = isospectral_bound(sig.n)
-    gunther = gunther_bound(m)
-    whitney = whitney_bound(m)
-    comparisons = {
-        "isospectral_lt_gunther": iso < gunther,
-        "whitney_condition": iso <= whitney,
-    }
+    Each column depends only on (n, m, |G|) with m = flag_dimension(sig).
+    With a group order given, the Wang column holds the Whitney-composed
+    value 2m|G| and the comparisons record whether it exceeds the matrix
+    model's dimension (equivalently |G| > (n-1)(n+2)/4m)."""
+    m = flag_dimension(sig)  # a FlagSignature is valid, so only |G| is checked here
+    if group_order is not None:
+        group_order = _index(group_order, "group_order")
+        wang_bound(whitney_bound(m), group_order)
+    return BoundReport(sig, m, *_columns(sig.n, m, group_order))
+
+
+def _columns(n: int, m: int, group_order: int | None) -> tuple:
+    """The columns of ``BoundReport`` after ``flag_dim``, from trusted
+    integers n >= 2, m >= n - 1 and group_order >= 1 or None: isospectral,
+    gunther, whitney, wang, comparisons and label."""
+    iso, gunther, whitney = traceless_sym_dim(n), _gunther(m), 2 * m
+    comparisons = {"isospectral_lt_gunther": iso < gunther, "whitney_condition": iso <= whitney}
     wang = None
     if group_order is not None:
-        wang = wang_bound(whitney, group_order)
+        wang = whitney * group_order
         comparisons["wang_composed_gt_isospectral"] = wang > iso
-    label = "exact equivariant minimum" if sig.n >= 17 else "achieved upper bound"
-    return BoundReport(
-        signature=sig,
-        flag_dim=m,
-        isospectral=iso,
-        gunther=gunther,
-        whitney=whitney,
-        wang=wang,
-        comparisons=comparisons,
-        isospectral_label=label,
-    )
+    label = "exact equivariant minimum" if n >= 17 else "achieved upper bound"
+    return iso, gunther, whitney, wang, comparisons, label
 
 
-def _walk_chains(n: int, sep: str) -> Iterator[list[tuple[tuple[int, ...], int, str]]]:
+def _walk_chains(n: int, sep: str, head: str = "") -> Iterator[list[tuple[int, int, str]]]:
     """The chains 0 < k_1 < ... < k_p < n a level at a time: for p = 1, 2, ...,
-    the list of (ks, flag dimension, sep.join(map(str, ks))) for every chain
-    of length p, in ``combinations`` order.
+    the list of (k_p, flag dimension, head + sep.join(map(str, ks))) for
+    every chain ks of length p, in ``combinations`` order.
 
     Each chain extends its prefix, whose dimension gains (k - last)(n - k)
     and whose text gains sep + str(k); the one-entry chains extend the
     empty chain, with dimension 0 and last entry 0.  Those three terms
     depend only on (last, k), so they are tabulated once per walk."""
     tails = [sep + str(k) for k in range(n)]
-    extend = [[((k,), (k - last) * (n - k), tails[k]) for k in range(last + 1, n)]
+    extend = [[(k, (k - last) * (n - k), tails[k]) for k in range(last + 1, n)]
               for last in range(n)]
-    level = [((k,), k * (n - k), str(k)) for k in range(1, n)]
+    level = [(k, k * (n - k), head + str(k)) for k in range(1, n)]
     while level:
         yield level
-        level = [
-            (ks + k, m + dm, text + tail)
-            for ks, m, text in level
-            for k, dm, tail in extend[ks[-1]]
-        ]
+        level = [(k, m + dm, text + tail)
+                 for last, m, text in level for k, dm, tail in extend[last]]
 
 
 def all_signatures(n: int) -> Iterator[FlagSignature]:
@@ -153,10 +153,10 @@ def all_signatures(n: int) -> Iterator[FlagSignature]:
     {1, ..., n-1} as chains k_1 < ... < k_p, by p and then in
     ``itertools.combinations`` order.
 
-    The walk yields each chain as a strictly increasing tuple of ints
-    inside (0, n), which is what ``FlagSignature``'s validator checks, so
-    the signatures are built without it."""
+    Each chain is a strictly increasing tuple of ints inside (0, n), which
+    is what ``FlagSignature``'s validator checks, so the signatures are
+    built without it."""
     n = _index(n, "n")
-    for level in _walk_chains(n, ","):
-        for ks, _, _ in level:
+    for p in range(1, n):
+        for ks in combinations(range(1, n), p):
             yield _prechecked(FlagSignature, n=n, ks=ks)

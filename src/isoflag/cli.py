@@ -34,10 +34,8 @@ from .flagcore import (
     EIG_TOL,
     SPECTRUM_GAP_TOL,
     FlagPoint,
-    FlagSignature,
     Spectrum,
     SymmetricMatrix,
-    _prechecked,
     default_traceless_spectrum,
     identity_flag,
     make_signature,
@@ -387,10 +385,10 @@ _BOUND_CSV_HEADER = [
 ]
 
 
-def _bound_csv_columns(r: bounds_mod.BoundReport) -> list:
-    """A bound row's CSV fields after ``n`` and ``ks``."""
-    return [r.flag_dim, r.isospectral, r.gunther, r.whitney, "" if r.wang is None else r.wang,
-            r.comparisons["isospectral_lt_gunther"], r.comparisons["whitney_condition"]]
+def _bound_csv_columns(m, iso, gunther, whitney, wang, comparisons, *_) -> list:
+    """A bound row's CSV fields after ``n`` and ``ks``, from flag_dim on."""
+    return [m, iso, gunther, whitney, "" if wang is None else wang,
+            comparisons["isospectral_lt_gunther"], comparisons["whitney_condition"]]
 
 
 def cmd_bounds(args) -> Output:
@@ -415,7 +413,8 @@ def cmd_bounds(args) -> Output:
 
     return Output(
         json=lambda: {"n": sig.n, "ks": list(sig.ks), **_bound_columns(r)},
-        csv=lambda: [_BOUND_CSV_HEADER, [sig.n, _ks_text(sig, "csv"), *_bound_csv_columns(r)]],
+        csv=lambda: [_BOUND_CSV_HEADER, [sig.n, _ks_text(sig, "csv"), *_bound_csv_columns(
+            r.flag_dim, r.isospectral, r.gunther, r.whitney, r.wang, r.comparisons)]],
         text=text,
     )
 
@@ -425,34 +424,39 @@ def cmd_bounds(args) -> Output:
 _json_str = functools.cache(json.dumps)
 
 
-def _sweep_tail(r: bounds_mod.BoundReport, fmt: str) -> str:
-    """The text of a sweep row after its ks, the same for every row of r's
-    (n, flag_dim) group: the text fields, the CSV fields, or the JSON
-    members, whose lines a row object holds 6 spaces deep."""
-    if fmt == "text":
-        return (f" flag_dim={r.flag_dim} isospectral={r.isospectral} gunther={r.gunther} "
-                f"whitney={r.whitney}")
-    if fmt == "csv":
-        return "," + ",".join(map(str, _bound_csv_columns(r)))  # no field needs quoting
-    # the layout of json.dumps(_bound_columns(r), indent=2), written out:
-    # with indent, json runs its pure-Python encoder
-    comparisons = ",".join([f"\n        {_json_str(k)}: {'true' if v else 'false'}"
-                            for k, v in r.comparisons.items()])
-    wang = "null" if r.wang is None else r.wang
-    return (f'\n      ],\n      "flag_dim": {r.flag_dim},\n      "isospectral": {r.isospectral},'
-            f'\n      "gunther": {r.gunther},\n      "whitney": {r.whitney},\n      "wang": {wang},'
-            f'\n      "isospectral_label": {_json_str(r.isospectral_label)},'
-            f'\n      "comparisons": {{{comparisons}\n      }}\n    }}')
+class _SweepTails(dict):
+    """One n's sweep row tails by flag_dim, each rendered from one ``_columns``
+    on its group's first row: a row's text fields, CSV fields or JSON members
+    after its ks.  ``failing`` holds the flag_dims failing the Gunther row."""
+
+    def __init__(self, n: int, group_order: int | None, fmt: str):
+        self.n, self.group_order, self.fmt, self.failing = n, group_order, fmt, set()
+
+    def __missing__(self, m: int) -> str:
+        columns = iso, gunther, whitney, wang, comparisons, label = bounds_mod._columns(
+            self.n, m, self.group_order)
+        if not comparisons["isospectral_lt_gunther"]:
+            self.failing.add(m)
+        if self.fmt == "text":
+            return self.setdefault(
+                m, f" flag_dim={m} isospectral={iso} gunther={gunther} whitney={whitney}")
+        if self.fmt == "csv":  # no field needs quoting
+            return self.setdefault(m, "," + ",".join(map(str, _bound_csv_columns(m, *columns))))
+        # json.dumps(_bound_columns(r), indent=2) 6 spaces deep, written out:
+        # with indent, json runs its pure-Python encoder
+        comparisons = ",".join([f"\n        {_json_str(k)}: {'true' if v else 'false'}"
+                                for k, v in comparisons.items()])
+        return self.setdefault(m, f'\n      ],\n      "flag_dim": {m},\n      "isospectral": {iso},'
+                               f'\n      "gunther": {gunther},\n      "whitney": {whitney},'
+                               f'\n      "wang": {"null" if wang is None else wang},'
+                               f'\n      "isospectral_label": {_json_str(label)},'
+                               f'\n      "comparisons": {{{comparisons}\n      }}\n    }}')
 
 
 def _write_sweep(max_n: int, group_order: int | None, fmt: str, head: dict) -> int:
-    """Write ``bounds sweep`` one level of ``_walk_chains`` at a time and
-    return its exit code: 1 if any signature fails the Gunther comparison.
-
-    Each (n, flag_dim) group gets one ``bound_table`` and one rendered tail;
-    a level's rows are one join of row head, ks text and tail, written at
-    once.  The header goes out with the first level, after the first
-    ``bound_table`` has checked the group order."""
+    """Write ``bounds sweep`` a level of ``_walk_chains`` at a time, a row one
+    concatenation of its walked text and its group's tail, and return the
+    exit code: 1 if any signature fails the Gunther comparison."""
     write = sys.stdout.write
     # rows are separated, not terminated, so that JSON needs no trailing comma
     sep = ",\n" if fmt == "json" else "\n"
@@ -466,19 +470,12 @@ def _write_sweep(max_n: int, group_order: int | None, fmt: str, head: dict) -> i
     for n in range(2, max_n + 1):
         row_head = {"text": f"n={n} ks=", "csv": f"{n},",
                     "json": f'    {{\n      "n": {n},\n      "ks": [\n        '}[fmt]
-        tails, failing = {}, set()  # by flag_dim; every other column follows from (n, flag_dim)
-        for level in bounds_mod._walk_chains(n, _KS_SEP[fmt]):
-            for m, ks in {m: ks for ks, m, _ in level if m not in tails}.items():
-                sig = _prechecked(FlagSignature, n=n, ks=ks)  # a walked chain is valid
-                r = bounds_mod.bound_table(sig, group_order)
-                tails[m] = _sweep_tail(r, fmt)
-                if not r.comparisons["isospectral_lt_gunther"]:
-                    failing.add(m)
-            write(lead + sep.join([row_head + text + tails[m] for _, m, text in level]))
+        tails = _SweepTails(n, group_order, fmt)
+        for level in bounds_mod._walk_chains(n, _KS_SEP[fmt], row_head):
+            write(lead + sep.join([text + tails[m] for _, m, text in level]))
             lead = sep
             rows += len(level)
-            if failing:
-                failures += sum(m in failing for _, m, _ in level)
+            failures += sum(m in tails.failing for _, m, _ in level) if tails.failing else 0
     write({
         "text": f"\nrows: {rows}  gunther_failures: {failures}\n",
         "csv": "\n",
@@ -490,6 +487,10 @@ def _write_sweep(max_n: int, group_order: int | None, fmt: str, head: dict) -> i
 def cmd_bounds_sweep(args) -> Stream:
     if args.max_n < 2:
         raise ValidationError(f"--max-n must be at least 2, got {args.max_n}")
+    if args.n is not None or args.ks is not None:
+        raise ValidationError("bounds sweep takes no --n or --ks")
+    if args.group_order is not None:  # refused as the first row, n = 2 and m = 1, would refuse it
+        bounds_mod.wang_bound(bounds_mod.whitney_bound(1), args.group_order)
     return Stream(lambda fmt, head: _write_sweep(args.max_n, args.group_order, fmt, head))
 
 
@@ -503,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    def add_format(p, default="text"):
+        p.add_argument("--format", choices=("text", "json", "csv"), default=default)
 
     pe = sub.add_parser("embed", help="realize a flag as a symmetric matrix")
     pe.add_argument("--n", type=int, required=True, help="ambient dimension")
@@ -570,8 +571,9 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = pb.add_subparsers(dest="bounds_command")
     pbs = bsub.add_parser("sweep", help="all signatures up to an ambient dimension")
     pbs.add_argument("--max-n", type=int, required=True)
-    pbs.add_argument("--group-order", type=int)
-    add_format(pbs)
+    # without a default, a --format or --group-order given before `sweep` stands
+    pbs.add_argument("--group-order", type=int, default=argparse.SUPPRESS)
+    add_format(pbs, argparse.SUPPRESS)
 
     return parser
 

@@ -22,6 +22,7 @@ from isoflag import (
     flags_equal,
     fundamental_weight,
     gradient_descent,
+    gunther_bound,
     isometry_defect,
     isospectral_bound,
     make_signature,
@@ -203,6 +204,12 @@ def test_criterion_8_bound_comparisons_exhaustive():
                 report = bound_table(sig)
                 assert report.comparisons["isospectral_lt_gunther"], sig
                 assert report.flag_dim >= n - 1, sig
+        # and at every n: Gunther's bound increases in m, and at the least
+        # dimension, m = n - 1, it exceeds the model's by max(5, n - 1)
+        values = [gunther_bound(m) for m in range(1, 500 * 499 // 2 + 1)]
+        assert all(a < b for a, b in zip(values, values[1:]))
+        for n in range(2, 501):
+            assert gunther_bound(n - 1) - isospectral_bound(n) == max(5, n - 1), n
         # Whitney's bound 2m against the model, directly and through the
         # block sizes: sum n_i (n_i + 1) <= 2 [1 + sum_{i<j} n_i n_j]
         for n in range(2, 11):

@@ -242,16 +242,18 @@ class TestSignatureEnumeration:
 
 class TestChainWalk:
     """The walk against a fresh computation of each chain: one level per
-    chain length, ``combinations`` order, ``flag_dimension`` and ``str.join``."""
+    chain length, ``combinations`` order, its last entry, ``flag_dimension``
+    and the head followed by ``str.join``."""
 
     @pytest.mark.parametrize("sep", [",", " ", ",\n        "])
     def test_matches_the_reference_for_every_chain(self, sep):
         for n in range(15):
-            levels = list(_walk_chains(n, sep))
-            assert [{len(ks) for ks, _, _ in level} for level in levels] == [{p} for p in range(1, n)]
-            walked = list(itertools.chain.from_iterable(levels))
-            chains = [ks for p in range(1, n) for ks in itertools.combinations(range(1, n), p)]
-            assert [ks for ks, _, _ in walked] == chains
-            for ks, m, text in walked:
-                assert m == flag_dimension(FlagSignature(n, ks)), (n, ks)
-                assert text == sep.join(map(str, ks)), (n, ks)
+            for head in ("", f"n={n} ks="):
+                levels = list(_walk_chains(n, sep, head))
+                chains = [list(itertools.combinations(range(1, n), p)) for p in range(1, n)]
+                assert [len(level) for level in levels] == [len(level) for level in chains]
+                for level, reference in zip(levels, chains):
+                    for (last, m, text), ks in zip(level, reference):
+                        assert last == ks[-1], (n, ks)
+                        assert m == flag_dimension(FlagSignature(n, ks)), (n, ks)
+                        assert text == head + sep.join(map(str, ks)), (n, ks)

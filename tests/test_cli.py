@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -510,7 +509,8 @@ def sweep_groups(max_n: int) -> dict[tuple[int, int], int]:
 
 
 class TestBoundsSweep:
-    @pytest.mark.parametrize("group_order", [None, 3])
+    # 10**12 puts the Wang column above 2**32
+    @pytest.mark.parametrize("group_order", [None, 3, 1, 10**12])
     @pytest.mark.parametrize("max_n", range(2, 11))
     def test_matches_per_signature_reference(self, capsys, max_n, group_order):
         for fmt, (code, out) in reference_sweep(max_n, group_order).items():
@@ -520,15 +520,15 @@ class TestBoundsSweep:
         target = (6, flag_dimension(make_signature(6, [2, 4])))
         size = sweep_groups(6)[target]
         assert size > 1
-        table = bounds_mod.bound_table
+        columns = bounds_mod._columns
 
-        def failing(sig, group_order=None):
-            r = table(sig, group_order)
-            if (sig.n, r.flag_dim) != target:
-                return r
-            return dataclasses.replace(r, comparisons={**r.comparisons, "isospectral_lt_gunther": False})
+        def failing(n, m, group_order):
+            iso, gunther, whitney, wang, comparisons, label = columns(n, m, group_order)
+            if (n, m) == target:
+                comparisons = {**comparisons, "isospectral_lt_gunther": False}
+            return iso, gunther, whitney, wang, comparisons, label
 
-        monkeypatch.setattr(bounds_mod, "bound_table", failing)
+        monkeypatch.setattr(bounds_mod, "_columns", failing)
         code, out, _ = run(capsys, *sweep_argv(6, None, "json"))
         assert code == 1 and json.loads(out)["gunther_failures"] == size
         code, out, _ = run(capsys, *sweep_argv(6, None, "text"))
@@ -565,52 +565,42 @@ class TestBoundsSweep:
         assert code == 0 and sink.size > 10_000_000
         assert peak < sink.size
 
-    def test_one_bound_table_per_group(self, capsys, monkeypatch):
+    def test_one_core_call_per_group(self, capsys, monkeypatch):
         calls = []
-        table = bounds_mod.bound_table
-        monkeypatch.setattr(bounds_mod, "bound_table",
-                            lambda sig, group_order=None: calls.append((sig.n, flag_dimension(sig)))
-                            or table(sig, group_order))
-        code, _, _ = run(capsys, "bounds", "sweep", "--max-n", "10")
-        assert code == 0
-        assert sorted(calls) == sorted(sweep_groups(10))
-
-    def test_no_flag_dimension_call_outside_bound_table(self, capsys, monkeypatch):
-        groups = len(sweep_groups(10))
-        table, dim = bounds_mod.bound_table, bounds_mod.flag_dimension
-        inside, outside, depth = [], [], [0]
-
-        def counted_table(sig, group_order=None):
-            depth[0] += 1
-            try:
-                return table(sig, group_order)
-            finally:
-                depth[0] -= 1
-
-        def counted_dim(sig):
-            (inside if depth[0] else outside).append(sig)
-            return dim(sig)
-
-        monkeypatch.setattr(bounds_mod, "bound_table", counted_table)
-        monkeypatch.setattr(bounds_mod, "flag_dimension", counted_dim)
+        columns = bounds_mod._columns
+        monkeypatch.setattr(bounds_mod, "_columns",
+                            lambda n, m, group_order: calls.append((n, m)) or columns(n, m, group_order))
         for fmt in ("text", "csv", "json"):
-            code, _, _ = run(capsys, *sweep_argv(10, None, fmt))
-            assert code == 0
-        assert outside == [] and len(inside) == 3 * groups
+            for group_order in (None, 3):
+                calls.clear()
+                code, _, _ = run(capsys, *sweep_argv(10, group_order, fmt))
+                assert code == 0
+                assert sorted(calls) == sorted(sweep_groups(10)), (fmt, group_order)
 
-    def test_one_signature_per_group(self, capsys, monkeypatch):
-        groups = len(sweep_groups(10))
+    def test_no_flag_dimension_call(self, capsys, monkeypatch):
+        calls = []
+        dim = bounds_mod.flag_dimension
+        monkeypatch.setattr(bounds_mod, "flag_dimension", lambda sig: calls.append(sig) or dim(sig))
+        for fmt in ("text", "csv", "json"):
+            for group_order in (None, 3):
+                code, _, _ = run(capsys, *sweep_argv(10, group_order, fmt))
+                assert code == 0
+        assert calls == []
+
+    def test_no_signature_built(self, capsys, monkeypatch):
         built = []
         validate = FlagSignature.__post_init__
         monkeypatch.setattr(FlagSignature, "__post_init__", lambda sig: built.append(sig) or validate(sig))
-        for module in (cli, bounds_mod):
-            prechecked = module._prechecked
-            monkeypatch.setattr(module, "_prechecked",
-                                lambda cls, _p=prechecked, **f: built.append(cls) or _p(cls, **f))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("isoflag") and hasattr(module, "_prechecked"):
+                prechecked = module._prechecked
+                monkeypatch.setattr(module, "_prechecked",
+                                    lambda cls, _p=prechecked, **f: built.append(cls) or _p(cls, **f))
         for fmt in ("text", "csv", "json"):
-            built.clear()
-            code, _, _ = run(capsys, *sweep_argv(10, None, fmt))
-            assert code == 0 and len(built) == groups
+            for group_order in (None, 3):
+                code, _, _ = run(capsys, *sweep_argv(10, group_order, fmt))
+                assert code == 0
+        assert built == []
 
     # SHA-256 of the stdout of `bounds sweep --max-n 13`, taken before the
     # sweep walked its chains: the largest sweep the benchmark runs.
@@ -641,6 +631,29 @@ class TestBoundsSweep:
 class TestParser:
     def test_built_once(self):
         assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_bounds_options_before_sweep_stand(self, capsys, fmt):
+        for group_order in (None, 3):
+            expected = run(capsys, *sweep_argv(4, group_order, fmt))
+            assert expected[0] == 0
+            options = ["--format", fmt] + ([] if group_order is None else ["--group-order", str(group_order)])
+            assert run(capsys, "bounds", *options, "sweep", "--max-n", "4") == expected
+            # one typed after `sweep` wins
+            other = ["--format", "csv" if fmt == "text" else "text"]
+            if group_order is not None:
+                other += ["--group-order", "7"]
+            assert run(capsys, "bounds", *other, "sweep", "--max-n", "4", *options) == expected
+        if fmt == "csv":
+            _, out, _ = run(capsys, "bounds", "--group-order", "3", "sweep", "--max-n", "2", "--format", "csv")
+            assert out.splitlines()[1] == "2,1,1,2,7,2,6,True,True"
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("flags", [["--n", "5"], ["--ks", "1"], ["--n", "5", "--ks", "1"]])
+    def test_sweep_refuses_n_and_ks(self, capsys, fmt, flags):
+        code, out, err = run(capsys, "bounds", *flags, "sweep", "--max-n", "2", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["ValidationError: bounds sweep takes no --n or --ks"]
 
     def test_main_calls_the_handler_bound_at_call_time(self, capsys, monkeypatch):
         build_parser()
