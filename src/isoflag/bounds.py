@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .errors import ValidationError, _index
+from .errors import ValidationError, _at_least, _index
 from .flagcore import FlagSignature, _prechecked
 from .repdim import traceless_sym_dim
 
@@ -46,10 +46,7 @@ def flag_dimension(sig: FlagSignature) -> int:
 def gunther_bound(m: int) -> int:
     """max{m(m+3)/2 + 5, m(m+5)/2}: ambient dimension sufficient for an
     isometric embedding of any Riemannian manifold of dimension m."""
-    m = _index(m, "m")
-    if m < 1:
-        raise ValidationError(f"need m >= 1, got {m}")
-    return _gunther(m)
+    return _gunther(_at_least(m, "m", 1))
 
 
 def _gunther(m: int) -> int:
@@ -59,18 +56,12 @@ def _gunther(m: int) -> int:
 def isospectral_bound(n: int) -> int:
     """(n-1)(n+2)/2: the ambient dimension achieved by the matrix model of
     any flag manifold in R^n (traceless symmetric matrices)."""
-    n = _index(n, "n")
-    if n < 2:
-        raise ValidationError(f"need n >= 2, got {n}")
     return traceless_sym_dim(n)
 
 
 def whitney_bound(m: int) -> int:
     """2m: ambient dimension sufficient for a smooth embedding."""
-    m = _index(m, "m")
-    if m < 1:
-        raise ValidationError(f"need m >= 1, got {m}")
-    return 2 * m
+    return 2 * _at_least(m, "m", 1)
 
 
 def wang_bound(d: int, group_order: int) -> int:

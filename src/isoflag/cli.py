@@ -5,7 +5,9 @@ top-level ``schema_version``), or CSV.  Exit codes are a stable contract:
 0 success, 1 a failed verification row (``repdim verify``, ``bounds
 sweep``), 2 input validation failure, 3 numerical/degeneracy failure; on
 an exit of 2 or 3 a single machine-parsable line ``ErrorName: reason`` goes
-to stderr.
+to stderr.  When the reader of stdout closes it early (``| head``), the
+output stops without a traceback and the exit code is 141 (128 + SIGPIPE),
+as for a process that SIGPIPE ended.
 
 Matrix files are plain text: the first line holds the size n, followed by
 n rows of n whitespace-separated finite decimal reals.  Floating-point
@@ -20,6 +22,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -52,25 +55,14 @@ class Output:
 
     ``main`` calls only the function for the requested format, so a command
     never formats output that is not printed.  A command whose output is
-    too large to hold, ``bounds sweep``, returns a ``Stream`` instead: it
-    writes its rows one level of chains at a time, so memory holds one
-    level, not the output."""
+    too large to hold, ``bounds sweep``, returns instead the function
+    ``write(fmt, head)`` that writes its output while computing it and
+    returns the exit code."""
 
     json: Callable[[], dict]
     csv: Callable[[], Iterable[Sequence]]
     text: Callable[[], Iterable[str]]
     code: int = 0
-
-
-@dataclass(frozen=True)
-class Stream:
-    """A result written while it is computed: ``write(fmt, head)`` writes a
-    header (for JSON, the members of ``head`` open the document), then the
-    rows a chunk at a time, then a footer, and returns the exit code, which
-    is known only after the rows.  Nothing is written before the first
-    chunk is rendered, so an input refused there leaves stdout empty."""
-
-    write: Callable[[str, dict], int]
 
 
 def _fmt(x) -> str:
@@ -184,13 +176,12 @@ def cmd_embed(args) -> Output:
     else:
         f = random_flag_point(sig, args.seed)
     x = embed(f, spec).x.entries
-    eigenvalues = _eigh(x, vectors=False)
     trace = float(np.trace(x))
     return Output(
         json=lambda: {
             **_spectrum_header(spec),
             "matrix": x.tolist(),
-            "eigenvalues": eigenvalues.tolist(),
+            "eigenvalues": _eigh(x, vectors=False).tolist(),
             "trace": trace,
         },
         csv=lambda: _matrix_csv_rows(x),
@@ -199,7 +190,7 @@ def cmd_embed(args) -> Output:
             "ks: " + _ks_text(sig),
             "spectrum: " + _row(spec.values),
             "trace: " + _fmt(trace),
-            "eigenvalues: " + _row(eigenvalues),
+            "eigenvalues: " + _row(_eigh(x, vectors=False)),
             "matrix:",
             *_matrix_lines(x),
         ],
@@ -456,7 +447,12 @@ class _SweepTails(dict):
 def _write_sweep(max_n: int, group_order: int | None, fmt: str, head: dict) -> int:
     """Write ``bounds sweep`` a level of ``_walk_chains`` at a time, a row one
     concatenation of its walked text and its group's tail, and return the
-    exit code: 1 if any signature fails the Gunther comparison."""
+    exit code: 1 if any signature fails the Gunther comparison.
+
+    A header (for JSON, the members of ``head`` open the document) goes out
+    with the first level and a footer after the last, so memory holds one
+    level, not the output, and nothing is written before the first level is
+    rendered: an input refused there leaves stdout empty."""
     write = sys.stdout.write
     # rows are separated, not terminated, so that JSON needs no trailing comma
     sep = ",\n" if fmt == "json" else "\n"
@@ -484,14 +480,14 @@ def _write_sweep(max_n: int, group_order: int | None, fmt: str, head: dict) -> i
     return 0 if failures == 0 else 1
 
 
-def cmd_bounds_sweep(args) -> Stream:
+def cmd_bounds_sweep(args) -> Callable[[str, dict], int]:
     if args.max_n < 2:
         raise ValidationError(f"--max-n must be at least 2, got {args.max_n}")
     if args.n is not None or args.ks is not None:
         raise ValidationError("bounds sweep takes no --n or --ks")
     if args.group_order is not None:  # refused as the first row, n = 2 and m = 1, would refuse it
         bounds_mod.wang_bound(bounds_mod.whitney_bound(1), args.group_order)
-    return Stream(lambda fmt, head: _write_sweep(args.max_n, args.group_order, fmt, head))
+    return functools.partial(_write_sweep, args.max_n, args.group_order)
 
 
 @functools.cache
@@ -593,8 +589,8 @@ def main(argv=None) -> int:
         limit = sys.get_int_max_str_digits()  # lifted only while the output is printed,
         sys.set_int_max_str_digits(0)  # so that exact integers print in full
         try:
-            if isinstance(out, Stream):
-                return out.write(args.format, head)
+            if callable(out):
+                return out(args.format, head)
             if args.format == "json":
                 _print(json.dumps({**head, **out.json()}, indent=2))
             elif args.format == "csv":
@@ -614,7 +610,14 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()  # inside the try: the last buffered bytes may meet the closed pipe
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as for a process that SIGPIPE ended
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,9 @@ for degeneracies discovered mid-computation where any answer would be
 meaningless (exit code 3).  ``_index`` is the integer coercion that every
 integer argument goes through, so that a float or string is refused with
 a ``ValidationError`` rather than truncated or passed to ``int()``.
+``_at_least`` adds the lower bound: every range check of an integer
+argument of ``bounds`` and ``repdim`` is one call to it, where the
+argument enters, and reads ``need {what} >= {least}, got {value}``.
 """
 
 import operator
@@ -46,6 +49,14 @@ def _index(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise NotAnInteger(f"{what} must be an integer, got {type(value).__name__}") from None
+
+
+def _at_least(value, what: str, least: int, error=ValidationError) -> int:
+    """``value`` through ``_index``, refused with ``error`` below ``least``."""
+    value = _index(value, what)
+    if value < least:
+        raise error(f"need {what} >= {least}, got {value}")
+    return value
 
 
 class SignatureMismatch(ValidationError):

@@ -38,6 +38,7 @@ from .errors import (
     MixedParity,
     NotDominant,
     ValidationError,
+    _at_least,
     _index,
 )
 from .flagcore import _prechecked
@@ -115,6 +116,7 @@ def parse_weight(n: int, text: str) -> HighestWeight:
     or a fraction like ``1/2``.  Integral weights shorter than m are padded
     with trailing zeros; spin weights must be given in full since padding
     would mix parities."""
+    n = _index(n, "n")
     entries = [t.strip() for t in text.split(",") if t.strip()]
     if not entries:
         raise ValidationError("empty weight")
@@ -168,10 +170,11 @@ def fundamental_weight(n: int, i: int) -> HighestWeight:
 
     For odd n the last one is the spin weight (1/2, ..., 1/2); for even n
     the last two are the half-spin weights (1/2, ..., 1/2, -/+ 1/2).
+    Each is m ints of one parity, nonincreasing, with a nonnegative last
+    entry or (n even, so m >= 2) d_{m-1} >= |d_m|: dominant, so it is built
+    without the validator.
     """
-    n, i = _index(n, "n"), _index(i, "i")
-    if n < 3:
-        raise HypothesisViolated(f"need n >= 3, got {n}")
+    n, i = _at_least(n, "n", 3, HypothesisViolated), _index(i, "i")
     m = n // 2
     if not 1 <= i <= m:
         raise IndexOutOfRange(f"fundamental weight index {i} outside 1..{m}")
@@ -187,15 +190,13 @@ def fundamental_weight(n: int, i: int) -> HighestWeight:
             doubled = (1,) * (m - 1) + (-1,)
         else:
             doubled = (1,) * m
-    return HighestWeight(n, doubled)
+    return _prechecked(HighestWeight, n=n, doubled=doubled)
 
 
 def spin_dimension(n: int) -> int:
     """2^m for n = 2m+1, 2^{m-1} for n = 2m: the spin module dimension,
     equal to weyl_dim at the spin fundamental weight(s)."""
-    n = _index(n, "n")
-    if n < 3:
-        raise HypothesisViolated(f"need n >= 3, got {n}")
+    n = _at_least(n, "n", 3, HypothesisViolated)
     m = n // 2
     return 2**m if n % 2 == 1 else 2 ** (m - 1)
 
@@ -209,11 +210,7 @@ def single_row_dim(n: int, s: int) -> int:
     Must agree with weyl_dim on the same weight; kept separate so the two
     routes check each other.
     """
-    n, s = _index(n, "n"), _index(s, "s")
-    if n < 5:
-        raise HypothesisViolated(f"need n >= 5, got {n}")
-    if s < 0:
-        raise ValidationError(f"need s >= 0, got {s}")
+    n, s = _at_least(n, "n", 5, HypothesisViolated), _at_least(s, "s", 0)
     binom = comb(n - 3 + s, s)
     if n % 2 == 1:
         val = Fraction(n - 2 + 2 * s, n - 2) * binom
@@ -253,10 +250,9 @@ class EnumerationReport:
 
     The box holds both parities, first entry at most ``mu1_cap``, and (for
     even n) both signs of the last entry.  ``visited`` counts the weights
-    whose dimension the walk evaluated (the mirror checks of even-n hits
-    aside) and ``pruned`` the ones among them that exceeded ``max_dim`` and
-    so cut their branch.  Both describe the walk, not its result: they are
-    left out of ``repr`` and equality.
+    whose dimension the walk evaluated and ``pruned`` the ones among them
+    that exceeded ``max_dim`` and so cut their branch.  Both describe the
+    walk, not its result: they are left out of ``repr`` and equality.
     """
 
     n: int
@@ -282,14 +278,13 @@ def enumerate_low_dim(n: int, max_dim: int, mu1_cap=4) -> EnumerationReport:
     position's values are cut without losing a hit.  The first child of a
     node repeats its parent's completion and is not evaluated again.
 
-    For even n the negative-last-entry branch is visited explicitly at each
-    hit, confirmed to carry the same dimension as its mirror, and reported
-    once with ``sign_pair`` set.
+    For even n the walk keeps the last entry >= 0.  A hit whose last entry
+    is positive stands for itself and its mirror, the weight with that entry
+    negated: ``_shifted_product`` squares l_m = d_m, so the two have the same
+    dimension, and the pair is reported once with ``sign_pair`` set.
     Hits are sorted by dimension, then lexicographically.
     """
-    n = _index(n, "n")
-    if n < 3:
-        raise HypothesisViolated(f"need n >= 3, got {n}")
+    n = _at_least(n, "n", 3, HypothesisViolated)
     try:
         cap = _doubled_entry(mu1_cap)
     except ValidationError:
@@ -304,7 +299,7 @@ def enumerate_low_dim(n: int, max_dim: int, mu1_cap=4) -> EnumerationReport:
     # `lo`; `dim` is the dimension of the smallest completion at `lo` when
     # the parent already evaluated it.  A completion is m ints of one parity,
     # nonincreasing and >= 0, so dominant: it is built without the validator,
-    # which runs on the hits and their mirrors.
+    # and so is each hit, which is a completion.
     todo = [(m - 1, (), parity, None) for parity in (0, 1)]
     while todo:
         k, suffix, lo, dim = todo.pop()
@@ -319,12 +314,8 @@ def enumerate_low_dim(n: int, max_dim: int, mu1_cap=4) -> EnumerationReport:
                 todo.append((k - 1, (v,) + suffix, v, dim))
                 continue
             doubled = (v,) + suffix
-            w = HighestWeight(n, doubled)
+            w = _prechecked(HighestWeight, n=n, doubled=doubled)
             sign_pair = n % 2 == 0 and doubled[-1] > 0
-            if sign_pair:
-                mirror = HighestWeight(n, doubled[:-1] + (-doubled[-1],))
-                if weyl_dim(mirror) != dim:
-                    raise ArithmeticError(f"mirror of {w} has a different dimension")
             if n % 2 == 1:
                 real_form = doubled[-1] == 0
             else:
@@ -358,7 +349,7 @@ class ClassificationReport:
 
 def traceless_sym_dim(n: int) -> int:
     """(n-1)(n+2)/2, the dimension of the traceless symmetric matrices."""
-    n = _index(n, "n")
+    n = _at_least(n, "n", 2)
     return (n - 1) * (n + 2) // 2
 
 

@@ -3,8 +3,11 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 import warnings
 
 import numpy as np
@@ -123,14 +126,17 @@ class TestEmbedCommand:
 
     def test_one_eigen_solve(self, capsys, monkeypatch):
         """embed's own check is the certificate, so the only eigen-solve is
-        the one that computes the printed eigenvalues."""
+        the one that computes the printed eigenvalues, and CSV, which prints
+        none, makes no solver call."""
         calls = []
         for name in ("eigh", "eigvalsh"):
             solver = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda a, _solver=solver, _name=name: calls.append(_name) or _solver(a))
-        code, out, _ = run(capsys, "embed", "--n", "5", "--ks", "2", "--seed", "7")
-        assert code == 0 and "eigenvalues: " in out
-        assert calls == ["eigvalsh"]
+        for fmt, solves in (("text", ["eigvalsh"]), ("json", ["eigvalsh"]), ("csv", [])):
+            calls.clear()
+            code, out, _ = run(capsys, "embed", "--n", "5", "--ks", "2", "--seed", "7", "--format", fmt)
+            assert code == 0 and ("eigenvalues" in out) == bool(solves)
+            assert calls == solves, fmt
 
     def test_q_file_input(self, capsys, tmp_path):
         q = np.eye(3)
@@ -618,6 +624,24 @@ class TestBoundsSweep:
         code, out, err = run(capsys, *sweep_argv(13, group_order, fmt))
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == self.MAX_N_13_DIGESTS[fmt, group_order]
+
+    def test_closed_stdout_exits_141_without_traceback(self):
+        """A reader that closes the pipe early (``| head -1``) ends the sweep
+        with exit code 141, as SIGPIPE would, and nothing on stderr."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        with subprocess.Popen([sys.executable, "-m", "isoflag.cli", *sweep_argv(14, None, "text")],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            try:
+                first = proc.stdout.readline()
+                proc.stdout.close()
+                code = proc.wait(timeout=60)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+            err = proc.stderr.read()
+        assert first == b"n=2 ks=1 flag_dim=1 isospectral=2 gunther=7 whitney=2\n"
+        assert (code, err) == (141, b"")
 
     def test_one_json_encoding_per_group(self, capsys, monkeypatch):
         calls = []

@@ -318,6 +318,12 @@ class TestFundamentalWeights:
         assert fundamental_weight(8, 4).halves() == (HALF, HALF, HALF, HALF)
         assert fundamental_weight(8, 2).halves() == (1, 1, 0, 0)
 
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_built_weights_pass_the_validator(self, n):
+        for i in range(1, n // 2 + 1):
+            w = fundamental_weight(n, i)
+            assert HighestWeight(n, w.doubled) == w  # raises on a bad weight
+
     def test_index_bounds(self):
         with pytest.raises(IndexOutOfRange):
             fundamental_weight(7, 0)
@@ -492,9 +498,10 @@ class TestEnumerate:
 
 
 class TestTrustedWalk:
-    """The walk and the comparison weights are built without the validator,
-    so every weight they hand to weyl_dim must pass it anyway, and the
-    validator runs once per hit and once per mirror."""
+    """The walk, its hits and the comparison weights are built without the
+    validator, so every weight they hand to weyl_dim, and every hit, must
+    pass it anyway.  An even-n hit's mirror is not evaluated: it has the
+    hit's dimension (``test_even_sign_flip_invariance``)."""
 
     @pytest.fixture
     def revalidated(self, monkeypatch):
@@ -511,8 +518,9 @@ class TestTrustedWalk:
     def test_walk_weights_are_dominant(self, n, revalidated):
         for cap in (2, Fraction(5, 2), 3, Fraction(7, 2), 4):
             report = enumerate_low_dim(n, traceless_sym_dim(n), cap)
-            mirrors = sum(h.sign_pair for h in report.hits)
-            assert len(revalidated) == report.visited + mirrors
+            assert len(revalidated) == report.visited
+            for h in report.hits:
+                assert HighestWeight(n, h.weight.doubled) == h.weight  # raises on a bad weight
             revalidated.clear()
 
     @pytest.mark.parametrize("n", range(17, 25))
@@ -525,19 +533,12 @@ class TestTrustedWalk:
         assert len(revalidated) == walk + (m - 1) + (m - 2)  # the 2m - 3 comparison weights
 
     @pytest.mark.parametrize("n", [3, 4, 9, 12, 17, 18, 24])
-    def test_validator_runs_once_per_hit_and_mirror(self, n, monkeypatch):
+    def test_walk_runs_no_validator(self, n, monkeypatch):
         calls = []
-        validate = HighestWeight.__post_init__
-
-        def counted(w):
-            calls.append(w.doubled)
-            validate(w)
-
-        monkeypatch.setattr(HighestWeight, "__post_init__", counted)
+        monkeypatch.setattr(HighestWeight, "__post_init__", lambda w: calls.append(w.doubled))
         for max_dim in (n, traceless_sym_dim(n), 2 * traceless_sym_dim(n)):
-            report = enumerate_low_dim(n, max_dim)
-            assert len(calls) == len(report.hits) + sum(h.sign_pair for h in report.hits)
-            calls.clear()
+            assert enumerate_low_dim(n, max_dim).hits
+        assert calls == []
 
 
 class TestVerifyClassification:
