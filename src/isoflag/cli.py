@@ -5,9 +5,12 @@ top-level ``schema_version``), or CSV.  Exit codes are a stable contract:
 0 success, 1 a failed verification row (``repdim verify``, ``bounds
 sweep``), 2 input validation failure, 3 numerical/degeneracy failure; on
 an exit of 2 or 3 a single machine-parsable line ``ErrorName: reason`` goes
-to stderr.  When the reader of stdout closes it early (``| head``), the
-output stops without a traceback and the exit code is 141 (128 + SIGPIPE),
-as for a process that SIGPIPE ended.
+to stderr, and no warning.  That holds for the parser's own refusals too
+(an unknown or missing option, a value its ``type`` cannot parse), which
+are one ``ValidationError:`` line instead of argparse's usage block.  When
+the reader of stdout closes it early (``| head``), the output stops without
+a traceback and the exit code is 141 (128 + SIGPIPE), as for a process that
+SIGPIPE ended.
 
 Matrix files are plain text: the first line holds the size n, followed by
 n rows of n whitespace-separated finite decimal reals.  Floating-point
@@ -247,14 +250,17 @@ def cmd_optimize(args) -> Output:
     target = SymmetricMatrix(a)
     init = embed(random_flag_point(sig, args.seed), spec)
     step = args.step if args.step is not None else default_step(spec)
-    result = gradient_descent(
-        lambda x: x - target.entries,
-        spec,
-        init,
-        step=step,
-        max_iters=args.max_iters,
-        grad_tol=args.grad_tol,
-    )
+    # a finite step so large that x + step * v overflows is refused as NotSymmetric;
+    # only its numpy warning is silenced, here, and the descent loop sets no error state
+    with np.errstate(over="ignore"):
+        result = gradient_descent(
+            lambda x: x - target.entries,
+            spec,
+            init,
+            step=step,
+            max_iters=args.max_iters,
+            grad_tol=args.grad_tol,
+        )
     final = result.point.x.entries
     distance = float(np.linalg.norm(final - target.entries))
     return Output(
@@ -490,11 +496,20 @@ def cmd_bounds_sweep(args) -> Callable[[str, dict], int]:
     return functools.partial(_write_sweep, args.max_n, args.group_order)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that refuses its input by raising ``ValidationError``,
+    which ``main`` prints as its one stderr line, rather than by printing the
+    usage block and exiting.  Subcommand parsers are built from this class too."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.  It holds no handler:
     ``main`` finds one by the command path each time it is called."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isoflag",
         description="Flag manifolds as fixed-spectrum symmetric matrices.",
     )
@@ -577,9 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
         # handler names follow the command path: "repdim dim" is cmd_repdim_dim,
         # looked up at call time so that a wrapped or patched handler is called
         sub = getattr(args, "repdim_command", None) or getattr(args, "bounds_command", None)
@@ -601,6 +613,8 @@ def main(argv=None) -> int:
         finally:
             sys.set_int_max_str_digits(limit)
         return out.code
+    except SystemExit as e:  # --help, which argparse prints before it exits
+        return int(e.code or 0)
     except ValidationError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EigenSolverFailed, EigenvalueGapTooSmall, SpectrumMismatch
+from .errors import EigenSolverFailed, EigenvalueGapTooSmall, SpectrumMismatch, _check_tolerance
 from .flagcore import (
     EIG_TOL,
     FlagPoint,
@@ -24,8 +24,6 @@ from .flagcore import (
     SymmetricMatrix,
     _check_same_signature,
     _check_size,
-    _check_special_orthogonal,
-    _check_tolerance,
     _embedded_image,
     _frobenius,
     _prechecked,
@@ -186,8 +184,7 @@ def act(r: np.ndarray, f: FlagPoint) -> FlagPoint:
     Equivariance: embedding the rotated flag equals conjugating the
     embedded matrix, embed(act(r, f)) = r embed(f) r'.
     """
-    r = np.asarray(r, dtype=float)
-    _check_special_orthogonal(r, f.signature.n)
+    r = FlagPoint(r, f.signature).q  # r read and checked as a frame is
     return FlagPoint(r @ f.q, f.signature)
 
 
@@ -210,7 +207,7 @@ def recover(x: SymmetricMatrix, spec: Spectrum, eig_tol: float = EIG_TOL) -> Fla
     """
     sig = spec.signature
     _check_size(x.entries, sig)
-    _check_tolerance("eig_tol", eig_tol)
+    eig_tol = _check_tolerance("eig_tol", eig_tol)
     if spec.min_gap <= 2 * eig_tol:
         raise EigenvalueGapTooSmall(
             f"spectrum min gap {spec.min_gap:.3e} <= 2 * eig_tol = {2 * eig_tol:.3e}"

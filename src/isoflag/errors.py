@@ -9,8 +9,14 @@ a ``ValidationError`` rather than truncated or passed to ``int()``.
 ``_at_least`` adds the lower bound: every range check of an integer
 argument of ``bounds`` and ``repdim`` is one call to it, where the
 argument enters, and reads ``need {what} >= {least}, got {value}``.
+``_real`` is the coercion of a real-number parameter, which refuses a
+string or a complex rather than parse or truncate it; ``_check_tolerance``
+(a tolerance or a step, finite and >= 0) and ``_finite_factor`` (a factor
+that scales a matrix) are built on it.
 """
 
+import math
+import numbers
 import operator
 
 
@@ -57,6 +63,38 @@ def _at_least(value, what: str, least: int, error=ValidationError) -> int:
     if value < least:
         raise error(f"need {what} >= {least}, got {value}")
     return value
+
+
+def _real(value) -> float | None:
+    """``float(value)`` for a real number that a double holds: an int, a
+    float, a ``Fraction``, a numpy integer or float.  ``None`` for anything
+    else: a string, a complex, ``None`` or an int past a double."""
+    if isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    return None
+
+
+def _check_tolerance(name: str, value) -> float:
+    """``value`` as a float, or ``ValidationError`` unless the parameter
+    ``name`` is a real number (``_real``), finite and >= 0."""
+    v = _real(value)
+    if v is None or not 0 <= v < math.inf:
+        raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+    return v
+
+
+def _finite_factor(c, error) -> float:
+    """The scalar ``c`` as a float, read as ``flagcore._frozen_array`` reads
+    an entry of the matrix that it scales, and refused with the same errors."""
+    v = _real(c)
+    if v is None:
+        raise error("entries must be real numbers")
+    if not math.isfinite(v):
+        raise error("entries must be finite")
+    return v
 
 
 class SignatureMismatch(ValidationError):

@@ -10,6 +10,7 @@ each block.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from .errors import (
     SignatureMismatch,
     SpectrumInvalid,
     ValidationError,
+    _finite_factor,
     _index,
 )
 
@@ -49,14 +51,22 @@ SPECTRUM_GAP_TOL = 1e-8  # spectrum values, and nearest_point's gaps at block bo
 SPECTRUM_MAX = 2.0**1020
 
 
-def _check_tolerance(name: str, value: float) -> None:
-    """Raise ``ValidationError`` unless the parameter ``name`` is finite and >= 0."""
-    if not (np.isfinite(value) and value >= 0):
-        raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+def _float_array(a, error) -> np.ndarray:
+    """``a`` as a float array, itself if it is one, refused as ``_frozen_array`` refuses a non-real entry."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if (out := np.asarray(a)).dtype.kind in "biufO":  # bool, int, float or object
+            return out.astype(float, copy=False)
+    raise error("entries must be real numbers")
 
 
-def _frozen_array(a) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
+def _frozen_array(a, error) -> np.ndarray:
+    """The one reader of array input: a read-only float copy of ``a``.  A string,
+    a complex, a ragged nesting or an int past a double raises ``error("entries
+    must be real numbers")``, and a NaN or infinity ``error("entries must be
+    finite")``, both before anything looks at the shape."""
+    out = _float_array(a, error).copy()
+    if not np.isfinite(out).all():
+        raise error("entries must be finite")
     out.setflags(write=False)
     return out
 
@@ -151,7 +161,10 @@ class Spectrum:
     signature: FlagSignature
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        try:  # float() of each value; float(None) refuses a numpy complex, which float() would truncate
+            vals = tuple(float(None if isinstance(v, np.complexfloating) else v) for v in self.values)
+        except (TypeError, ValueError, OverflowError):
+            raise SpectrumInvalid(f"spectrum values must be real numbers, got {self.values!r}") from None
         object.__setattr__(self, "values", vals)
         if len(vals) != self.signature.num_blocks:
             raise SpectrumInvalid(
@@ -195,7 +208,9 @@ class Spectrum:
     @cached_property
     def _diagonal(self) -> np.ndarray:
         """``repeated()``, read-only."""
-        return _frozen_array(self.repeated())
+        d = self.repeated()
+        d.setflags(write=False)
+        return d
 
     @cached_property
     def _max_abs(self) -> float:
@@ -235,14 +250,11 @@ def default_traceless_spectrum(sig: FlagSignature) -> Spectrum:
 
 
 def _check_special_orthogonal(q: np.ndarray, n: int) -> None:
-    """Raise ``NotSpecialOrthogonal`` unless q is n x n, finite, orthogonal
-    within ORTH_TOL and of determinant +1.  Overflow in Q'Q can still make
-    the defect inf or NaN, which fails the ``not defect <= tol`` comparison
-    without a warning."""
+    """Raise ``NotSpecialOrthogonal`` unless q, read by ``_frozen_array``, is n x n,
+    orthogonal within ORTH_TOL and of determinant +1.  Overflow in Q'Q can still make
+    the defect inf or NaN, which fails ``not defect <= tol`` without a warning."""
     if q.shape != (n, n):
         raise NotSpecialOrthogonal(f"expected a {n}x{n} matrix, got shape {q.shape}")
-    if not np.all(np.isfinite(q)):
-        raise NotSpecialOrthogonal("entries must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         defect = np.linalg.norm(q.T @ q - np.eye(n))
     if not defect <= ORTH_TOL:
@@ -266,7 +278,7 @@ class FlagPoint:
     signature: FlagSignature
 
     def __post_init__(self):
-        q = _frozen_array(self.q)
+        q = _frozen_array(self.q, NotSpecialOrthogonal)
         _check_special_orthogonal(q, self.signature.n)
         object.__setattr__(self, "q", q)
 
@@ -298,7 +310,6 @@ def random_flag_point(sig: FlagSignature, seed: int = 0) -> FlagPoint:
     q, r = np.linalg.qr(a)
     q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)
     if np.linalg.det(q) < 0:
-        q = q.copy()
         q[:, -1] = -q[:, -1]
     return FlagPoint(q, sig)
 
@@ -322,15 +333,9 @@ class SymmetricMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.entries, dtype=float, copy=True)
-        if not np.all(np.isfinite(a)):
-            raise NotSymmetric("entries must be finite")
+        a = _frozen_array(self.entries, NotSymmetric)
         _check_symmetric(a)
-        a.setflags(write=False)
         object.__setattr__(self, "entries", a)
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.entries, dtype=dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,11 +348,9 @@ class TangentBlock:
 
     def __post_init__(self):
         sig = self.signature
-        a = np.asarray(self.matrix, dtype=float)
+        a = _frozen_array(self.matrix, NotSkewSymmetric)
         if a.shape != (sig.n, sig.n):
             raise NotSkewSymmetric(f"expected shape {(sig.n, sig.n)}, got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise NotSkewSymmetric("entries must be finite")
         upper = np.triu(a, 1)
         with np.errstate(over="ignore", invalid="ignore"):
             if not np.linalg.norm(a + a.T) <= SYM_TOL:
@@ -356,7 +359,9 @@ class TangentBlock:
                 if not np.linalg.norm(a[s, s]) <= SYM_TOL:
                     raise NotSkewSymmetric(f"diagonal block {i} is nonzero")
                 upper[s, s] = 0.0
-        object.__setattr__(self, "matrix", _frozen_array(upper - upper.T))
+        upper -= upper.T
+        upper.setflags(write=False)
+        object.__setattr__(self, "matrix", upper)
 
     @classmethod
     def from_block_map(cls, sig: FlagSignature, blocks: Mapping[tuple[int, int], np.ndarray]) -> "TangentBlock":
@@ -365,7 +370,7 @@ class TangentBlock:
         a = np.zeros((sig.n, sig.n))
         for i, j in itertools.combinations(range(sig.num_blocks), 2):
             if (i, j) in blocks:
-                blk = np.asarray(blocks[i, j], dtype=float)
+                blk = _frozen_array(blocks[i, j], NotSkewSymmetric)
                 if blk.shape != (sizes[i], sizes[j]):
                     raise NotSkewSymmetric(f"block ({i},{j}) must have shape {(sizes[i], sizes[j])}, got {blk.shape}")
                 a[sl[i], sl[j]] = blk
@@ -383,7 +388,8 @@ class TangentBlock:
         return float(np.linalg.norm(self.matrix))
 
     def scaled(self, c: float) -> "TangentBlock":
-        return TangentBlock(self.signature, c * self.matrix)
+        with np.errstate(over="ignore"):  # an overflowing product is refused as not finite
+            return TangentBlock(self.signature, _finite_factor(c, NotSkewSymmetric) * self.matrix)
 
 
 def random_tangent_block(sig: FlagSignature, seed: int = 0) -> TangentBlock:

@@ -44,6 +44,8 @@ from .errors import (
     SpectrumInvalid,
     StepNotFinite,
     ValidationError,
+    _check_tolerance,
+    _finite_factor,
     _index,
 )
 from .flagcore import (
@@ -57,7 +59,7 @@ from .flagcore import (
     _check_same_signature,
     _check_size,
     _check_symmetric,
-    _check_tolerance,
+    _float_array,
     _frobenius,
 )
 
@@ -183,7 +185,7 @@ def nearest_point(a: SymmetricMatrix, spec: Spectrum, gap_tol: float = SPECTRUM_
     the answer non-unique and raise ``DegenerateBoundaryGap``.
     """
     _check_size(a.entries, spec.signature)
-    _check_tolerance("gap_tol", gap_tol)
+    gap_tol = _check_tolerance("gap_tol", gap_tol)
     _check_decreasing(spec)
     lam, vec = _descending_eigh(a.entries)
     for k in spec.signature.ks:
@@ -223,8 +225,11 @@ def retract(base: EmbeddedFlag, v: EmbeddedTangent, step: float) -> EmbeddedFlag
 
     Lands exactly on the manifold and agrees with the straight line to
     first order, so the deviation from base.x + step * v is O(step^2).
+    A step that is not a finite real number raises ``NotSymmetric``, as the
+    matrix base.x + step * v would.
     """
     _check_size(v.v.entries, base.signature)
+    step = _finite_factor(step, NotSymmetric)
     if step == 0.0:
         return base
     spec = base.spectrum
@@ -272,8 +277,9 @@ def gradient_descent(
     entry, and ``step`` (``None`` or finite and >= 0) and ``max_iters`` (an
     integer >= 0), each refused with ``ValidationError``; the array
     ``objective_grad`` returns on every iteration
-    (non-finite entries raise ``StepNotFinite``, a non-square or asymmetric
-    one ``NotSymmetric``, a wrong size ``SignatureMismatch``); a
+    (non-real entries raise ``NotSymmetric``, non-finite ones
+    ``StepNotFinite``, a non-square or asymmetric array ``NotSymmetric``, a
+    wrong size ``SignatureMismatch``); a
     non-decreasing spectrum at the first retraction, as ``nearest_point``
     checks it; and every iterate, by the Ostrowski certificate or, where
     that cannot decide, by the eigenvalue check of ``EmbeddedFlag``.
@@ -282,9 +288,9 @@ def gradient_descent(
     was taken.
     """
     _check_same_signature(init.signature, spec.signature)
-    _check_tolerance("grad_tol", grad_tol)
+    grad_tol = _check_tolerance("grad_tol", grad_tol)
     if step is not None:
-        _check_tolerance("step", step)
+        step = _check_tolerance("step", step)
     max_iters = _index(max_iters, "max_iters")
     if max_iters < 0:
         raise ValidationError(f"max_iters must be >= 0, got {max_iters}")
@@ -314,7 +320,9 @@ def gradient_descent(
 
 def _checked_gradient(g, sig: FlagSignature) -> np.ndarray:
     """The user's gradient as a float array, checked as ``SymmetricMatrix``
-    and ``project_to_tangent`` check theirs.
+    and ``project_to_tangent`` check theirs.  ``_float_array`` converts it
+    and refuses non-real entries; a float array is taken as it is, with no
+    copy and no pass over it.
 
     A gradient of the right shape whose squared Frobenius norm is finite has
     only finite entries, and none so large that g - g' overflows, so its
@@ -323,7 +331,7 @@ def _checked_gradient(g, sig: FlagSignature) -> np.ndarray:
     order, but raises no floating-point warning.  Any other gradient, or
     one over the tolerance, goes through the checks in their order, which
     raise the error with its message and without a warning."""
-    g = np.asarray(g, dtype=float)
+    g = _float_array(g, NotSymmetric)
     if g.shape == (sig.n, sig.n) and np.vdot(g, g) < math.inf:
         d = (g - g.T).ravel(order="K")
         if math.sqrt(np.vdot(d, d)) <= SYM_TOL:

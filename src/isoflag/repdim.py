@@ -72,7 +72,7 @@ class HighestWeight:
             if d[-1] < 0:
                 raise NotDominant(f"last entry must be >= 0 for odd n: {self._pretty(d)}")
         else:
-            if m >= 2 and d[-2] < abs(d[-1]):
+            if d[-2] < abs(d[-1]):  # even n >= 4, so m >= 2
                 raise NotDominant(
                     f"need mu_{m - 1} >= |mu_{m}| for even n: {self._pretty(d)}"
                 )
@@ -319,7 +319,7 @@ def enumerate_low_dim(n: int, max_dim: int, mu1_cap=4) -> EnumerationReport:
             if n % 2 == 1:
                 real_form = doubled[-1] == 0
             else:
-                real_form = doubled[-1] == 0 and (m < 2 or doubled[-2] == 0)
+                real_form = doubled[-1] == 0 and doubled[-2] == 0  # even n >= 4, so m >= 2
             hits.append(EnumerationHit(w, dim, real_form, sign_pair))
     hits.sort(key=lambda h: (h.dimension, h.weight.doubled))
     return EnumerationReport(n, max_dim, tuple(hits), Fraction(cap, 2), visited, pruned)

@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from isoflag.cli import build_parser, main
+from isoflag.errors import ValidationError
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -107,11 +108,11 @@ def test_error_cases_exit_nonzero(golden):
 
 
 def fresh_parse_error(argv) -> dict:
-    """What a newly built parser prints for argv that it rejects."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
+    """What ``main`` prints for argv that a newly built parser rejects: the
+    parser's ``ValidationError`` as one stderr line, and exit code 2."""
+    with pytest.raises(ValidationError) as refusal:
         build_parser.__wrapped__().parse_args(argv)
-    return {"code": exit_info.value.code, "stdout": "", "stderr": err.getvalue()}
+    return {"code": 2, "stdout": "", "stderr": f"{type(refusal.value).__name__}: {refusal.value}\n"}
 
 
 @pytest.mark.parametrize("error_first", [True, False])

@@ -1,0 +1,243 @@
+"""The real-number boundary of the numeric layers.
+
+Every array that enters ``flagcore`` or ``embed`` is read once, by
+``flagcore._frozen_array``: a string, a complex, a ragged nesting or an int
+past a double is refused as "entries must be real numbers", and a NaN or
+infinity as "entries must be finite", each with the constructor's own error
+class.  Every real-number parameter (a tolerance, a step, a scale factor, a
+spectrum value) refuses what is not a real number a double holds.  The
+generated test below feeds 13 public entry points 8 hostile values with
+every warning turned into an error: each call must raise an
+``IsoflagError``, never a bare numpy exception, a warning or a wrong value.
+The second half checks that valid input of other types (int lists, float32
+arrays, ``Fraction`` and numpy floats) still passes, with the same result.
+"""
+
+import warnings
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from isoflag import (
+    FlagPoint,
+    Spectrum,
+    SymmetricMatrix,
+    TangentBlock,
+    act,
+    default_traceless_spectrum,
+    embed,
+    gradient_descent,
+    identity_flag,
+    make_signature,
+    nearest_point,
+    project_to_tangent,
+    random_flag_point,
+    random_tangent_block,
+    recover,
+    retract,
+)
+from isoflag.errors import (
+    IsoflagError,
+    NotSkewSymmetric,
+    NotSpecialOrthogonal,
+    NotSymmetric,
+    SpectrumInvalid,
+    StepNotFinite,
+    ValidationError,
+)
+from isoflag.geometry import _checked_gradient
+
+SIG = make_signature(4, [1, 3])
+SPEC = default_traceless_spectrum(SIG)
+BASE = embed(identity_flag(SIG), SPEC)
+SYM = np.arange(16.0).reshape(4, 4) + np.arange(16.0).reshape(4, 4).T
+TANGENT = project_to_tangent(SymmetricMatrix(SYM), BASE)
+BLOCK = random_tangent_block(SIG, 0)
+
+HOSTILE = {
+    "string": "abc",
+    "None": None,
+    "ragged": [[1.0, 2.0], [3.0]],
+    "complex": 1j,
+    "complex-array": np.eye(4) * (1 + 1j),
+    "int-past-double": 10**400,
+    "nan": float("nan"),
+    "inf": float("inf"),
+}
+NON_REAL = {"string", "ragged", "complex", "complex-array", "int-past-double"}
+
+
+def descend(**kwargs):
+    return gradient_descent(lambda x: x - SYM, SPEC, BASE, max_iters=2, **kwargs)
+
+
+ENTRY_POINTS = {
+    "FlagPoint": lambda v: FlagPoint(v, SIG),
+    "SymmetricMatrix": SymmetricMatrix,
+    "TangentBlock": lambda v: TangentBlock(SIG, v),
+    "TangentBlock.from_block_map": lambda v: TangentBlock.from_block_map(SIG, {(0, 1): v}),
+    "act": lambda v: act(v, identity_flag(SIG)),
+    "Spectrum": lambda v: Spectrum((v, 0.0, -1.0), SIG),
+    "recover.eig_tol": lambda v: recover(BASE.x, SPEC, eig_tol=v),
+    "nearest_point.gap_tol": lambda v: nearest_point(BASE.x, SPEC, gap_tol=v),
+    "gradient_descent.grad_tol": lambda v: descend(grad_tol=v),
+    "gradient_descent.step": lambda v: descend(step=v),
+    "retract.step": lambda v: retract(BASE, TANGENT, v),
+    "TangentBlock.scaled": BLOCK.scaled,
+    "objective_grad": lambda v: gradient_descent(lambda x: v, SPEC, BASE, max_iters=2),
+}
+
+# The error each array reader raises: its constructor's class, or for a
+# scalar factor the class that the scaled matrix would raise.
+ENTRY_ERROR = {
+    "FlagPoint": NotSpecialOrthogonal,
+    "SymmetricMatrix": NotSymmetric,
+    "TangentBlock": NotSkewSymmetric,
+    "TangentBlock.from_block_map": NotSkewSymmetric,
+    "act": NotSpecialOrthogonal,
+    "retract.step": NotSymmetric,
+    "TangentBlock.scaled": NotSkewSymmetric,
+}
+TOLERANCES = {
+    "recover.eig_tol": "eig_tol",
+    "nearest_point.gap_tol": "gap_tol",
+    "gradient_descent.grad_tol": "grad_tol",
+    "gradient_descent.step": "step",
+}
+
+
+def expected_error(entry: str, name: str, value):
+    """The class and message the probe (entry, name) must raise."""
+    non_real = name in NON_REAL
+    if entry in ENTRY_ERROR:
+        # numpy reads None in an array as NaN; as a scalar factor it is not a number
+        scalar = entry in ("retract.step", "TangentBlock.scaled")
+        real_numbers = non_real or (scalar and value is None)
+        return ENTRY_ERROR[entry], "entries must be " + ("real numbers" if real_numbers else "finite")
+    if entry in TOLERANCES:
+        return ValidationError, f"{TOLERANCES[entry]} must be finite and >= 0, got {value}"
+    if entry == "Spectrum":
+        if name in ("nan", "inf"):
+            return SpectrumInvalid, f"spectrum values must be finite, got ({value}, 0.0, -1.0)"
+        return SpectrumInvalid, "spectrum values must be real numbers, got "
+    assert entry == "objective_grad"
+    if non_real:
+        return NotSymmetric, "entries must be real numbers"
+    return StepNotFinite, "objective gradient returned non-finite entries"
+
+
+@pytest.mark.parametrize("name", list(HOSTILE))
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_hostile_value_raises_an_isoflag_error(entry, name):
+    value = HOSTILE[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if (entry, name) == ("gradient_descent.step", "None"):
+            descend(step=value)  # None is the documented default step
+            return
+        with pytest.raises(IsoflagError) as refusal:
+            ENTRY_POINTS[entry](value)
+    error, message = expected_error(entry, name, value)
+    assert type(refusal.value) is error
+    assert str(refusal.value).startswith(message)
+
+
+def test_complex_input_is_refused_not_truncated():
+    with pytest.raises(NotSymmetric, match="entries must be real numbers"):
+        SymmetricMatrix(np.eye(2) * (1 + 1j))
+    sig = make_signature(2, [1])
+    for value in (1 + 1j, np.complex128(1 + 1j), np.complex64(1)):
+        with pytest.raises(SpectrumInvalid, match="real numbers"):
+            Spectrum((value, 0.0), sig)
+
+
+def test_not_iterable_spectrum_values_are_refused():
+    with pytest.raises(SpectrumInvalid, match="real numbers"):
+        Spectrum(5, make_signature(2, [1]))
+
+
+def test_finiteness_is_checked_before_the_shape():
+    bad = np.full((3, 3), np.nan)
+    for error, build in [(NotSymmetric, SymmetricMatrix), (NotSkewSymmetric, lambda a: TangentBlock(SIG, a)),
+                         (NotSpecialOrthogonal, lambda a: FlagPoint(a, SIG))]:
+        with pytest.raises(error, match="^entries must be finite$"):
+            build(bad)
+
+
+def test_an_overflowing_scale_factor_is_refused_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotSkewSymmetric, match="entries must be finite"):
+            TangentBlock.from_block_map(SIG, {(0, 1): [[4.0, 0.0]]}).scaled(1e308)
+
+
+# -- valid input of other types passes unchanged ------------------------------
+
+
+def test_int_and_float32_arrays_read_as_float():
+    for a in ([[2, 1], [1, 0]], np.array([[2, 1], [1, 0]], dtype=np.float32),
+              np.array([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(0)]], dtype=object)):
+        entries = SymmetricMatrix(a).entries
+        assert entries.dtype == np.float64 and not entries.flags.writeable
+        assert entries.tolist() == [[2.0, 1.0], [1.0, 0.0]]
+    eye = np.eye(4, dtype=int)
+    assert np.array_equal(FlagPoint(eye.tolist(), SIG).q, np.eye(4))
+    assert np.array_equal(act(eye.astype(np.float32), identity_flag(SIG)).q, np.eye(4))
+    b = BLOCK.matrix
+    assert np.array_equal(TangentBlock(SIG, b.astype(np.float32)).matrix, b.astype(np.float32).astype(float))
+    ints = TangentBlock.from_block_map(SIG, {(0, 1): [[1, 2]], (1, 2): [[3], [4]]})
+    assert ints.block(0, 1).tolist() == [[1.0, 2.0]]
+    assert ints.block(2, 1).tolist() == [[-3.0, -4.0]]
+
+
+def test_the_reader_copies_its_input():
+    a = SYM.copy()
+    m = SymmetricMatrix(a)
+    a[0, 0] = 99.0
+    assert m.entries[0, 0] == SYM[0, 0]
+
+
+def test_fraction_and_numpy_float_spectra():
+    spec = Spectrum((Fraction(3, 4), np.float32(0.25), np.float64(-1), 0), make_signature(5, [1, 2, 4]))
+    assert spec.values == (0.75, 0.25, -1.0, 0.0)
+    assert all(type(v) is float for v in spec.values)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 10**8), np.float64(1e-8), np.float32(1e-8), 1e-8])
+def test_fraction_and_numpy_float_tolerances(value):
+    q = recover(BASE.x, SPEC, eig_tol=value).q
+    assert np.array_equal(embed(FlagPoint(q, SIG), SPEC).x.entries, BASE.x.entries)
+    assert np.array_equal(nearest_point(BASE.x, SPEC, gap_tol=value).x.entries, BASE.x.entries)
+
+
+def test_zero_tolerances_are_accepted():
+    assert np.array_equal(nearest_point(BASE.x, SPEC, gap_tol=0).x.entries, BASE.x.entries)
+    assert descend(grad_tol=0).iterations == 2
+
+
+def test_steps_of_other_real_types_give_the_float_result():
+    f = random_flag_point(SIG, 3)
+    init = embed(f, SPEC)
+
+    def run(step):
+        return gradient_descent(lambda x: x - SYM, SPEC, init, step=step, max_iters=5, grad_tol=0)
+
+    want = run(0.25)
+    for step in (Fraction(1, 4), np.float64(0.25), np.float32(0.25)):
+        got = run(step)
+        assert got.grad_norms == want.grad_norms
+        assert np.array_equal(got.point.x.entries, want.point.x.entries)
+    v = project_to_tangent(SymmetricMatrix(SYM), init)
+    assert np.array_equal(retract(init, v, Fraction(1, 100)).x.entries, retract(init, v, 0.01).x.entries)
+    assert np.array_equal(BLOCK.scaled(Fraction(1, 2)).matrix, BLOCK.scaled(0.5).matrix)
+    assert np.array_equal(BLOCK.scaled(2).matrix, 2.0 * BLOCK.matrix)
+
+
+def test_gradients_of_other_types_are_converted_and_a_float_one_is_not_copied():
+    g = SYM.copy()
+    assert _checked_gradient(g, SIG) is g
+    assert np.array_equal(_checked_gradient(SYM.astype(int).tolist(), SIG), SYM)
+    assert np.array_equal(_checked_gradient(SYM.astype(np.float32), SIG), SYM)
+    with pytest.raises(StepNotFinite):
+        _checked_gradient([[np.nan] * 4] * 4, SIG)
