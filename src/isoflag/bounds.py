@@ -33,7 +33,7 @@ from typing import Iterator
 
 from .errors import ValidationError, _at_least, _index
 from .flagcore import FlagSignature, _prechecked
-from .repdim import traceless_sym_dim
+from .repdim import _traceless_sym, traceless_sym_dim
 
 
 def flag_dimension(sig: FlagSignature) -> int:
@@ -110,7 +110,7 @@ def _columns(n: int, m: int, group_order: int | None) -> tuple:
     """The columns of ``BoundReport`` after ``flag_dim``, from trusted
     integers n >= 2, m >= n - 1 and group_order >= 1 or None: isospectral,
     gunther, whitney, wang, comparisons and label."""
-    iso, gunther, whitney = traceless_sym_dim(n), _gunther(m), 2 * m
+    iso, gunther, whitney = _traceless_sym(n), _gunther(m), 2 * m
     comparisons = {"isospectral_lt_gunther": iso < gunther, "whitney_condition": iso <= whitney}
     wang = None
     if group_order is not None:

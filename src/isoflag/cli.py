@@ -25,6 +25,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
@@ -42,6 +43,7 @@ from .flagcore import (
     FlagPoint,
     Spectrum,
     SymmetricMatrix,
+    _frobenius,
     default_traceless_spectrum,
     identity_flag,
     make_signature,
@@ -232,11 +234,21 @@ def cmd_recover(args) -> Output:
     )
 
 
+def _distance(a: np.ndarray, b: np.ndarray) -> float:
+    """The Frobenius distance |a - b|, as ``np.linalg.norm`` computes it; a
+    distance past the largest double is refused instead of reported as inf."""
+    with np.errstate(over="ignore"):
+        dist = _frobenius(a - b)
+    if not math.isfinite(dist):
+        raise NumericalError("distance overflows a double")
+    return dist
+
+
 def cmd_project(args) -> Output:
     a = _matrix_input(args, "--matrix-file", args.matrix_file)
     _, spec = _signature_spectrum(args, a.shape[0])
     nearest = nearest_point(SymmetricMatrix(a), spec, gap_tol=args.gap_tol).x.entries
-    dist = float(np.linalg.norm(a - nearest))
+    dist = _distance(a, nearest)
     return Output(
         json=lambda: {**_spectrum_header(spec), "matrix": nearest.tolist(), "distance": dist},
         csv=lambda: _matrix_csv_rows(nearest),
@@ -262,7 +274,7 @@ def cmd_optimize(args) -> Output:
             grad_tol=args.grad_tol,
         )
     final = result.point.x.entries
-    distance = float(np.linalg.norm(final - target.entries))
+    distance = _distance(final, target.entries)
     return Output(
         json=lambda: {
             **_spectrum_header(spec),
@@ -571,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pdv = dsub.add_parser("verify", help="verify the low-dimension classification")
     pdv.add_argument("--n", type=int, required=True)
-    pdv.add_argument("--cap", default=4)
+    pdv.add_argument("--cap", help="first-entry cap of the walk (default: none)")
     add_format(pdv)
 
     pb = sub.add_parser("bounds", help="ambient-dimension bound table")

@@ -55,6 +55,9 @@ def _float_array(a, error) -> np.ndarray:
     """``a`` as a float array, itself if it is one, refused as ``_frozen_array`` refuses a non-real entry."""
     with contextlib.suppress(TypeError, ValueError, OverflowError):
         if (out := np.asarray(a)).dtype.kind in "biufO":  # bool, int, float or object
+            if out.dtype.kind == "f" and out.dtype.itemsize > 8:
+                with np.errstate(over="ignore"):  # a longdouble past a double becomes inf, refused later
+                    return out.astype(float)
             return out.astype(float, copy=False)
     raise error("entries must be real numbers")
 

@@ -16,12 +16,20 @@ is one integer product over the positive roots in the doubled lam+rho
 coordinates, divided by the same product at lam = 0 (cached per n) and
 checked to divide exactly.  Floating point is deliberately absent.
 
-The classification utilities find every dominant weight inside a box whose
-dimension is at most a cutoff, and mechanically confirm which modules fit
-below the dimension of the traceless symmetric matrices, (n-1)(n+2)/2.
-The box is walked depth first and pruned: every Weyl factor
+The classification walk never multiplies out a full product.  It visits
+weights whose leading run of K equal entries rises by 2 at each step, and
+that shift drops the lead's lowest coordinate l_K and adds l_1 + 2, so the
+new dimension is the old one times an exact ratio of short progressions
+(``_lead_step``).  Its two roots, the zero weight and (1/2, ..., 1/2), have
+the closed dimensions 1 and the spin dimension.  Every Weyl factor
 <lam+rho, alpha>/<rho, alpha> grows when a dominant weight is added to lam,
-so a branch whose smallest weight already exceeds the cutoff holds no hit.
+so a branch whose smallest weight already exceeds the cutoff holds no hit,
+and along every branch the dimension grows without bound: the walk needs no
+box, and the classification below the dimension of the traceless symmetric
+matrices, (n-1)(n+2)/2, is proven by the walk itself.  The comparison
+weights of that proof, (1^q) and (2, 1^{q-1}), have the classical closed
+forms C(n, q) and q C(n+1, q+1) - C(n, q-1) (El Samra & King, J. Phys. A
+12, 1979), halved for the chiral halves at q = m for even n.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import comb, prod
 from typing import Sequence
 
@@ -165,6 +174,36 @@ def weyl_dim(w: HighestWeight) -> int:
     return q
 
 
+def _lead_step(n: int, K: int, v: int, suffix: tuple[int, ...]) -> tuple[int, int]:
+    """(p, q) with dim(w') q = dim(w) p, for the dominant weights
+    w = (v,)*K + suffix and w' = (v+2,)*K + suffix, doubled, with
+    suffix[0] <= v and every entry >= 0.
+
+    The lead coordinates l_i = v + n - 2i, i = 1..K, step by 2, so raising
+    them all by 2 drops L = l_K and adds U = l_1 + 2; every other factor of
+    ``_shifted_product`` is unchanged.  Against the lead l_i = U - 2i, i < K,
+    the ratio (U^2 - l_i^2)/(l_i^2 - L^2) = (U - i)/(U - K - i) after the 2s
+    cancel; against a suffix coordinate l_j it is (U^2 - l_j^2)/(L^2 - l_j^2),
+    and a run of equal entries makes each of U -+ l_j and L -+ l_j a
+    progression in j; for odd n the short root adds U/L.  Every factor is
+    positive: the result is exact and has no floating point."""
+    U = v + n
+    L = U - 2 * K
+    p, q = prod(range(U - K + 1, U)), prod(range(L + 1, U - K))
+    if n % 2:
+        p, q = p * U, q * L
+    i = 0
+    while i < len(suffix):
+        s = suffix[i]
+        c = suffix.count(s)  # nonincreasing, so the copies of s are one run
+        hi = s + n - 2 * (K + i + 1)  # l_j at the run's first j, then down by 2
+        lo = hi - 2 * (c - 1)
+        p *= prod(range(U - hi, U - lo + 1, 2)) * prod(range(U + lo, U + hi + 1, 2))
+        q *= prod(range(L - hi, L - lo + 1, 2)) * prod(range(L + lo, L + hi + 1, 2))
+        i += c
+    return p, q
+
+
 def fundamental_weight(n: int, i: int) -> HighestWeight:
     """The i-th fundamental weight of SO(n), 1 <= i <= m.
 
@@ -196,9 +235,11 @@ def fundamental_weight(n: int, i: int) -> HighestWeight:
 def spin_dimension(n: int) -> int:
     """2^m for n = 2m+1, 2^{m-1} for n = 2m: the spin module dimension,
     equal to weyl_dim at the spin fundamental weight(s)."""
-    n = _at_least(n, "n", 3, HypothesisViolated)
-    m = n // 2
-    return 2**m if n % 2 == 1 else 2 ** (m - 1)
+    return _spin_dim(_at_least(n, "n", 3, HypothesisViolated))
+
+
+def _spin_dim(n: int) -> int:
+    return 2 ** (n // 2) if n % 2 == 1 else 2 ** (n // 2 - 1)
 
 
 def single_row_dim(n: int, s: int) -> int:
@@ -210,7 +251,10 @@ def single_row_dim(n: int, s: int) -> int:
     Must agree with weyl_dim on the same weight; kept separate so the two
     routes check each other.
     """
-    n, s = _at_least(n, "n", 5, HypothesisViolated), _at_least(s, "s", 0)
+    return _single_row(_at_least(n, "n", 5, HypothesisViolated), _at_least(s, "s", 0))
+
+
+def _single_row(n: int, s: int) -> int:
     binom = comb(n - 3 + s, s)
     if n % 2 == 1:
         val = Fraction(n - 2 + 2 * s, n - 2) * binom
@@ -246,37 +290,53 @@ class EnumerationHit:
 
 @dataclass(frozen=True)
 class EnumerationReport:
-    """The hits of one enumeration, plus how much of the box the walk saw.
+    """The hits of one enumeration, plus how much walking it took.
 
-    The box holds both parities, first entry at most ``mu1_cap``, and (for
-    even n) both signs of the last entry.  ``visited`` counts the weights
-    whose dimension the walk evaluated and ``pruned`` the ones among them
-    that exceeded ``max_dim`` and so cut their branch.  Both describe the
-    walk, not its result: they are left out of ``repr`` and equality.
+    The walk covers both parities, first entry at most ``mu1_cap`` (``None``:
+    no cap), and (for even n) both signs of the last entry.  ``visited``
+    counts the weights whose dimension the walk evaluated and ``pruned`` the
+    ones among them that exceeded ``max_dim`` and so cut their branch.  Both
+    describe the walk, not its result: they are left out of ``repr`` and
+    equality.
     """
 
     n: int
     max_dim: int
     hits: tuple[EnumerationHit, ...]
-    mu1_cap: Fraction
+    mu1_cap: Fraction | None
     visited: int = field(repr=False, compare=False)
     pruned: int = field(repr=False, compare=False)
 
 
+def _doubled_cap(mu1_cap) -> int:
+    """2 mu1_cap, refused unless mu1_cap is a half-integer >= 2."""
+    try:
+        cap = _doubled_entry(mu1_cap)
+    except ValidationError:
+        cap = 0  # refused below, with the message that names mu1_cap
+    if cap < 4:
+        raise ValidationError(f"mu1_cap must be a half-integer >= 2, got {mu1_cap!r}")
+    return cap
+
+
 def enumerate_low_dim(n: int, max_dim: int, mu1_cap=4) -> EnumerationReport:
     """List every dominant weight with mu_1 <= mu1_cap whose module
-    dimension is at most max_dim.
+    dimension is at most max_dim; with ``mu1_cap=None``, every one.
 
     Both parities are walked depth first, fixing the doubled entries from
-    the last to the first, each in [parity, cap] and nonincreasing.  A node
-    with entries k..m-1 fixed is evaluated at its smallest completion, the
-    weight that repeats entry k in every open leading position.  Every
+    the last to the first, each from its parity up and nonincreasing.  A
+    node with entries k..m-1 fixed is evaluated at its smallest completion,
+    the weight that repeats entry k in every open leading position.  Every
     weight below the node, and the smallest completion of every larger value
     at position k, is that completion plus a dominant weight.  Each Weyl
     factor <lam+rho, alpha>/<rho, alpha> grows when a dominant weight is
     added to lam, so once the completion exceeds max_dim the rest of that
     position's values are cut without losing a hit.  The first child of a
-    node repeats its parent's completion and is not evaluated again.
+    node repeats its parent's completion and is not evaluated again; each
+    larger value is its predecessor with the leading run raised by 2, whose
+    dimension ``_lead_step`` gives exactly.  That dimension grows without
+    bound in the value, so the pruning ends every value loop and the cap is
+    only a box a caller may ask for: without it the walk lists every hit.
 
     For even n the walk keeps the last entry >= 0.  A hit whose last entry
     is positive stands for itself and its mirror, the weight with that entry
@@ -285,28 +345,38 @@ def enumerate_low_dim(n: int, max_dim: int, mu1_cap=4) -> EnumerationReport:
     Hits are sorted by dimension, then lexicographically.
     """
     n = _at_least(n, "n", 3, HypothesisViolated)
-    try:
-        cap = _doubled_entry(mu1_cap)
-    except ValidationError:
-        cap = 0  # refused below, with the message that names mu1_cap
-    if cap < 4:
-        raise ValidationError(f"mu1_cap must be a half-integer >= 2, got {mu1_cap!r}")
+    cap = None if mu1_cap is None else _doubled_cap(mu1_cap)
+    return _walk(n, _index(max_dim, "max_dim"), cap)
+
+
+def _walk(n: int, max_dim: int, cap: int | None) -> EnumerationReport:
+    """``enumerate_low_dim`` for trusted n >= 3, an int max_dim and a doubled
+    cap >= 4 or None."""
     m = n // 2
-    max_dim = _index(max_dim, "max_dim")
     hits = []
     visited = pruned = 0
     # A node fixes entry k above the fixed entries `suffix`, starting from
-    # `lo`; `dim` is the dimension of the smallest completion at `lo` when
-    # the parent already evaluated it.  A completion is m ints of one parity,
+    # `lo`; `dim` is the dimension of the smallest completion at `lo`, which
+    # the parent evaluated.  The roots are the two smallest completions, the
+    # zero weight and (1/2, ..., 1/2).  A completion is m ints of one parity,
     # nonincreasing and >= 0, so dominant: it is built without the validator,
     # and so is each hit, which is a completion.
-    todo = [(m - 1, (), parity, None) for parity in (0, 1)]
+    todo = []
+    for lo, dim in ((0, 1), (1, _spin_dim(n))):
+        visited += 1
+        if dim > max_dim:
+            pruned += 1
+        else:
+            todo.append((m - 1, (), lo, dim))
     while todo:
         k, suffix, lo, dim = todo.pop()
-        for v in range(lo, cap + 1, 2):
-            if v > lo or dim is None:
+        for v in count(lo, 2) if cap is None else range(lo, cap + 1, 2):
+            if v > lo:
                 visited += 1
-                dim = weyl_dim(_prechecked(HighestWeight, n=n, doubled=(v,) * (k + 1) + suffix))
+                p, q = _lead_step(n, k + 1, v - 2, suffix)
+                dim, r = divmod(dim * p, q)
+                if r != 0:
+                    raise ArithmeticError(f"dimension ratio is not integral at n={n}, {(v,) * (k + 1) + suffix}")
                 if dim > max_dim:
                     pruned += 1
                     break
@@ -322,7 +392,7 @@ def enumerate_low_dim(n: int, max_dim: int, mu1_cap=4) -> EnumerationReport:
                 real_form = doubled[-1] == 0 and doubled[-2] == 0  # even n >= 4, so m >= 2
             hits.append(EnumerationHit(w, dim, real_form, sign_pair))
     hits.sort(key=lambda h: (h.dimension, h.weight.doubled))
-    return EnumerationReport(n, max_dim, tuple(hits), Fraction(cap, 2), visited, pruned)
+    return EnumerationReport(n, max_dim, tuple(hits), None if cap is None else Fraction(cap, 2), visited, pruned)
 
 
 @dataclass(frozen=True)
@@ -349,38 +419,55 @@ class ClassificationReport:
 
 def traceless_sym_dim(n: int) -> int:
     """(n-1)(n+2)/2, the dimension of the traceless symmetric matrices."""
-    n = _at_least(n, "n", 2)
+    return _traceless_sym(_at_least(n, "n", 2))
+
+
+def _traceless_sym(n: int) -> int:
     return (n - 1) * (n + 2) // 2
 
 
-def verify_classification(n: int, mu1_cap=4) -> ClassificationReport:
+def _wedge_dim(n: int, q: int) -> int:
+    """C(n, q), the dimension of (1^q, 0, ..., 0) for 1 <= q <= m, the q-th
+    exterior power; at q = m for even n, half of it, one chiral half."""
+    return comb(n, q) // (2 if 2 * q == n else 1)
+
+
+def _hook_dim(n: int, q: int) -> int:
+    """q C(n+1, q+1) - C(n, q-1), the dimension of (2, 1^{q-1}, 0, ..., 0)
+    for 1 <= q <= m; at q = m for even n, half of it, one chiral half."""
+    return (q * comb(n + 1, q + 1) - comb(n, q - 1)) // (2 if 2 * q == n else 1)
+
+
+def verify_classification(n: int, mu1_cap=None) -> ClassificationReport:
     """Verify, in exact arithmetic, the low-dimension module classification
     for SO(n), n >= 17:
 
     1. the spin dimension exceeds the bound (n-1)(n+2)/2 (this is what the
        n >= 17 hypothesis buys);
-    2. inside the enumeration box exactly four weights fit at or below the
-       bound: 0, (1,0,...), (1,1,0,...), (2,0,...), with their closed-form
-       dimensions 1, n, n(n-1)/2, (n-1)(n+2)/2;
+    2. exactly four dominant weights fit at or below the bound: 0,
+       (1,0,...), (1,1,0,...), (2,0,...), with their closed-form dimensions
+       1, n, n(n-1)/2, (n-1)(n+2)/2; the walk has no box unless ``mu1_cap``
+       asks for one, so this covers every weight;
     3. the comparison weights (2,1^{q-1},0,...) for q = 2..m and
-       (1^q,0,...) for q = 3..m, listed doubled (dominant by construction,
-       so built without the validator), all exceed the bound
-       ((1,1,0,...) is the lone exception below it);
+       (1^q,0,...) for q = 3..m all exceed the bound ((1,1,0,...) is the
+       lone exception below it), by their closed forms ``_hook_dim`` and
+       ``_wedge_dim``;
     4. the single-row closed form exceeds the bound at s = 3 and s = 4.
     """
     n = _index(n, "n")
     if n < 17:
         raise HypothesisViolated(f"classification requires n >= 17, got {n}")
+    cap = None if mu1_cap is None else _doubled_cap(mu1_cap)
     m = n // 2
-    bound = traceless_sym_dim(n)
+    bound = _traceless_sym(n)
     checks = []
 
-    spin = spin_dimension(n)
+    spin = _spin_dim(n)
     checks.append(
         CheckResult("spin_exceeds_bound", spin > bound, f"{spin} > {bound}")
     )
 
-    report = enumerate_low_dim(n, bound, mu1_cap)
+    report = _walk(n, bound, cap)
     expected = {
         (0,) * m: 1,
         (2,) + (0,) * (m - 1): n,
@@ -396,19 +483,17 @@ def verify_classification(n: int, mu1_cap=4) -> ClassificationReport:
         )
     )
 
-    comparison = [(4,) + (2,) * (q - 1) + (0,) * (m - q) for q in range(2, m + 1)]
-    comparison += [(2,) * q + (0,) * (m - q) for q in range(3, m + 1)]
-    worst = min(weyl_dim(_prechecked(HighestWeight, n=n, doubled=doubled)) for doubled in comparison)
-    all_exceed = worst > bound
+    comparison = [_hook_dim(n, q) for q in range(2, m + 1)] + [_wedge_dim(n, q) for q in range(3, m + 1)]
+    worst = min(comparison)
     checks.append(
         CheckResult(
             "proof_case_weights_exceed_bound",
-            all_exceed,
+            worst > bound,
             f"{len(comparison)} comparison weights, smallest dimension {worst} vs bound {bound}",
         )
     )
 
-    rows = {s: single_row_dim(n, s) for s in (3, 4)}
+    rows = {s: _single_row(n, s) for s in (3, 4)}
     checks.append(
         CheckResult(
             "single_row_exceeds_bound",

@@ -34,6 +34,7 @@ from isoflag import (
     recover,
     push_tangent,
     retract,
+    single_row_dim,
     spin_dimension,
     verify_classification,
     weyl_dim,
@@ -66,6 +67,8 @@ def test_criterion_1_closed_form_dimension_identities():
                 == n * (n - 1) // 2
             assert weyl_dim(HighestWeight.from_halves(n, (2,) + (0,) * (m - 1))) \
                 == (n - 1) * (n + 2) // 2
+            for s in range(5):  # the single-row form behind the classification's last check
+                assert single_row_dim(n, s) == weyl_dim(HighestWeight.from_halves(n, (s,) + (0,) * (m - 1)))
 
 
 def test_criterion_2_spin_dimensions():

@@ -302,6 +302,19 @@ class TestOverflowingEntries:
         assert err.splitlines() == [error]
 
 
+@pytest.mark.parametrize("command", [["project", "--matrix-file"], ["optimize", "--target-file"]])
+def test_distance_past_a_double_is_a_numerical_error(capsys, tmp_path, command):
+    """Entries near 1e200 pass the readers, but their distance to the model
+    overflows: one stderr line and exit 3, not inf and a numpy warning."""
+    path = tmp_path / "big.txt"
+    path.write_text(format_matrix_file(np.array([[1e200, 1, 0], [1, -1e200, 2], [0, 2, 5]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command[0], "--ks", "1", command[1], str(path))
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["NumericalError: distance overflows a double"]
+
+
 class TestOptimizeCommand:
     def test_converges_to_embedded_target(self, capsys, tmp_path):
         path, _, _ = write_model(tmp_path, 4, [2], (0.5, -0.5))

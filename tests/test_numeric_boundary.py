@@ -165,6 +165,13 @@ def test_finiteness_is_checked_before_the_shape():
             build(bad)
 
 
+def test_a_longdouble_past_a_double_is_refused_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotSymmetric, match="^entries must be finite$"):
+            SymmetricMatrix(np.array([[np.longdouble("1e400")]]))
+
+
 def test_an_overflowing_scale_factor_is_refused_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -215,7 +215,9 @@ class TestEntriesThatAreNotNumbers:
                 parse_weight(7, f"{bad},0,0")
             assert str(err.value) == str(parsed.value)
 
-    @pytest.mark.parametrize("bad", NOT_FRACTIONS)
+    # None is left out: it asks for the walk without a cap (TestWalkOracle)
+    @pytest.mark.parametrize("bad", [b for b in NOT_FRACTIONS if b is not None],
+                             ids=["abc", "1/0", "nan", "inf", "bad5"])
     def test_enumerate_cap(self, bad):
         with pytest.raises(ValidationError, match=r"^mu1_cap must be a half-integer >= 2, got "):
             enumerate_low_dim(7, 30, bad)
@@ -497,40 +499,116 @@ class TestEnumerate:
         assert 0 < report.pruned <= report.visited
 
 
+def reference_walk(n: int, max_dim: int, cap_doubled):
+    """Reference for enumerate_low_dim's walk: the same depth-first walk and
+    pruning, with every node's dimension from weyl_dim.  Returns the hits
+    as (doubled, dimension) in walk order, visited and pruned."""
+    m = n // 2
+    hits, visited, pruned = [], 0, 0
+    todo = [(m - 1, (), parity, None) for parity in (0, 1)]
+    while todo:
+        k, suffix, lo, dim = todo.pop()
+        for v in itertools.count(lo, 2) if cap_doubled is None else range(lo, cap_doubled + 1, 2):
+            if v > lo or dim is None:
+                visited += 1
+                dim = weyl_dim(HighestWeight(n, (v,) * (k + 1) + suffix))
+                if dim > max_dim:
+                    pruned += 1
+                    break
+            if k > 0:
+                todo.append((k - 1, (v,) + suffix, v, dim))
+            else:
+                hits.append(((v,) + suffix, dim))
+    return hits, visited, pruned
+
+
+class TestLeadStep:
+    """``_lead_step`` against the ratio of two weyl_dim products."""
+
+    @given(n=st.integers(min_value=3, max_value=69), data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_weyl_dim_ratio(self, n, data):
+        m = n // 2
+        K = data.draw(st.integers(min_value=1, max_value=m), label="K")
+        parity = data.draw(st.integers(min_value=0, max_value=1), label="parity")
+        v = parity + 2 * data.draw(st.integers(min_value=0, max_value=10), label="v")
+        suffix = tuple(sorted(data.draw(
+            st.lists(st.integers(min_value=0, max_value=(v - parity) // 2).map(lambda x: 2 * x + parity),
+                     min_size=m - K, max_size=m - K), label="suffix"), reverse=True))
+        p, q = repdim._lead_step(n, K, v, suffix)
+        before = weyl_dim(HighestWeight(n, (v,) * K + suffix))
+        after = weyl_dim(HighestWeight(n, (v + 2,) * K + suffix))
+        assert p > 0 and q > 0
+        assert after * q == before * p
+
+
+class TestWalkOracle:
+    """The ratio-stepped walk gives the hits, ``visited`` and ``pruned`` of
+    the same walk evaluated by weyl_dim at every node."""
+
+    @pytest.mark.parametrize("n", range(3, 60))
+    def test_matches_reference_walk(self, n):
+        bound = traceless_sym_dim(n)
+        for cap in (2, Fraction(5, 2), 3, Fraction(7, 2), 4, None):
+            cap_doubled = None if cap is None else int(2 * cap)
+            for max_dim in (1, n, n * (n - 1) // 2, bound, n * n, 2 * bound):
+                report = enumerate_low_dim(n, max_dim, cap)
+                hits, visited, pruned = reference_walk(n, max_dim, cap_doubled)
+                assert {h.weight.doubled: h.dimension for h in report.hits} == dict(hits)
+                assert len(report.hits) == len(hits)
+                assert (report.visited, report.pruned) == (visited, pruned)
+
+    @pytest.mark.parametrize("n", range(17, 120))
+    def test_no_cap_sees_what_cap_4_sees_at_the_bound(self, n):
+        bound = traceless_sym_dim(n)
+        boxed, free = enumerate_low_dim(n, bound, 4), enumerate_low_dim(n, bound, None)
+        assert free.mu1_cap is None and boxed.mu1_cap == 4
+        assert (free.hits, free.visited, free.pruned) == (boxed.hits, boxed.visited, boxed.pruned)
+
+    def test_no_cap_lists_weights_past_any_box(self):
+        report = enumerate_low_dim(3, 40, None)
+        assert [h.dimension for h in report.hits] == list(range(1, 41))
+        assert max(h.weight.doubled[0] for h in report.hits) == 39
+
+
 class TestTrustedWalk:
-    """The walk, its hits and the comparison weights are built without the
-    validator, so every weight they hand to weyl_dim, and every hit, must
-    pass it anyway.  An even-n hit's mirror is not evaluated: it has the
-    hit's dimension (``test_even_sign_flip_invariance``)."""
+    """The walk and its hits are built without the validator, so every
+    weight whose dimension it steps to, and every hit, must pass it anyway.
+    An even-n hit's mirror is not evaluated: it has the hit's dimension
+    (``test_even_sign_flip_invariance``).  The comparison weights of
+    verify_classification are not built at all: their closed forms stand in
+    for them, and must equal weyl_dim at each of them."""
 
     @pytest.fixture
     def revalidated(self, monkeypatch):
         seen = []
 
-        def checked_weyl_dim(w):
-            seen.append(HighestWeight(w.n, w.doubled))  # raises on a bad weight
-            return weyl_dim(w)
+        def checked_lead_step(n, K, v, suffix):
+            HighestWeight(n, (v,) * K + suffix)  # raises on a bad weight
+            seen.append(HighestWeight(n, (v + 2,) * K + suffix))
+            return lead_step(n, K, v, suffix)
 
-        monkeypatch.setattr(repdim, "weyl_dim", checked_weyl_dim)
+        lead_step = repdim._lead_step
+        monkeypatch.setattr(repdim, "_lead_step", checked_lead_step)
         return seen
 
     @pytest.mark.parametrize("n", range(3, 25))
     def test_walk_weights_are_dominant(self, n, revalidated):
-        for cap in (2, Fraction(5, 2), 3, Fraction(7, 2), 4):
+        for cap in (2, Fraction(5, 2), 3, Fraction(7, 2), 4, None):
             report = enumerate_low_dim(n, traceless_sym_dim(n), cap)
-            assert len(revalidated) == report.visited
+            assert len(revalidated) + 2 == report.visited  # the two roots have closed forms
             for h in report.hits:
                 assert HighestWeight(n, h.weight.doubled) == h.weight  # raises on a bad weight
             revalidated.clear()
 
-    @pytest.mark.parametrize("n", range(17, 25))
-    def test_comparison_weights_are_dominant(self, n, revalidated):
-        enumerate_low_dim(n, traceless_sym_dim(n))
-        walk = len(revalidated)
-        revalidated.clear()
-        assert verify_classification(n).passed
+    @pytest.mark.parametrize("n", range(5, 65))
+    def test_comparison_weights_are_dominant(self, n):
         m = n // 2
-        assert len(revalidated) == walk + (m - 1) + (m - 2)  # the 2m - 3 comparison weights
+        for q in range(1, m + 1):
+            wedge = HighestWeight(n, (2,) * q + (0,) * (m - q))  # raises on a bad weight
+            hook = HighestWeight(n, (4,) + (2,) * (q - 1) + (0,) * (m - q))
+            assert repdim._wedge_dim(n, q) == weyl_dim(wedge)
+            assert repdim._hook_dim(n, q) == weyl_dim(hook)
 
     @pytest.mark.parametrize("n", [3, 4, 9, 12, 17, 18, 24])
     def test_walk_runs_no_validator(self, n, monkeypatch):
@@ -538,6 +616,7 @@ class TestTrustedWalk:
         monkeypatch.setattr(HighestWeight, "__post_init__", lambda w: calls.append(w.doubled))
         for max_dim in (n, traceless_sym_dim(n), 2 * traceless_sym_dim(n)):
             assert enumerate_low_dim(n, max_dim).hits
+            assert enumerate_low_dim(n, max_dim, None).hits
         assert calls == []
 
 
@@ -570,6 +649,20 @@ class TestVerifyClassification:
         checks = {c.name: c for c in verify_classification(n).checks}
         check = checks["proof_case_weights_exceed_bound"]
         assert (check.passed, check.detail) == proof_case_check_by_halves(n)
+
+    def test_n400_passes(self):
+        report = verify_classification(400)
+        assert report.passed
+        assert report.checks[2].detail == "397 comparison weights, smallest dimension 10586800 vs bound 80199"
+
+    def test_an_explicit_cap_is_validated_and_honoured(self, monkeypatch):
+        with pytest.raises(ValidationError, match=r"^mu1_cap must be a half-integer >= 2, got 1$"):
+            verify_classification(17, 1)
+        caps = []
+        walk = repdim._walk
+        monkeypatch.setattr(repdim, "_walk", lambda n, max_dim, cap: caps.append(cap) or walk(n, max_dim, cap))
+        assert repr(verify_classification(17, Fraction(5, 2))) == repr(verify_classification(17))
+        assert caps == [5, None]
 
     def test_below_hypothesis_is_loud(self):
         with pytest.raises(HypothesisViolated):
