@@ -11,10 +11,13 @@ odd and mu_{m-1} >= |mu_m| when n is even.  The dimension is the product
                           * (mu_i + mu_j + n - i - j)/(n - i - j)
 
 Everything here runs in exact big-integer arithmetic: weights are stored
-as doubled integers so half-integral entries stay exact, and the dimension
-is one integer product over the positive roots in the doubled lam+rho
-coordinates, divided by the same product at lam = 0 (cached per n) and
-checked to divide exactly.  Floating point is deliberately absent.
+as doubled integers so half-integral entries stay exact, and they print from
+those integers (d as ``d // 2`` when even, ``d/2`` when odd, the text
+``Fraction(d, 2)`` gives); the dimension is one integer product over the
+positive roots in the doubled lam+rho coordinates, divided by the same
+product at lam = 0 (cached per n) and checked to divide exactly.  Floating
+point is deliberately absent, and ``Fraction`` is used only to parse entries
+and caps and for ``halves`` and ``mu1_cap``.
 
 The classification walk never multiplies out a full product.  It visits
 weights whose leading run of K equal entries rises by 2 at each step, and
@@ -88,7 +91,9 @@ class HighestWeight:
 
     @staticmethod
     def _pretty(doubled: Sequence[int]) -> str:
-        return ",".join(str(Fraction(d, 2)) for d in doubled)
+        """The entries d/2 as ``str(Fraction(d, 2))`` prints them, from the
+        doubled ints: d // 2 when d is even, ``d/2`` when it is odd."""
+        return ",".join(f"{d}/2" if d % 2 else str(d // 2) for d in doubled)
 
     @property
     def m(self) -> int:
@@ -257,13 +262,13 @@ def single_row_dim(n: int, s: int) -> int:
 def _single_row(n: int, s: int) -> int:
     binom = comb(n - 3 + s, s)
     if n % 2 == 1:
-        val = Fraction(n - 2 + 2 * s, n - 2) * binom
+        val, r = divmod((n - 2 + 2 * s) * binom, n - 2)
     else:
         m = n // 2
-        val = Fraction(m - 1 + s, m - 1) * binom
-    if val.denominator != 1:
+        val, r = divmod((m - 1 + s) * binom, m - 1)
+    if r != 0:
         raise ArithmeticError(f"single-row dimension is not integral for n={n}, s={s}")
-    return int(val)
+    return val
 
 
 @dataclass(frozen=True)

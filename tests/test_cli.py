@@ -340,6 +340,17 @@ class TestRepdimCommand:
         assert code == 0
         assert out.strip() == "4"
 
+    def test_dim_negative_half_integer_csv(self, capsys):
+        code, out, _ = run(capsys, "repdim", "dim", "--n", "8", "--weight", "1/2,1/2,1/2,-1/2",
+                           "--format", "csv")
+        assert code == 0
+        assert out == 'weight,dimension\n"1/2,1/2,1/2,-1/2",8\n'
+
+    def test_dim_not_dominant_prints_negative_half_integer(self, capsys):
+        code, out, err = run(capsys, "repdim", "dim", "--n", "8", "--weight", "1/2,1/2,1/2,-3/2")
+        assert (code, out) == (2, "")
+        assert err == "NotDominant: need mu_3 >= |mu_4| for even n: 1/2,1/2,1/2,-3/2\n"
+
     def test_dim_mixed_parity_exit_2(self, capsys):
         code, _, err = run(capsys, "repdim", "dim", "--n", "9", "--weight", "2,1,1/2,1/2")
         assert code == 2

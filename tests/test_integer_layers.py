@@ -1,12 +1,15 @@
 """``bounds`` and ``repdim`` compute in exact integers: neither imports
 numpy or calls ``float``, so no floating-point value can reach the module
 dimensions and bounds they report.  This stdlib ``ast`` check fails on
-either.  Their functions refuse a non-integer argument rather than compute
-with it, and each integer's range is checked once, by ``errors._at_least``.
+either.  Their functions, and the integer parameters (seeds, iteration
+counts) of ``flagcore``, ``embed`` and ``geometry``, refuse a non-integer
+argument rather than compute with it, and each integer's range is checked
+once, by ``errors._at_least``.
 """
 
 import ast
 import collections.abc
+import importlib
 import inspect
 import re
 import typing
@@ -17,8 +20,13 @@ import pytest
 
 from isoflag import (
     bounds,
+    default_traceless_spectrum,
+    embed,
+    flagcore,
     fundamental_weight,
+    geometry,
     gunther_bound,
+    identity_flag,
     isospectral_bound,
     make_signature,
     parse_weight,
@@ -30,6 +38,8 @@ from isoflag import (
     whitney_bound,
 )
 from isoflag.errors import IsoflagError, NotAnInteger, ValidationError
+
+embed_module = importlib.import_module("isoflag.embed")  # ``isoflag.embed`` is the function
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "isoflag"
 
@@ -88,6 +98,16 @@ def test_traceless_sym_dim_refuses_n_below_2(n):
     assert (type(err.value), str(err.value)) == (ValidationError, f"need n >= 2, got {n}")
 
 
+SIG = make_signature(4, [1, 3])
+SPEC = default_traceless_spectrum(SIG)
+TARGET = np.diag([3.0, 1.0, 0.5, -2.0])
+
+
+def toward_target(x):
+    """The Euclidean gradient of half the squared distance to ``TARGET``."""
+    return x - TARGET
+
+
 # One valid call of every function the generated test covers, sized small:
 # n <= 40, and max_dim at most the bound (n-1)(n+2)/2.
 VALID_CALLS = {
@@ -104,7 +124,19 @@ VALID_CALLS = {
     repdim.enumerate_low_dim: {"n": 9, "max_dim": 44},
     repdim.traceless_sym_dim: {"n": 9},
     repdim.verify_classification: {"n": 17},
-    make_signature: {"n": 7, "ks": [2, 4]},
+    flagcore.make_signature: {"n": 7, "ks": [2, 4]},
+    flagcore.random_flag_point: {"sig": SIG, "seed": 3},
+    flagcore.random_tangent_block: {"sig": SIG, "seed": 3},
+    geometry.gradient_descent: {"objective_grad": toward_target, "spec": SPEC,
+                                "init": embed(identity_flag(SIG), SPEC), "max_iters": 3},
+}
+
+# The results that compare by identity (``eq=False`` dataclasses), as the
+# array that holds their value.
+BY_VALUE = {
+    flagcore.random_flag_point: lambda f: f.q.tolist(),
+    flagcore.random_tangent_block: lambda b: b.matrix.tolist(),
+    geometry.gradient_descent: lambda r: r.point.x.entries.tolist(),
 }
 
 # The integer parameters that have no lower bound: below any sensible
@@ -126,18 +158,19 @@ def integer_parameters(f):
 
 
 def integer_functions():
-    """Every public function of ``bounds`` and ``repdim`` that takes an
-    integer, and ``make_signature``."""
-    for module in (bounds, repdim):
+    """Every public function of ``bounds``, ``repdim``, ``flagcore``,
+    ``embed`` and ``geometry`` that takes an integer."""
+    for module in (bounds, repdim, flagcore, embed_module, geometry):
         for name, f in vars(module).items():
             if (inspect.isfunction(f) and f.__module__ == module.__name__
                     and not name.startswith("_") and any(integer_parameters(f))):
                 yield f
-    yield make_signature
 
 
 def call(f, kwargs):
     result = f(**kwargs)
+    if f in BY_VALUE:
+        return BY_VALUE[f](result)
     return list(result) if isinstance(result, collections.abc.Iterator) else result
 
 

@@ -17,7 +17,7 @@ from isoflag import (
     verify_classification,
     weyl_dim,
 )
-from isoflag import repdim
+from isoflag import cli, repdim
 from isoflag.repdim import EnumerationHit, EnumerationReport
 from isoflag.errors import (
     HypothesisViolated,
@@ -170,6 +170,28 @@ class TestHighestWeight:
         w = HighestWeight(np.int64(7), (np.int32(4), np.uint8(2), 0))
         assert w == HighestWeight(7, (4, 2, 0))
         assert type(w.n) is int and all(type(d) is int for d in w.doubled)
+
+
+def weight_text_by_fractions(doubled) -> str:
+    """The weight text as ``Fraction`` prints each entry d/2."""
+    return ",".join(str(Fraction(d, 2)) for d in doubled)
+
+
+class TestWeightText:
+    """Weights print from their doubled ints, byte for byte as ``Fraction``
+    prints them: negative half-integers too."""
+
+    def test_entries_print_as_their_fractions(self):
+        entries = [*range(-301, 302), *(s * 10**40 + t for s in (1, -1) for t in (1, -1))]
+        assert HighestWeight._pretty(entries) == weight_text_by_fractions(entries)
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_every_hit_and_its_mirror_print_as_their_fractions(self, n):
+        for h in enumerate_low_dim(n, 2 * traceless_sym_dim(n), None).hits:
+            assert str(h.weight) == weight_text_by_fractions(h.weight.doubled)
+            if h.sign_pair:
+                mirror = HighestWeight(n, h.weight.doubled[:-1] + (-h.weight.doubled[-1],))
+                assert str(mirror) == weight_text_by_fractions(mirror.doubled)
 
 
 class TestParseWeight:
@@ -363,10 +385,10 @@ class TestSingleRowDim:
     def test_s2_n17(self):
         assert single_row_dim(17, 2) == 152
 
-    @pytest.mark.parametrize("n", range(5, 31))
+    @pytest.mark.parametrize("n", range(5, 61))
     def test_matches_weyl_dim(self, n):
         m = n // 2
-        for s in range(0, 7):
+        for s in range(0, 9):
             w = HighestWeight.from_halves(n, (s,) + (0,) * (m - 1))
             assert single_row_dim(n, s) == weyl_dim(w)
 
@@ -684,3 +706,35 @@ class TestVerifyClassification:
             "proof_case_weights_exceed_bound",
             "single_row_exceeds_bound",
         ]
+
+
+class TestVerifyBuildsNoFraction:
+    """The classification and its output run in ints: ``Fraction`` is only
+    for the API (``halves``, ``mu1_cap``) and for parsing entries and caps."""
+
+    @pytest.fixture
+    def fractions_built(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(repdim, "Fraction", counting)
+        return built
+
+    def test_the_counter_sees_a_cap(self, fractions_built):
+        enumerate_low_dim(17, 152)
+        assert fractions_built
+
+    @pytest.mark.parametrize("n", range(17, 41))
+    def test_verify_classification(self, n, fractions_built):
+        report = verify_classification(n)
+        assert [str(h.weight) for h in report.hits]
+        assert fractions_built == []
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_repdim_verify_command(self, fmt, fractions_built, capsys):
+        assert cli.main(["repdim", "verify", "--n", "24", "--format", fmt]) == 0
+        assert capsys.readouterr().out
+        assert fractions_built == []
