@@ -25,7 +25,6 @@ import csv
 import functools
 import io
 import json
-import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
@@ -44,6 +43,7 @@ from .flagcore import (
     Spectrum,
     SymmetricMatrix,
     _frobenius,
+    _quietly,
     default_traceless_spectrum,
     identity_flag,
     make_signature,
@@ -237,11 +237,7 @@ def cmd_recover(args) -> Output:
 def _distance(a: np.ndarray, b: np.ndarray) -> float:
     """The Frobenius distance |a - b|, as ``np.linalg.norm`` computes it; a
     distance past the largest double is refused instead of reported as inf."""
-    with np.errstate(over="ignore"):
-        dist = _frobenius(a - b)
-    if not math.isfinite(dist):
-        raise NumericalError("distance overflows a double")
-    return dist
+    return _quietly(lambda: _frobenius(a - b), "distance overflows a double")
 
 
 def cmd_project(args) -> Output:
@@ -262,10 +258,11 @@ def cmd_optimize(args) -> Output:
     target = SymmetricMatrix(a)
     init = embed(random_flag_point(sig, args.seed), spec)
     step = args.step if args.step is not None else default_step(spec)
-    # a finite step so large that x + step * v overflows is refused as NotSymmetric;
-    # only its numpy warning is silenced, here, and the descent loop sets no error state
-    with np.errstate(over="ignore"):
-        result = gradient_descent(
+    # the descent loop sets no error state, so a --step so long that x + step * v
+    # overflows warns inside it before it is refused as NotSymmetric; the one
+    # overflow policy keeps that warning off stderr
+    result = _quietly(
+        lambda: gradient_descent(
             lambda x: x - target.entries,
             spec,
             init,
@@ -273,6 +270,7 @@ def cmd_optimize(args) -> Output:
             max_iters=args.max_iters,
             grad_tol=args.grad_tol,
         )
+    )
     final = result.point.x.entries
     distance = _distance(final, target.entries)
     return Output(

@@ -27,6 +27,7 @@ from .errors import (
     NotSkewSymmetric,
     NotSpecialOrthogonal,
     NotSymmetric,
+    NumericalError,
     SignatureMismatch,
     SpectrumInvalid,
     ValidationError,
@@ -51,13 +52,24 @@ SPECTRUM_GAP_TOL = 1e-8  # spectrum values, and nearest_point's gaps at block bo
 SPECTRUM_MAX = 2.0**1020
 
 
+def _quietly(compute, overflow: str | None = None):
+    """``compute()`` with numpy's overflow and invalid warnings off: the one policy for
+    finite input whose result passes the largest double.  Given a message, a non-finite
+    result raises ``NumericalError(overflow)``; without one the inf or NaN stands, so an
+    overflowing defect fails its tolerance test."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = compute()
+    if overflow is not None and not np.isfinite(out).all():
+        raise NumericalError(overflow)
+    return out
+
+
 def _float_array(a, error) -> np.ndarray:
     """``a`` as a float array, itself if it is one, refused as ``_frozen_array`` refuses a non-real entry."""
     with contextlib.suppress(TypeError, ValueError, OverflowError):
         if (out := np.asarray(a)).dtype.kind in "biufO":  # bool, int, float or object
-            if out.dtype.kind == "f" and out.dtype.itemsize > 8:
-                with np.errstate(over="ignore"):  # a longdouble past a double becomes inf, refused later
-                    return out.astype(float)
+            if out.dtype.kind == "f" and out.dtype.itemsize > 8:  # a longdouble past a double becomes inf, refused later
+                return _quietly(lambda: out.astype(float))
             return out.astype(float, copy=False)
     raise error("entries must be real numbers")
 
@@ -254,12 +266,10 @@ def default_traceless_spectrum(sig: FlagSignature) -> Spectrum:
 
 def _check_special_orthogonal(q: np.ndarray, n: int) -> None:
     """Raise ``NotSpecialOrthogonal`` unless q, read by ``_frozen_array``, is n x n,
-    orthogonal within ORTH_TOL and of determinant +1.  Overflow in Q'Q can still make
-    the defect inf or NaN, which fails ``not defect <= tol`` without a warning."""
+    orthogonal within ORTH_TOL and of determinant +1; an overflowing defect fails."""
     if q.shape != (n, n):
         raise NotSpecialOrthogonal(f"expected a {n}x{n} matrix, got shape {q.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        defect = np.linalg.norm(q.T @ q - np.eye(n))
+    defect = _quietly(lambda: _frobenius(q.T @ q - np.eye(n)))
     if not defect <= ORTH_TOL:
         raise NotSpecialOrthogonal(f"Q'Q - I has Frobenius norm {defect:.3e} > {ORTH_TOL:.3e}")
     det = float(np.linalg.det(q))
@@ -318,13 +328,11 @@ def random_flag_point(sig: FlagSignature, seed: int = 0) -> FlagPoint:
 
 
 def _check_symmetric(a: np.ndarray) -> None:
-    """Raise ``NotSymmetric`` unless the finite array a is a square matrix
-    within SYM_TOL of its transpose in the Frobenius norm.  Finite entries
-    whose difference overflows give an ``inf`` defect, without a warning."""
+    """Raise ``NotSymmetric`` unless the finite array a is a square matrix within
+    SYM_TOL of its transpose in the Frobenius norm; an overflowing defect fails."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        defect = np.linalg.norm(a - a.T)
+    defect = _quietly(lambda: _frobenius(a - a.T))
     if not defect <= SYM_TOL:
         raise NotSymmetric(f"asymmetry {defect:.3e} exceeds {SYM_TOL:.3e}")
 
@@ -354,14 +362,14 @@ class TangentBlock:
         a = _frozen_array(self.matrix, NotSkewSymmetric)
         if a.shape != (sig.n, sig.n):
             raise NotSkewSymmetric(f"expected shape {(sig.n, sig.n)}, got {a.shape}")
+        skew, *blocks = _quietly(lambda: [_frobenius(a + a.T), *(_frobenius(a[s, s]) for s in sig.block_slices())])
+        if not skew <= SYM_TOL:
+            raise NotSkewSymmetric("matrix is not skew-symmetric")
         upper = np.triu(a, 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.linalg.norm(a + a.T) <= SYM_TOL:
-                raise NotSkewSymmetric("matrix is not skew-symmetric")
-            for i, s in enumerate(sig.block_slices()):
-                if not np.linalg.norm(a[s, s]) <= SYM_TOL:
-                    raise NotSkewSymmetric(f"diagonal block {i} is nonzero")
-                upper[s, s] = 0.0
+        for i, (s, defect) in enumerate(zip(sig.block_slices(), blocks)):
+            if not defect <= SYM_TOL:
+                raise NotSkewSymmetric(f"diagonal block {i} is nonzero")
+            upper[s, s] = 0.0
         upper -= upper.T
         upper.setflags(write=False)
         object.__setattr__(self, "matrix", upper)
@@ -388,11 +396,11 @@ class TangentBlock:
         return self.matrix.copy()
 
     def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
+        return _quietly(lambda: _frobenius(self.matrix), "Frobenius norm overflows")
 
     def scaled(self, c: float) -> "TangentBlock":
-        with np.errstate(over="ignore"):  # an overflowing product is refused as not finite
-            return TangentBlock(self.signature, _finite_factor(c, NotSkewSymmetric) * self.matrix)
+        c = _finite_factor(c, NotSkewSymmetric)
+        return TangentBlock(self.signature, _quietly(lambda: c * self.matrix))  # an inf product is refused as not finite
 
 
 def random_tangent_block(sig: FlagSignature, seed: int = 0) -> TangentBlock:
@@ -417,4 +425,4 @@ def flags_equal(x: FlagPoint, y: FlagPoint) -> bool:
     """
     _check_same_signature(x.signature, y.signature)
     spec = default_traceless_spectrum(x.signature)
-    return bool(np.linalg.norm(_embedded_image(x.q, spec) - _embedded_image(y.q, spec)) <= EIG_TOL)
+    return _frobenius(_embedded_image(x.q, spec) - _embedded_image(y.q, spec)) <= EIG_TOL

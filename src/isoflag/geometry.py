@@ -10,22 +10,23 @@ equals <B, B> identically.  On top of this sit the tangent projector, the
 nearest-point map onto the model manifold, the induced retraction, and a
 projected-gradient descent loop.
 
-``project_to_tangent`` and ``retract`` check their inputs and wrap the
-result of one private array step (``_tangent_step``, ``_retract_step``);
-``nearest_point`` and ``_retract_step`` share the eigen-solve
-``_descending_eigh`` and the model image ``embed._model_image``, each with
-its own gap tolerance.  The descent loop runs the array steps and builds
-no wrapper until it returns.  It checks ``init``, ``spec``, ``step``,
-``max_iters`` and ``grad_tol`` once, on entry.  Each iteration then checks
-three things, each in one place: the user's gradient, in
-``_checked_gradient`` (one asymmetry defect, with the ordered checks of
-``SymmetricMatrix`` run only when that defect cannot accept it); the gaps
-at the block boundaries, in ``_retract_step``; and the new iterate, by the
-Ostrowski certificate in ``embed._model_image``, which runs the eigenvalue
-check of ``EmbeddedFlag`` only where it cannot decide.  An iteration makes
-two eigen-solves, one in each step, and sets no floating-point error
-state; only the ordered gradient checks do, on a gradient that the one
-defect cannot accept.
+``project_to_tangent`` and ``retract`` check their inputs and run one
+private array step (``_tangent_step``, ``_retract_step``) under the one
+overflow policy, ``flagcore._quietly``.  ``nearest_point`` and
+``_retract_step`` both call ``_nearest_image``: the descending eigen-solve,
+the one refusal of a tie at a block boundary, and ``embed._model_image``.
+The descent loop runs the array steps and builds no wrapper until it
+returns.  It checks ``init``, ``spec``, ``step``, ``max_iters`` and
+``grad_tol`` once, on entry.  Each iteration then checks three things,
+each in one place: the user's gradient, in ``_checked_gradient`` (one
+asymmetry defect, with the ordered checks of ``SymmetricMatrix`` run only
+when that defect cannot accept it); the gaps at the block boundaries, in
+``_nearest_image``; and the new iterate, by the Ostrowski certificate in
+``embed._model_image``, which runs the eigenvalue check of
+``EmbeddedFlag`` only where it cannot decide.  An iteration makes two
+eigen-solves, one in each step, and sets no floating-point error state
+outside the ordered gradient checks, so a step that overflows
+x + step * v warns there before it is refused; ``retract`` does not.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .flagcore import (
     _check_symmetric,
     _float_array,
     _frobenius,
+    _quietly,
 )
 
 
@@ -75,27 +77,17 @@ def _max_gap_squared(spec: Spectrum) -> float:
         ) from None
 
 
-def _finite_sum(terms: Callable[[], np.ndarray], what: str) -> float:
-    """float(np.sum(terms())), or ``NumericalError`` where a term or the sum
-    overflows: a finite spectrum and finite blocks can still make a product
-    or a sum past the largest double, which numpy would only warn about."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.sum(terms()))
-    if not math.isfinite(total):
-        raise NumericalError(f"{what} overflows")
-    return total
-
-
 def metric_inner(b: TangentBlock, c: TangentBlock, spec: Spectrum) -> float:
     """<B, C> = 2 sum_{i<j} (a_i - a_j)^2 tr(B_ij' C_ij), the invariant metric of
     the spectrum, summed over all entries with d the repeated spectrum; each
-    weight (a_i - a_j)^2 is positive since the values are distinct."""
+    weight (a_i - a_j)^2 is positive since the values are distinct.  A sum past
+    the largest double raises ``NumericalError``."""
     _check_same_signature(b.signature, c.signature)
     _check_same_signature(b.signature, spec.signature)
     _max_gap_squared(spec)  # every weight is finite
     d = spec._diagonal
     w = (d[:, None] - d[None, :]) ** 2
-    return _finite_sum(lambda: w * b.matrix * c.matrix, "metric sum <B, C>")
+    return _quietly(lambda: float(np.sum(w * b.matrix * c.matrix)), "metric sum <B, C> overflows")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,19 +113,19 @@ def push_tangent(b: TangentBlock, f: FlagPoint, spec: Spectrum) -> EmbeddedTange
     or its conjugate, overflows, which numpy would only warn about."""
     _check_same_signature(b.signature, f.signature)
     _check_same_signature(b.signature, spec.signature)
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def conjugated():
         v = f.q @ _bracket_with_model(b, spec) @ f.q.T
-        v = (v + v.T) / 2.0
-    if not np.isfinite(v).all():
-        raise NumericalError("pushforward overflows")
-    return EmbeddedTangent(SymmetricMatrix(v), embed(f, spec))
+        return (v + v.T) / 2.0
+
+    return EmbeddedTangent(SymmetricMatrix(_quietly(conjugated, "pushforward overflows")), embed(f, spec))
 
 
 def isometry_defect(b: TangentBlock, spec: Spectrum) -> float:
     """| ||[B, M]||_F^2 - <B, B> |; identically zero up to roundoff, which
     is what makes the model an isometric realization."""
     rhs = metric_inner(b, b, spec)
-    lhs = _finite_sum(lambda: np.square(_bracket_with_model(b, spec)), "||[B, M]||_F^2")
+    lhs = _quietly(lambda: float(np.sum(np.square(_bracket_with_model(b, spec)))), "||[B, M]||_F^2 overflows")
     return abs(lhs - rhs)
 
 
@@ -155,10 +147,11 @@ def project_to_tangent(g: SymmetricMatrix, base: EmbeddedFlag) -> EmbeddedTangen
     The frame is the eigenvectors of base.x in block order, taken afresh on
     each call.  base was checked against its spectrum when it was built, so
     no eigenvalue matching, orthogonality or determinant check runs here;
-    the sign of a column does not change the projector.
+    the sign of a column does not change the projector.  A finite g whose
+    projection overflows raises ``NumericalError``.
     """
     _check_size(g.entries, base.signature)
-    v = _tangent_step(g.entries, base.x.entries, base.spectrum)
+    v = _quietly(lambda: _tangent_step(g.entries, base.x.entries, base.spectrum), "tangent projection overflows")
     return EmbeddedTangent(SymmetricMatrix(v), base)
 
 
@@ -167,13 +160,20 @@ def _check_decreasing(spec: Spectrum) -> None:
         raise SpectrumInvalid(f"nearest point needs a strictly decreasing spectrum, got {spec.values}")
 
 
-def _descending_eigh(a: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """The eigenvalues of the symmetric a in decreasing order, and the
-    eigenvectors as columns in that order: the eigen-solve of
-    ``nearest_point``, whose callers test the gaps at the block boundaries
-    and take ``_model_image`` of the vectors."""
+def _nearest_image(a: np.ndarray, spec: Spectrum, gap_tol: float) -> np.ndarray:
+    """``nearest_point`` on arrays, for a strictly decreasing spectrum: the
+    eigenvectors of the symmetric a in decreasing order of eigenvalue, a gap
+    at a block boundary of at most gap_tol refused with
+    ``DegenerateBoundaryGap``, and ``_model_image`` of those vectors."""
     lam, vec = _eigh(a)
-    return lam.tolist()[::-1], vec[:, ::-1]
+    lam = lam.tolist()[::-1]
+    for k in spec.signature.ks:
+        gap = lam[k - 1] - lam[k]
+        if not gap > gap_tol:
+            raise DegenerateBoundaryGap(
+                f"eigenvalue gap {gap:.3e} at block boundary {k} is <= {gap_tol:.3e}", gap=gap
+            )
+    return _model_image(vec[:, ::-1], spec)
 
 
 def nearest_point(a: SymmetricMatrix, spec: Spectrum, gap_tol: float = SPECTRUM_GAP_TOL) -> EmbeddedFlag:
@@ -187,33 +187,18 @@ def nearest_point(a: SymmetricMatrix, spec: Spectrum, gap_tol: float = SPECTRUM_
     _check_size(a.entries, spec.signature)
     gap_tol = _check_tolerance("gap_tol", gap_tol)
     _check_decreasing(spec)
-    lam, vec = _descending_eigh(a.entries)
-    for k in spec.signature.ks:
-        gap = lam[k - 1] - lam[k]
-        if not gap > gap_tol:
-            raise DegenerateBoundaryGap(
-                f"eigenvalue gap {gap:.3e} at block boundary {k} is <= {gap_tol:.3e}", gap=gap
-            )
-    return _certified_flag(_model_image(vec, spec), spec)
+    return _certified_flag(_nearest_image(a.entries, spec, gap_tol), spec)
 
 
 def _retract_step(x: np.ndarray, v: np.ndarray, step: float, spec: Spectrum) -> np.ndarray:
     """``retract`` on arrays, for a nonzero step and a strictly decreasing
     spectrum: the read-only nearest point to x + step * v, certified on the
-    model.  A step that overflows raises ``NotSymmetric``, as building
-    x + step * v as a ``SymmetricMatrix`` would, and not the error that the
-    eigen-solve or the gap test raises first on it; the finiteness test
-    runs only after such an error, so a normal step does not pay for it."""
+    model.  A step that overflows raises ``NotSymmetric``, as the matrix
+    x + step * v would, not the error that projecting it raises first; the
+    finiteness test runs only after that error, so a normal step skips it."""
     moved = x + step * v
     try:
-        lam, vec = _descending_eigh(moved)
-        for k in spec.signature.ks:
-            gap = lam[k - 1] - lam[k]
-            if not gap > SPECTRUM_GAP_TOL:
-                raise DegenerateBoundaryGap(
-                    f"eigenvalue gap {gap:.3e} at block boundary {k} is <= {SPECTRUM_GAP_TOL:.3e}", gap=gap
-                )
-        return _model_image(vec, spec)
+        return _nearest_image(moved, spec, SPECTRUM_GAP_TOL)
     except NumericalError:
         if not np.isfinite(moved).all():
             raise NotSymmetric("entries must be finite") from None
@@ -225,8 +210,9 @@ def retract(base: EmbeddedFlag, v: EmbeddedTangent, step: float) -> EmbeddedFlag
 
     Lands exactly on the manifold and agrees with the straight line to
     first order, so the deviation from base.x + step * v is O(step^2).
-    A step that is not a finite real number raises ``NotSymmetric``, as the
-    matrix base.x + step * v would.
+    A step that is not a finite real number, or one so long that
+    base.x + step * v overflows, raises ``NotSymmetric``, as the matrix
+    base.x + step * v would.
     """
     _check_size(v.v.entries, base.signature)
     step = _finite_factor(step, NotSymmetric)
@@ -234,7 +220,7 @@ def retract(base: EmbeddedFlag, v: EmbeddedTangent, step: float) -> EmbeddedFlag
         return base
     spec = base.spectrum
     _check_decreasing(spec)
-    return _certified_flag(_retract_step(base.x.entries, v.v.entries, step, spec), spec)
+    return _certified_flag(_quietly(lambda: _retract_step(base.x.entries, v.v.entries, step, spec)), spec)
 
 
 def default_step(spec: Spectrum) -> float:

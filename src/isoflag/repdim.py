@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import count
 from math import comb, prod
 from typing import Sequence
@@ -151,16 +150,10 @@ def _shifted_product(n: int, doubled: Sequence[int]) -> int:
 
     The Weyl factors <lam+rho, e_i -+ e_j> and <lam+rho, e_i> are
     (l_i -+ l_j)/2 and l_i/2; the halves cancel against the same product
-    at lam = 0, which is ``_rho_product(n)``."""
+    at lam = 0."""
     shifted = [d + n - 2 * i for i, d in enumerate(doubled, 1)]
     sq = [x * x for x in shifted]
     return prod([a - b for i, a in enumerate(sq) for b in sq[i + 1:]] + (shifted if n % 2 else []))
-
-
-@lru_cache(maxsize=64)
-def _rho_product(n: int) -> int:
-    """The Weyl denominator for SO(n): ``_shifted_product`` at lam = 0."""
-    return _shifted_product(n, (0,) * (n // 2))
 
 
 def weyl_dim(w: HighestWeight) -> int:
@@ -171,7 +164,7 @@ def weyl_dim(w: HighestWeight) -> int:
     same product at lam = 0; the division is required to be exact, never
     rounded.
     """
-    q, r = divmod(_shifted_product(w.n, w.doubled), _rho_product(w.n))
+    q, r = divmod(_shifted_product(w.n, w.doubled), _shifted_product(w.n, (0,) * (w.n // 2)))
     if r != 0:
         raise ArithmeticError(f"dimension product is not integral for weight {w}")
     if q <= 0:

@@ -75,6 +75,21 @@ class TestMatrixFiles:
         assert out == ""
         assert err.startswith("ValidationError:") and "finite" in err
 
+    @pytest.mark.parametrize("text, reason", [
+        ("", " is empty"),
+        ("two\n1 0\n0 1\n", ": first line must hold the size n"),
+        ("0\n", ": size must be positive, got 0"),
+        ("-2\n1 0\n0 1\n", ": size must be positive, got -2"),
+        ("2\n1 x\n0 1\n", ": could not convert string to float: 'x'"),
+    ], ids=["empty", "size-not-an-integer", "size-zero", "size-negative", "entry-not-a-number"])
+    def test_malformed_file_exit_2(self, capsys, tmp_path, text, reason):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "project", "--matrix-file", str(path), "--ks", "1",
+                             "--spectrum", "1,-1")
+        assert (code, out) == (2, "")
+        assert err == f"ValidationError: matrix file {str(path)!r}{reason}\n"
+
     def test_missing_file_is_validation(self, capsys):
         code, _, err = run(capsys, "recover", "--matrix-file", "/nonexistent", "--ks", "1")
         assert code == 2
@@ -355,6 +370,11 @@ class TestRepdimCommand:
         code, _, err = run(capsys, "repdim", "dim", "--n", "9", "--weight", "2,1,1/2,1/2")
         assert code == 2
         assert err.startswith("MixedParity:")
+
+    def test_dim_third_is_mixed_parity(self, capsys):
+        code, out, err = run(capsys, "repdim", "dim", "--n", "5", "--weight", "1/3")
+        assert (code, out) == (2, "")
+        assert err == "MixedParity: entry '1/3' is not an integer or half-integer\n"
 
     def test_big_dimension_prints_decimal(self, capsys):
         code, out, _ = run(capsys, "repdim", "dim", "--n", "40", "--weight", "8,8,8,8")

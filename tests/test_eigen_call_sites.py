@@ -1,19 +1,27 @@
-"""Every call of the symmetric eigen-solver in the package goes through
-``embed._eigh``, which raises LAPACK's failure to converge as the package's
-``EigenSolverFailed``.  A direct ``eigh``/``eigvalsh`` call elsewhere in
-``src/isoflag/*.py`` would let numpy's ``LinAlgError`` escape the CLI's exit
-codes, so this stdlib ``ast`` check fails on one.
+"""The numpy calls that carry a policy are each made in one helper.
+
+- Every call of the symmetric eigen-solver goes through ``embed._eigh``,
+  which raises LAPACK's failure to converge as the package's
+  ``EigenSolverFailed``.  A direct ``eigh``/``eigvalsh`` call elsewhere would
+  let numpy's ``LinAlgError`` escape the CLI's exit codes.
+- Every floating-point error state is set by ``flagcore._quietly``, the one
+  overflow policy: numpy's warnings off, and a non-finite result either
+  refused with a ``NumericalError`` or left to fail its tolerance test.
+- No code calls ``np.linalg.norm``; ``flagcore._frobenius`` computes the same
+  bits without its argument handling.
+
+This stdlib ``ast`` check fails on a call of one of them anywhere else in
+``src/isoflag/*.py``.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "isoflag"
-SOLVERS = {"eigh", "eigvalsh"}
 
 
-def solver_calls(tree: ast.Module):
-    """(enclosing function, solver name) for each eigen-solver call."""
+def numpy_calls(tree: ast.Module):
+    """(enclosing function, called name) for each call by a plain or dotted name."""
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -21,7 +29,7 @@ def solver_calls(tree: ast.Module):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in SOLVERS:
+            if name is not None:
                 yield function, name
         for child in ast.iter_child_nodes(node):
             yield from visit(child, function)
@@ -29,10 +37,23 @@ def solver_calls(tree: ast.Module):
     yield from visit(tree, None)
 
 
-def test_eigen_solver_is_called_only_in_the_helper():
-    calls = [
+def call_sites(*names):
+    """Sorted (module, enclosing function, name) of every call of one of ``names``."""
+    return sorted(
         (path.stem, function, name)
         for path in sorted(PACKAGE.glob("*.py"))
-        for function, name in solver_calls(ast.parse(path.read_text()))
-    ]
-    assert sorted(calls) == [("embed", "_eigh", "eigh"), ("embed", "_eigh", "eigvalsh")]
+        for function, name in numpy_calls(ast.parse(path.read_text()))
+        if name in names
+    )
+
+
+def test_eigen_solver_is_called_only_in_the_helper():
+    assert call_sites("eigh", "eigvalsh") == [("embed", "_eigh", "eigh"), ("embed", "_eigh", "eigvalsh")]
+
+
+def test_error_state_is_set_only_by_the_overflow_policy():
+    assert call_sites("errstate", "seterr") == [("flagcore", "_quietly", "errstate")]
+
+
+def test_linalg_norm_is_never_called():
+    assert call_sites("norm") == []

@@ -287,6 +287,17 @@ class TestCertificate:
         x = embed(random_flag_point(sig, 1), default_traceless_spectrum(sig)).x.entries
         assert x.flags.writeable is False
 
+    @pytest.mark.parametrize("delta, certified", [(0.49, True), (0.51, False)])
+    def test_declines_a_frame_past_half_a_unit_off_orthonormal(self, delta, certified):
+        """Its rounding terms hold only while ||q'q - I||_F <= 1/2, so past that
+        it declines before it forms the bound, even where the bound alone would
+        accept: here q = c I with ||q'q - I||_F = delta and max|a| = 1.5e-8, so
+        max|a| * delta is below EIG_TOL either way."""
+        spec = Spectrum((1.5e-8, -1.5e-8), make_signature(2, [1]))
+        q = np.sqrt(1 + delta / np.sqrt(2)) * np.eye(2)
+        assert np.linalg.norm(q.T @ q - np.eye(2)) == pytest.approx(delta)
+        assert _ostrowski_certifies(_embedded_image(q, spec), q, spec) is certified
+
     def test_embed_falls_back_at_large_scale(self):
         """The bound grows with max|a| and cannot decide at (1e8, -1e8);
         embed's verdict is then the eigenvalue check's, whatever it is."""

@@ -383,6 +383,20 @@ class TestRetract:
         assert 50 <= defects[0] / defects[1] <= 200
         assert 50 <= defects[1] / defects[2] <= 200
 
+    def test_boundary_tie_is_loud(self):
+        """At the base diag(1/2, 0, -1/2), the step h along the tangent that
+        couples blocks 0 and 1 moves the lower eigenvalue of its 2x2 block to
+        1/4 - sqrt(1/16 + h^2), which meets -1/2 at h = sqrt(1/2): the moved
+        point ties at block boundary 2, as nearest_point refuses it."""
+        sig = make_signature(3, [1, 2])
+        base = embed(identity_flag(sig), default_traceless_spectrum(sig))
+        g = np.zeros((3, 3))
+        g[0, 1] = g[1, 0] = 1.0
+        v = project_to_tangent(SymmetricMatrix(g), base)
+        with pytest.raises(DegenerateBoundaryGap, match=r"^eigenvalue gap \S+ at block boundary 2 is <= 1\.000e-08$") as err:
+            retract(base, v, np.sqrt(0.5))
+        assert err.value.gap is not None and 0.0 <= err.value.gap <= 1e-8
+
 
 class TestGradientDescent:
     def test_default_step_for_canonical_spectrum(self):
@@ -590,7 +604,7 @@ class TestDescentCallCounts:
         # after the last gradient: its projection, then the returned point,
         # whose SymmetricMatrix runs its own checks once
         assert events[last + 1:] == [
-            "eigh", "new SymmetricMatrix", "isfinite", "errstate", "norm", "new EmbeddedFlag"
+            "eigh", "new SymmetricMatrix", "isfinite", "errstate", "new EmbeddedFlag"
         ]
 
 
@@ -675,21 +689,27 @@ class TestDescentGradientContract:
 class TestOverflowedStep:
     """A step so long that x + step * v overflows raises ``NotSymmetric``, as
     building x + step * v as a ``SymmetricMatrix`` does, and not the error
-    of the eigen-solve that the overflowed matrix fails first."""
+    of the eigen-solve that the overflowed matrix fails first.  ``retract``
+    raises it without a warning; ``gradient_descent``'s loop sets no error
+    state, so there numpy's overflow warning comes first."""
 
     def test_retract(self):
         spec, target, init = descent_case(6, 2, 1)
         v = project_to_tangent(SymmetricMatrix(1e3 * (init.x.entries - target)), init)
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(NotSymmetric, match="^entries must be finite$"):
                 retract(init, v, 1e308)
 
     def test_descent(self):
         spec, target, init = descent_case(6, 2, 1)
-        for descent in (gradient_descent, reference_descent):
-            with pytest.warns(RuntimeWarning, match="overflow"):
-                with pytest.raises(NotSymmetric, match="^entries must be finite$"):
-                    descent(lambda x: 1e3 * (x - target), spec, init, step=1e308)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NotSymmetric, match="^entries must be finite$"):
+                gradient_descent(lambda x: 1e3 * (x - target), spec, init, step=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotSymmetric, match="^entries must be finite$"):
+                reference_descent(lambda x: 1e3 * (x - target), spec, init, step=1e308)
 
 
 class TestOverflowingSpectrum:

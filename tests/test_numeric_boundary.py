@@ -42,6 +42,7 @@ from isoflag.errors import (
     NotSkewSymmetric,
     NotSpecialOrthogonal,
     NotSymmetric,
+    NumericalError,
     SpectrumInvalid,
     StepNotFinite,
     ValidationError,
@@ -177,6 +178,22 @@ def test_an_overflowing_scale_factor_is_refused_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(NotSkewSymmetric, match="entries must be finite"):
             TangentBlock.from_block_map(SIG, {(0, 1): [[4.0, 0.0]]}).scaled(1e308)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: project_to_tangent(SymmetricMatrix(np.full((4, 4), 1e308)), BASE),
+     NumericalError, "tangent projection overflows"),
+    (lambda: BLOCK.scaled(1e200).frobenius_norm(), NumericalError, "Frobenius norm overflows"),
+    (lambda: retract(BASE, project_to_tangent(SymmetricMatrix(1e3 * SYM), BASE), 1e308),
+     NotSymmetric, "entries must be finite"),
+], ids=["project_to_tangent", "frobenius_norm", "retract"])
+def test_a_finite_input_whose_result_overflows_raises_without_a_warning(call, error, message):
+    """Finite input whose result passes the largest double raises the
+    package's error, and numpy's overflow warning does not escape first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
 
 
 # -- valid input of other types passes unchanged ------------------------------

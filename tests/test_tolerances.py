@@ -1,5 +1,8 @@
 """Every tolerance of the package lives in one table in ``flagcore``, and
-only the two tolerances the CLI sets are parameters.
+only the three tolerances the CLI sets are parameters, with one private
+one: ``geometry._nearest_image(gap_tol)``, which has no default, so both of
+its callers set it (``nearest_point`` passes its own, ``_retract_step``
+``SPECTRUM_GAP_TOL``).
 
 The matrix model is exact, so a tolerance only absorbs roundoff; a per-call
 tolerance parameter that no caller sets is an untested configuration, and
@@ -45,6 +48,7 @@ def test_only_the_cli_tolerances_are_parameters():
     found = sorted((stem, owner, name) for stem, tree in modules() for owner, name in tolerance_names(tree))
     assert found == [
         ("embed", "recover", "eig_tol"),
+        ("geometry", "_nearest_image", "gap_tol"),
         ("geometry", "gradient_descent", "grad_tol"),
         ("geometry", "nearest_point", "gap_tol"),
     ]
