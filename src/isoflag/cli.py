@@ -258,9 +258,9 @@ def cmd_optimize(args) -> Output:
     target = SymmetricMatrix(a)
     init = embed(random_flag_point(sig, args.seed), spec)
     step = args.step if args.step is not None else default_step(spec)
-    # the descent loop sets no error state, so a --step so long that x + step * v
-    # overflows warns inside it before it is refused as NotSymmetric; the one
-    # overflow policy keeps that warning off stderr
+    # the descent loop takes the norm of the projected gradient with no error
+    # state set, so a target with entries past about 1e154 warns there as it
+    # overflows; the one overflow policy keeps that warning off stderr
     result = _quietly(
         lambda: gradient_descent(
             lambda x: x - target.entries,
@@ -509,7 +509,12 @@ def cmd_bounds_sweep(args) -> Callable[[str, dict], int]:
 class _Parser(argparse.ArgumentParser):
     """An argument parser that refuses its input by raising ``ValidationError``,
     which ``main`` prints as its one stderr line, rather than by printing the
-    usage block and exiting.  Subcommand parsers are built from this class too."""
+    usage block and exiting.  Subcommand parsers are built from this class too.
+    One whose only option is ``--help`` keeps its subcommands' action as
+    ``commands``: its option matching can neither set nor refuse a word after
+    the command word, so ``main`` hands those words straight to the subcommand."""
+
+    commands = None
 
     def error(self, message):
         raise ValidationError(f"{self.prog}: {message}")
@@ -523,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="isoflag",
         description="Flag manifolds as fixed-spectrum symmetric matrices.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.commands = parser.add_subparsers(dest="command", required=True)
 
     def add_format(p, default="text"):
         p.add_argument("--format", choices=("text", "json", "csv"), default=default)
@@ -566,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(po)
 
     pd = sub.add_parser("repdim", help="exact SO(n) irreducible module dimensions")
-    dsub = pd.add_subparsers(dest="repdim_command", required=True)
+    dsub = pd.commands = pd.add_subparsers(dest="repdim_command", required=True)
 
     pdd = dsub.add_parser("dim", help="dimension at one highest weight")
     pdd.add_argument("--n", type=int, required=True)
@@ -589,6 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--ks")
     pb.add_argument("--group-order", type=int)
     add_format(pb)
+    # no ``commands``: these options may precede `sweep`, and match (or refuse) words after it
     bsub = pb.add_subparsers(dest="bounds_command")
     pbs = bsub.add_parser("sweep", help="all signatures up to an ambient dimension")
     pbs.add_argument("--max-n", type=int, required=True)
@@ -599,9 +605,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, but the parsers that keep ``commands``
+    pass on the words after their command word unread: the deepest parser
+    reached parses them once, instead of each level matching them first."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    root = parser = build_parser()
+    args, i = argparse.Namespace(), 0
+    while parser.commands is not None and i < len(argv) and argv[i] in parser.commands.choices:
+        setattr(args, parser.commands.dest, argv[i])
+        parser, i = parser.commands.choices[argv[i]], i + 1
+    leaf, extras = parser.parse_known_args(argv[i:])
+    vars(args).update(vars(leaf))
+    if extras:
+        root.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
         # handler names follow the command path: "repdim dim" is cmd_repdim_dim,
         # looked up at call time so that a wrapped or patched handler is called
         sub = getattr(args, "repdim_command", None) or getattr(args, "bounds_command", None)

@@ -30,7 +30,7 @@ from .errors import (
     NumericalError,
     SignatureMismatch,
     SpectrumInvalid,
-    ValidationError,
+    _at_least,
     _finite_factor,
     _index,
 )
@@ -306,10 +306,7 @@ def _generator(seed) -> np.random.Generator:
     by it; a seed that is not a non-negative integer raises ``ValidationError``."""
     if isinstance(seed, np.random.Generator):
         return seed
-    seed = _index(seed, "seed")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_at_least(seed, "seed", 0))
 
 
 def random_flag_point(sig: FlagSignature, seed: int = 0) -> FlagPoint:

@@ -24,9 +24,10 @@ when that defect cannot accept it); the gaps at the block boundaries, in
 ``_nearest_image``; and the new iterate, by the Ostrowski certificate in
 ``embed._model_image``, which runs the eigenvalue check of
 ``EmbeddedFlag`` only where it cannot decide.  An iteration makes two
-eigen-solves, one in each step, and sets no floating-point error state
-outside the ordered gradient checks, so a step that overflows
-x + step * v warns there before it is refused; ``retract`` does not.
+eigen-solves, one in each step.  It sets no floating-point error state
+outside the ordered gradient checks, except for a step long enough that
+x + step * v might overflow: that one retraction runs under ``_quietly``,
+so the loop, like ``retract``, refuses it without a warning.
 """
 
 from __future__ import annotations
@@ -44,13 +45,13 @@ from .errors import (
     NumericalError,
     SpectrumInvalid,
     StepNotFinite,
-    ValidationError,
+    _at_least,
     _check_tolerance,
     _finite_factor,
-    _index,
 )
 from .flagcore import (
     SPECTRUM_GAP_TOL,
+    SPECTRUM_MAX,
     SYM_TOL,
     FlagPoint,
     FlagSignature,
@@ -277,9 +278,7 @@ def gradient_descent(
     grad_tol = _check_tolerance("grad_tol", grad_tol)
     if step is not None:
         step = _check_tolerance("step", step)
-    max_iters = _index(max_iters, "max_iters")
-    if max_iters < 0:
-        raise ValidationError(f"max_iters must be >= 0, got {max_iters}")
+    max_iters = _at_least(max_iters, "max_iters", 0)
     if init.spectrum != spec:
         raise SpectrumInvalid(f"init has spectrum {init.spectrum.values}, descent was given {spec.values}")
     if step is None:
@@ -298,7 +297,12 @@ def gradient_descent(
         if step != 0.0:
             if iterations == 0:
                 _check_decreasing(spec)  # where the first retraction checks it
-            x = _retract_step(x, v, -step, spec)
+            # no entry of x passes max|a_i|, nor one of v its norm gn, so only a
+            # step past this margin can overflow x - step * v
+            if step * gn + spec._max_abs <= SPECTRUM_MAX:
+                x = _retract_step(x, v, -step, spec)
+            else:
+                x = _quietly(lambda: _retract_step(x, v, -step, spec))
         iterations += 1
     point = init if x is init.x.entries else _certified_flag(x, spec)
     return DescentResult(point, tuple(norms), iterations, converged)

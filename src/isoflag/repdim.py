@@ -15,9 +15,9 @@ as doubled integers so half-integral entries stay exact, and they print from
 those integers (d as ``d // 2`` when even, ``d/2`` when odd, the text
 ``Fraction(d, 2)`` gives); the dimension is one integer product over the
 positive roots in the doubled lam+rho coordinates, divided by the same
-product at lam = 0 (cached per n) and checked to divide exactly.  Floating
-point is deliberately absent, and ``Fraction`` is used only to parse entries
-and caps and for ``halves`` and ``mu1_cap``.
+product at lam = 0, which each call computes afresh, and checked to divide
+exactly.  Floating point is deliberately absent, and ``Fraction`` is used
+only to parse entries and caps and for ``halves`` and ``mu1_cap``.
 
 The classification walk never multiplies out a full product.  It visits
 weights whose leading run of K equal entries rises by 2 at each step, and

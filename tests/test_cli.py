@@ -261,7 +261,7 @@ class TestOptimizeBudgetFlags:
         path, _, _ = write_model(tmp_path, 4, [2], (0.5, -0.5))
         code, out, err = run(capsys, "optimize", "--target-file", str(path), "--ks", "2", "--max-iters", "-1")
         assert (code, out) == (2, "")
-        assert err.splitlines() == ["ValidationError: max_iters must be >= 0, got -1"]
+        assert err.splitlines() == ["ValidationError: need max_iters >= 0, got -1"]
 
     @pytest.mark.parametrize("flag, iterations", [("--step", 500), ("--max-iters", 0)])
     def test_zero_returns_init(self, capsys, tmp_path, flag, iterations):
@@ -294,7 +294,7 @@ def test_negative_seed_is_an_input_error(capsys, tmp_path, command):
     argv = {"embed": ["--n", "3"], "optimize": ["--target-file", str(path)]}[command]
     code, out, err = run(capsys, command, *argv, "--ks", "1", "--seed", "-1")
     assert (code, out) == (2, "")
-    assert err.splitlines() == ["ValidationError: seed must be >= 0, got -1"]
+    assert err.splitlines() == ["ValidationError: need seed >= 0, got -1"]
 
 
 class TestOverflowingEntries:

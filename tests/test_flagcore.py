@@ -194,7 +194,7 @@ class TestSeed:
     """Both samplers take a non-negative integer seed or a numpy Generator."""
 
     @pytest.mark.parametrize("seed, error, message", [
-        (-1, ValidationError, r"^seed must be >= 0, got -1$"),
+        (-1, ValidationError, r"^need seed >= 0, got -1$"),
         (1.5, NotAnInteger, r"^seed must be an integer, got float$"),
         ("3", NotAnInteger, r"^seed must be an integer, got str$"),
     ])
