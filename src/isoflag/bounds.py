@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .errors import ValidationError, _at_least, _index
+from .errors import _at_least, _index
 from .flagcore import FlagSignature, _prechecked
 from .repdim import _traceless_sym, traceless_sym_dim
 
@@ -67,10 +67,7 @@ def whitney_bound(m: int) -> int:
 def wang_bound(d: int, group_order: int) -> int:
     """d |G|: ambient dimension of the equivariant embedding a finite group
     of order |G| induces from any embedding into R^d."""
-    d, group_order = _index(d, "d"), _index(group_order, "group_order")
-    if d < 1 or group_order < 1:
-        raise ValidationError(f"need d, group_order >= 1, got {d}, {group_order}")
-    return d * group_order
+    return _at_least(d, "d", 1) * _at_least(group_order, "group_order", 1)
 
 
 @dataclass(frozen=True)

@@ -258,18 +258,13 @@ def cmd_optimize(args) -> Output:
     target = SymmetricMatrix(a)
     init = embed(random_flag_point(sig, args.seed), spec)
     step = args.step if args.step is not None else default_step(spec)
-    # the descent loop takes the norm of the projected gradient with no error
-    # state set, so a target with entries past about 1e154 warns there as it
-    # overflows; the one overflow policy keeps that warning off stderr
-    result = _quietly(
-        lambda: gradient_descent(
-            lambda x: x - target.entries,
-            spec,
-            init,
-            step=step,
-            max_iters=args.max_iters,
-            grad_tol=args.grad_tol,
-        )
+    result = gradient_descent(
+        lambda x: x - target.entries,
+        spec,
+        init,
+        step=step,
+        max_iters=args.max_iters,
+        grad_tol=args.grad_tol,
     )
     final = result.point.x.entries
     distance = _distance(final, target.entries)

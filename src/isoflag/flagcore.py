@@ -40,15 +40,15 @@ from .errors import (
 ORTH_TOL = 1e-10  # ||Q'Q - I||_F of a rotation
 _DET_TOL = 1e-9  # |det Q - 1| of a rotation
 SYM_TOL = 1e-10  # asymmetry of a SymmetricMatrix; skew defect and zero diagonal blocks of a TangentBlock
-EIG_TOL = 1e-8  # eigenvalues against the spectrum (trace: n * EIG_TOL); flags_equal
+EIG_TOL = 1e-8  # eigenvalues against the spectrum, which bounds the trace by n * EIG_TOL; flags_equal
 SPECTRUM_GAP_TOL = 1e-8  # spectrum values, and nearest_point's gaps at block boundaries
 
 
 # The largest n * max|a_i| a Spectrum may have.  Every entry of q diag(a) q'
 # for a frame q is then at most max|a_i| in magnitude up to roundoff, and its
 # symmetrization, its trace, the model trace sum n_i a_i and the differences
-# the eigenvalue and trace checks take stay at least a factor 4 below the
-# largest double, so none of them overflows.
+# the eigenvalue check takes stay at least a factor 4 below the largest
+# double, so none of them overflows.
 SPECTRUM_MAX = 2.0**1020
 
 
@@ -207,19 +207,14 @@ class Spectrum:
     def max_gap(self) -> float:
         return max(self.values) - min(self.values)
 
-    @cached_property
-    def block_trace(self) -> float:
-        """Trace of the model matrix: sum of n_i * a_i."""
-        return float(np.dot(self.signature.block_sizes, self.values))
-
     def repeated(self) -> np.ndarray:
         """Eigenvalue multiset in block order: a_i repeated n_i times."""
         return np.repeat(self.values, self.signature.block_sizes)
 
     # The descent steps read these on every iteration; a Spectrum is
     # immutable, so each is computed once, on first use.  Each of them and
-    # the cached block_trace and FlagSignature.block_slices() was worth 3-13%
-    # of descent-small's ops_per_kprobe, measured one at a time.
+    # FlagSignature.block_slices() was worth 3-13% of descent-small's
+    # ops_per_kprobe, measured one at a time.
     @cached_property
     def _diagonal(self) -> np.ndarray:
         """``repeated()``, read-only."""

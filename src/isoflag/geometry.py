@@ -24,15 +24,14 @@ when that defect cannot accept it); the gaps at the block boundaries, in
 ``_nearest_image``; and the new iterate, by the Ostrowski certificate in
 ``embed._model_image``, which runs the eigenvalue check of
 ``EmbeddedFlag`` only where it cannot decide.  An iteration makes two
-eigen-solves, one in each step.  It sets no floating-point error state
-outside the ordered gradient checks, except for a step long enough that
-x + step * v might overflow: that one retraction runs under ``_quietly``,
-so the loop, like ``retract``, refuses it without a warning.
+eigen-solves, one in each step.  The whole loop, ``objective_grad``
+included, runs under ``_quietly`` once per call, so an overflowing
+gradient, projection or step is refused, or recorded as an inf norm,
+without a warning, and no iteration sets an error state of its own.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,7 +50,6 @@ from .errors import (
 )
 from .flagcore import (
     SPECTRUM_GAP_TOL,
-    SPECTRUM_MAX,
     SYM_TOL,
     FlagPoint,
     FlagSignature,
@@ -270,7 +268,8 @@ def gradient_descent(
     non-decreasing spectrum at the first retraction, as ``nearest_point``
     checks it; and every iterate, by the Ostrowski certificate or, where
     that cannot decide, by the eigenvalue check of ``EmbeddedFlag``.
-    ``objective_grad`` receives each iterate as a read-only array.  The
+    ``objective_grad`` receives each iterate as a read-only array, and runs
+    with numpy's overflow and invalid-operation warnings off.  The
     returned point is that last iterate, or ``init`` itself when no step
     was taken.
     """
@@ -283,27 +282,26 @@ def gradient_descent(
         raise SpectrumInvalid(f"init has spectrum {init.spectrum.values}, descent was given {spec.values}")
     if step is None:
         step = default_step(spec)
-    x = init.x.entries
-    norms: list[float] = []
-    iterations = 0
-    while True:
-        g = _checked_gradient(objective_grad(x), spec.signature)
-        v = _tangent_step(g, x, spec)
-        gn = _frobenius(v)
-        norms.append(gn)
-        converged = gn <= grad_tol
-        if converged or iterations >= max_iters:
-            break
-        if step != 0.0:
-            if iterations == 0:
-                _check_decreasing(spec)  # where the first retraction checks it
-            # no entry of x passes max|a_i|, nor one of v its norm gn, so only a
-            # step past this margin can overflow x - step * v
-            if step * gn + spec._max_abs <= SPECTRUM_MAX:
+
+    def descend():
+        x = init.x.entries
+        norms: list[float] = []
+        iterations = 0
+        while True:
+            g = _checked_gradient(objective_grad(x), spec.signature)
+            v = _tangent_step(g, x, spec)
+            gn = _frobenius(v)
+            norms.append(gn)
+            converged = gn <= grad_tol
+            if converged or iterations >= max_iters:
+                return x, norms, iterations, converged
+            if step != 0.0:
+                if iterations == 0:
+                    _check_decreasing(spec)  # where the first retraction checks it
                 x = _retract_step(x, v, -step, spec)
-            else:
-                x = _quietly(lambda: _retract_step(x, v, -step, spec))
-        iterations += 1
+            iterations += 1
+
+    x, norms, iterations, converged = _quietly(descend)
     point = init if x is init.x.entries else _certified_flag(x, spec)
     return DescentResult(point, tuple(norms), iterations, converged)
 
@@ -314,18 +312,15 @@ def _checked_gradient(g, sig: FlagSignature) -> np.ndarray:
     and refuses non-real entries; a float array is taken as it is, with no
     copy and no pass over it.
 
-    A gradient of the right shape whose squared Frobenius norm is finite has
-    only finite entries, and none so large that g - g' overflows, so its
-    asymmetry defect alone decides it.  ``np.vdot`` takes both dot products
-    as ``np.linalg.norm`` takes its one, over the array raveled in memory
-    order, but raises no floating-point warning.  Any other gradient, or
-    one over the tolerance, goes through the checks in their order, which
-    raise the error with its message and without a warning."""
+    A gradient of the right shape whose asymmetry defect is within the
+    tolerance is accepted on that defect alone: a NaN or infinite entry, or
+    one so large that g - g' overflows, makes the defect NaN or inf, which
+    the test refuses, so only finite gradients pass it.  Any other gradient
+    goes through the checks in their order, which raise the error with its
+    message; the descent loop runs them with numpy's warnings off."""
     g = _float_array(g, NotSymmetric)
-    if g.shape == (sig.n, sig.n) and np.vdot(g, g) < math.inf:
-        d = (g - g.T).ravel(order="K")
-        if math.sqrt(np.vdot(d, d)) <= SYM_TOL:
-            return g
+    if g.shape == (sig.n, sig.n) and _frobenius(g - g.T) <= SYM_TOL:
+        return g
     if not np.isfinite(g).all():
         raise StepNotFinite("objective gradient returned non-finite entries")
     _check_symmetric(g)

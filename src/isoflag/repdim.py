@@ -452,9 +452,7 @@ def verify_classification(n: int, mu1_cap=None) -> ClassificationReport:
        ``_wedge_dim``;
     4. the single-row closed form exceeds the bound at s = 3 and s = 4.
     """
-    n = _index(n, "n")
-    if n < 17:
-        raise HypothesisViolated(f"classification requires n >= 17, got {n}")
+    n = _at_least(n, "n", 17, HypothesisViolated)
     cap = None if mu1_cap is None else _doubled_cap(mu1_cap)
     m = n // 2
     bound = _traceless_sym(n)

@@ -270,7 +270,7 @@ class TestCertificate:
         x = _embedded_image(q, spec)
         if _ostrowski_certifies(x, q, spec):
             assert _eig_deviation(x, spec) <= EIG_TOL
-            assert abs(x.trace() - spec.block_trace) <= n * EIG_TOL
+            assert abs(x.trace() - np.dot(sig.block_sizes, spec.values)) <= n * EIG_TOL
 
     @pytest.mark.parametrize("n", [2, 8, 40, 160])
     def test_accepts_orthogonal_frames(self, n):

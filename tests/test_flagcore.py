@@ -133,7 +133,7 @@ class TestSpectrum:
         spec = default_traceless_spectrum(sig)
         vals = spec.values
         assert all(a > b for a, b in zip(vals, vals[1:]))
-        assert abs(spec.block_trace) <= 1e-12
+        assert abs(np.dot(sig.block_sizes, spec.values)) <= 1e-12
         assert abs(spec.max_gap - 1.0) <= 1e-12
 
     def test_default_spectrum_symmetric_pair(self):

@@ -690,7 +690,9 @@ class TestOverflowedStep:
     """A step so long that x + step * v overflows raises ``NotSymmetric``, as
     building x + step * v as a ``SymmetricMatrix`` does, and not the error
     of the eigen-solve that the overflowed matrix fails first.  Both
-    ``retract`` and ``gradient_descent`` raise it without a warning."""
+    ``retract`` and ``gradient_descent`` raise it without a warning, and the
+    descent takes a finite gradient whose projection or its norm overflows
+    without a warning too."""
 
     def test_retract(self):
         spec, target, init = descent_case(6, 2, 1)
@@ -708,6 +710,63 @@ class TestOverflowedStep:
                 gradient_descent(lambda x: 1e3 * (x - target), spec, init, step=1e308)
             with pytest.raises(NotSymmetric, match="^entries must be finite$"):
                 reference_descent(lambda x: 1e3 * (x - target), spec, init, step=1e308)
+
+    @pytest.mark.parametrize("n, ks, target, refused", [
+        # the norm of v overflows in its dot product: each norm is inf, each step finite
+        (3, [1], [[1e300, 1e300, 0], [1e300, -1e300, 0], [0, 0, 1]], False),
+        # q' g q overflows in its matmul: the first step is not finite
+        (4, [2], np.full((4, 4), 1.7e308), True),
+    ], ids=["dot", "matmul"])
+    def test_huge_gradient(self, n, ks, target, refused):
+        sig = make_signature(n, ks)
+        spec = default_traceless_spectrum(sig)
+        init = embed(random_flag_point(sig, 0), spec)  # where `isoflag optimize` starts
+        target = np.asarray(target, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if refused:
+                with pytest.raises(NotSymmetric, match="^entries must be finite$"):
+                    gradient_descent(lambda x: x - target, spec, init)
+            else:
+                result = gradient_descent(lambda x: x - target, spec, init)
+                assert (result.iterations, result.converged) == (500, False)
+                assert set(result.grad_norms) == {float("inf")}
+
+
+class TestErrorStateOncePerCall:
+    """``gradient_descent`` runs its whole loop, ``objective_grad`` included,
+    under one overflow policy call: warnings are off in every iteration, and
+    the number of error states entered does not grow with the iterations."""
+
+    def test_objective_grad_runs_quietly(self):
+        spec, target, init = descent_case(6, 2, 1)
+        seen = []
+
+        def grad(x):
+            seen.append(np.geterr())
+            return x - target
+
+        gradient_descent(grad, spec, init, max_iters=40, grad_tol=0)
+        assert len(seen) == 41
+        assert all(state["over"] == state["invalid"] == "ignore" for state in seen)
+
+    def test_error_states_do_not_grow_with_iterations(self, monkeypatch):
+        spec, target, init = descent_case(6, 2, 1)
+        entered = []
+
+        class CountedErrstate(np.errstate):
+            def __enter__(self):
+                entered.append(self)
+                return super().__enter__()
+
+        monkeypatch.setattr(np, "errstate", CountedErrstate)
+        counts = []
+        for max_iters in (1, 40):
+            entered.clear()
+            result = gradient_descent(lambda x: x - target, spec, init, max_iters=max_iters, grad_tol=0)
+            assert result.iterations == max_iters
+            counts.append(len(entered))
+        assert counts[0] == counts[1]
 
 
 class TestOverflowingSpectrum:

@@ -237,4 +237,4 @@ def range_refusals(tree: ast.Module):
 def test_range_checks_are_written_once():
     found = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
              for name in range_refusals(ast.parse(path.read_text()))}
-    assert found == {("errors", "_at_least"), ("bounds", "wang_bound")}
+    assert found == {("errors", "_at_least")}
