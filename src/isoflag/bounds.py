@@ -97,9 +97,7 @@ def bound_table(sig: FlagSignature, group_order: int | None = None) -> BoundRepo
     value 2m|G| and the comparisons record whether it exceeds the matrix
     model's dimension (equivalently |G| > (n-1)(n+2)/4m)."""
     m = flag_dimension(sig)  # a FlagSignature is valid, so only |G| is checked here
-    if group_order is not None:
-        group_order = _index(group_order, "group_order")
-        wang_bound(whitney_bound(m), group_order)
+    group_order = None if group_order is None else _at_least(group_order, "group_order", 1)
     return BoundReport(sig, m, *_columns(sig.n, m, group_order))
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import repdim as repdim_mod
 from .embed import _eigh, embed, recover
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _at_least
 from .flagcore import (
     EIG_TOL,
     SPECTRUM_GAP_TOL,
@@ -496,8 +496,8 @@ def cmd_bounds_sweep(args) -> Callable[[str, dict], int]:
         raise ValidationError(f"--max-n must be at least 2, got {args.max_n}")
     if args.n is not None or args.ks is not None:
         raise ValidationError("bounds sweep takes no --n or --ks")
-    if args.group_order is not None:  # refused as the first row, n = 2 and m = 1, would refuse it
-        bounds_mod.wang_bound(bounds_mod.whitney_bound(1), args.group_order)
+    if args.group_order is not None:  # refused before any row is written
+        _at_least(args.group_order, "group_order", 1)
     return functools.partial(_write_sweep, args.max_n, args.group_order)
 
 

@@ -27,6 +27,7 @@ from .flagcore import (
     _embedded_image,
     _frobenius,
     _prechecked,
+    _trusted_symmetric,
 )
 
 
@@ -155,12 +156,11 @@ class EmbeddedFlag:
 
 
 def _certified_flag(x: np.ndarray, spec: Spectrum) -> EmbeddedFlag:
-    """The EmbeddedFlag of a matrix that ``_model_image`` returned: it is
-    already checked against the spectrum, so that check does not run again.
-    ``SymmetricMatrix`` takes its own copy: keeping the image itself leaves
-    the freed temporaries that built it between the kept matrices, and
-    embedding 216 points at n = 96..160 then took about 1 MB more peak RSS."""
-    return _prechecked(EmbeddedFlag, x=SymmetricMatrix(x), spectrum=spec)
+    """The EmbeddedFlag of an image that ``_model_image`` certified, built with no check.
+    It keeps a copy: keeping the image itself leaves the freed temporaries that built
+    it between the kept matrices, and embedding 216 points at n = 96..160 then took
+    about 1 MB more peak RSS."""
+    return _prechecked(EmbeddedFlag, x=_trusted_symmetric(x.copy()), spectrum=spec)
 
 
 def embed(f: FlagPoint, spec: Spectrum) -> EmbeddedFlag:

@@ -293,7 +293,9 @@ class FlagPoint:
 
 def identity_flag(sig: FlagSignature) -> FlagPoint:
     """The base flag spanned by the first k_1, ..., k_p coordinate vectors."""
-    return FlagPoint(np.eye(sig.n), sig)
+    q = np.eye(sig.n)
+    q.setflags(write=False)
+    return _prechecked(FlagPoint, q=q, signature=sig)  # an exact frame: FlagPoint's check cannot fail
 
 
 def _generator(seed) -> np.random.Generator:
@@ -341,6 +343,15 @@ class SymmetricMatrix:
         object.__setattr__(self, "entries", a)
 
 
+def _trusted_symmetric(a: np.ndarray) -> SymmetricMatrix:
+    """``SymmetricMatrix(a)`` for an array the library has just computed as (v + v') / 2, made read-only
+    in place, without checks that cannot fail: it is exactly symmetric, as float addition commutes; a tangent
+    projection is finite by its ``_quietly`` refusal, and a model image as ``embed._model_image`` accepts it
+    only with a finite certificate or finite eigenvalues.  It is C-ordered, like the checked copy."""
+    a.setflags(write=False)
+    return _prechecked(SymmetricMatrix, entries=a)
+
+
 @dataclass(frozen=True, eq=False)
 class TangentBlock:
     """Velocity of a flag: a read-only skew n x n ``matrix`` B with zero diagonal blocks; the
@@ -379,10 +390,6 @@ class TangentBlock:
                 a[sl[i], sl[j]] = blk
                 a[sl[j], sl[i]] = -blk.T
         return cls(sig, a)
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        """Block (i, j), read-only; zero for i == j."""
-        return self.matrix[self.signature.block_slices()[i], self.signature.block_slices()[j]]
 
     def to_matrix(self) -> np.ndarray:
         return self.matrix.copy()

@@ -15,6 +15,7 @@ private array step (``_tangent_step``, ``_retract_step``) under the one
 overflow policy, ``flagcore._quietly``.  ``nearest_point`` and
 ``_retract_step`` both call ``_nearest_image``: the descending eigen-solve,
 the one refusal of a tie at a block boundary, and ``embed._model_image``.
+No result is checked again; ``flagcore._trusted_symmetric`` says why.
 The descent loop runs the array steps and builds no wrapper until it
 returns.  It checks ``init``, ``spec``, ``step``, ``max_iters`` and
 ``grad_tol`` once, on entry.  Each iteration then checks three things,
@@ -62,6 +63,7 @@ from .flagcore import (
     _float_array,
     _frobenius,
     _quietly,
+    _trusted_symmetric,
 )
 
 
@@ -117,7 +119,7 @@ def push_tangent(b: TangentBlock, f: FlagPoint, spec: Spectrum) -> EmbeddedTange
         v = f.q @ _bracket_with_model(b, spec) @ f.q.T
         return (v + v.T) / 2.0
 
-    return EmbeddedTangent(SymmetricMatrix(_quietly(conjugated, "pushforward overflows")), embed(f, spec))
+    return EmbeddedTangent(_trusted_symmetric(_quietly(conjugated, "pushforward overflows")), embed(f, spec))
 
 
 def isometry_defect(b: TangentBlock, spec: Spectrum) -> float:
@@ -151,7 +153,7 @@ def project_to_tangent(g: SymmetricMatrix, base: EmbeddedFlag) -> EmbeddedTangen
     """
     _check_size(g.entries, base.signature)
     v = _quietly(lambda: _tangent_step(g.entries, base.x.entries, base.spectrum), "tangent projection overflows")
-    return EmbeddedTangent(SymmetricMatrix(v), base)
+    return EmbeddedTangent(_trusted_symmetric(v), base)
 
 
 def _check_decreasing(spec: Spectrum) -> None:

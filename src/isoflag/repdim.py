@@ -17,7 +17,7 @@ those integers (d as ``d // 2`` when even, ``d/2`` when odd, the text
 positive roots in the doubled lam+rho coordinates, divided by the same
 product at lam = 0, which each call computes afresh, and checked to divide
 exactly.  Floating point is deliberately absent, and ``Fraction`` is used
-only to parse entries and caps and for ``halves`` and ``mu1_cap``.
+only to parse entries and caps and for ``mu1_cap``.
 
 The classification walk never multiplies out a full product.  It visits
 weights whose leading run of K equal entries rises by 2 at each step, and
@@ -95,15 +95,8 @@ class HighestWeight:
         return ",".join(f"{d}/2" if d % 2 else str(d // 2) for d in doubled)
 
     @property
-    def m(self) -> int:
-        return self.n // 2
-
-    @property
     def is_spin(self) -> bool:
         return self.doubled[0] % 2 == 1
-
-    def halves(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(d, 2) for d in self.doubled)
 
     def __str__(self) -> str:
         return self._pretty(self.doubled)

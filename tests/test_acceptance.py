@@ -37,7 +37,9 @@ from isoflag import (
     single_row_dim,
     spin_dimension,
     verify_classification,
+    wang_bound,
     weyl_dim,
+    whitney_bound,
 )
 
 from _helpers import haar_special_orthogonal, random_signature, random_symmetric
@@ -214,14 +216,18 @@ def test_criterion_8_bound_comparisons_exhaustive():
         for n in range(2, 501):
             assert gunther_bound(n - 1) - isospectral_bound(n) == max(5, n - 1), n
         # Whitney's bound 2m against the model, directly and through the
-        # block sizes: sum n_i (n_i + 1) <= 2 [1 + sum_{i<j} n_i n_j]
+        # block sizes: sum n_i (n_i + 1) <= 2 [1 + sum_{i<j} n_i n_j];
+        # and Wang's bound d|G| composed with Whitney's, d = 2m
         for n in range(2, 11):
             for sig in all_signatures(n):
-                direct = isospectral_bound(n) <= 2 * flag_dimension(sig)
+                m = flag_dimension(sig)
+                direct = isospectral_bound(n) <= whitney_bound(m)
                 sizes = sig.block_sizes
                 cross = sum(a * b for i, a in enumerate(sizes) for b in sizes[i + 1:])
                 assert (sum(s * (s + 1) for s in sizes) <= 2 * (1 + cross)) == direct, sig
                 assert bound_table(sig).comparisons["whitney_condition"] == direct, sig
+                for g in (1, 3):
+                    assert bound_table(sig, g).wang == wang_bound(whitney_bound(m), g), sig
 
 
 def test_criterion_9_spot_values_recomputed():

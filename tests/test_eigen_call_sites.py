@@ -1,4 +1,4 @@
-"""The numpy calls that carry a policy are each made in one helper.
+"""The calls that carry a policy are each made only where the policy allows.
 
 - Every call of the symmetric eigen-solver goes through ``embed._eigh``,
   which raises LAPACK's failure to converge as the package's
@@ -9,6 +9,10 @@
   refused with a ``NumericalError`` or left to fail its tolerance test.
 - No code calls ``np.linalg.norm``; ``flagcore._frobenius`` computes the same
   bits without its argument handling.
+- The validating constructors ``SymmetricMatrix``, ``FlagPoint`` and
+  ``EmbeddedFlag`` run only on input from outside the library and where the
+  library cannot prove their checks; its own results are built through
+  ``flagcore._prechecked``.
 
 This stdlib ``ast`` check fails on a call of one of them anywhere else in
 ``src/isoflag/*.py``.
@@ -57,3 +61,18 @@ def test_error_state_is_set_only_by_the_overflow_policy():
 
 def test_linalg_norm_is_never_called():
     assert call_sites("norm") == []
+
+
+def test_validating_constructors_run_only_where_a_check_can_fail():
+    """The CLI's three matrix files and its ``--q-file``; the LAPACK frames of
+    ``random_flag_point`` and ``recover``; and ``act``'s rotation and product."""
+    assert call_sites("SymmetricMatrix", "FlagPoint", "EmbeddedFlag") == [
+        ("cli", "cmd_embed", "FlagPoint"),
+        ("cli", "cmd_optimize", "SymmetricMatrix"),
+        ("cli", "cmd_project", "SymmetricMatrix"),
+        ("cli", "cmd_recover", "SymmetricMatrix"),
+        ("embed", "act", "FlagPoint"),
+        ("embed", "act", "FlagPoint"),
+        ("embed", "recover", "FlagPoint"),
+        ("flagcore", "random_flag_point", "FlagPoint"),
+    ]

@@ -262,8 +262,9 @@ class TestTangentBlock:
     def test_block_accessor(self):
         sig = make_signature(4, [2])
         b = random_tangent_block(sig, 1)
-        assert np.allclose(b.block(1, 0), -b.block(0, 1).T)
-        assert np.allclose(b.block(0, 0), 0.0)
+        sl = sig.block_slices()
+        assert np.allclose(b.matrix[sl[1], sl[0]], -b.matrix[sl[0], sl[1]].T)
+        assert np.allclose(b.matrix[sl[0], sl[0]], 0.0)
 
     def test_from_matrix_rejects_nonzero_diagonal_block(self):
         sig = make_signature(4, [2])
@@ -320,10 +321,10 @@ class TestTangentBlockStorage:
         b = TangentBlock(sig, a)
         sl = sig.block_slices()
         for i, j in itertools.combinations(range(sig.num_blocks), 2):
-            assert np.array_equal(b.block(i, j), a[sl[i], sl[j]])
-            assert np.array_equal(b.block(j, i), -a[sl[i], sl[j]].T)
+            assert np.array_equal(b.matrix[sl[i], sl[j]], a[sl[i], sl[j]])
+            assert np.array_equal(b.matrix[sl[j], sl[i]], -a[sl[i], sl[j]].T)
         for i in range(sig.num_blocks):
-            assert not b.block(i, i).any()
+            assert not b.matrix[sl[i], sl[i]].any()
         assert not b.matrix.flags.writeable
 
     @pytest.mark.parametrize("bad, message", [
@@ -342,8 +343,9 @@ class TestTangentBlockStorage:
     def test_absent_block_map_pairs_are_zero(self):
         sig = make_signature(4, [1, 2])
         b = TangentBlock.from_block_map(sig, {(1, 2): np.array([[3.0, 4.0]])})
-        assert not b.block(0, 1).any() and not b.block(0, 2).any()
-        assert np.array_equal(b.block(2, 1), np.array([[-3.0], [-4.0]]))
+        sl = sig.block_slices()
+        assert not b.matrix[sl[0], sl[1]].any() and not b.matrix[sl[0], sl[2]].any()
+        assert np.array_equal(b.matrix[sl[2], sl[1]], np.array([[-3.0], [-4.0]]))
 
 
 class TestOverflowingDefects:
@@ -401,7 +403,8 @@ class TestNonFiniteEntries:
 
     def test_tangent_block(self, bad):
         sig = make_signature(4, [1, 2])
-        blk = random_tangent_block(sig, 0).block(1, 2).copy()
+        sl = sig.block_slices()
+        blk = random_tangent_block(sig, 0).matrix[sl[1], sl[2]].copy()
         blk[0, 0] = bad
         with pytest.raises(NotSkewSymmetric):
             TangentBlock.from_block_map(sig, {(1, 2): blk})

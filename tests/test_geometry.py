@@ -55,10 +55,10 @@ def distance_to_model(a, spec):
 def pairwise_metric(b, c, spec):
     """<B, C> = 2 sum_{i<j} (a_i - a_j)^2 tr(B_ij' C_ij) summed block pair by
     block pair, as the formula reads: the reference for ``metric_inner``."""
-    v = spec.values
+    v, sl = spec.values, spec.signature.block_slices()
     total = 0.0
     for i, j in itertools.combinations(range(spec.signature.num_blocks), 2):
-        total += (v[i] - v[j]) ** 2 * float(np.sum(b.block(i, j) * c.block(i, j)))
+        total += (v[i] - v[j]) ** 2 * float(np.sum(b.matrix[sl[i], sl[j]] * c.matrix[sl[i], sl[j]]))
     return 2.0 * total
 
 
@@ -70,7 +70,7 @@ def pairwise_bracket(b, spec):
     v = spec.values
     out = np.zeros((sig.n, sig.n))
     for i, j in itertools.combinations(range(sig.num_blocks), 2):
-        scaled = (v[j] - v[i]) * b.block(i, j)
+        scaled = (v[j] - v[i]) * b.matrix[sl[i], sl[j]]
         out[sl[i], sl[j]] = scaled
         out[sl[j], sl[i]] = scaled.T
     return out
@@ -582,7 +582,8 @@ class TestDescentCallCounts:
             events.append(f"new {cls.__name__}")
             return prechecked(cls, **fields)
 
-        monkeypatch.setattr(embed_module, "_prechecked", counted_prechecked)
+        for module in (embed_module, sys.modules["isoflag.flagcore"]):
+            monkeypatch.setattr(module, "_prechecked", counted_prechecked)
         for owner, name in ((np.linalg, "norm"), (np, "isfinite"), (np, "errstate")):
             def counted(*args, _name=name, _call=getattr(owner, name), **kwargs):
                 events.append(_name)
@@ -602,10 +603,8 @@ class TestDescentCallCounts:
         per_iteration = [part.split() for part in " ".join(events[first:last + 1]).split("grad")[1:-1]]
         assert per_iteration == [["eigh", "eigh"]] * res.iterations
         # after the last gradient: its projection, then the returned point,
-        # whose SymmetricMatrix runs its own checks once
-        assert events[last + 1:] == [
-            "eigh", "new SymmetricMatrix", "isfinite", "errstate", "new EmbeddedFlag"
-        ]
+        # built with no check
+        assert events[last + 1:] == ["eigh", "new SymmetricMatrix", "new EmbeddedFlag"]
 
 
 class TestDescentGradientContract:
@@ -817,3 +816,71 @@ class TestOverflowingSpectrum:
         b = TangentBlock.from_block_map(spec.signature, {(0, 1): np.array([[1e-100]])})
         assert default_step(spec) == 0.1 / spec.max_gap**2
         assert np.isfinite(metric_inner(b, b, spec)) and np.isfinite(isometry_defect(b, spec))
+
+
+def trusted_calls(sig, seed):
+    """For each function that builds its result without a validator, a call on
+    arguments built here, before the call."""
+    rng = np.random.default_rng(seed)
+    spec = default_traceless_spectrum(sig)
+    f = random_flag_point(sig, seed)
+    base = embed(f, spec)
+    target = SymmetricMatrix(random_symmetric(sig.n, rng))
+    b = random_tangent_block(sig, seed)
+    v = project_to_tangent(target, base)
+    return {
+        "embed": lambda: embed(f, spec),
+        "nearest_point": lambda: nearest_point(target, spec),
+        "retract": lambda: retract(base, v, -0.1),
+        "project_to_tangent": lambda: project_to_tangent(target, base),
+        "push_tangent": lambda: push_tangent(b, f, spec),
+        "gradient_descent": lambda: gradient_descent(lambda x: x - target.entries, spec, base, max_iters=3).point,
+        "identity_flag": lambda: identity_flag(sig),
+    }
+
+
+VALIDATED = (SymmetricMatrix, FlagPoint, EmbeddedFlag)
+
+
+class TestResultsBuiltWithoutValidators:
+    """The library's own results are built without re-running the checks of
+    ``SymmetricMatrix``, ``FlagPoint`` and ``EmbeddedFlag``, and equal what
+    those constructors build from the same array."""
+
+    @pytest.mark.parametrize("name", list(trusted_calls(make_signature(6, [2, 3]), 0)))
+    def test_no_validator_runs(self, name, monkeypatch):
+        call = trusted_calls(make_signature(6, [2, 3]), 0)[name]
+        runs = []
+        for cls in VALIDATED:
+            def counted(self, _check=cls.__post_init__):
+                runs.append(type(self).__name__)
+                _check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        call()
+        assert runs == []
+
+    def test_built_without_the_validator_yet_equal_to_validated(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        cases = [trusted_calls(random_signature(rng, n_max=13), seed) for seed in range(60)]
+
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} validator ran")
+
+        for cls in VALIDATED:
+            monkeypatch.setattr(cls, "__post_init__", refuse)
+        results = [{name: call() for name, call in calls.items()} for calls in cases]
+        monkeypatch.undo()
+        for got in results:
+            f = got["identity_flag"]
+            pairs = [(f.q, FlagPoint(f.q, f.signature).q)]
+            for name in ("project_to_tangent", "push_tangent"):
+                v = got[name].v.entries
+                pairs.append((v, SymmetricMatrix(v).entries))
+            for name in ("embed", "nearest_point", "retract", "gradient_descent"):
+                x = got[name].x.entries
+                pairs.append((x, EmbeddedFlag(SymmetricMatrix(x), got[name].spectrum).x.entries))
+            for trusted, checked in pairs:
+                assert trusted.dtype == checked.dtype and trusted.strides == checked.strides
+                assert trusted.tobytes() == checked.tobytes()
+                assert not trusted.flags.writeable

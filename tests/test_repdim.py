@@ -73,7 +73,7 @@ def weyl_dim_pairwise(w: HighestWeight) -> int:
     (d_i + d_j + 2(n - i - j)) over the doubled entries, each pair with its
     own denominator 4(j - i)(n - i - j), and d_i + n - 2i over n - 2i for
     odd n, multiplied out before one exact division."""
-    n, d, m = w.n, w.doubled, w.m
+    n, d, m = w.n, w.doubled, w.n // 2
     num = 1
     den = 1
     for i in range(1, m + 1):
@@ -278,7 +278,7 @@ class TestWeylDim:
         for parity in (0, 1):
             for doubled in all_dominant_doubled(n, 4, parity, include_negative=True):
                 w = HighestWeight(n, doubled)
-                oracle = dim_by_positive_roots(n, w.halves())
+                oracle = dim_by_positive_roots(n, [Fraction(d, 2) for d in w.doubled])
                 assert oracle.denominator == 1
                 assert weyl_dim(w) == int(oracle)
 
@@ -334,13 +334,13 @@ class TestWeylDim:
 
 class TestFundamentalWeights:
     def test_odd_cases(self):
-        assert fundamental_weight(7, 2).halves() == (1, 1, 0)
-        assert fundamental_weight(7, 3).halves() == (HALF, HALF, HALF)
+        assert [Fraction(d, 2) for d in fundamental_weight(7, 2).doubled] == [1, 1, 0]
+        assert [Fraction(d, 2) for d in fundamental_weight(7, 3).doubled] == [HALF, HALF, HALF]
 
     def test_even_cases(self):
-        assert fundamental_weight(8, 3).halves() == (HALF, HALF, HALF, -HALF)
-        assert fundamental_weight(8, 4).halves() == (HALF, HALF, HALF, HALF)
-        assert fundamental_weight(8, 2).halves() == (1, 1, 0, 0)
+        assert [Fraction(d, 2) for d in fundamental_weight(8, 3).doubled] == [HALF, HALF, HALF, -HALF]
+        assert [Fraction(d, 2) for d in fundamental_weight(8, 4).doubled] == [HALF, HALF, HALF, HALF]
+        assert [Fraction(d, 2) for d in fundamental_weight(8, 2).doubled] == [1, 1, 0, 0]
 
     @pytest.mark.parametrize("n", range(3, 41))
     def test_built_weights_pass_the_validator(self, n):
@@ -710,7 +710,7 @@ class TestVerifyClassification:
 
 class TestVerifyBuildsNoFraction:
     """The classification and its output run in ints: ``Fraction`` is only
-    for the API (``halves``, ``mu1_cap``) and for parsing entries and caps."""
+    for ``mu1_cap`` and for parsing entries and caps."""
 
     @pytest.fixture
     def fractions_built(self, monkeypatch):
