@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -53,21 +52,33 @@ from .geometry import default_step, gradient_descent, nearest_point
 
 SCHEMA_VERSION = 1
 
+# embed holds about five n x n doubles at once, about 2.5 GiB at this n
+MAX_EMBED_N = 2**13
+
 
 @dataclass(frozen=True)
 class Output:
-    """A command's result, with one formatting function per output format.
-
-    ``main`` calls only the function for the requested format, so a command
-    never formats output that is not printed.  A command whose output is
-    too large to hold, ``bounds sweep``, returns instead the function
-    ``write(fmt, head)`` that writes its output while computing it and
-    returns the exit code."""
+    """A command's result as its writer.  Every handler returns a writer
+    ``(fmt, head) -> exit code``, which writes the output in format ``fmt``
+    to stdout (a JSON document opens with the members of ``head``) and
+    returns the exit code.  An ``Output`` holds one formatting function per
+    format and calls only the requested one, so a command never formats
+    output that is not printed.  ``bounds sweep``, whose output is too
+    large to hold, returns a writer that renders its rows as it writes."""
 
     json: Callable[[], dict]
     csv: Callable[[], Iterable[Sequence]]
     text: Callable[[], Iterable[str]]
     code: int = 0
+
+    def __call__(self, fmt: str, head: dict) -> int:
+        if fmt == "json":
+            sys.stdout.write(json.dumps({**head, **self.json()}, indent=2) + "\n")
+        elif fmt == "csv":
+            csv.writer(sys.stdout, lineterminator="\n").writerows(self.csv())
+        else:
+            sys.stdout.writelines(line + "\n" for line in self.text())
+        return self.code
 
 
 def _fmt(x) -> str:
@@ -85,18 +96,6 @@ _KS_SEP = {"text": ",", "csv": " ", "json": ",\n        "}
 
 def _ks_text(sig, fmt: str = "text") -> str:
     return _KS_SEP[fmt].join(map(str, sig.ks))
-
-
-def _print(line: str = "") -> None:
-    sys.stdout.write(line + "\n")
-
-
-def _emit_csv(rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
-    sys.stdout.write(buf.getvalue())
 
 
 def _matrix_lines(a) -> list[str]:
@@ -173,6 +172,8 @@ def _matrix_input(args, flag_name: str, path: str) -> np.ndarray:
 
 
 def cmd_embed(args) -> Output:
+    if args.n > MAX_EMBED_N:  # refused before anything of size n is built
+        raise ValidationError(f"--n must be at most {MAX_EMBED_N}, got {args.n}")
     sig, spec = _signature_spectrum(args, args.n)
     if args.identity:
         f = identity_flag(sig)
@@ -624,31 +625,18 @@ def main(argv=None) -> int:
         # looked up at call time so that a wrapped or patched handler is called
         sub = getattr(args, "repdim_command", None) or getattr(args, "bounds_command", None)
         command = f"{args.command} {sub}" if sub else args.command
-        out = globals()["cmd_" + command.replace(" ", "_")](args)
-        head = {"schema_version": SCHEMA_VERSION, "command": command}
-        limit = sys.get_int_max_str_digits()  # lifted only while the output is printed,
+        write = globals()["cmd_" + command.replace(" ", "_")](args)
+        limit = sys.get_int_max_str_digits()  # lifted only while the output is written,
         sys.set_int_max_str_digits(0)  # so that exact integers print in full
         try:
-            if callable(out):
-                return out(args.format, head)
-            if args.format == "json":
-                _print(json.dumps({**head, **out.json()}, indent=2))
-            elif args.format == "csv":
-                _emit_csv(out.csv())
-            else:
-                for line in out.text():
-                    _print(line)
+            return write(args.format, {"schema_version": SCHEMA_VERSION, "command": command})
         finally:
             sys.set_int_max_str_digits(limit)
-        return out.code
     except SystemExit as e:  # --help, which argparse prints before it exits
         return int(e.code or 0)
-    except ValidationError as e:
+    except (ValidationError, NumericalError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 2
-    except NumericalError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(e, ValidationError) else 3
 
 
 def entrypoint() -> None:

@@ -51,6 +51,23 @@ def write_model(tmp_path, n, ks, values, name="model.txt", shift=None):
     return path, sig, spec
 
 
+def close_after_first_line(argv):
+    """Run the CLI in a subprocess, read one line of its stdout, close the
+    pipe, and return (that line, exit code, stderr)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    with subprocess.Popen([sys.executable, "-m", "isoflag.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+        return first, code, proc.stderr.read()
+
+
 class TestMatrixFiles:
     def test_round_trip(self, tmp_path):
         a = np.array([[1.0, 0.25], [0.25, -3.5e-17]])
@@ -152,6 +169,15 @@ class TestEmbedCommand:
             code, out, _ = run(capsys, "embed", "--n", "5", "--ks", "2", "--seed", "7", "--format", fmt)
             assert code == 0 and ("eigenvalues" in out) == bool(solves)
             assert calls == solves, fmt
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_closed_stdout_exits_141_without_traceback(self, fmt):
+        """Output larger than a pipe's buffer, whose reader closes it after one
+        line, ends with exit code 141 and nothing on stderr."""
+        first, code, err = close_after_first_line(
+            ["embed", "--n", "300", "--ks", "1", "--identity", "--format", fmt])
+        assert first == b"n: 300\n" if fmt == "text" else first.count(b",") == 299
+        assert (code, err) == (141, b"")
 
     def test_q_file_input(self, capsys, tmp_path):
         q = np.eye(3)
@@ -675,18 +701,7 @@ class TestBoundsSweep:
     def test_closed_stdout_exits_141_without_traceback(self):
         """A reader that closes the pipe early (``| head -1``) ends the sweep
         with exit code 141, as SIGPIPE would, and nothing on stderr."""
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        with subprocess.Popen([sys.executable, "-m", "isoflag.cli", *sweep_argv(14, None, "text")],
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-            try:
-                first = proc.stdout.readline()
-                proc.stdout.close()
-                code = proc.wait(timeout=60)
-            finally:
-                if proc.poll() is None:
-                    proc.kill()
-            err = proc.stderr.read()
+        first, code, err = close_after_first_line(sweep_argv(14, None, "text"))
         assert first == b"n=2 ks=1 flag_dim=1 isospectral=2 gunther=7 whitney=2\n"
         assert (code, err) == (141, b"")
 

@@ -10,9 +10,15 @@ stderr line, ``ErrorName: reason``.  That covers the parser's own refusals
 print as a usage block.
 
 Sizes are capped so that no run allocates more than a few MB or runs long:
-a value above an option's cap in ``CAPS`` is not tried.  A huge ``--n``
-for a numeric command would ask for n^2 floats; what that does is left
-untried here.
+a value above an option's cap in ``CAPS`` is not tried.  Where a huge
+``--n`` stands: ``embed`` refuses one above ``MAX_EMBED_N`` before it
+builds anything (tested below); ``recover``, ``project`` and ``optimize``
+take n from a matrix file, whose entry count is checked before any array
+is built.  The exact commands have no ceiling yet: a 20-digit ``--n``
+makes ``repdim dim`` raise ``OverflowError`` (a 19-digit one
+``MemoryError``), ``repdim verify`` ``MemoryError`` after a long run, and
+``repdim enumerate`` runs on.  Those runs need an address-space cap and a
+timeout, so none is tried here.
 """
 
 import argparse
@@ -25,7 +31,7 @@ import numpy as np
 import pytest
 
 from isoflag import default_traceless_spectrum, embed, identity_flag, make_signature
-from isoflag.cli import build_parser, main
+from isoflag.cli import MAX_EMBED_N, build_parser, main
 
 HOSTILE = ["-1", "0", "1", "2.5", "nan", "inf", "-inf", "1e308", "-1e308",
            "99999999999999999999", "abc", "", " ", "1j", "1,2", "0x10"]
@@ -137,6 +143,12 @@ def test_help_still_prints_usage_and_exits_0(capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: isoflag embed")
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("n", [MAX_EMBED_N + 1, 99999999999999999999])
+def test_embed_refuses_a_huge_n_before_building_anything(capsys, n):
+    assert main(["embed", "--n", str(n), "--ks", "1", "--identity"]) == 2
+    assert capsys.readouterr() == ("", f"ValidationError: --n must be at most 8192, got {n}\n")
 
 
 def test_an_overflowing_step_prints_one_line(matrix_files, tmp_path):

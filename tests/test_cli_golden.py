@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from isoflag import cli
 from isoflag.cli import build_parser, main
 from isoflag.errors import ValidationError
 
@@ -105,6 +106,22 @@ def test_error_cases_exit_nonzero(golden):
     }
     assert golden["error-spectrum-mismatch"]["stderr"].startswith("SpectrumMismatch:")
     assert golden["error-degenerate-gap"]["stderr"].startswith("DegenerateBoundaryGap:")
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if not case.startswith("error-")])
+def test_every_handler_returns_a_writer(case, golden, tmp_path, monkeypatch):
+    """Each handler's result, called as ``(fmt, head)``, writes the golden
+    stdout and returns the golden exit code, with no help from ``main``."""
+    write_matrix_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    argv = CASES[case]
+    command = " ".join(itertools.takewhile(lambda word: not word.startswith("--"), argv))
+    args = cli._parse(argv)
+    write = getattr(cli, "cmd_" + command.replace(" ", "_"))(args)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = write(args.format, {"schema_version": 1, "command": command})
+    assert (code, out.getvalue()) == (golden[case]["code"], golden[case]["stdout"])
 
 
 def fresh_parse_error(argv) -> dict:
