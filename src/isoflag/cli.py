@@ -52,8 +52,10 @@ from .geometry import default_step, gradient_descent, nearest_point
 
 SCHEMA_VERSION = 1
 
-# embed holds about five n x n doubles at once, about 2.5 GiB at this n
-MAX_EMBED_N = 2**13
+# The largest --n a command takes: embed holds about five n x n doubles at
+# once, about 2.5 GiB at this n, and the exact commands build weights of
+# n // 2 entries and integers of about n // 2 bits
+MAX_N = 2**13
 
 
 @dataclass(frozen=True)
@@ -171,10 +173,15 @@ def _matrix_input(args, flag_name: str, path: str) -> np.ndarray:
     return a
 
 
+def _at_most_max_n(n: int) -> int:
+    """``--n``, refused above ``MAX_N`` before anything of size n is built."""
+    if n > MAX_N:
+        raise ValidationError(f"--n must be at most {MAX_N}, got {n}")
+    return n
+
+
 def cmd_embed(args) -> Output:
-    if args.n > MAX_EMBED_N:  # refused before anything of size n is built
-        raise ValidationError(f"--n must be at most {MAX_EMBED_N}, got {args.n}")
-    sig, spec = _signature_spectrum(args, args.n)
+    sig, spec = _signature_spectrum(args, _at_most_max_n(args.n))
     if args.identity:
         f = identity_flag(sig)
     elif args.q_file:
@@ -294,7 +301,7 @@ def cmd_optimize(args) -> Output:
 
 
 def cmd_repdim_dim(args) -> Output:
-    w = repdim_mod.parse_weight(args.n, args.weight)
+    w = repdim_mod.parse_weight(_at_most_max_n(args.n), args.weight)
     dim = repdim_mod.weyl_dim(w)
     return Output(
         json=lambda: {"n": args.n, "weight": str(w), "dimension": dim},
@@ -316,7 +323,7 @@ def _hit_line(h: repdim_mod.EnumerationHit) -> str:
 
 
 def cmd_repdim_enumerate(args) -> Output:
-    report = repdim_mod.enumerate_low_dim(args.n, args.max_dim, args.cap)
+    report = repdim_mod.enumerate_low_dim(_at_most_max_n(args.n), args.max_dim, args.cap)
     return Output(
         json=lambda: {
             "n": report.n,
@@ -345,7 +352,7 @@ def cmd_repdim_enumerate(args) -> Output:
 
 
 def cmd_repdim_verify(args) -> Output:
-    report = repdim_mod.verify_classification(args.n, args.cap)
+    report = repdim_mod.verify_classification(_at_most_max_n(args.n), args.cap)
     return Output(
         json=lambda: {
             "n": report.n,
@@ -456,6 +463,17 @@ class _SweepTails(dict):
                                f'\n      "comparisons": {{{comparisons}\n      }}\n    }}')
 
 
+# Per format: the separator between rows, a row's head up to its ks, and the
+# footer, as templates.  Rows are separated, not terminated, so that JSON
+# needs no trailing comma.
+_SWEEP_TEMPLATES = {
+    "text": ("\n", "n={n} ks=", "\nrows: {rows}  gunther_failures: {failures}\n"),
+    "csv": ("\n", "{n},", "\n"),
+    "json": (",\n", '    {{\n      "n": {n},\n      "ks": [\n        ',
+             '\n  ],\n  "gunther_failures": {failures}\n}}\n'),
+}
+
+
 def _write_sweep(max_n: int, group_order: int | None, fmt: str, head: dict) -> int:
     """Write ``bounds sweep`` a level of ``_walk_chains`` at a time, a row one
     concatenation of its walked text and its group's tail, and return the
@@ -466,35 +484,25 @@ def _write_sweep(max_n: int, group_order: int | None, fmt: str, head: dict) -> i
     level, not the output, and nothing is written before the first level is
     rendered: an input refused there leaves stdout empty."""
     write = sys.stdout.write
-    # rows are separated, not terminated, so that JSON needs no trailing comma
-    sep = ",\n" if fmt == "json" else "\n"
-    lead = {
-        "text": "",
-        "csv": ",".join(_BOUND_CSV_HEADER) + "\n",
-        # an indent=2 document ends with "\n}": the rows array is its last member but one
-        "json": json.dumps({**head, "max_n": max_n}, indent=2)[:-2] + ',\n  "rows": [\n',
-    }[fmt]
+    sep, row_head, footer = _SWEEP_TEMPLATES[fmt]
+    if fmt == "json":  # an indent=2 document ends with "\n}": the rows array is its last member but one
+        lead = json.dumps({**head, "max_n": max_n}, indent=2)[:-2] + ',\n  "rows": [\n'
+    else:
+        lead = ",".join(_BOUND_CSV_HEADER) + "\n" if fmt == "csv" else ""
     rows = failures = 0
     for n in range(2, max_n + 1):
-        row_head = {"text": f"n={n} ks=", "csv": f"{n},",
-                    "json": f'    {{\n      "n": {n},\n      "ks": [\n        '}[fmt]
         tails = _SweepTails(n, group_order, fmt)
-        for level in bounds_mod._walk_chains(n, _KS_SEP[fmt], row_head):
+        for level in bounds_mod._walk_chains(n, _KS_SEP[fmt], row_head.format(n=n)):
             write(lead + sep.join([text + tails[m] for _, m, text in level]))
             lead = sep
             rows += len(level)
             failures += sum(m in tails.failing for _, m, _ in level) if tails.failing else 0
-    write({
-        "text": f"\nrows: {rows}  gunther_failures: {failures}\n",
-        "csv": "\n",
-        "json": f'\n  ],\n  "gunther_failures": {failures}\n}}\n',
-    }[fmt])
+    write(footer.format(rows=rows, failures=failures))
     return 0 if failures == 0 else 1
 
 
 def cmd_bounds_sweep(args) -> Callable[[str, dict], int]:
-    if args.max_n < 2:
-        raise ValidationError(f"--max-n must be at least 2, got {args.max_n}")
+    _at_least(args.max_n, "max_n", 2)
     if args.n is not None or args.ks is not None:
         raise ValidationError("bounds sweep takes no --n or --ks")
     if args.group_order is not None:  # refused before any row is written

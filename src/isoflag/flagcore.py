@@ -115,10 +115,9 @@ class FlagSignature:
     ks: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _index(self.n, "ambient dimension"))
+        n = _index(self.n, "ambient dimension")  # both are integers before n's range is checked
         object.__setattr__(self, "ks", tuple(_index(k, "subspace dimension") for k in self.ks))
-        if self.n < 2:
-            raise AmbientTooSmall(f"ambient dimension must be at least 2, got {self.n}")
+        object.__setattr__(self, "n", _at_least(n, "ambient dimension", 2, AmbientTooSmall))
         if not self.ks:
             raise KOutOfRange("at least one subspace dimension is required")
         for k in self.ks:

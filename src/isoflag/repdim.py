@@ -208,36 +208,28 @@ def fundamental_weight(n: int, i: int) -> HighestWeight:
     m = n // 2
     if not 1 <= i <= m:
         raise IndexOutOfRange(f"fundamental weight index {i} outside 1..{m}")
-    if n % 2 == 1:
-        if i <= m - 1:
-            doubled = (2,) * i + (0,) * (m - i)
-        else:
-            doubled = (1,) * m
+    if i < m - 1 + n % 2:
+        doubled = (2,) * i + (0,) * (m - i)
     else:
-        if i <= m - 2:
-            doubled = (2,) * i + (0,) * (m - i)
-        elif i == m - 1:
-            doubled = (1,) * (m - 1) + (-1,)
-        else:
-            doubled = (1,) * m
+        doubled = (1,) * (m - 1) + (1 if i == m else -1,)
     return _prechecked(HighestWeight, n=n, doubled=doubled)
 
 
 def spin_dimension(n: int) -> int:
-    """2^m for n = 2m+1, 2^{m-1} for n = 2m: the spin module dimension,
-    equal to weyl_dim at the spin fundamental weight(s)."""
+    """2^{(n-1)//2}, 2^m for n = 2m+1 and 2^{m-1} for n = 2m: the spin module
+    dimension, equal to weyl_dim at the spin fundamental weight(s)."""
     return _spin_dim(_at_least(n, "n", 3, HypothesisViolated))
 
 
 def _spin_dim(n: int) -> int:
-    return 2 ** (n // 2) if n % 2 == 1 else 2 ** (n // 2 - 1)
+    return 2 ** ((n - 1) // 2)
 
 
 def single_row_dim(n: int, s: int) -> int:
-    """Closed form for the single-row weight (s, 0, ..., 0):
+    """Closed form for the single-row weight (s, 0, ..., 0), for both
+    parities of n:
 
-        odd n:   (1 + 2s/(n-2)) * C(n-3+s, s)
-        even n:  (1 + s/(m-1))  * C(n-3+s, s)
+        (1 + 2s/(n-2)) * C(n-3+s, s)
 
     Must agree with weyl_dim on the same weight; kept separate so the two
     routes check each other.
@@ -246,12 +238,7 @@ def single_row_dim(n: int, s: int) -> int:
 
 
 def _single_row(n: int, s: int) -> int:
-    binom = comb(n - 3 + s, s)
-    if n % 2 == 1:
-        val, r = divmod((n - 2 + 2 * s) * binom, n - 2)
-    else:
-        m = n // 2
-        val, r = divmod((m - 1 + s) * binom, m - 1)
+    val, r = divmod((n - 2 + 2 * s) * comb(n - 3 + s, s), n - 2)
     if r != 0:
         raise ArithmeticError(f"single-row dimension is not integral for n={n}, s={s}")
     return val
@@ -299,8 +286,10 @@ class EnumerationReport:
     pruned: int = field(repr=False, compare=False)
 
 
-def _doubled_cap(mu1_cap) -> int:
-    """2 mu1_cap, refused unless mu1_cap is a half-integer >= 2."""
+def _doubled_cap(mu1_cap) -> int | None:
+    """2 mu1_cap, refused unless mu1_cap is a half-integer >= 2; None, no cap, for None."""
+    if mu1_cap is None:
+        return None
     try:
         cap = _doubled_entry(mu1_cap)
     except ValidationError:
@@ -336,29 +325,23 @@ def enumerate_low_dim(n: int, max_dim: int, mu1_cap=4) -> EnumerationReport:
     Hits are sorted by dimension, then lexicographically.
     """
     n = _at_least(n, "n", 3, HypothesisViolated)
-    cap = None if mu1_cap is None else _doubled_cap(mu1_cap)
-    return _walk(n, _index(max_dim, "max_dim"), cap)
+    return _walk(n, _index(max_dim, "max_dim"), _doubled_cap(mu1_cap))
 
 
 def _walk(n: int, max_dim: int, cap: int | None) -> EnumerationReport:
     """``enumerate_low_dim`` for trusted n >= 3, an int max_dim and a doubled
     cap >= 4 or None."""
-    m = n // 2
     hits = []
-    visited = pruned = 0
     # A node fixes entry k above the fixed entries `suffix`, starting from
-    # `lo`; `dim` is the dimension of the smallest completion at `lo`, which
-    # the parent evaluated.  The roots are the two smallest completions, the
-    # zero weight and (1/2, ..., 1/2).  A completion is m ints of one parity,
+    # `lo`; `dim` is the dimension of the smallest completion at `lo`.  The
+    # roots, the zero weight and (1/2, ..., 1/2), start with their closed
+    # dimensions 1 and the spin dimension; every other node with one that its
+    # parent evaluated and kept.  So one test prunes every node, and at
+    # v == lo only a root can fail it.  A completion is m ints of one parity,
     # nonincreasing and >= 0, so dominant: it is built without the validator,
     # and so is each hit, which is a completion.
-    todo = []
-    for lo, dim in ((0, 1), (1, _spin_dim(n))):
-        visited += 1
-        if dim > max_dim:
-            pruned += 1
-        else:
-            todo.append((m - 1, (), lo, dim))
+    todo = [(n // 2 - 1, (), lo, dim) for lo, dim in ((0, 1), (1, _spin_dim(n)))]
+    visited, pruned = len(todo), 0
     while todo:
         k, suffix, lo, dim = todo.pop()
         for v in count(lo, 2) if cap is None else range(lo, cap + 1, 2):
@@ -368,19 +351,17 @@ def _walk(n: int, max_dim: int, cap: int | None) -> EnumerationReport:
                 dim, r = divmod(dim * p, q)
                 if r != 0:
                     raise ArithmeticError(f"dimension ratio is not integral at n={n}, {(v,) * (k + 1) + suffix}")
-                if dim > max_dim:
-                    pruned += 1
-                    break
+            if dim > max_dim:
+                pruned += 1
+                break
             if k > 0:
                 todo.append((k - 1, (v,) + suffix, v, dim))
                 continue
             doubled = (v,) + suffix
             w = _prechecked(HighestWeight, n=n, doubled=doubled)
             sign_pair = n % 2 == 0 and doubled[-1] > 0
-            if n % 2 == 1:
-                real_form = doubled[-1] == 0
-            else:
-                real_form = doubled[-1] == 0 and doubled[-2] == 0  # even n >= 4, so m >= 2
+            # its last 2 - n % 2 entries are zero; the walk keeps them >= 0 (even n >= 4, so m >= 2)
+            real_form = not any(doubled[n % 2 - 2:])
             hits.append(EnumerationHit(w, dim, real_form, sign_pair))
     hits.sort(key=lambda h: (h.dimension, h.weight.doubled))
     return EnumerationReport(n, max_dim, tuple(hits), None if cap is None else Fraction(cap, 2), visited, pruned)
@@ -446,7 +427,7 @@ def verify_classification(n: int, mu1_cap=None) -> ClassificationReport:
     4. the single-row closed form exceeds the bound at s = 3 and s = 4.
     """
     n = _at_least(n, "n", 17, HypothesisViolated)
-    cap = None if mu1_cap is None else _doubled_cap(mu1_cap)
+    cap = _doubled_cap(mu1_cap)
     m = n // 2
     bound = _traceless_sym(n)
     checks = []

@@ -11,14 +11,10 @@ print as a usage block.
 
 Sizes are capped so that no run allocates more than a few MB or runs long:
 a value above an option's cap in ``CAPS`` is not tried.  Where a huge
-``--n`` stands: ``embed`` refuses one above ``MAX_EMBED_N`` before it
-builds anything (tested below); ``recover``, ``project`` and ``optimize``
-take n from a matrix file, whose entry count is checked before any array
-is built.  The exact commands have no ceiling yet: a 20-digit ``--n``
-makes ``repdim dim`` raise ``OverflowError`` (a 19-digit one
-``MemoryError``), ``repdim verify`` ``MemoryError`` after a long run, and
-``repdim enumerate`` runs on.  Those runs need an address-space cap and a
-timeout, so none is tried here.
+``--n`` stands: ``embed``, ``repdim dim``, ``repdim enumerate`` and
+``repdim verify`` refuse one above ``MAX_N`` before they build anything
+(tested below); ``recover``, ``project`` and ``optimize`` take n from a
+matrix file, whose entry count is checked before any array is built.
 """
 
 import argparse
@@ -31,7 +27,8 @@ import numpy as np
 import pytest
 
 from isoflag import default_traceless_spectrum, embed, identity_flag, make_signature
-from isoflag.cli import MAX_EMBED_N, build_parser, main
+from isoflag import cli, repdim
+from isoflag.cli import MAX_N, build_parser, main
 
 HOSTILE = ["-1", "0", "1", "2.5", "nan", "inf", "-inf", "1e308", "-1e308",
            "99999999999999999999", "abc", "", " ", "1j", "1,2", "0x10"]
@@ -145,10 +142,42 @@ def test_help_still_prints_usage_and_exits_0(capsys):
     assert captured.err == ""
 
 
-@pytest.mark.parametrize("n", [MAX_EMBED_N + 1, 99999999999999999999])
-def test_embed_refuses_a_huge_n_before_building_anything(capsys, n):
+def refuse_to_build(*args, **kwargs):
+    raise AssertionError("built something for a refused --n")
+
+
+@pytest.mark.parametrize("n", [MAX_N + 1, 99999999999999999999])
+def test_embed_refuses_a_huge_n_before_building_anything(capsys, monkeypatch, n):
+    monkeypatch.setattr(cli, "_signature_spectrum", refuse_to_build)
     assert main(["embed", "--n", str(n), "--ks", "1", "--identity"]) == 2
     assert capsys.readouterr() == ("", f"ValidationError: --n must be at most 8192, got {n}\n")
+
+
+# each exact command, with the library call that would first build something of size n
+EXACT_COMMANDS = {
+    "dim": (["--weight", "1"], "parse_weight"),
+    "enumerate": (["--max-dim", "1"], "enumerate_low_dim"),
+    "verify": ([], "verify_classification"),
+}
+
+
+@pytest.mark.parametrize("n", [MAX_N + 1, 99999999999999999999])
+@pytest.mark.parametrize("command", EXACT_COMMANDS)
+def test_exact_commands_refuse_a_huge_n_before_building_anything(capsys, monkeypatch, command, n):
+    options, builder = EXACT_COMMANDS[command]
+    monkeypatch.setattr(repdim, builder, refuse_to_build)
+    assert main(["repdim", command, "--n", str(n), *options]) == 2
+    assert capsys.readouterr() == ("", f"ValidationError: --n must be at most 8192, got {n}\n")
+
+
+@pytest.mark.parametrize("command", EXACT_COMMANDS)
+def test_exact_commands_take_n_at_the_ceiling(monkeypatch, command):
+    options, builder = EXACT_COMMANDS[command]
+    seen = []
+    monkeypatch.setattr(repdim, builder, lambda n, *rest: seen.append(n) or refuse_to_build())
+    with pytest.raises(AssertionError):
+        main(["repdim", command, "--n", str(MAX_N), *options])
+    assert seen == [MAX_N]
 
 
 def test_an_overflowing_step_prints_one_line(matrix_files, tmp_path):

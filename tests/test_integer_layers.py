@@ -216,12 +216,13 @@ def test_value_below_range_is_refused(f, param):
         assert empty is not None and empty(result)
 
 
-RANGE_REFUSAL = re.compile(r"^(need .+|.+ must be) >= .+, got \{\}")
+RANGE_REFUSAL = re.compile(r"^(need .+|.+ must be) (>=|at least) .+, got \{\}")
 
 
 def range_refusals(tree: ast.Module):
     """The name of each function that raises an error whose message reads
-    ``need ... >= ..., got {value}`` or ``... must be >= ..., got {value}``."""
+    ``need ... >= ..., got {value}``, ``... must be >= ..., got {value}`` or
+    ``... must be at least ..., got {value}``."""
     for func in ast.walk(tree):
         if not isinstance(func, ast.FunctionDef):
             continue
