@@ -493,7 +493,9 @@ def _write_sweep(max_n: int, group_order: int | None, fmt: str, head: dict) -> i
     for n in range(2, max_n + 1):
         tails = _SweepTails(n, group_order, fmt)
         for level in bounds_mod._walk_chains(n, _KS_SEP[fmt], row_head.format(n=n)):
-            write(lead + sep.join([text + tails[m] for _, m, text in level]))
+            rendered = sep.join([text + tails[m] for _, m, text in level])
+            write(lead)  # apart, not prepended: a level's text can run to hundreds of KB
+            write(rendered)
             lead = sep
             rows += len(level)
             failures += sum(m in tails.failing for _, m, _ in level) if tails.failing else 0

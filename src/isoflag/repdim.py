@@ -15,9 +15,13 @@ as doubled integers so half-integral entries stay exact, and they print from
 those integers (d as ``d // 2`` when even, ``d/2`` when odd, the text
 ``Fraction(d, 2)`` gives); the dimension is one integer product over the
 positive roots in the doubled lam+rho coordinates, divided by the same
-product at lam = 0, which each call computes afresh, and checked to divide
-exactly.  Floating point is deliberately absent, and ``Fraction`` is used
-only to parse entries and caps and for ``mu1_cap``.
+product at lam = 0 and checked to divide exactly.  The two products are
+never multiplied out: each factor l_i -+ l_j is counted by its value, a run
+of equal entries at a time, lam's counts less rho's, and only the factors
+that survive the cancellation are multiplied: the work is O(m) progressions
+per run of equal entries, not m^2/2 big-integer products.  Floating point
+is deliberately absent, and ``Fraction`` is used only to parse entries and
+caps and for ``mu1_cap``.
 
 The classification walk never multiplies out a full product.  It visits
 weights whose leading run of K equal entries rises by 2 at each step, and
@@ -26,9 +30,12 @@ new dimension is the old one times an exact ratio of short progressions
 (``_lead_step``).  Its two roots, the zero weight and (1/2, ..., 1/2), have
 the closed dimensions 1 and the spin dimension.  Every Weyl factor
 <lam+rho, alpha>/<rho, alpha> grows when a dominant weight is added to lam,
-so a branch whose smallest weight already exceeds the cutoff holds no hit,
-and along every branch the dimension grows without bound: the walk needs no
-box, and the classification below the dimension of the traceless symmetric
+so a branch whose smallest weight already exceeds the cutoff holds no hit.
+The same growth gives each raise of a leading run of K entries the floor
+dim(1^K) = C(n, K) (halved at K = m for even n): where that closed form
+exceeds the cutoff, the walk prunes without multiplying out the step.
+Along every branch the dimension grows without bound: the walk needs no box,
+and the classification below the dimension of the traceless symmetric
 matrices, (n-1)(n+2)/2, is proven by the walk itself.  The comparison
 weights of that proof, (1^q) and (2, 1^{q-1}), have the classical closed
 forms C(n, q) and q C(n+1, q+1) - C(n, q-1) (El Samra & King, J. Phys. A
@@ -137,32 +144,65 @@ def parse_weight(n: int, text: str) -> HighestWeight:
     return HighestWeight(n, tuple(doubled))
 
 
-def _shifted_product(n: int, doubled: Sequence[int]) -> int:
-    """prod_{i<j} (l_i^2 - l_j^2), times prod_i l_i for odd n, over the
-    doubled lam+rho coordinates l_i = doubled[i-1] + n - 2i.
-
-    The Weyl factors <lam+rho, e_i -+ e_j> and <lam+rho, e_i> are
-    (l_i -+ l_j)/2 and l_i/2; the halves cancel against the same product
-    at lam = 0."""
-    shifted = [d + n - 2 * i for i, d in enumerate(doubled, 1)]
-    sq = [x * x for x in shifted]
-    return prod([a - b for i, a in enumerate(sq) for b in sq[i + 1:]] + (shifted if n % 2 else []))
-
-
 def weyl_dim(w: HighestWeight) -> int:
     """Dimension of the irreducible SO(n, C) module with highest weight w.
 
-    Evaluated as an exact integer, the product over the positive roots in
-    the doubled lam+rho coordinates (``_shifted_product``) divided by the
-    same product at lam = 0; the division is required to be exact, never
-    rounded.
+    The product over the positive roots in the doubled lam+rho coordinates
+    l_i = doubled[i-1] + n - 2i, prod_{i<j} (l_i - l_j)(l_i + l_j) times
+    prod_i l_i for odd n, over the same product at lam = 0 (the halves of
+    each <lam+rho, alpha> cancel).  Both are counted by value
+    (``_count_factors``), lam's less rho's, and only the factors that survive
+    are multiplied; the division is required to be exact, never rounded.
     """
-    q, r = divmod(_shifted_product(w.n, w.doubled), _shifted_product(w.n, (0,) * (w.n // 2)))
+    n = w.n
+    ends: dict[int, int] = {}
+    _count_factors(ends, n, w.doubled, 1)
+    _count_factors(ends, n, (0,) * (n // 2), -1)
+    num = den = 1
+    exponent, start = [0, 0], [0, 0]  # per parity: the count of each value from start on
+    for v in sorted(ends):
+        p = v % 2
+        e = exponent[p]
+        if e > 0:
+            num *= prod(range(start[p], v, 2)) ** e
+        elif e < 0:
+            den *= prod(range(start[p], v, 2)) ** -e
+        exponent[p], start[p] = e + ends[v], v
+    q, r = divmod(num, den)
     if r != 0:
         raise ArithmeticError(f"dimension product is not integral for weight {w}")
     if q <= 0:
         raise ArithmeticError(f"dimension product is not positive for weight {w}")
     return q
+
+
+def _count_factors(ends: dict[int, int], n: int, doubled: Sequence[int], c: int) -> None:
+    """Add c to the count of each factor of the positive-root product at the
+    doubled weight, a stride-2 progression a, a + 2, ..., b at a time: c at a
+    and -c at b + 2 of ``ends``, whose running sum per parity is the count.
+    Within a run of equal entries l_j steps down by 2, so the factors
+    l_i -+ l_j of one l_i against a run are two progressions, and for odd n
+    the run's own l_j are one: O(m x runs) progressions, not m^2/2 factors,
+    each factor positive for a dominant weight.  ``ends`` is keyed by value,
+    not an array up to the largest, whose length would follow the entries."""
+    l = [d + n - 2 * i for i, d in enumerate(doubled, 1)]
+    runs, s = [], 0
+    while s < len(l):
+        runs.append((s, s + doubled.count(doubled[s])))  # nonincreasing, so the copies are one run
+        s = runs[-1][1]
+
+    def add(a, b):
+        ends[a] = ends.get(a, 0) + c
+        ends[b + 2] = ends.get(b + 2, 0) - c
+
+    for r, (s, e) in enumerate(runs):
+        if n % 2:
+            add(l[e - 1], l[s])
+        for i in range(s, e):
+            for t, u in [(i + 1, e)] + runs[r + 1:]:
+                if t < u:
+                    add(l[i] - l[t], l[i] - l[u - 1])
+                    add(l[i] + l[u - 1], l[i] + l[t])
 
 
 def _lead_step(n: int, K: int, v: int, suffix: tuple[int, ...]) -> tuple[int, int]:
@@ -172,12 +212,13 @@ def _lead_step(n: int, K: int, v: int, suffix: tuple[int, ...]) -> tuple[int, in
 
     The lead coordinates l_i = v + n - 2i, i = 1..K, step by 2, so raising
     them all by 2 drops L = l_K and adds U = l_1 + 2; every other factor of
-    ``_shifted_product`` is unchanged.  Against the lead l_i = U - 2i, i < K,
-    the ratio (U^2 - l_i^2)/(l_i^2 - L^2) = (U - i)/(U - K - i) after the 2s
-    cancel; against a suffix coordinate l_j it is (U^2 - l_j^2)/(L^2 - l_j^2),
-    and a run of equal entries makes each of U -+ l_j and L -+ l_j a
-    progression in j; for odd n the short root adds U/L.  Every factor is
-    positive: the result is exact and has no floating point."""
+    the positive-root product (``weyl_dim``) is unchanged.  Against the lead
+    l_i = U - 2i, i < K, the ratio (U^2 - l_i^2)/(l_i^2 - L^2) is
+    (U - i)/(U - K - i) after the 2s cancel; against a suffix coordinate l_j
+    it is (U^2 - l_j^2)/(L^2 - l_j^2), and a run of equal entries makes each
+    of U -+ l_j and L -+ l_j a progression in j; for odd n the short root
+    adds U/L.  Every factor is positive: the result is exact and has no
+    floating point."""
     U = v + n
     L = U - 2 * K
     p, q = prod(range(U - K + 1, U)), prod(range(L + 1, U - K))
@@ -272,10 +313,11 @@ class EnumerationReport:
 
     The walk covers both parities, first entry at most ``mu1_cap`` (``None``:
     no cap), and (for even n) both signs of the last entry.  ``visited``
-    counts the weights whose dimension the walk evaluated and ``pruned`` the
-    ones among them that exceeded ``max_dim`` and so cut their branch.  Both
-    describe the walk, not its result: they are left out of ``repr`` and
-    equality.
+    counts the weights the walk reached and ``pruned`` the ones among them
+    that exceeded ``max_dim`` and so cut their branch; ``floor_pruned`` counts
+    the pruned ones whose closed-form floor exceeded ``max_dim``, so that
+    their dimension was never evaluated.  All three describe the walk, not
+    its result: they are left out of ``repr`` and equality.
     """
 
     n: int
@@ -284,6 +326,7 @@ class EnumerationReport:
     mu1_cap: Fraction | None
     visited: int = field(repr=False, compare=False)
     pruned: int = field(repr=False, compare=False)
+    floor_pruned: int = field(repr=False, compare=False)
 
 
 def _doubled_cap(mu1_cap) -> int | None:
@@ -313,14 +356,19 @@ def enumerate_low_dim(n: int, max_dim: int, mu1_cap=4) -> EnumerationReport:
     added to lam, so once the completion exceeds max_dim the rest of that
     position's values are cut without losing a hit.  The first child of a
     node repeats its parent's completion and is not evaluated again; each
-    larger value is its predecessor with the leading run raised by 2, whose
-    dimension ``_lead_step`` gives exactly.  That dimension grows without
-    bound in the value, so the pruning ends every value loop and the cap is
-    only a box a caller may ask for: without it the walk lists every hit.
+    larger value is its predecessor with the leading run of K entries raised
+    by 2, whose dimension ``_lead_step`` gives exactly.  That raise adds the
+    dominant weight (1^K, 0, ..., 0), so the new dimension is at least the
+    closed form dim(1^K) = ``_wedge_dim(n, K)``; where that floor already
+    exceeds max_dim the value is pruned without the step (``_floored``).
+    The dimension grows without bound in the value, so the pruning ends
+    every value loop and the cap is only a box a caller may ask for: without
+    it the walk lists every hit.
 
     For even n the walk keeps the last entry >= 0.  A hit whose last entry
     is positive stands for itself and its mirror, the weight with that entry
-    negated: ``_shifted_product`` squares l_m = d_m, so the two have the same
+    negated: the positive-root product holds l_m = d_m only in the factors
+    (l_i - l_m)(l_i + l_m) = l_i^2 - l_m^2, so the two have the same
     dimension, and the pair is reported once with ``sign_pair`` set.
     Hits are sorted by dimension, then lexicographically.
     """
@@ -336,17 +384,23 @@ def _walk(n: int, max_dim: int, cap: int | None) -> EnumerationReport:
     # `lo`; `dim` is the dimension of the smallest completion at `lo`.  The
     # roots, the zero weight and (1/2, ..., 1/2), start with their closed
     # dimensions 1 and the spin dimension; every other node with one that its
-    # parent evaluated and kept.  So one test prunes every node, and at
-    # v == lo only a root can fail it.  A completion is m ints of one parity,
-    # nonincreasing and >= 0, so dominant: it is built without the validator,
-    # and so is each hit, which is a completion.
+    # parent evaluated and kept.  So one test prunes every evaluated node,
+    # and at v == lo only a root can fail it; a raise whose floor exceeds
+    # max_dim is pruned before it is evaluated.  A completion is m ints of
+    # one parity, nonincreasing and >= 0, so dominant: it is built without
+    # the validator, and so is each hit, which is a completion.
+    floored = _floored(n, max_dim)
     todo = [(n // 2 - 1, (), lo, dim) for lo, dim in ((0, 1), (1, _spin_dim(n)))]
-    visited, pruned = len(todo), 0
+    visited, pruned, floor_pruned = len(todo), 0, 0
     while todo:
         k, suffix, lo, dim = todo.pop()
         for v in count(lo, 2) if cap is None else range(lo, cap + 1, 2):
             if v > lo:
                 visited += 1
+                if floored[k]:
+                    pruned += 1
+                    floor_pruned += 1
+                    break
                 p, q = _lead_step(n, k + 1, v - 2, suffix)
                 dim, r = divmod(dim * p, q)
                 if r != 0:
@@ -364,7 +418,22 @@ def _walk(n: int, max_dim: int, cap: int | None) -> EnumerationReport:
             real_form = not any(doubled[n % 2 - 2:])
             hits.append(EnumerationHit(w, dim, real_form, sign_pair))
     hits.sort(key=lambda h: (h.dimension, h.weight.doubled))
-    return EnumerationReport(n, max_dim, tuple(hits), None if cap is None else Fraction(cap, 2), visited, pruned)
+    mu1_cap = None if cap is None else Fraction(cap, 2)
+    return EnumerationReport(n, max_dim, tuple(hits), mu1_cap, visited, pruned, floor_pruned)
+
+
+def _floored(n: int, max_dim: int) -> list[bool]:
+    """Entry k, k = 0..m-1: whether a raise of the leading K = k + 1 entries
+    has its floor dim(1^K) = ``_wedge_dim(n, K)`` above max_dim.  C(n, K)
+    rises in K up to m - 1, so below m one threshold decides, found by
+    C(n, K+1) = C(n, K)(n - K)/(K + 1) rather than a table of every C(n, K);
+    K = m, halved for even n, is tested on its own."""
+    m = n // 2
+    K, c = 1, n  # c = C(n, K)
+    while K < m and c <= max_dim:
+        c = c * (n - K) // (K + 1)
+        K += 1
+    return [K <= k + 1 for k in range(m - 1)] + [_wedge_dim(n, m) > max_dim]
 
 
 @dataclass(frozen=True)
@@ -404,10 +473,23 @@ def _wedge_dim(n: int, q: int) -> int:
     return comb(n, q) // (2 if 2 * q == n else 1)
 
 
-def _hook_dim(n: int, q: int) -> int:
-    """q C(n+1, q+1) - C(n, q-1), the dimension of (2, 1^{q-1}, 0, ..., 0)
-    for 1 <= q <= m; at q = m for even n, half of it, one chiral half."""
-    return (q * comb(n + 1, q + 1) - comb(n, q - 1)) // (2 if 2 * q == n else 1)
+def _comparison_dims(n: int) -> list[int]:
+    """The dimensions of (2, 1^{q-1}, 0, ..., 0) for q = 2..m, by the closed
+    form q C(n+1, q+1) - C(n, q-1), then of (1^q, 0, ..., 0) for q = 3..m,
+    C(n, q); at q = m for even n, half of each, one chiral half.  The
+    binomials come from C(n, q+1) = C(n, q)(n - q)/(q + 1) and
+    C(n+1, q+2) = C(n+1, q+1)(n - q)/(q + 2), each an exact division by a
+    small integer, rather than from 2m - 3 ``comb`` calls."""
+    hooks, wedges = [], []
+    below, c, c_up = 1, n, (n + 1) * n // 2  # C(n, q-1), C(n, q), C(n+1, q+1) at q = 1
+    for q in range(1, n // 2 + 1):
+        half = 2 if 2 * q == n else 1
+        if q >= 2:
+            hooks.append((q * c_up - below) // half)
+        if q >= 3:
+            wedges.append(c // half)
+        below, c, c_up = c, c * (n - q) // (q + 1), c_up * (n - q) // (q + 2)
+    return hooks + wedges
 
 
 def verify_classification(n: int, mu1_cap=None) -> ClassificationReport:
@@ -422,8 +504,8 @@ def verify_classification(n: int, mu1_cap=None) -> ClassificationReport:
        asks for one, so this covers every weight;
     3. the comparison weights (2,1^{q-1},0,...) for q = 2..m and
        (1^q,0,...) for q = 3..m all exceed the bound ((1,1,0,...) is the
-       lone exception below it), by their closed forms ``_hook_dim`` and
-       ``_wedge_dim``;
+       lone exception below it), by their closed forms
+       (``_comparison_dims``);
     4. the single-row closed form exceeds the bound at s = 3 and s = 4.
     """
     n = _at_least(n, "n", 17, HypothesisViolated)
@@ -453,7 +535,7 @@ def verify_classification(n: int, mu1_cap=None) -> ClassificationReport:
         )
     )
 
-    comparison = [_hook_dim(n, q) for q in range(2, m + 1)] + [_wedge_dim(n, q) for q in range(3, m + 1)]
+    comparison = _comparison_dims(n)
     worst = min(comparison)
     checks.append(
         CheckResult(

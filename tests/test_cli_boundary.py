@@ -12,9 +12,10 @@ print as a usage block.
 Sizes are capped so that no run allocates more than a few MB or runs long:
 a value above an option's cap in ``CAPS`` is not tried.  Where a huge
 ``--n`` stands: ``embed``, ``repdim dim``, ``repdim enumerate`` and
-``repdim verify`` refuse one above ``MAX_N`` before they build anything
-(tested below); ``recover``, ``project`` and ``optimize`` take n from a
-matrix file, whose entry count is checked before any array is built.
+``repdim verify`` refuse one above ``MAX_N`` before they build anything,
+and the exact three run at ``MAX_N`` itself (tested below); ``recover``,
+``project`` and ``optimize`` take n from a matrix file, whose entry count
+is checked before any array is built.
 """
 
 import argparse
@@ -178,6 +179,24 @@ def test_exact_commands_take_n_at_the_ceiling(monkeypatch, command):
     with pytest.raises(AssertionError):
         main(["repdim", command, "--n", str(MAX_N), *options])
     assert seen == [MAX_N]
+
+
+def test_verify_runs_at_the_ceiling(capsys):
+    assert main(["repdim", "verify", "--n", str(MAX_N)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[-1].startswith("VERIFIED n=8192 bound=33558527")
+
+
+def test_enumerate_runs_at_the_ceiling(capsys):
+    assert main(["repdim", "enumerate", "--n", str(MAX_N), "--max-dim", "1"]) == 0
+    assert capsys.readouterr() == (
+        f"n=8192 max_dim=1 mu1_cap=4\n({','.join(['0'] * (MAX_N // 2))}) -> 1\n", "")
+
+
+def test_dim_runs_at_the_ceiling(capsys):
+    assert main(["repdim", "dim", "--n", str(MAX_N), "--weight", "1"]) == 0
+    assert capsys.readouterr() == ("8192\n", "")
 
 
 def test_an_overflowing_step_prints_one_line(matrix_files, tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -89,6 +90,30 @@ def weyl_dim_pairwise(w: HighestWeight) -> int:
     return q
 
 
+def shifted_product(n: int, doubled) -> int:
+    """prod_{i<j} (l_i^2 - l_j^2), times prod_i l_i for odd n, over the
+    doubled lam+rho coordinates l_i = doubled[i-1] + n - 2i: the Weyl factors
+    <lam+rho, e_i -+ e_j> and <lam+rho, e_i> are (l_i -+ l_j)/2 and l_i/2,
+    and the halves cancel against the same product at lam = 0."""
+    shifted = [d + n - 2 * i for i, d in enumerate(doubled, 1)]
+    sq = [x * x for x in shifted]
+    return prod([a - b for i, a in enumerate(sq) for b in sq[i + 1:]] + (shifted if n % 2 else []))
+
+
+def weyl_dim_shifted(w: HighestWeight) -> int:
+    """Reference for weyl_dim: the whole lam+rho product, multiplied out,
+    over the same product at lam = 0, divided exactly."""
+    q, r = divmod(shifted_product(w.n, w.doubled), shifted_product(w.n, (0,) * (w.n // 2)))
+    assert r == 0 and q > 0
+    return q
+
+
+def hook_dim(n: int, q: int) -> int:
+    """q C(n+1, q+1) - C(n, q-1), the dimension of (2, 1^{q-1}, 0, ..., 0)
+    for 1 <= q <= m; at q = m for even n, half of it, one chiral half."""
+    return (q * comb(n + 1, q + 1) - comb(n, q - 1)) // (2 if 2 * q == n else 1)
+
+
 def fundamental_by_cases(n: int, i: int) -> tuple[int, ...]:
     """Reference for fundamental_weight: the i-th fundamental weight of
     SO(n), doubled, written case by case for each parity of n."""
@@ -136,7 +161,7 @@ def enumerate_low_dim_box(n: int, max_dim: int, cap_doubled: int, box) -> Enumer
         real_form = doubled[-1] == 0 and (n % 2 == 1 or m < 2 or doubled[-2] == 0)
         hits.append(EnumerationHit(HighestWeight(n, doubled), dim, real_form, sign_pair))
     hits.sort(key=lambda h: (h.dimension, h.weight.doubled))
-    return EnumerationReport(n, max_dim, tuple(hits), Fraction(cap_doubled, 2), len(box), 0)
+    return EnumerationReport(n, max_dim, tuple(hits), Fraction(cap_doubled, 2), len(box), 0, 0)
 
 
 class TestHighestWeight:
@@ -347,6 +372,49 @@ class TestWeylDim:
         assert weyl_dim(w) == weyl_dim_pairwise(w)
 
 
+class TestWeylDimByCancellation:
+    """weyl_dim counts the factors and cancels them; the reference multiplies
+    the whole lam+rho product out."""
+
+    @given(n=st.integers(min_value=3, max_value=69), data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_shifted_product(self, n, data):
+        m = n // 2
+        parity = data.draw(st.integers(min_value=0, max_value=1), label="parity")
+        entries = sorted(
+            data.draw(
+                st.lists(st.integers(min_value=0, max_value=20).map(lambda v: 2 * v + parity),
+                         min_size=m, max_size=m),
+                label="entries",
+            ),
+            reverse=True,
+        )
+        if n % 2 == 0 and entries[-1] > 0 and data.draw(st.booleans(), label="negative last"):
+            entries[-1] = -entries[-1]
+        w = HighestWeight(n, tuple(entries))
+        assert weyl_dim(w) == weyl_dim_shifted(w)
+
+    @pytest.mark.parametrize("n", [4, 5, 160])
+    def test_entries_far_past_n(self, n):
+        m = n // 2
+        for doubled in [(2 * 10**12,) + (0,) * (m - 1), (10**9 + 1,) * m, tuple(range(2000, 2000 - 2 * m, -2))]:
+            w = HighestWeight(n, doubled)
+            assert weyl_dim(w) == weyl_dim_shifted(w)
+
+    def test_a_remainder_is_loud(self, monkeypatch):
+        count = repdim._count_factors
+
+        def skewed(ends, n, doubled, c):
+            count(ends, n, doubled, c)
+            if c < 0:  # one more factor 3 below the line than the product has
+                ends[3] = ends.get(3, 0) - 1
+                ends[5] = ends.get(5, 0) + 1
+
+        monkeypatch.setattr(repdim, "_count_factors", skewed)
+        with pytest.raises(ArithmeticError, match="^dimension product is not integral for weight 1,0$"):
+            weyl_dim(HighestWeight(5, (2, 0)))
+
+
 class TestFundamentalWeights:
     def test_odd_cases(self):
         assert [Fraction(d, 2) for d in fundamental_weight(7, 2).doubled] == [1, 1, 0]
@@ -537,10 +605,12 @@ class TestEnumerate:
         assert 0 < report.pruned <= report.visited
 
 
-def reference_walk(n: int, max_dim: int, cap_doubled):
+def reference_walk(n: int, max_dim: int, cap_doubled, floor_pruned=None):
     """Reference for enumerate_low_dim's walk: the same depth-first walk and
     pruning, with every node's dimension from weyl_dim.  Returns the hits
-    as (doubled, dimension) in walk order, visited and pruned."""
+    as (doubled, dimension) in walk order, visited and pruned.  A list given
+    as ``floor_pruned`` gets each pruned raise of a lead of K entries whose
+    floor, weyl_dim at (1^K, 0, ..., 0), already exceeds max_dim."""
     m = n // 2
     hits, visited, pruned = [], 0, 0
     todo = [(m - 1, (), parity, None) for parity in (0, 1)]
@@ -552,6 +622,9 @@ def reference_walk(n: int, max_dim: int, cap_doubled):
                 dim = weyl_dim(HighestWeight(n, (v,) * (k + 1) + suffix))
                 if dim > max_dim:
                     pruned += 1
+                    if floor_pruned is not None and v > lo \
+                            and weyl_dim(HighestWeight(n, (2,) * (k + 1) + (0,) * (m - k - 1))) > max_dim:
+                        floor_pruned.append((v,) * (k + 1) + suffix)
                     break
             if k > 0:
                 todo.append((k - 1, (v,) + suffix, v, dim))
@@ -609,6 +682,40 @@ class TestWalkOracle:
         assert max(h.weight.doubled[0] for h in report.hits) == 39
 
 
+class TestFloorPruning:
+    """A raise whose closed-form floor already exceeds max_dim is pruned
+    without ``_lead_step``: the same nodes as the reference walk finds by
+    weyl_dim, and no step at all where the floor decides every raise."""
+
+    @pytest.mark.parametrize("n", range(3, 60))
+    def test_floor_count_matches_reference_walk(self, n):
+        bound = traceless_sym_dim(n)
+        for cap in (2, Fraction(5, 2), 3, Fraction(7, 2), 4, None):
+            cap_doubled = None if cap is None else int(2 * cap)
+            for max_dim in (1, n, n * (n - 1) // 2, bound, n * n, 2 * bound):
+                floored = []
+                reference_walk(n, max_dim, cap_doubled, floored)
+                assert enumerate_low_dim(n, max_dim, cap).floor_pruned == len(floored)
+
+    @pytest.fixture
+    def lead_steps(self, monkeypatch):
+        seen = []
+        lead_step = repdim._lead_step
+        monkeypatch.setattr(repdim, "_lead_step", lambda n, K, v, suffix: seen.append(K) or lead_step(n, K, v, suffix))
+        return seen
+
+    def test_trivial_cutoff_at_4096_takes_no_step(self, lead_steps):
+        report = enumerate_low_dim(4096, 1, None)
+        assert lead_steps == []
+        assert (report.visited, report.pruned, report.floor_pruned) == (2050, 2049, 2048)
+        assert [h.dimension for h in report.hits] == [1]
+
+    @pytest.mark.parametrize("n", [17, 18, 64, 1001])
+    def test_verify_takes_six_steps(self, n, lead_steps):
+        assert verify_classification(n).passed
+        assert len(lead_steps) == 6 and max(lead_steps) <= 2
+
+
 class TestTrustedWalk:
     """The walk and its hits are built without the validator, so every
     weight whose dimension it steps to, and every hit, must pass it anyway.
@@ -634,7 +741,8 @@ class TestTrustedWalk:
     def test_walk_weights_are_dominant(self, n, revalidated):
         for cap in (2, Fraction(5, 2), 3, Fraction(7, 2), 4, None):
             report = enumerate_low_dim(n, traceless_sym_dim(n), cap)
-            assert len(revalidated) + 2 == report.visited  # the two roots have closed forms
+            # the two roots have closed forms, and a floor-pruned raise takes no step
+            assert len(revalidated) + report.floor_pruned + 2 == report.visited
             for h in report.hits:
                 assert HighestWeight(n, h.weight.doubled) == h.weight  # raises on a bad weight
             revalidated.clear()
@@ -646,7 +754,7 @@ class TestTrustedWalk:
             wedge = HighestWeight(n, (2,) * q + (0,) * (m - q))  # raises on a bad weight
             hook = HighestWeight(n, (4,) + (2,) * (q - 1) + (0,) * (m - q))
             assert repdim._wedge_dim(n, q) == weyl_dim(wedge)
-            assert repdim._hook_dim(n, q) == weyl_dim(hook)
+            assert hook_dim(n, q) == weyl_dim(hook)
 
     @pytest.mark.parametrize("n", [3, 4, 9, 12, 17, 18, 24])
     def test_walk_runs_no_validator(self, n, monkeypatch):
@@ -687,6 +795,12 @@ class TestVerifyClassification:
         checks = {c.name: c for c in verify_classification(n).checks}
         check = checks["proof_case_weights_exceed_bound"]
         assert (check.passed, check.detail) == proof_case_check_by_halves(n)
+
+    @pytest.mark.parametrize("n", range(17, 201))
+    def test_comparison_dims_match_the_closed_forms(self, n):
+        m = n // 2
+        expected = [hook_dim(n, q) for q in range(2, m + 1)] + [repdim._wedge_dim(n, q) for q in range(3, m + 1)]
+        assert repdim._comparison_dims(n) == expected
 
     def test_n400_passes(self):
         report = verify_classification(400)
