@@ -6,8 +6,10 @@ The matrix model lives in the traceless symmetric matrices, dimension
 general-purpose bounds evaluated at the flag manifold's dimension m:
 Whitney's smooth bound 2m, Gunther's isometric bound, and Wang's
 finite-group equivariant bound d|G|.  Every one of them, and every
-comparison between them, depends only on (n, m, |G|), so ``_columns``
-computes them from those trusted integers, once per (n, m) group of a sweep.
+comparison between them, depends only on (n, m, |G|), and a sweep
+computes each once from those trusted integers: the isospectral value and
+its label once per n (``_n_columns``), the rest once per (n, m) group as
+one flat row of integers and booleans (``_columns``).
 
 The Gunther comparison cannot fail: m >= n - 1 (equal for lines and
 hyperplanes), Gunther's bound increases in m, and at m = n - 1 it exceeds
@@ -98,21 +100,31 @@ def bound_table(sig: FlagSignature, group_order: int | None = None) -> BoundRepo
     model's dimension (equivalently |G| > (n-1)(n+2)/4m)."""
     m = flag_dimension(sig)  # a FlagSignature is valid, so only |G| is checked here
     group_order = None if group_order is None else _at_least(group_order, "group_order", 1)
-    return BoundReport(sig, m, *_columns(sig.n, m, group_order))
+    iso, label = _n_columns(sig.n)
+    gunther, whitney, wang, lt_gunther, whitney_condition, wang_gt = _columns(iso, m, group_order)
+    comparisons = {"isospectral_lt_gunther": lt_gunther, "whitney_condition": whitney_condition}
+    if wang is not None:
+        comparisons["wang_composed_gt_isospectral"] = wang_gt
+    return BoundReport(sig, m, iso, gunther, whitney, wang, comparisons, label)
 
 
-def _columns(n: int, m: int, group_order: int | None) -> tuple:
-    """The columns of ``BoundReport`` after ``flag_dim``, from trusted
-    integers n >= 2, m >= n - 1 and group_order >= 1 or None: isospectral,
-    gunther, whitney, wang, comparisons and label."""
-    iso, gunther, whitney = _traceless_sym(n), _gunther(m), 2 * m
-    comparisons = {"isospectral_lt_gunther": iso < gunther, "whitney_condition": iso <= whitney}
-    wang = None
-    if group_order is not None:
-        wang = whitney * group_order
-        comparisons["wang_composed_gt_isospectral"] = wang > iso
-    label = "exact equivariant minimum" if n >= 17 else "achieved upper bound"
-    return iso, gunther, whitney, wang, comparisons, label
+def _n_columns(n: int) -> tuple[int, str]:
+    """The columns that depend on the trusted n >= 2 alone: isospectral and
+    its label."""
+    return _traceless_sym(n), "exact equivariant minimum" if n >= 17 else "achieved upper bound"
+
+
+def _columns(iso: int, m: int, group_order: int | None) -> tuple:
+    """One (n, m) group's row from trusted integers iso = (n-1)(n+2)/2,
+    m >= n - 1 and group_order >= 1 or None: gunther, whitney, wang and the
+    comparisons isospectral_lt_gunther, whitney_condition and
+    wang_composed_gt_isospectral, flat; wang and its comparison are None
+    without a group order."""
+    gunther, whitney = _gunther(m), 2 * m
+    if group_order is None:
+        return gunther, whitney, None, iso < gunther, iso <= whitney, None
+    wang = whitney * group_order
+    return gunther, whitney, wang, iso < gunther, iso <= whitney, wang > iso
 
 
 def _walk_chains(n: int, sep: str, head: str = "") -> Iterator[list[tuple[int, int, str]]]:

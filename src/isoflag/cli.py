@@ -395,12 +395,6 @@ _BOUND_CSV_HEADER = [
 ]
 
 
-def _bound_csv_columns(m, iso, gunther, whitney, wang, comparisons, *_) -> list:
-    """A bound row's CSV fields after ``n`` and ``ks``, from flag_dim on."""
-    return [m, iso, gunther, whitney, "" if wang is None else wang,
-            comparisons["isospectral_lt_gunther"], comparisons["whitney_condition"]]
-
-
 def cmd_bounds(args) -> Output:
     if args.n is None or args.ks is None:
         raise ValidationError("bounds needs --n and --ks (or the `sweep` subcommand)")
@@ -423,54 +417,74 @@ def cmd_bounds(args) -> Output:
 
     return Output(
         json=lambda: {"n": sig.n, "ks": list(sig.ks), **_bound_columns(r)},
-        csv=lambda: [_BOUND_CSV_HEADER, [sig.n, _ks_text(sig, "csv"), *_bound_csv_columns(
-            r.flag_dim, r.isospectral, r.gunther, r.whitney, r.wang, r.comparisons)]],
+        csv=lambda: [_BOUND_CSV_HEADER, [
+            sig.n, _ks_text(sig, "csv"), r.flag_dim, r.isospectral, r.gunther, r.whitney,
+            "" if r.wang is None else r.wang,
+            r.comparisons["isospectral_lt_gunther"], r.comparisons["whitney_condition"]]],
         text=text,
     )
 
 
-# The JSON text of a string.  A sweep writes the same few labels and
-# comparison names in every group, so each is encoded once per process.
-_json_str = functools.cache(json.dumps)
+# Per format, the renderer of one n's group tails, given the n's isospectral
+# value and label: each is one f-string over a group's flat ``_columns`` row.
+def _text_tails(iso: int, label: str) -> Callable[..., str]:
+    return lambda m, gunther, whitney, *_: (
+        f" flag_dim={m} isospectral={iso} gunther={gunther} whitney={whitney}")
+
+
+def _csv_tails(iso: int, label: str) -> Callable[..., str]:
+    # no field needs quoting
+    return lambda m, gunther, whitney, wang, lt_gunther, whitney_condition, _: (
+        f",{m},{iso},{gunther},{whitney},{'' if wang is None else wang},{lt_gunther},{whitney_condition}")
+
+
+def _json_tails(iso: int, label: str) -> Callable[..., str]:
+    # json.dumps(_bound_columns(r), indent=2) 6 spaces deep, written out:
+    # with indent, json runs its pure-Python encoder
+    label = json.dumps(label)
+
+    def render(m, gunther, whitney, wang, lt_gunther, whitney_condition, wang_gt):
+        wang_member = "" if wang is None else (
+            f',\n        "wang_composed_gt_isospectral": {"true" if wang_gt else "false"}')
+        return (f'\n      ],\n      "flag_dim": {m},\n      "isospectral": {iso},'
+                f'\n      "gunther": {gunther},\n      "whitney": {whitney},'
+                f'\n      "wang": {"null" if wang is None else wang},'
+                f'\n      "isospectral_label": {label},'
+                f'\n      "comparisons": {{'
+                f'\n        "isospectral_lt_gunther": {"true" if lt_gunther else "false"},'
+                f'\n        "whitney_condition": {"true" if whitney_condition else "false"}{wang_member}'
+                f'\n      }}\n    }}')
+
+    return render
 
 
 class _SweepTails(dict):
-    """One n's sweep row tails by flag_dim, each rendered from one ``_columns``
-    on its group's first row: a row's text fields, CSV fields or JSON members
-    after its ks.  ``failing`` holds the flag_dims failing the Gunther row."""
+    """One n's sweep row tails by flag_dim: a row's text fields, CSV fields or
+    JSON members after its ks.  The n's isospectral value and label are
+    computed once and bound into ``render`` by the format's ``tails``; a
+    group's tail is ``render`` of one flat ``_columns`` row, on the group's
+    first row.  ``failing`` holds the flag_dims failing the Gunther
+    comparison."""
 
-    def __init__(self, n: int, group_order: int | None, fmt: str):
-        self.n, self.group_order, self.fmt, self.failing = n, group_order, fmt, set()
+    def __init__(self, n: int, group_order: int | None, tails: Callable[[int, str], Callable[..., str]]):
+        self.iso, label = bounds_mod._n_columns(n)
+        self.render, self.group_order, self.failing = tails(self.iso, label), group_order, set()
 
     def __missing__(self, m: int) -> str:
-        columns = iso, gunther, whitney, wang, comparisons, label = bounds_mod._columns(
-            self.n, m, self.group_order)
-        if not comparisons["isospectral_lt_gunther"]:
+        row = bounds_mod._columns(self.iso, m, self.group_order)
+        if not row[3]:
             self.failing.add(m)
-        if self.fmt == "text":
-            return self.setdefault(
-                m, f" flag_dim={m} isospectral={iso} gunther={gunther} whitney={whitney}")
-        if self.fmt == "csv":  # no field needs quoting
-            return self.setdefault(m, "," + ",".join(map(str, _bound_csv_columns(m, *columns))))
-        # json.dumps(_bound_columns(r), indent=2) 6 spaces deep, written out:
-        # with indent, json runs its pure-Python encoder
-        comparisons = ",".join([f"\n        {_json_str(k)}: {'true' if v else 'false'}"
-                                for k, v in comparisons.items()])
-        return self.setdefault(m, f'\n      ],\n      "flag_dim": {m},\n      "isospectral": {iso},'
-                               f'\n      "gunther": {gunther},\n      "whitney": {whitney},'
-                               f'\n      "wang": {"null" if wang is None else wang},'
-                               f'\n      "isospectral_label": {_json_str(label)},'
-                               f'\n      "comparisons": {{{comparisons}\n      }}\n    }}')
+        return self.setdefault(m, self.render(m, *row))
 
 
 # Per format: the separator between rows, a row's head up to its ks, and the
-# footer, as templates.  Rows are separated, not terminated, so that JSON
-# needs no trailing comma.
-_SWEEP_TEMPLATES = {
-    "text": ("\n", "n={n} ks=", "\nrows: {rows}  gunther_failures: {failures}\n"),
-    "csv": ("\n", "{n},", "\n"),
+# footer, as templates, and the renderer of an n's group tails.  Rows are
+# separated, not terminated, so that JSON needs no trailing comma.
+_SWEEP_FORMATS = {
+    "text": ("\n", "n={n} ks=", "\nrows: {rows}  gunther_failures: {failures}\n", _text_tails),
+    "csv": ("\n", "{n},", "\n", _csv_tails),
     "json": (",\n", '    {{\n      "n": {n},\n      "ks": [\n        ',
-             '\n  ],\n  "gunther_failures": {failures}\n}}\n'),
+             '\n  ],\n  "gunther_failures": {failures}\n}}\n', _json_tails),
 }
 
 
@@ -484,14 +498,14 @@ def _write_sweep(max_n: int, group_order: int | None, fmt: str, head: dict) -> i
     level, not the output, and nothing is written before the first level is
     rendered: an input refused there leaves stdout empty."""
     write = sys.stdout.write
-    sep, row_head, footer = _SWEEP_TEMPLATES[fmt]
+    sep, row_head, footer, tails_of = _SWEEP_FORMATS[fmt]
     if fmt == "json":  # an indent=2 document ends with "\n}": the rows array is its last member but one
         lead = json.dumps({**head, "max_n": max_n}, indent=2)[:-2] + ',\n  "rows": [\n'
     else:
         lead = ",".join(_BOUND_CSV_HEADER) + "\n" if fmt == "csv" else ""
     rows = failures = 0
     for n in range(2, max_n + 1):
-        tails = _SweepTails(n, group_order, fmt)
+        tails = _SweepTails(n, group_order, tails_of)
         for level in bounds_mod._walk_chains(n, _KS_SEP[fmt], row_head.format(n=n)):
             rendered = sep.join([text + tails[m] for _, m, text in level])
             write(lead)  # apart, not prepended: a level's text can run to hundreds of KB

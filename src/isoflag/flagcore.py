@@ -104,6 +104,13 @@ def _frobenius(a: np.ndarray) -> float:
     return math.sqrt(r.dot(r))
 
 
+def _orth_defect(q: np.ndarray) -> float:
+    """||q'q - I||_F of a square float array: how far q is from orthogonal."""
+    e = q.T @ q
+    e.flat[:: e.shape[0] + 1] -= 1.0
+    return _frobenius(e)
+
+
 @dataclass(frozen=True)
 class FlagSignature:
     """Subspace dimensions 0 < k_1 < ... < k_p < n of a flag in R^n.
@@ -263,7 +270,7 @@ def _check_special_orthogonal(q: np.ndarray, n: int) -> None:
     orthogonal within ORTH_TOL and of determinant +1; an overflowing defect fails."""
     if q.shape != (n, n):
         raise NotSpecialOrthogonal(f"expected a {n}x{n} matrix, got shape {q.shape}")
-    defect = _quietly(lambda: _frobenius(q.T @ q - np.eye(n)))
+    defect = _quietly(lambda: _orth_defect(q))
     if not defect <= ORTH_TOL:
         raise NotSpecialOrthogonal(f"Q'Q - I has Frobenius norm {defect:.3e} > {ORTH_TOL:.3e}")
     det = float(np.linalg.det(q))

@@ -23,8 +23,9 @@ each in one place: the user's gradient, in ``_checked_gradient`` (one
 asymmetry defect, with the ordered checks of ``SymmetricMatrix`` run only
 when that defect cannot accept it); the gaps at the block boundaries, in
 ``_nearest_image``; and the new iterate, by the Ostrowski certificate in
-``embed._model_image``, which runs the eigenvalue check of
-``EmbeddedFlag`` only where it cannot decide.  An iteration makes two
+``embed._model_image``, which repairs a frame it declines for its defect
+alone by one Newton-Schulz step and runs the eigenvalue check of
+``EmbeddedFlag`` only where it still cannot decide.  An iteration makes two
 eigen-solves, one in each step.  The whole loop, ``objective_grad``
 included, runs under ``_quietly`` once per call, so an overflowing
 gradient, projection or step is refused, or recorded as an inf norm,

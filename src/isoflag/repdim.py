@@ -215,10 +215,13 @@ def _lead_step(n: int, K: int, v: int, suffix: tuple[int, ...]) -> tuple[int, in
     the positive-root product (``weyl_dim``) is unchanged.  Against the lead
     l_i = U - 2i, i < K, the ratio (U^2 - l_i^2)/(l_i^2 - L^2) is
     (U - i)/(U - K - i) after the 2s cancel; against a suffix coordinate l_j
-    it is (U^2 - l_j^2)/(L^2 - l_j^2), and a run of equal entries makes each
-    of U -+ l_j and L -+ l_j a progression in j; for odd n the short root
-    adds U/L.  Every factor is positive: the result is exact and has no
-    floating point."""
+    it is (U^2 - l_j^2)/(L^2 - l_j^2), and a run of c equal entries makes
+    each of U -+ l_j and L -+ l_j a progression in j.  U and L differ by 2K,
+    so U -+ l_j and L -+ l_j share all but min(c, K) terms, which cancel:
+    U - l_j keeps its top terms and L - l_j its bottom ones, U + l_j its top
+    and L + l_j its bottom, and a run costs O(K), not O(c).  For odd n the
+    short root adds U/L.  Every factor is positive: the result is exact and
+    has no floating point."""
     U = v + n
     L = U - 2 * K
     p, q = prod(range(U - K + 1, U)), prod(range(L + 1, U - K))
@@ -230,8 +233,9 @@ def _lead_step(n: int, K: int, v: int, suffix: tuple[int, ...]) -> tuple[int, in
         c = suffix.count(s)  # nonincreasing, so the copies of s are one run
         hi = s + n - 2 * (K + i + 1)  # l_j at the run's first j, then down by 2
         lo = hi - 2 * (c - 1)
-        p *= prod(range(U - hi, U - lo + 1, 2)) * prod(range(U + lo, U + hi + 1, 2))
-        q *= prod(range(L - hi, L - lo + 1, 2)) * prod(range(L + lo, L + hi + 1, 2))
+        k = 2 * min(c, K)  # twice the terms left of each progression
+        p *= prod(range(U - lo - k + 2, U - lo + 1, 2)) * prod(range(U + hi - k + 2, U + hi + 1, 2))
+        q *= prod(range(L - hi, L - hi + k, 2)) * prod(range(L + lo, L + lo + k, 2))
         i += c
     return p, q
 

@@ -197,15 +197,22 @@ class TestBoundTable:
                 assert r.flag_dim == (n * n - sum(s * s for s in sig.block_sizes)) // 2
 
     def test_columns_equal_the_public_functions(self):
-        for n in range(2, 13):
+        for group_order, n in itertools.product((3, None, 1, 10**12), range(2, 13)):
             for sig in all_signatures(n):
-                r = bound_table(sig, group_order=3)
-                assert r.comparisons == {
+                r = bound_table(sig, group_order=group_order)
+                assert (r.isospectral, r.gunther, r.whitney) == (
+                    isospectral_bound(n), gunther_bound(r.flag_dim), whitney_bound(r.flag_dim))
+                expected = {
                     "isospectral_lt_gunther": gunther_comparison(sig),
                     "whitney_condition": whitney_comparison(sig),
-                    "wang_composed_gt_isospectral": wang_whitney_composed(r.flag_dim, 3) > r.isospectral,
                 }
-                assert r.wang == wang_whitney_composed(r.flag_dim, 3)
+                if group_order is None:
+                    assert r.wang is None
+                else:
+                    expected["wang_composed_gt_isospectral"] = (
+                        wang_whitney_composed(r.flag_dim, group_order) > r.isospectral)
+                    assert r.wang == wang_whitney_composed(r.flag_dim, group_order)
+                assert list(r.comparisons.items()) == list(expected.items())
 
 
 class TestSignatureEnumeration:

@@ -600,12 +600,13 @@ class TestBoundsSweep:
         size = sweep_groups(6)[target]
         assert size > 1
         columns = bounds_mod._columns
+        n_of = {bounds_mod.isospectral_bound(n): n for n in range(2, 7)}
 
-        def failing(n, m, group_order):
-            iso, gunther, whitney, wang, comparisons, label = columns(n, m, group_order)
-            if (n, m) == target:
-                comparisons = {**comparisons, "isospectral_lt_gunther": False}
-            return iso, gunther, whitney, wang, comparisons, label
+        def failing(iso, m, group_order):
+            gunther, whitney, wang, lt_gunther, *rest = columns(iso, m, group_order)
+            if (n_of[iso], m) == target:
+                lt_gunther = False
+            return gunther, whitney, wang, lt_gunther, *rest
 
         monkeypatch.setattr(bounds_mod, "_columns", failing)
         code, out, _ = run(capsys, *sweep_argv(6, None, "json"))
@@ -647,14 +648,26 @@ class TestBoundsSweep:
     def test_one_core_call_per_group(self, capsys, monkeypatch):
         calls = []
         columns = bounds_mod._columns
-        monkeypatch.setattr(bounds_mod, "_columns",
-                            lambda n, m, group_order: calls.append((n, m)) or columns(n, m, group_order))
+        n_of = {bounds_mod.isospectral_bound(n): n for n in range(2, 11)}
+        monkeypatch.setattr(bounds_mod, "_columns", lambda iso, m, group_order: calls.append(
+            (n_of[iso], m)) or columns(iso, m, group_order))
         for fmt in ("text", "csv", "json"):
             for group_order in (None, 3):
                 calls.clear()
                 code, _, _ = run(capsys, *sweep_argv(10, group_order, fmt))
                 assert code == 0
                 assert sorted(calls) == sorted(sweep_groups(10)), (fmt, group_order)
+
+    def test_one_n_only_call_per_n(self, capsys, monkeypatch):
+        calls = []
+        n_columns = bounds_mod._n_columns
+        monkeypatch.setattr(bounds_mod, "_n_columns", lambda n: calls.append(n) or n_columns(n))
+        for fmt in ("text", "csv", "json"):
+            for group_order in (None, 3):
+                calls.clear()
+                code, _, _ = run(capsys, *sweep_argv(10, group_order, fmt))
+                assert code == 0
+                assert calls == list(range(2, 11)), (fmt, group_order)
 
     def test_no_flag_dimension_call(self, capsys, monkeypatch):
         calls = []

@@ -65,12 +65,14 @@ def test_linalg_norm_is_never_called():
 
 def test_validating_constructors_run_only_where_a_check_can_fail():
     """The CLI's three matrix files and its ``--q-file``; the LAPACK frames of
-    ``random_flag_point`` and ``recover``; and ``act``'s rotation and product."""
+    ``random_flag_point`` and ``recover``; and ``act``'s rotation, its product
+    and, where that is refused, the product repaired."""
     assert call_sites("SymmetricMatrix", "FlagPoint", "EmbeddedFlag") == [
         ("cli", "cmd_embed", "FlagPoint"),
         ("cli", "cmd_optimize", "SymmetricMatrix"),
         ("cli", "cmd_project", "SymmetricMatrix"),
         ("cli", "cmd_recover", "SymmetricMatrix"),
+        ("embed", "act", "FlagPoint"),
         ("embed", "act", "FlagPoint"),
         ("embed", "act", "FlagPoint"),
         ("embed", "recover", "FlagPoint"),

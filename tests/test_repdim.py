@@ -653,6 +653,14 @@ class TestLeadStep:
         assert after * q == before * p
 
 
+def test_lead_step_cancels_the_shared_progressions():
+    """A run of c equal suffix entries leaves min(c, K) factors of each
+    progression: at n = 8192 a run of 4095 zeros against K = 1 leaves four
+    small factors, where multiplying out whole progressions gives integers
+    of tens of thousands of bits."""
+    assert max(repdim._lead_step(8192, 1, 0, (0,) * 4095)).bit_length() <= 64
+
+
 class TestWalkOracle:
     """The ratio-stepped walk gives the hits, ``visited`` and ``pruned`` of
     the same walk evaluated by weyl_dim at every node."""
