@@ -58,6 +58,12 @@ SCHEMA_VERSION = 1
 MAX_N = 2**13
 
 
+# A pipe's capacity: a larger write to an unbuffered stdout can stop part-way, without an
+# error, when the reader closes the pipe; in pieces of this size the next piece raises
+# BrokenPipeError.  JSON output is ASCII, so a piece of this many characters is as many bytes.
+_PIPE_CAPACITY = 2**16
+
+
 @dataclass(frozen=True)
 class Output:
     """A command's result as its writer.  Every handler returns a writer
@@ -75,7 +81,9 @@ class Output:
 
     def __call__(self, fmt: str, head: dict) -> int:
         if fmt == "json":
-            sys.stdout.write(json.dumps({**head, **self.json()}, indent=2) + "\n")
+            text = json.dumps({**head, **self.json()}, indent=2) + "\n"
+            for i in range(0, len(text), _PIPE_CAPACITY):
+                sys.stdout.write(text[i:i + _PIPE_CAPACITY])
         elif fmt == "csv":
             csv.writer(sys.stdout, lineterminator="\n").writerows(self.csv())
         else:
@@ -149,10 +157,7 @@ def read_matrix_file(path: str) -> np.ndarray:
         vals = [float(t) for t in tokens[1:]]
     except ValueError as e:
         raise ValidationError(f"matrix file {path!r}: {e}") from None
-    a = np.array(vals, dtype=float).reshape(n, n)
-    if not np.isfinite(a).all():
-        raise ValidationError(f"matrix file {path!r}: entries must be finite")
-    return a
+    return np.array(vals, dtype=float).reshape(n, n)
 
 
 def _signature_spectrum(args, n: int):
@@ -164,12 +169,11 @@ def _signature_spectrum(args, n: int):
     return sig, spec
 
 
-def _matrix_input(args, flag_name: str, path: str) -> np.ndarray:
-    a = read_matrix_file(path)
-    if args.n is not None and args.n != a.shape[0]:
-        raise ValidationError(
-            f"--n {args.n} disagrees with the {a.shape[0]}x{a.shape[0]} matrix in {flag_name}"
-        )
+def _matrix_input(args, flag_name: str, path: str) -> SymmetricMatrix:
+    a = SymmetricMatrix(read_matrix_file(path))
+    n = a.entries.shape[0]
+    if args.n is not None and args.n != n:
+        raise ValidationError(f"--n {args.n} disagrees with the {n}x{n} matrix in {flag_name}")
     return a
 
 
@@ -212,8 +216,8 @@ def cmd_embed(args) -> Output:
 
 def cmd_recover(args) -> Output:
     a = _matrix_input(args, "--matrix-file", args.matrix_file)
-    sig, spec = _signature_spectrum(args, a.shape[0])
-    q = recover(SymmetricMatrix(a), spec, eig_tol=args.eig_tol).q
+    sig, spec = _signature_spectrum(args, a.entries.shape[0])
+    q = recover(a, spec, eig_tol=args.eig_tol).q
     blocks = list(zip(spec.values, sig.block_sizes, sig.block_slices()))
 
     def text():
@@ -250,9 +254,9 @@ def _distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def cmd_project(args) -> Output:
     a = _matrix_input(args, "--matrix-file", args.matrix_file)
-    _, spec = _signature_spectrum(args, a.shape[0])
-    nearest = nearest_point(SymmetricMatrix(a), spec, gap_tol=args.gap_tol).x.entries
-    dist = _distance(a, nearest)
+    _, spec = _signature_spectrum(args, a.entries.shape[0])
+    nearest = nearest_point(a, spec, gap_tol=args.gap_tol).x.entries
+    dist = _distance(a.entries, nearest)
     return Output(
         json=lambda: {**_spectrum_header(spec), "matrix": nearest.tolist(), "distance": dist},
         csv=lambda: _matrix_csv_rows(nearest),
@@ -261,9 +265,8 @@ def cmd_project(args) -> Output:
 
 
 def cmd_optimize(args) -> Output:
-    a = _matrix_input(args, "--target-file", args.target_file)
-    sig, spec = _signature_spectrum(args, a.shape[0])
-    target = SymmetricMatrix(a)
+    target = _matrix_input(args, "--target-file", args.target_file)
+    sig, spec = _signature_spectrum(args, target.entries.shape[0])
     init = embed(random_flag_point(sig, args.seed), spec)
     step = args.step if args.step is not None else default_step(spec)
     result = gradient_descent(
@@ -375,20 +378,6 @@ def cmd_repdim_verify(args) -> Output:
     )
 
 
-def _bound_columns(r: bounds_mod.BoundReport) -> dict:
-    """A bound row's members after ``n`` and ``ks``: they depend only on
-    (n, flag_dim, group order)."""
-    return {
-        "flag_dim": r.flag_dim,
-        "isospectral": r.isospectral,
-        "gunther": r.gunther,
-        "whitney": r.whitney,
-        "wang": r.wang,
-        "isospectral_label": r.isospectral_label,
-        "comparisons": dict(r.comparisons),
-    }
-
-
 _BOUND_CSV_HEADER = [
     "n", "ks", "flag_dim", "isospectral", "gunther", "whitney", "wang",
     "isospectral_lt_gunther", "whitney_condition",
@@ -416,7 +405,11 @@ def cmd_bounds(args) -> Output:
         return lines
 
     return Output(
-        json=lambda: {"n": sig.n, "ks": list(sig.ks), **_bound_columns(r)},
+        json=lambda: {
+            "n": sig.n, "ks": list(sig.ks), "flag_dim": r.flag_dim, "isospectral": r.isospectral,
+            "gunther": r.gunther, "whitney": r.whitney, "wang": r.wang,
+            "isospectral_label": r.isospectral_label, "comparisons": dict(r.comparisons),
+        },
         csv=lambda: [_BOUND_CSV_HEADER, [
             sig.n, _ks_text(sig, "csv"), r.flag_dim, r.isospectral, r.gunther, r.whitney,
             "" if r.wang is None else r.wang,
@@ -439,8 +432,9 @@ def _csv_tails(iso: int, label: str) -> Callable[..., str]:
 
 
 def _json_tails(iso: int, label: str) -> Callable[..., str]:
-    # json.dumps(_bound_columns(r), indent=2) 6 spaces deep, written out:
-    # with indent, json runs its pure-Python encoder
+    # the members after ks of a ``bounds`` JSON document, as json.dumps(indent=2)
+    # puts them 6 spaces deep, written out: with indent, json runs its
+    # pure-Python encoder
     label = json.dumps(label)
 
     def render(m, gunther, whitney, wang, lt_gunther, whitney_condition, wang_gt):

@@ -56,27 +56,25 @@ def _block_frame(vec: np.ndarray, spec: Spectrum) -> np.ndarray:
     return vec.take(spec._frame_columns, axis=1)
 
 
-def _eig_deviation(x: np.ndarray, spec: Spectrum) -> float:
-    """Largest distance between the sorted eigenvalues of the n x n symmetric
-    x and the spectrum values repeated by block size."""
-    target = np.sort(spec.repeated())
-    actual = _eigh(x, vectors=False)
-    return float(np.max(np.abs(actual - target)))
+def _eig_deviation(lam: np.ndarray, spec: Spectrum) -> float:
+    """Largest distance between the ascending eigenvalues lam of an n x n
+    symmetric matrix and the spectrum values repeated by block size."""
+    return float(np.max(np.abs(lam - np.sort(spec.repeated()))))
 
 
-def _check_on_model(x: np.ndarray, spec: Spectrum) -> None:
-    """Raise ``SpectrumMismatch`` unless the n x n symmetric x has the
-    eigenvalues of the model within EIG_TOL.
+def _check_on_model(lam: np.ndarray, spec: Spectrum, eig_tol: float) -> None:
+    """Raise ``SpectrumMismatch`` unless the ascending eigenvalues lam of an
+    n x n symmetric x are those of the model within eig_tol.
 
     That bounds the trace too, so it is not compared on its own: with
     lambda_j the sorted eigenvalues of x and t_j the sorted repeated
     spectrum, |tr x - sum n_i a_i| = |sum (lambda_j - t_j)|
-    <= n * max |lambda_j - t_j| <= n * EIG_TOL, up to the rounding of the
+    <= n * max |lambda_j - t_j| <= n * eig_tol, up to the rounding of the
     trace itself and of eigvalsh."""
-    worst = _eig_deviation(x, spec)
-    if not worst <= EIG_TOL:
+    worst = _eig_deviation(lam, spec)
+    if not worst <= eig_tol:
         raise SpectrumMismatch(
-            f"eigenvalues deviate from the prescribed spectrum by {worst:.3e} > {EIG_TOL:.3e}"
+            f"eigenvalues deviate from the prescribed spectrum by {worst:.3e} > {eig_tol:.3e}"
         )
 
 
@@ -155,7 +153,7 @@ def _model_image(q: np.ndarray, spec: Spectrum) -> np.ndarray:
             x = _embedded_image(q, spec)
             delta = _orth_defect(q)
         if not _ostrowski_certifies(delta, n, spec):
-            _check_on_model(x, spec)
+            _check_on_model(_eigh(x, vectors=False), spec, EIG_TOL)
     x.setflags(write=False)
     return x
 
@@ -170,7 +168,7 @@ class EmbeddedFlag:
 
     def __post_init__(self):
         _check_size(self.x.entries, self.spectrum.signature)
-        _check_on_model(self.x.entries, self.spectrum)
+        _check_on_model(_eigh(self.x.entries, vectors=False), self.spectrum, EIG_TOL)
 
     @property
     def signature(self) -> FlagSignature:
@@ -213,18 +211,22 @@ def membership(x: SymmetricMatrix, spec: Spectrum) -> bool:
     """Does x lie on the model manifold, i.e. does its eigenvalue multiset
     match {a_i repeated n_i times} within EIG_TOL?"""
     _check_size(x.entries, spec.signature)
-    return _eig_deviation(x.entries, spec) <= EIG_TOL
+    return _eig_deviation(_eigh(x.entries, vectors=False), spec) <= EIG_TOL
 
 
 def recover(x: SymmetricMatrix, spec: Spectrum, eig_tol: float = EIG_TOL) -> FlagPoint:
     """Invert the embedding: read the flag off the eigenspaces of x.
 
-    Eigenvalues are matched greedily to the nearest spectrum value; the
-    match must be unambiguous (spectrum gaps > 2 * eig_tol) and complete
-    (each eigenvalue within eig_tol of its value, multiplicities exact).
-    The assembled eigenvector matrix is flipped to determinant +1 by
-    negating one column of the last block, which fixes the representative
-    without moving the flag.
+    The spectrum gaps must exceed 2 * eig_tol, and the sorted eigenvalues of
+    x must each lie within eig_tol of the sorted repeated spectrum.  The gap
+    guard makes that one sorted comparison exact: the intervals of radius
+    eig_tol around the spectrum values are then disjoint, so it accepts
+    exactly when each eigenvalue lies within eig_tol of its nearest value
+    and each value is found with its block's multiplicity, and eigh's
+    ascending eigenvectors then go to their blocks in order.  The assembled
+    eigenvector matrix is flipped to determinant +1 by negating one column
+    of the last block, which fixes the representative without moving the
+    flag.
     """
     sig = spec.signature
     _check_size(x.entries, sig)
@@ -234,21 +236,7 @@ def recover(x: SymmetricMatrix, spec: Spectrum, eig_tol: float = EIG_TOL) -> Fla
             f"spectrum min gap {spec.min_gap:.3e} <= 2 * eig_tol = {2 * eig_tol:.3e}"
         )
     lam, vec = _eigh(x.entries)
-    values = np.asarray(spec.values)
-    found = [0] * len(values)
-    for ev in lam:
-        j = int(np.argmin(np.abs(values - ev)))
-        if abs(values[j] - ev) > eig_tol:
-            raise SpectrumMismatch(
-                f"eigenvalue {float(ev)!r} is {abs(values[j] - ev):.3e} from the nearest "
-                f"spectrum value {float(values[j])!r}"
-            )
-        found[j] += 1
-    for j, (count, size) in enumerate(zip(found, sig.block_sizes)):
-        if count != size:
-            raise SpectrumMismatch(
-                f"value {float(values[j])!r} needs multiplicity {size}, found {count}"
-            )
+    _check_on_model(lam, spec, eig_tol)
     q = _block_frame(vec, spec)
     if np.linalg.det(q) < 0:
         q[:, -1] = -q[:, -1]

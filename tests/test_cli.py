@@ -84,13 +84,18 @@ class TestMatrixFiles:
 
     @pytest.mark.parametrize("entry", ["nan", "inf"])
     def test_non_finite_entry_exit_2(self, capsys, tmp_path, entry):
+        """The reader leaves finiteness to the constructor that the matrix
+        feeds, and a file's symmetric matrix is built before ``--ks`` is read:
+        here ks 3 does not fit n = 2, yet the entry is what is refused."""
         path = tmp_path / "bad.txt"
         path.write_text(f"2\n{entry} 0\n0 1\n")
-        code, out, err = run(capsys, "project", "--matrix-file", str(path), "--ks", "1",
-                             "--spectrum", "1,-1")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("ValidationError:") and "finite" in err
+        for argv, line in [
+            (["recover", "--ks", "3", "--matrix-file"], "NotSymmetric: entries must be finite"),
+            (["project", "--ks", "3", "--matrix-file"], "NotSymmetric: entries must be finite"),
+            (["optimize", "--ks", "3", "--target-file"], "NotSymmetric: entries must be finite"),
+            (["embed", "--n", "2", "--ks", "1", "--q-file"], "NotSpecialOrthogonal: entries must be finite"),
+        ]:
+            assert run(capsys, *argv, str(path)) == (2, "", line + "\n"), argv
 
     @pytest.mark.parametrize("text, reason", [
         ("", " is empty"),
@@ -170,13 +175,13 @@ class TestEmbedCommand:
             assert code == 0 and ("eigenvalues" in out) == bool(solves)
             assert calls == solves, fmt
 
-    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    @pytest.mark.parametrize("fmt", ["csv", "text", "json"])
     def test_closed_stdout_exits_141_without_traceback(self, fmt):
         """Output larger than a pipe's buffer, whose reader closes it after one
         line, ends with exit code 141 and nothing on stderr."""
         first, code, err = close_after_first_line(
             ["embed", "--n", "300", "--ks", "1", "--identity", "--format", fmt])
-        assert first == b"n: 300\n" if fmt == "text" else first.count(b",") == 299
+        assert first.count(b",") == 299 if fmt == "csv" else first == {"text": b"n: 300\n", "json": b"{\n"}[fmt]
         assert (code, err) == (141, b"")
 
     def test_q_file_input(self, capsys, tmp_path):

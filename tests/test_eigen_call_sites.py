@@ -13,6 +13,10 @@
   ``EmbeddedFlag`` run only on input from outside the library and where the
   library cannot prove their checks; its own results are built through
   ``flagcore._prechecked``.
+- Array input is tested for finiteness by ``flagcore._frozen_array``, which
+  every validating constructor calls, so a file reader or a command leaves
+  that test to the constructor it feeds; the other finiteness tests are
+  each on a value no constructor reads.
 
 This stdlib ``ast`` check fails on a call of one of them anywhere else in
 ``src/isoflag/*.py``.
@@ -64,17 +68,34 @@ def test_linalg_norm_is_never_called():
 
 
 def test_validating_constructors_run_only_where_a_check_can_fail():
-    """The CLI's three matrix files and its ``--q-file``; the LAPACK frames of
-    ``random_flag_point`` and ``recover``; and ``act``'s rotation, its product
-    and, where that is refused, the product repaired."""
+    """The CLI's matrix files, all read by ``_matrix_input``, and its
+    ``--q-file``; the LAPACK frames of ``random_flag_point`` and ``recover``;
+    and ``act``'s rotation, its product and, where that is refused, the
+    product repaired."""
     assert call_sites("SymmetricMatrix", "FlagPoint", "EmbeddedFlag") == [
+        ("cli", "_matrix_input", "SymmetricMatrix"),
         ("cli", "cmd_embed", "FlagPoint"),
-        ("cli", "cmd_optimize", "SymmetricMatrix"),
-        ("cli", "cmd_project", "SymmetricMatrix"),
-        ("cli", "cmd_recover", "SymmetricMatrix"),
         ("embed", "act", "FlagPoint"),
         ("embed", "act", "FlagPoint"),
         ("embed", "act", "FlagPoint"),
         ("embed", "recover", "FlagPoint"),
         ("flagcore", "random_flag_point", "FlagPoint"),
+    ]
+
+
+
+def test_finiteness_is_tested_only_where_nothing_else_tests_it():
+    """``_frozen_array`` for array input, ``Spectrum.__post_init__`` for its
+    values and ``errors._finite_factor`` for a scalar that scales a matrix;
+    ``_quietly`` for a result that overflows; ``_retract_step`` for a step that
+    overflowed, after projecting it failed; and ``_checked_gradient`` for the
+    caller's gradient, which no constructor reads.  A file reader leaves the
+    test to the constructor it feeds."""
+    assert call_sites("isfinite") == [
+        ("errors", "_finite_factor", "isfinite"),
+        ("flagcore", "__post_init__", "isfinite"),
+        ("flagcore", "_frozen_array", "isfinite"),
+        ("flagcore", "_quietly", "isfinite"),
+        ("geometry", "_checked_gradient", "isfinite"),
+        ("geometry", "_retract_step", "isfinite"),
     ]

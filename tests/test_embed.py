@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isoflag import (
@@ -48,6 +48,47 @@ from _helpers import (
 
 def rotation(theta):
     return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+def greedy_spectrum_match(lam, spec: Spectrum, eig_tol: float) -> bool:
+    """The oracle for ``recover``'s spectrum test: each eigenvalue goes to its
+    nearest spectrum value, which must lie within eig_tol, and each value
+    must be found exactly as often as its block's size."""
+    values = np.asarray(spec.values)
+    found = [0] * len(values)
+    for ev in lam:
+        j = int(np.argmin(np.abs(values - ev)))
+        if abs(values[j] - ev) > eig_tol:
+            return False
+        found[j] += 1
+    return found == list(spec.signature.block_sizes)
+
+
+@st.composite
+def perturbed_spectra(draw):
+    """(spectrum, eig_tol, x): a spectrum whose gaps exceed 2 * eig_tol, and
+    a permuted diagonal x holding the repeated spectrum, in 3 of 10 draws
+    with the multiplicities of two values swapped, each entry moved up or
+    down by {0, 0.5, 0.999999, 1, 1.000001, 2} * eig_tol."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    sig = make_signature(sum(sizes), np.cumsum(sizes)[:-1].tolist())
+    eig_tol = 10.0 ** draw(st.floats(-8.0, -2.0))
+    values = [draw(st.floats(-10.0, 10.0))]
+    for _ in sizes[1:]:
+        values.append(values[-1] - eig_tol * draw(st.floats(2.0, 8.0, exclude_min=True)))
+    values = draw(st.permutations(values))
+    spec = Spectrum(tuple(values), sig)
+    assume(spec.min_gap > 2 * eig_tol)
+    found = list(sizes)
+    if draw(st.integers(0, 9)) < 3:
+        i, j = draw(st.lists(st.integers(0, len(sizes) - 1), min_size=2, max_size=2, unique=True))
+        found[i], found[j] = found[j], found[i]
+    lam = np.repeat(values, found)
+    for k in range(lam.size):
+        lam[k] += draw(st.sampled_from([-1.0, 1.0])) * draw(
+            st.sampled_from([0.0, 0.5, 0.999999, 1.0, 1.000001, 2.0])) * eig_tol
+    order = draw(st.permutations(range(lam.size)))
+    return spec, eig_tol, np.diag(lam)[np.ix_(order, order)]
 
 
 class TestEmbed:
@@ -214,17 +255,34 @@ class TestRecover:
         with pytest.raises(SpectrumMismatch):
             recover(bad, spec)
 
-    @pytest.mark.parametrize("diagonal, message", [
-        ([-2.0, -2.0, 2.0, 2.0], "eigenvalue -2.0 is 1.000e+00 from the nearest spectrum value -1.0"),
-        ([1.0, 1.0, 1.0, -1.0], "value 1.0 needs multiplicity 2, found 3"),
-    ])
-    def test_errors_print_plain_floats(self, diagonal, message):
-        # numpy 2 reprs its scalars as np.float64(...); messages must not
+    @pytest.mark.parametrize("diagonal, worst", [
+        ([-2.0, -2.0, 2.0, 2.0], "1.000e+00"),
+        ([1.0, 1.0, 1.0, -1.0], "2.000e+00"),
+    ], ids=["wrong-values", "wrong-multiplicity"])
+    def test_errors_print_plain_floats(self, diagonal, worst):
+        """Wrong values and a wrong multiplicity get the model's one message,
+        with recover's own tolerance; numpy 2 reprs its scalars as
+        np.float64(...), and the message must not."""
         spec = Spectrum((1.0, -1.0), make_signature(4, [2]))
         with pytest.raises(SpectrumMismatch) as err:
-            recover(SymmetricMatrix(np.diag(diagonal)), spec)
-        assert str(err.value) == message
+            recover(SymmetricMatrix(np.diag(diagonal)), spec, eig_tol=1e-3)
+        assert str(err.value) == f"eigenvalues deviate from the prescribed spectrum by {worst} > 1.000e-03"
         assert "np.float64" not in str(err.value)
+
+    @given(perturbed_spectra())
+    @settings(max_examples=500, deadline=None)
+    def test_accepts_exactly_what_nearest_value_matching_accepts(self, case):
+        """With every spectrum gap above 2 * eig_tol, as recover requires, its
+        one sorted comparison accepts exactly the eigenvalues that greedy
+        nearest-value matching with exact multiplicities accepts."""
+        spec, eig_tol, x = case
+        expected = greedy_spectrum_match(np.linalg.eigh(x)[0], spec, eig_tol)
+        try:
+            recover(SymmetricMatrix(x), spec, eig_tol=eig_tol)
+        except SpectrumMismatch:
+            assert not expected
+        else:
+            assert expected
 
     @pytest.mark.parametrize("eig_tol", [float("nan"), float("inf"), -1.0])
     def test_rejects_bad_eig_tol(self, eig_tol):
@@ -285,7 +343,7 @@ class TestCertificate:
         q = haar_special_orthogonal(n, rng) + 10.0**log_noise * rng.standard_normal((n, n))
         x = _embedded_image(q, spec)
         if _ostrowski_certifies(_orth_defect(q), n, spec):
-            assert _eig_deviation(x, spec) <= EIG_TOL
+            assert _eig_deviation(np.linalg.eigvalsh(x), spec) <= EIG_TOL
             assert abs(x.trace() - np.dot(sig.block_sizes, spec.values)) <= n * EIG_TOL
 
     @pytest.mark.parametrize("n", [2, 8, 40, 160])
@@ -330,7 +388,8 @@ class TestCertificate:
                 return str(err)
             return None
 
-        assert verdict(lambda: embed(f, spec)) == verdict(lambda: _check_on_model(x, spec))
+        lam = np.linalg.eigvalsh(x)
+        assert verdict(lambda: embed(f, spec)) == verdict(lambda: _check_on_model(lam, spec, EIG_TOL))
 
     def test_non_orthonormal_eigenvectors_fail_through_the_eigenvalue_check(self, monkeypatch):
         """An eigen-solver whose vectors are off by 3e-3 from orthonormal: one
@@ -396,7 +455,7 @@ class TestFrameRepair:
         x = nearest_point(a, spec).x.entries
         assert len(repairs) == 1
         assert np.linalg.norm(x - exact) <= 1e-9
-        assert _eig_deviation(x, spec) <= EIG_TOL
+        assert _eig_deviation(np.linalg.eigvalsh(x), spec) <= EIG_TOL
 
     def test_no_repair_where_the_certificate_accepts(self, monkeypatch):
         def refuse(q):

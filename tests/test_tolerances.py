@@ -1,8 +1,10 @@
 """Every tolerance of the package lives in one table in ``flagcore``, and
-only the three tolerances the CLI sets are parameters, with one private
-one: ``geometry._nearest_image(gap_tol)``, which has no default, so both of
-its callers set it (``nearest_point`` passes its own, ``_retract_step``
-``SPECTRUM_GAP_TOL``).
+only the three tolerances the CLI sets are parameters, with two private
+ones that have no default, so every caller sets them:
+``geometry._nearest_image(gap_tol)`` (``nearest_point`` passes its own,
+``_retract_step`` ``SPECTRUM_GAP_TOL``) and ``embed._check_on_model(eig_tol)``
+(``recover`` passes its own, ``EmbeddedFlag`` and ``_model_image``
+``EIG_TOL``).
 
 The matrix model is exact, so a tolerance only absorbs roundoff; a per-call
 tolerance parameter that no caller sets is an untested configuration, and
@@ -47,6 +49,7 @@ def modules():
 def test_only_the_cli_tolerances_are_parameters():
     found = sorted((stem, owner, name) for stem, tree in modules() for owner, name in tolerance_names(tree))
     assert found == [
+        ("embed", "_check_on_model", "eig_tol"),
         ("embed", "recover", "eig_tol"),
         ("geometry", "_nearest_image", "gap_tol"),
         ("geometry", "gradient_descent", "grad_tol"),
