@@ -35,7 +35,7 @@ from typing import Iterator
 
 from .errors import _at_least, _index
 from .flagcore import FlagSignature, _prechecked
-from .repdim import _traceless_sym, traceless_sym_dim
+from .repdim import _CLASSIFIED_FROM, _traceless_sym, traceless_sym_dim
 
 
 def flag_dimension(sig: FlagSignature) -> int:
@@ -111,7 +111,7 @@ def bound_table(sig: FlagSignature, group_order: int | None = None) -> BoundRepo
 def _n_columns(n: int) -> tuple[int, str]:
     """The columns that depend on the trusted n >= 2 alone: isospectral and
     its label."""
-    return _traceless_sym(n), "exact equivariant minimum" if n >= 17 else "achieved upper bound"
+    return _traceless_sym(n), "exact equivariant minimum" if n >= _CLASSIFIED_FROM else "achieved upper bound"
 
 
 def _columns(iso: int, m: int, group_order: int | None) -> tuple:

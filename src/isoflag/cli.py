@@ -121,18 +121,12 @@ def _spectrum_header(spec: Spectrum) -> dict:
     return {"n": sig.n, "ks": list(sig.ks), "spectrum": [float(v) for v in spec.values]}
 
 
-def parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, kind, what: str) -> list:
+    """The nonblank comma-separated items of ``text``, each read by ``kind`` (int or float)."""
     try:
-        return [int(t) for t in text.split(",") if t.strip()]
+        return [kind(t) for t in text.split(",") if t.strip()]
     except ValueError as e:
-        raise ValidationError(f"bad integer list {text!r}: {e}") from None
-
-
-def parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(t) for t in text.split(",") if t.strip()]
-    except ValueError as e:
-        raise ValidationError(f"bad number list {text!r}: {e}") from None
+        raise ValidationError(f"bad {what} list {text!r}: {e}") from None
 
 
 def read_matrix_file(path: str) -> np.ndarray:
@@ -161,12 +155,10 @@ def read_matrix_file(path: str) -> np.ndarray:
 
 
 def _signature_spectrum(args, n: int):
-    sig = make_signature(n, parse_int_list(args.ks))
-    if getattr(args, "spectrum", None):
-        spec = Spectrum(tuple(parse_float_list(args.spectrum)), sig)
-    else:
-        spec = default_traceless_spectrum(sig)
-    return sig, spec
+    sig = make_signature(n, _parse_list(args.ks, int, "integer"))
+    if not args.spectrum:
+        return sig, default_traceless_spectrum(sig)
+    return sig, Spectrum(_parse_list(args.spectrum, float, "number"), sig)
 
 
 def _matrix_input(args, flag_name: str, path: str) -> SymmetricMatrix:
@@ -387,7 +379,7 @@ _BOUND_CSV_HEADER = [
 def cmd_bounds(args) -> Output:
     if args.n is None or args.ks is None:
         raise ValidationError("bounds needs --n and --ks (or the `sweep` subcommand)")
-    sig = make_signature(args.n, parse_int_list(args.ks))
+    sig = make_signature(args.n, _parse_list(args.ks, int, "integer"))
     r = bounds_mod.bound_table(sig, args.group_order)
 
     def text():

@@ -32,6 +32,7 @@ from .flagcore import (
     _check_size,
     _embedded_image,
     _orth_defect,
+    _oriented_flag,
     _prechecked,
     _trusted_symmetric,
 )
@@ -237,7 +238,4 @@ def recover(x: SymmetricMatrix, spec: Spectrum, eig_tol: float = EIG_TOL) -> Fla
         )
     lam, vec = _eigh(x.entries)
     _check_on_model(lam, spec, eig_tol)
-    q = _block_frame(vec, spec)
-    if np.linalg.det(q) < 0:
-        q[:, -1] = -q[:, -1]
-    return FlagPoint(q, sig)
+    return _oriented_flag(_block_frame(vec, spec), sig)

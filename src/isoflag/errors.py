@@ -9,10 +9,10 @@ a ``ValidationError`` rather than truncated or passed to ``int()``.
 ``_at_least`` adds the lower bound: every range check of an integer
 argument of ``bounds`` and ``repdim`` is one call to it, where the
 argument enters, and reads ``need {what} >= {least}, got {value}``.
-``_real`` is the coercion of a real-number parameter, which refuses a
-string or a complex rather than parse or truncate it; ``_check_tolerance``
-(a tolerance or a step, finite and >= 0) and ``_finite_factor`` (a factor
-that scales a matrix) are built on it.
+``_real`` reads every real-number parameter, each ``Spectrum`` value too,
+and refuses a string or a complex rather than parse or truncate it;
+``_check_tolerance`` (a tolerance or a step, finite and >= 0) and
+``_finite_factor`` (a factor that scales a matrix) are built on it.
 """
 
 import math
@@ -68,7 +68,7 @@ def _at_least(value, what: str, least: int, error=ValidationError) -> int:
 def _real(value) -> float | None:
     """``float(value)`` for a real number that a double holds: an int, a
     float, a ``Fraction``, a numpy integer or float.  ``None`` for anything
-    else: a string, a complex, ``None`` or an int past a double."""
+    else: a string, bytes, a ``Decimal``, a complex, ``None`` or an int past a double."""
     if isinstance(value, numbers.Real):
         try:
             return float(value)

@@ -33,6 +33,7 @@ from .errors import (
     _at_least,
     _finite_factor,
     _index,
+    _real,
 )
 
 # Every tolerance of the package.  The matrix model is exact, so each one
@@ -172,6 +173,7 @@ def _check_size(a: np.ndarray, sig: FlagSignature) -> None:
 class Spectrum:
     """One real value per block of a signature.
 
+    Each value is read as every real parameter is read, by ``errors._real``.
     Blocks carrying equal values would merge into a single eigenspace, so
     the values must be pairwise separated by more than ``SPECTRUM_GAP_TOL``;
     and n * max|a_i| must be at most ``SPECTRUM_MAX`` (about 1.1e307), so
@@ -182,16 +184,15 @@ class Spectrum:
     signature: FlagSignature
 
     def __post_init__(self):
-        try:  # float() of each value; float(None) refuses a numpy complex, which float() would truncate
-            vals = tuple(float(None if isinstance(v, np.complexfloating) else v) for v in self.values)
-        except (TypeError, ValueError, OverflowError):
-            raise SpectrumInvalid(f"spectrum values must be real numbers, got {self.values!r}") from None
+        vals = tuple(map(_real, self.values)) if isinstance(self.values, Iterable) else (None,)
+        if None in vals:  # values, or one of them, is not a real number
+            raise SpectrumInvalid(f"spectrum values must be real numbers, got {self.values!r}")
         object.__setattr__(self, "values", vals)
         if len(vals) != self.signature.num_blocks:
             raise SpectrumInvalid(
                 f"need {self.signature.num_blocks} values for {self.signature}, got {len(vals)}"
             )
-        if not all(np.isfinite(vals)):
+        if not all(math.isfinite(v) for v in vals):
             raise SpectrumInvalid(f"spectrum values must be finite, got {vals}")
         n = self.signature.n
         if not self._max_abs <= SPECTRUM_MAX / n:
@@ -312,6 +313,13 @@ def _generator(seed) -> np.random.Generator:
     return np.random.default_rng(_at_least(seed, "seed", 0))
 
 
+def _oriented_flag(q: np.ndarray, sig: FlagSignature) -> FlagPoint:
+    """``FlagPoint(q, sig)`` of a computed orthogonal frame q, its last column negated in place if det q < 0."""
+    if np.linalg.det(q) < 0:
+        q[:, -1] = -q[:, -1]
+    return FlagPoint(q, sig)
+
+
 def random_flag_point(sig: FlagSignature, seed: int = 0) -> FlagPoint:
     """Haar-uniform random flag, deterministic for a fixed seed.
 
@@ -321,10 +329,8 @@ def random_flag_point(sig: FlagSignature, seed: int = 0) -> FlagPoint:
     """
     a = _generator(seed).standard_normal((sig.n, sig.n))
     q, r = np.linalg.qr(a)
-    q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)
-    if np.linalg.det(q) < 0:
-        q[:, -1] = -q[:, -1]
-    return FlagPoint(q, sig)
+    q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)  # rebound: QR's q is freed before FlagPoint copies (peak RSS)
+    return _oriented_flag(q, sig)
 
 
 def _check_symmetric(a: np.ndarray) -> None:

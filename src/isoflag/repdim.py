@@ -496,6 +496,9 @@ def _comparison_dims(n: int) -> list[int]:
     return hooks + wedges
 
 
+_CLASSIFIED_FROM = 17  # the least n where the spin dimension exceeds (n-1)(n+2)/2: check 1 below
+
+
 def verify_classification(n: int, mu1_cap=None) -> ClassificationReport:
     """Verify, in exact arithmetic, the low-dimension module classification
     for SO(n), n >= 17:
@@ -512,7 +515,7 @@ def verify_classification(n: int, mu1_cap=None) -> ClassificationReport:
        (``_comparison_dims``);
     4. the single-row closed form exceeds the bound at s = 3 and s = 4.
     """
-    n = _at_least(n, "n", 17, HypothesisViolated)
+    n = _at_least(n, "n", _CLASSIFIED_FROM, HypothesisViolated)
     cap = _doubled_cap(mu1_cap)
     m = n // 2
     bound = _traceless_sym(n)

@@ -11,11 +11,12 @@ from isoflag import (
     gunther_bound,
     isospectral_bound,
     make_signature,
+    verify_classification,
     wang_bound,
     whitney_bound,
 )
 from isoflag.bounds import _walk_chains
-from isoflag.errors import KOutOfRange, ValidationError
+from isoflag.errors import HypothesisViolated, KOutOfRange, ValidationError
 
 
 def flag_dimension_by_blocks(sig: FlagSignature) -> int:
@@ -186,6 +187,18 @@ class TestBoundTable:
     def test_minimum_label_above_17(self):
         r = bound_table(make_signature(17, [4]))
         assert r.isospectral_label == "exact equivariant minimum"
+
+    def test_minimum_label_exactly_where_the_classification_runs(self):
+        """The label names the proven minimum at exactly the n that
+        ``verify_classification`` accepts: both read one threshold."""
+        for n in range(3, 41):
+            try:
+                verify_classification(n)
+                classified = True
+            except HypothesisViolated:
+                classified = False
+            label = bound_table(make_signature(n, [1])).isospectral_label
+            assert (label == "exact equivariant minimum") == classified, n
 
     def test_invariants_exhaustive(self):
         for n in range(2, 9):

@@ -7,6 +7,8 @@
 - Every floating-point error state is set by ``flagcore._quietly``, the one
   overflow policy: numpy's warnings off, and a non-finite result either
   refused with a ``NumericalError`` or left to fail its tolerance test.
+- A determinant is taken only by ``flagcore._check_special_orthogonal`` and by
+  ``flagcore._oriented_flag``, the one sign fix of a computed frame.
 - No code calls ``np.linalg.norm``; ``flagcore._frobenius`` computes the same
   bits without its argument handling.
 - The validating constructors ``SymmetricMatrix``, ``FlagPoint`` and
@@ -69,17 +71,26 @@ def test_linalg_norm_is_never_called():
 
 def test_validating_constructors_run_only_where_a_check_can_fail():
     """The CLI's matrix files, all read by ``_matrix_input``, and its
-    ``--q-file``; the LAPACK frames of ``random_flag_point`` and ``recover``;
-    and ``act``'s rotation, its product and, where that is refused, the
-    product repaired."""
+    ``--q-file``; the LAPACK frames of ``random_flag_point`` and ``recover``,
+    both built by ``flagcore._oriented_flag``; and ``act``'s rotation, its
+    product and, where that is refused, the product repaired."""
     assert call_sites("SymmetricMatrix", "FlagPoint", "EmbeddedFlag") == [
         ("cli", "_matrix_input", "SymmetricMatrix"),
         ("cli", "cmd_embed", "FlagPoint"),
         ("embed", "act", "FlagPoint"),
         ("embed", "act", "FlagPoint"),
         ("embed", "act", "FlagPoint"),
-        ("embed", "recover", "FlagPoint"),
-        ("flagcore", "random_flag_point", "FlagPoint"),
+        ("flagcore", "_oriented_flag", "FlagPoint"),
+    ]
+
+
+def test_orientation_is_fixed_in_one_place():
+    """A determinant is taken only to check a rotation and, in
+    ``_oriented_flag``, to move a computed frame onto SO(n), which
+    ``random_flag_point`` and ``recover`` both call."""
+    assert call_sites("det") == [
+        ("flagcore", "_check_special_orthogonal", "det"),
+        ("flagcore", "_oriented_flag", "det"),
     ]
 
 

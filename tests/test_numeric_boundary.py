@@ -6,7 +6,7 @@ past a double is refused as "entries must be real numbers", and a NaN or
 infinity as "entries must be finite", each with the constructor's own error
 class.  Every real-number parameter (a tolerance, a step, a scale factor, a
 spectrum value) refuses what is not a real number a double holds.  The
-generated test below feeds 13 public entry points 8 hostile values with
+generated test below feeds 13 public entry points 9 hostile values with
 every warning turned into an error: each call must raise an
 ``IsoflagError``, never a bare numpy exception, a warning or a wrong value.
 The second half checks that valid input of other types (int lists, float32
@@ -14,6 +14,7 @@ arrays, ``Fraction`` and numpy floats) still passes, with the same result.
 """
 
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +59,7 @@ BLOCK = random_tangent_block(SIG, 0)
 
 HOSTILE = {
     "string": "abc",
+    "numeric-string": "1.5",
     "None": None,
     "ragged": [[1.0, 2.0], [3.0]],
     "complex": 1j,
@@ -66,7 +68,7 @@ HOSTILE = {
     "nan": float("nan"),
     "inf": float("inf"),
 }
-NON_REAL = {"string", "ragged", "complex", "complex-array", "int-past-double"}
+NON_REAL = {"string", "numeric-string", "ragged", "complex", "complex-array", "int-past-double"}
 
 
 def descend(**kwargs):
@@ -156,6 +158,16 @@ def test_complex_input_is_refused_not_truncated():
 def test_not_iterable_spectrum_values_are_refused():
     with pytest.raises(SpectrumInvalid, match="real numbers"):
         Spectrum(5, make_signature(2, [1]))
+
+
+@pytest.mark.parametrize("values", [(Decimal("0.5"), b"-1"), (1.5, Decimal("-1.5")), (b"1", -1.0),
+                                    (np.array(1.5), -1.0)])
+def test_spectrum_values_that_are_not_real_numbers_are_refused_not_parsed(values):
+    """A spectrum value is read as a tolerance or a step is: bytes, a
+    ``Decimal`` and an array are refused, not converted; the CLI parses
+    ``--spectrum`` into floats before ``Spectrum`` sees it."""
+    with pytest.raises(SpectrumInvalid, match=r"^spectrum values must be real numbers, got \("):
+        Spectrum(values, make_signature(2, [1]))
 
 
 def test_finiteness_is_checked_before_the_shape():
