@@ -9,15 +9,18 @@ a ``ValidationError`` rather than truncated or passed to ``int()``.
 ``_at_least`` adds the lower bound: every range check of an integer
 argument of ``bounds`` and ``repdim`` is one call to it, where the
 argument enters, and reads ``need {what} >= {least}, got {value}``.
-``_real`` reads every real-number parameter, each ``Spectrum`` value too,
-and refuses a string or a complex rather than parse or truncate it;
-``_check_tolerance`` (a tolerance or a step, finite and >= 0) and
-``_finite_factor`` (a factor that scales a matrix) are built on it.
+``_entries`` refuses an integer list that is a byte string or not iterable.
+``_real``, the one rule for a real number, refuses a string, bytes, a ``Decimal``,
+``None``, a complex or an array: ``_check_tolerance``, ``_finite_factor`` and
+``flagcore._float_array`` (each entry of an array or a ``Spectrum``) are built on it.
 """
 
+import contextlib
 import math
 import numbers
 import operator
+
+_BYTE_STRINGS = (bytes, bytearray, memoryview)  # Python iterates them as byte codes, numpy reads a uint8 buffer
 
 
 class IsoflagError(Exception):
@@ -57,6 +60,14 @@ def _index(value, what: str) -> int:
         raise NotAnInteger(f"{what} must be an integer, got {type(value).__name__}") from None
 
 
+def _entries(values, what: str):
+    """An iterator over ``values``, or ``NotAnInteger`` if it is a byte string or not iterable."""
+    with contextlib.suppress(TypeError):
+        if not isinstance(values, _BYTE_STRINGS):
+            return iter(values)
+    raise NotAnInteger(f"{what} must be a sequence, got {type(values).__name__}")
+
+
 def _at_least(value, what: str, least: int, error=ValidationError) -> int:
     """``value`` through ``_index``, refused with ``error`` below ``least``."""
     value = _index(value, what)
@@ -68,12 +79,9 @@ def _at_least(value, what: str, least: int, error=ValidationError) -> int:
 def _real(value) -> float | None:
     """``float(value)`` for a real number that a double holds: an int, a
     float, a ``Fraction``, a numpy integer or float.  ``None`` for anything
-    else: a string, bytes, a ``Decimal``, a complex, ``None`` or an int past a double."""
-    if isinstance(value, numbers.Real):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
+    else: a string, bytes, a ``Decimal``, a complex, an array, ``None`` or an int past a double."""
+    with contextlib.suppress(OverflowError):
+        return float(value) if isinstance(value, numbers.Real) else None
     return None
 
 

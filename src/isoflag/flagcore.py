@@ -30,7 +30,9 @@ from .errors import (
     NumericalError,
     SignatureMismatch,
     SpectrumInvalid,
+    _BYTE_STRINGS,
     _at_least,
+    _entries,
     _finite_factor,
     _index,
     _real,
@@ -66,20 +68,22 @@ def _quietly(compute, overflow: str | None = None):
 
 
 def _float_array(a, error) -> np.ndarray:
-    """``a`` as a float array, itself if it is one, refused as ``_frozen_array`` refuses a non-real entry."""
-    with contextlib.suppress(TypeError, ValueError, OverflowError):
-        if (out := np.asarray(a)).dtype.kind in "biufO":  # bool, int, float or object
-            if out.dtype.kind == "f" and out.dtype.itemsize > 8:  # a longdouble past a double becomes inf, refused later
-                return _quietly(lambda: out.astype(float))
-            return out.astype(float, copy=False)
+    """``a`` as a float array: a bool, int or float array itself, any other ``a`` entry by entry by ``errors._real``."""
+    with contextlib.suppress(TypeError, ValueError):
+        if isinstance(a, np.ndarray) and a.dtype.kind in "biuf":  # a longdouble past a double: inf, refused later
+            return _quietly(lambda: a.astype(float)) if a.dtype.itemsize > 8 else a.astype(float, copy=False)
+        out = np.asarray(a, dtype=object)  # unlike numpy's own reading, a 0-d array inside a list stays an object
+        vals = [_real(bool(v) if isinstance(v, np.bool_) else v) for v in out.flat]  # np.bool_ is not a numbers.Real
+        if not isinstance(a, _BYTE_STRINGS) and None not in vals:
+            return np.array(vals, dtype=float).reshape(out.shape)
     raise error("entries must be real numbers")
 
 
 def _frozen_array(a, error) -> np.ndarray:
-    """The one reader of array input: a read-only float copy of ``a``.  A string,
-    a complex, a ragged nesting or an int past a double raises ``error("entries
-    must be real numbers")``, and a NaN or infinity ``error("entries must be
-    finite")``, both before anything looks at the shape."""
+    """The one reader of array input: a read-only float copy of ``a``.  A byte
+    string, a ragged nesting or an entry that ``errors._real`` refuses, a 0-d
+    array inside a list too, raises ``error("entries must be real numbers")``, and
+    a NaN or infinity ``error("entries must be finite")``, both before the shape is looked at."""
     out = _float_array(a, error).copy()
     if not np.isfinite(out).all():
         raise error("entries must be finite")
@@ -124,7 +128,8 @@ class FlagSignature:
 
     def __post_init__(self):
         n = _index(self.n, "ambient dimension")  # both are integers before n's range is checked
-        object.__setattr__(self, "ks", tuple(_index(k, "subspace dimension") for k in self.ks))
+        ks = tuple(_index(k, "subspace dimension") for k in _entries(self.ks, "subspace dimensions"))
+        object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "n", _at_least(n, "ambient dimension", 2, AmbientTooSmall))
         if not self.ks:
             raise KOutOfRange("at least one subspace dimension is required")
@@ -154,7 +159,7 @@ class FlagSignature:
 
 def make_signature(n: int, ks: Iterable[int]) -> FlagSignature:
     """Validate and build a flag signature; ``ks`` of length 1 is a Grassmannian."""
-    return FlagSignature(n, tuple(ks))
+    return FlagSignature(n, ks)
 
 
 def _check_same_signature(a: FlagSignature, b: FlagSignature) -> None:
@@ -164,8 +169,7 @@ def _check_same_signature(a: FlagSignature, b: FlagSignature) -> None:
 
 def _check_size(a: np.ndarray, sig: FlagSignature) -> None:
     """Raise ``SignatureMismatch`` unless the square matrix a is n x n."""
-    n = a.shape[0]
-    if n != sig.n:
+    if (n := a.shape[0]) != sig.n:
         raise SignatureMismatch(f"matrix is {n}x{n}, signature has n={sig.n}")
 
 
@@ -173,7 +177,7 @@ def _check_size(a: np.ndarray, sig: FlagSignature) -> None:
 class Spectrum:
     """One real value per block of a signature.
 
-    Each value is read as every real parameter is read, by ``errors._real``.
+    ``values`` is read by ``_frozen_array``: one finite real number per block.
     Blocks carrying equal values would merge into a single eigenspace, so
     the values must be pairwise separated by more than ``SPECTRUM_GAP_TOL``;
     and n * max|a_i| must be at most ``SPECTRUM_MAX`` (about 1.1e307), so
@@ -184,16 +188,11 @@ class Spectrum:
     signature: FlagSignature
 
     def __post_init__(self):
-        vals = tuple(map(_real, self.values)) if isinstance(self.values, Iterable) else (None,)
-        if None in vals:  # values, or one of them, is not a real number
-            raise SpectrumInvalid(f"spectrum values must be real numbers, got {self.values!r}")
-        object.__setattr__(self, "values", vals)
-        if len(vals) != self.signature.num_blocks:
-            raise SpectrumInvalid(
-                f"need {self.signature.num_blocks} values for {self.signature}, got {len(vals)}"
-            )
-        if not all(math.isfinite(v) for v in vals):
-            raise SpectrumInvalid(f"spectrum values must be finite, got {vals}")
+        vals = _frozen_array(self.values, SpectrumInvalid)
+        if vals.shape != (self.signature.num_blocks,):
+            got = len(vals) if vals.ndim == 1 else f"shape {vals.shape}"
+            raise SpectrumInvalid(f"need {self.signature.num_blocks} values for {self.signature}, got {got}")
+        object.__setattr__(self, "values", tuple(vals.tolist()))
         n = self.signature.n
         if not self._max_abs <= SPECTRUM_MAX / n:
             raise SpectrumInvalid(

@@ -57,6 +57,7 @@ from .errors import (
     NotDominant,
     ValidationError,
     _at_least,
+    _entries,
     _index,
 )
 from .flagcore import _prechecked
@@ -75,11 +76,11 @@ class HighestWeight:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _index(self.n, "n"))
-        object.__setattr__(self, "doubled", tuple(_index(d, "doubled weight entry") for d in self.doubled))
+        d = tuple(_index(x, "doubled weight entry") for x in _entries(self.doubled, "doubled weight entries"))
+        object.__setattr__(self, "doubled", d)
         if self.n < 3:
             raise NotDominant(f"need n >= 3, got n={self.n}")
         m = self.n // 2
-        d = self.doubled
         if len(d) != m:
             raise NotDominant(f"need {m} entries for n={self.n}, got {len(d)}")
         if len({x % 2 for x in d}) > 1:
@@ -110,7 +111,7 @@ class HighestWeight:
 
     @classmethod
     def from_halves(cls, n: int, values: Sequence) -> "HighestWeight":
-        return cls(n, tuple(_doubled_entry(v) for v in values))
+        return cls(n, tuple(_doubled_entry(v) for v in _entries(values, "weight entries")))
 
 
 def _doubled_entry(v) -> int:
@@ -130,6 +131,8 @@ def parse_weight(n: int, text: str) -> HighestWeight:
     with trailing zeros; spin weights must be given in full since padding
     would mix parities."""
     n = _index(n, "n")
+    if not isinstance(text, str):
+        raise ValidationError(f"weight must be a string, got {type(text).__name__}")
     entries = [t.strip() for t in text.split(",") if t.strip()]
     if not entries:
         raise ValidationError("empty weight")

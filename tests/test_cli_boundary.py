@@ -203,3 +203,15 @@ def test_an_overflowing_step_prints_one_line(matrix_files, tmp_path):
     (tmp_path / "big.txt").write_text("3\n1000 1 0\n1 -1000 2\n0 2 500\n")
     code, err = run(["optimize", "--target-file", "big.txt", "--ks", "1", "--step", "1e308"])
     assert (code, err) == (2, "NotSymmetric: entries must be finite\n")
+
+
+@pytest.mark.parametrize("spectrum, line", [
+    ("nan,1", "SpectrumInvalid: entries must be finite"),
+    ("nan,1,2", "SpectrumInvalid: entries must be finite"),
+    ("1,2,3", "SpectrumInvalid: need 2 values for FlagSignature(n=3, ks=(1,)), got 3"),
+])
+def test_a_bad_spectrum_prints_the_array_readers_line(spectrum, line):
+    """``Spectrum`` reads ``--spectrum`` with the array reader, so finiteness
+    is refused before the count, with the reader's message."""
+    code, err = run(["embed", "--n", "3", "--ks", "1", "--spectrum", spectrum, "--identity"])
+    assert (code, err) == (2, line + "\n")

@@ -16,12 +16,15 @@
   library cannot prove their checks; its own results are built through
   ``flagcore._prechecked``.
 - Array input is tested for finiteness by ``flagcore._frozen_array``, which
-  every validating constructor calls, so a file reader or a command leaves
-  that test to the constructor it feeds; the other finiteness tests are
-  each on a value no constructor reads.
+  every validating constructor calls, ``Spectrum`` too, so a file reader or
+  a command leaves that test to the constructor it feeds; the other
+  finiteness tests are each on a value no constructor reads.
+- A real number is read by one rule, ``errors._real``: the two scalar
+  readers of ``errors`` and the array reader ``flagcore._float_array`` use
+  it, and nothing else does.
 
-This stdlib ``ast`` check fails on a call of one of them anywhere else in
-``src/isoflag/*.py``.
+This stdlib ``ast`` check fails on a call of one of them, or a use of
+``_real``, anywhere else in ``src/isoflag/*.py``.
 """
 
 import ast
@@ -30,21 +33,27 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "isoflag"
 
 
-def numpy_calls(tree: ast.Module):
-    """(enclosing function, called name) for each call by a plain or dotted name."""
+def nodes_by_function(tree: ast.Module):
+    """(enclosing function, node) for every node, the function None at module level."""
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
+        yield function, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    yield from visit(tree, None)
+
+
+def numpy_calls(tree: ast.Module):
+    """(enclosing function, called name) for each call by a plain or dotted name."""
+    for function, node in nodes_by_function(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             if name is not None:
                 yield function, name
-        for child in ast.iter_child_nodes(node):
-            yield from visit(child, function)
-
-    yield from visit(tree, None)
 
 
 def call_sites(*names):
@@ -94,19 +103,30 @@ def test_orientation_is_fixed_in_one_place():
     ]
 
 
-
 def test_finiteness_is_tested_only_where_nothing_else_tests_it():
-    """``_frozen_array`` for array input, ``Spectrum.__post_init__`` for its
-    values and ``errors._finite_factor`` for a scalar that scales a matrix;
+    """``_frozen_array`` for array input, a spectrum's values too, and
+    ``errors._finite_factor`` for a scalar that scales a matrix;
     ``_quietly`` for a result that overflows; ``_retract_step`` for a step that
     overflowed, after projecting it failed; and ``_checked_gradient`` for the
     caller's gradient, which no constructor reads.  A file reader leaves the
     test to the constructor it feeds."""
     assert call_sites("isfinite") == [
         ("errors", "_finite_factor", "isfinite"),
-        ("flagcore", "__post_init__", "isfinite"),
         ("flagcore", "_frozen_array", "isfinite"),
         ("flagcore", "_quietly", "isfinite"),
         ("geometry", "_checked_gradient", "isfinite"),
         ("geometry", "_retract_step", "isfinite"),
     ]
+
+
+def test_a_real_number_is_read_by_one_rule():
+    """``_real`` reads a tolerance or a step (``_check_tolerance``), a scale
+    factor (``_finite_factor``) and each object in an array
+    (``_float_array``, which reads a spectrum's values too); no other code
+    decides what a real number is."""
+    assert sorted(
+        (path.stem, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, node in nodes_by_function(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id == "_real" and isinstance(node.ctx, ast.Load)
+    ) == [("errors", "_check_tolerance"), ("errors", "_finite_factor"), ("flagcore", "_float_array")]

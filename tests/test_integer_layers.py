@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 
 from isoflag import (
+    FlagSignature,
+    HighestWeight,
     bounds,
     default_traceless_spectrum,
     embed,
@@ -96,6 +98,39 @@ def test_traceless_sym_dim_refuses_n_below_2(n):
     with pytest.raises(ValidationError) as err:
         traceless_sym_dim(n)
     assert (type(err.value), str(err.value)) == (ValidationError, f"need n >= 2, got {n}")
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: make_signature(3, v),
+    lambda v: FlagSignature(3, v),
+    lambda v: HighestWeight(5, v),
+], ids=["make_signature", "FlagSignature", "HighestWeight"])
+@pytest.mark.parametrize("value", [b"\x01", bytearray(b"\x02\x00"), memoryview(b"\x01"), 5, None, np.array(1)],
+                         ids=["bytes", "bytearray", "memoryview", "int", "None", "0-d-array"])
+def test_integer_list_that_is_a_byte_string_or_not_iterable_is_refused_whole(call, value):
+    r"""Python iterates a byte string as its byte codes, so ``b"\x01"`` would
+    read as ``(1,)``; it is refused whole, as a value that is not iterable
+    (a 0-d array too) is, with ``NotAnInteger`` rather than a bare ``TypeError``."""
+    with pytest.raises(NotAnInteger, match=rf" must be a sequence, got {type(value).__name__}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: HighestWeight.from_halves(5, 1), "weight entries must be a sequence, got int"),
+    (lambda: HighestWeight.from_halves(5, b"\x02\x00"), "weight entries must be a sequence, got bytes"),
+    (lambda: parse_weight(5, 7), "weight must be a string, got int"),
+    (lambda: parse_weight(5, b"1,0"), "weight must be a string, got bytes"),
+], ids=["from_halves-int", "from_halves-bytes", "parse_weight-int", "parse_weight-bytes"])
+def test_weight_that_is_not_a_sequence_or_string_raises_a_validation_error(call, message):
+    with pytest.raises(ValidationError) as refusal:
+        call()
+    assert str(refusal.value) == message
+
+
+def test_integer_lists_of_every_iterable_kind_pass():
+    assert make_signature(5, (k for k in (1, 3))).ks == (1, 3)
+    assert make_signature(5, np.array([1, 3])).ks == (1, 3)
+    assert str(HighestWeight(5, [2, 0])) == "1,0"
 
 
 SIG = make_signature(4, [1, 3])

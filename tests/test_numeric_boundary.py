@@ -1,16 +1,19 @@
 """The real-number boundary of the numeric layers.
 
-Every array that enters ``flagcore`` or ``embed`` is read once, by
-``flagcore._frozen_array``: a string, a complex, a ragged nesting or an int
-past a double is refused as "entries must be real numbers", and a NaN or
-infinity as "entries must be finite", each with the constructor's own error
-class.  Every real-number parameter (a tolerance, a step, a scale factor, a
-spectrum value) refuses what is not a real number a double holds.  The
-generated test below feeds 13 public entry points 9 hostile values with
-every warning turned into an error: each call must raise an
-``IsoflagError``, never a bare numpy exception, a warning or a wrong value.
+Every array that enters ``flagcore`` or ``embed``, a spectrum's values too,
+is read once, by ``flagcore._frozen_array``: a byte string, a ragged nesting
+or an entry that is not a real number a double holds (a string, bytes, a
+``Decimal``, ``None``, a complex, a 0-d array inside a list, an int past a
+double) is refused as "entries must be real numbers", and a NaN or infinity
+as "entries must be finite", each with the constructor's own error class.
+Each entry, and every real-number parameter (a tolerance, a step, a scale
+factor), is read by one rule, ``errors._real``.  The generated test below
+feeds 13 public entry points 12 hostile values with every warning turned
+into an error: each call must raise an ``IsoflagError``, never a bare numpy
+exception, a warning or a wrong value.
 The second half checks that valid input of other types (int lists, float32
-arrays, ``Fraction`` and numpy floats) still passes, with the same result.
+arrays, lists of numpy scalars, ``Fraction`` and numpy floats) still
+passes, with the same result.
 """
 
 import warnings
@@ -60,6 +63,9 @@ BLOCK = random_tangent_block(SIG, 0)
 HOSTILE = {
     "string": "abc",
     "numeric-string": "1.5",
+    "bytes": b"1",
+    "decimal": Decimal("1.5"),
+    "object-array-string": np.array([[1.0, "0.5"], ["0.5", 1.0]], dtype=object),
     "None": None,
     "ragged": [[1.0, 2.0], [3.0]],
     "complex": 1j,
@@ -68,7 +74,7 @@ HOSTILE = {
     "nan": float("nan"),
     "inf": float("inf"),
 }
-NON_REAL = {"string", "numeric-string", "ragged", "complex", "complex-array", "int-past-double"}
+NON_REAL = set(HOSTILE) - {"nan", "inf"}
 
 
 def descend(**kwargs):
@@ -99,6 +105,7 @@ ENTRY_ERROR = {
     "TangentBlock": NotSkewSymmetric,
     "TangentBlock.from_block_map": NotSkewSymmetric,
     "act": NotSpecialOrthogonal,
+    "Spectrum": SpectrumInvalid,
     "retract.step": NotSymmetric,
     "TangentBlock.scaled": NotSkewSymmetric,
 }
@@ -114,16 +121,9 @@ def expected_error(entry: str, name: str, value):
     """The class and message the probe (entry, name) must raise."""
     non_real = name in NON_REAL
     if entry in ENTRY_ERROR:
-        # numpy reads None in an array as NaN; as a scalar factor it is not a number
-        scalar = entry in ("retract.step", "TangentBlock.scaled")
-        real_numbers = non_real or (scalar and value is None)
-        return ENTRY_ERROR[entry], "entries must be " + ("real numbers" if real_numbers else "finite")
+        return ENTRY_ERROR[entry], "entries must be " + ("real numbers" if non_real else "finite")
     if entry in TOLERANCES:
         return ValidationError, f"{TOLERANCES[entry]} must be finite and >= 0, got {value}"
-    if entry == "Spectrum":
-        if name in ("nan", "inf"):
-            return SpectrumInvalid, f"spectrum values must be finite, got ({value}, 0.0, -1.0)"
-        return SpectrumInvalid, "spectrum values must be real numbers, got "
     assert entry == "objective_grad"
     if non_real:
         return NotSymmetric, "entries must be real numbers"
@@ -156,18 +156,53 @@ def test_complex_input_is_refused_not_truncated():
 
 
 def test_not_iterable_spectrum_values_are_refused():
-    with pytest.raises(SpectrumInvalid, match="real numbers"):
-        Spectrum(5, make_signature(2, [1]))
+    """A scalar or a nesting is not one value per block; a 1-D list of the
+    wrong length keeps its count in the message."""
+    sig = make_signature(2, [1])
+    for values, got in [(5, "shape ()"), ([[1.0, -1.0]], "shape (1, 2)"), ((1.0, 0.0, -1.0), "3")]:
+        with pytest.raises(SpectrumInvalid) as refusal:
+            Spectrum(values, sig)
+        assert str(refusal.value) == f"need 2 values for FlagSignature(n=2, ks=(1,)), got {got}"
 
 
 @pytest.mark.parametrize("values", [(Decimal("0.5"), b"-1"), (1.5, Decimal("-1.5")), (b"1", -1.0),
-                                    (np.array(1.5), -1.0)])
+                                    (np.array(1.5), -1.0), b"12", bytearray(b"12"), {1.0: "a", -1.0: "b"},
+                                    {1.0, -1.0}, (v for v in (1.0, -1.0))])
 def test_spectrum_values_that_are_not_real_numbers_are_refused_not_parsed(values):
-    """A spectrum value is read as a tolerance or a step is: bytes, a
-    ``Decimal`` and an array are refused, not converted; the CLI parses
-    ``--spectrum`` into floats before ``Spectrum`` sees it."""
-    with pytest.raises(SpectrumInvalid, match=r"^spectrum values must be real numbers, got \("):
+    """A spectrum value is read as a matrix entry, a tolerance or a step is:
+    bytes, a ``Decimal`` and a 0-d array are refused, not converted.  A byte
+    string is refused whole, not read as its codes, and a dict, a set or a generator
+    is not an array of values; the CLI parses ``--spectrum`` into floats
+    before ``Spectrum`` sees it."""
+    with pytest.raises(SpectrumInvalid, match=r"^entries must be real numbers$"):
         Spectrum(values, make_signature(2, [1]))
+
+
+@pytest.mark.parametrize("error, build", [
+    (NotSymmetric, lambda: SymmetricMatrix([[np.array(1.0), 0.0], [0.0, 1.0]])),
+    (NotSymmetric, lambda: SymmetricMatrix(np.array([[np.array(1.0), 0.0], [0.0, 1.0]], dtype=object))),
+    (NotSkewSymmetric, lambda: TangentBlock(make_signature(2, [1]), [[0.0, np.array(1.0)], [-1.0, 0.0]])),
+    (NotSpecialOrthogonal, lambda: FlagPoint([[np.array(1.0), 0.0], [0.0, 1.0]], make_signature(2, [1]))),
+    (SpectrumInvalid, lambda: Spectrum([np.array(1.5), -1.0], make_signature(2, [1]))),
+], ids=["list", "object-array", "TangentBlock", "FlagPoint", "Spectrum"])
+def test_a_zero_dimensional_array_is_not_a_real_number_anywhere(error, build):
+    """numpy would read a 0-d array inside a list as its value; the array
+    reader keeps it an object, which ``errors._real`` refuses, as it refuses
+    a 0-d array given as a scale factor."""
+    with pytest.raises(error, match="^entries must be real numbers$"):
+        build()
+
+
+@pytest.mark.parametrize("entries", [
+    np.array([[1.0, b"0.5"], [b"0.5", 1.0]], dtype=object),
+    np.array([[1.0, None], [None, 1.0]], dtype=object),
+    [[Decimal(1), Decimal("0.5")], [Decimal("0.5"), Decimal(1)]],
+], ids=["bytes", "None", "Decimal-list"])
+def test_object_entries_are_read_by_the_real_number_rule(entries):
+    """Each object in an array is read as a scale factor is, so an entry that
+    is not a real number is refused, not parsed; ``None`` is not a NaN."""
+    with pytest.raises(NotSymmetric, match="^entries must be real numbers$"):
+        SymmetricMatrix(entries)
 
 
 def test_finiteness_is_checked_before_the_shape():
@@ -226,6 +261,15 @@ def test_int_and_float32_arrays_read_as_float():
     sl = SIG.block_slices()
     assert ints.matrix[sl[0], sl[1]].tolist() == [[1.0, 2.0]]
     assert ints.matrix[sl[2], sl[1]].tolist() == [[-3.0, -4.0]]
+
+
+def test_lists_of_numpy_scalars_and_rows_read_as_numpy_reads_them():
+    """A list is read entry by entry, yet numpy bools, integers and floats
+    and rows given as 1-D arrays keep the values numpy's own reading gives."""
+    rows = [[np.True_, np.int64(1)], [np.float32(1.0), np.False_]]
+    assert SymmetricMatrix(rows).entries.tolist() == [[1.0, 1.0], [1.0, 0.0]]
+    assert np.array_equal(SymmetricMatrix(list(SYM)).entries, SYM)
+    assert Spectrum((np.True_, np.False_), make_signature(2, [1])).values == (1.0, 0.0)
 
 
 def test_the_reader_copies_its_input():
