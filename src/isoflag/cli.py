@@ -347,7 +347,7 @@ def cmd_repdim_enumerate(args) -> Output:
 
 
 def cmd_repdim_verify(args) -> Output:
-    report = repdim_mod.verify_classification(_at_most_max_n(args.n), args.cap)
+    report = repdim_mod.verify_classification(_at_most_max_n(args.n))
     return Output(
         json=lambda: {
             "n": report.n,
@@ -592,7 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pdv = dsub.add_parser("verify", help="verify the low-dimension classification")
     pdv.add_argument("--n", type=int, required=True)
-    pdv.add_argument("--cap", help="first-entry cap of the walk (default: none)")
     add_format(pdv)
 
     pb = sub.add_parser("bounds", help="ambient-dimension bound table")

@@ -9,18 +9,19 @@ a ``ValidationError`` rather than truncated or passed to ``int()``.
 ``_at_least`` adds the lower bound: every range check of an integer
 argument of ``bounds`` and ``repdim`` is one call to it, where the
 argument enters, and reads ``need {what} >= {least}, got {value}``.
-``_entries`` refuses an integer list that is a byte string or not iterable.
-``_real``, the one rule for a real number, refuses a string, bytes, a ``Decimal``,
-``None``, a complex or an array: ``_check_tolerance``, ``_finite_factor`` and
-``flagcore._float_array`` (each entry of an array or a ``Spectrum``) are built on it.
+``_entries`` refuses an integer list that is a text or byte string or not iterable.
+``_real``, the one rule for a real number, reads a numpy bool as a bool and refuses a string,
+bytes, a ``Decimal``, ``None``, a complex or an array: ``_check_tolerance``, ``_finite_factor``
+and ``flagcore._float_array`` (each entry of an array or a ``Spectrum``) are built on it.
 """
 
 import contextlib
 import math
 import numbers
 import operator
+import sys
 
-_BYTE_STRINGS = (bytes, bytearray, memoryview)  # Python iterates them as byte codes, numpy reads a uint8 buffer
+_STRINGS = (str, bytes, bytearray, memoryview)  # Python iterates them as characters or byte codes, numpy reads a uint8 buffer
 
 
 class IsoflagError(Exception):
@@ -61,9 +62,9 @@ def _index(value, what: str) -> int:
 
 
 def _entries(values, what: str):
-    """An iterator over ``values``, or ``NotAnInteger`` if it is a byte string or not iterable."""
+    """An iterator over ``values``, or ``NotAnInteger`` if it is a text or byte string or not iterable."""
     with contextlib.suppress(TypeError):
-        if not isinstance(values, _BYTE_STRINGS):
+        if not isinstance(values, _STRINGS):
             return iter(values)
     raise NotAnInteger(f"{what} must be a sequence, got {type(values).__name__}")
 
@@ -78,10 +79,11 @@ def _at_least(value, what: str, least: int, error=ValidationError) -> int:
 
 def _real(value) -> float | None:
     """``float(value)`` for a real number that a double holds: an int, a
-    float, a ``Fraction``, a numpy integer or float.  ``None`` for anything
+    float, a ``Fraction``, a numpy integer, float or bool.  ``None`` for anything
     else: a string, bytes, a ``Decimal``, a complex, an array, ``None`` or an int past a double."""
-    with contextlib.suppress(OverflowError):
-        return float(value) if isinstance(value, numbers.Real) else None
+    with contextlib.suppress(OverflowError):  # np.bool_ is not a numbers.Real; numpy is looked up, not imported
+        if isinstance(value, numbers.Real) or isinstance(value, getattr(sys.modules.get("numpy"), "bool_", ())):
+            return float(value)
     return None
 
 

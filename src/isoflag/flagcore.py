@@ -30,7 +30,7 @@ from .errors import (
     NumericalError,
     SignatureMismatch,
     SpectrumInvalid,
-    _BYTE_STRINGS,
+    _STRINGS,
     _at_least,
     _entries,
     _finite_factor,
@@ -73,8 +73,8 @@ def _float_array(a, error) -> np.ndarray:
         if isinstance(a, np.ndarray) and a.dtype.kind in "biuf":  # a longdouble past a double: inf, refused later
             return _quietly(lambda: a.astype(float)) if a.dtype.itemsize > 8 else a.astype(float, copy=False)
         out = np.asarray(a, dtype=object)  # unlike numpy's own reading, a 0-d array inside a list stays an object
-        vals = [_real(bool(v) if isinstance(v, np.bool_) else v) for v in out.flat]  # np.bool_ is not a numbers.Real
-        if not isinstance(a, _BYTE_STRINGS) and None not in vals:
+        vals = [_real(v) for v in out.flat]
+        if not isinstance(a, _STRINGS) and None not in vals:
             return np.array(vals, dtype=float).reshape(out.shape)
     raise error("entries must be real numbers")
 

@@ -502,7 +502,7 @@ def _comparison_dims(n: int) -> list[int]:
 _CLASSIFIED_FROM = 17  # the least n where the spin dimension exceeds (n-1)(n+2)/2: check 1 below
 
 
-def verify_classification(n: int, mu1_cap=None) -> ClassificationReport:
+def verify_classification(n: int) -> ClassificationReport:
     """Verify, in exact arithmetic, the low-dimension module classification
     for SO(n), n >= 17:
 
@@ -510,8 +510,7 @@ def verify_classification(n: int, mu1_cap=None) -> ClassificationReport:
        n >= 17 hypothesis buys);
     2. exactly four dominant weights fit at or below the bound: 0,
        (1,0,...), (1,1,0,...), (2,0,...), with their closed-form dimensions
-       1, n, n(n-1)/2, (n-1)(n+2)/2; the walk has no box unless ``mu1_cap``
-       asks for one, so this covers every weight;
+       1, n, n(n-1)/2, (n-1)(n+2)/2, over every weight (the walk has no box);
     3. the comparison weights (2,1^{q-1},0,...) for q = 2..m and
        (1^q,0,...) for q = 3..m all exceed the bound ((1,1,0,...) is the
        lone exception below it), by their closed forms
@@ -519,7 +518,6 @@ def verify_classification(n: int, mu1_cap=None) -> ClassificationReport:
     4. the single-row closed form exceeds the bound at s = 3 and s = 4.
     """
     n = _at_least(n, "n", _CLASSIFIED_FROM, HypothesisViolated)
-    cap = _doubled_cap(mu1_cap)
     m = n // 2
     bound = _traceless_sym(n)
     checks = []
@@ -529,7 +527,7 @@ def verify_classification(n: int, mu1_cap=None) -> ClassificationReport:
         CheckResult("spin_exceeds_bound", spin > bound, f"{spin} > {bound}")
     )
 
-    report = _walk(n, bound, cap)
+    report = _walk(n, bound, None)
     expected = {
         (0,) * m: 1,
         (2,) + (0,) * (m - 1): n,

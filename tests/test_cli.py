@@ -455,13 +455,19 @@ class TestRepdimCommand:
         assert sys.get_int_max_str_digits() == default_int_limit
 
     @pytest.mark.parametrize("cap", ["abc", "1/0"])
-    @pytest.mark.parametrize("command", [["enumerate", "--max-dim", "152"], ["verify"]])
+    @pytest.mark.parametrize("command", [["enumerate", "--max-dim", "152"]])
     def test_cap_that_is_not_a_number_exit_2(self, capsys, command, cap):
         code, out, err = run(capsys, "repdim", command[0], "--n", "17", *command[1:], "--cap", cap)
         assert (code, out) == (2, "")
         assert err.splitlines() == [
             f"ValidationError: mu1_cap must be a half-integer >= 2, got {cap!r}"
         ]
+
+    def test_verify_takes_no_cap(self, capsys):
+        """A boxed walk is not a proof, so ``verify`` has no ``--cap`` to
+        print ``VERIFIED`` after a partial search."""
+        assert run(capsys, "repdim", "verify", "--n", "17", "--cap", "2") == (
+            2, "", "ValidationError: isoflag: unrecognized arguments: --cap 2\n")
 
     def test_enumerate_rows(self, capsys):
         code, out, _ = run(capsys, "repdim", "enumerate", "--n", "17", "--max-dim", "152",

@@ -105,12 +105,13 @@ def test_traceless_sym_dim_refuses_n_below_2(n):
     lambda v: FlagSignature(3, v),
     lambda v: HighestWeight(5, v),
 ], ids=["make_signature", "FlagSignature", "HighestWeight"])
-@pytest.mark.parametrize("value", [b"\x01", bytearray(b"\x02\x00"), memoryview(b"\x01"), 5, None, np.array(1)],
-                         ids=["bytes", "bytearray", "memoryview", "int", "None", "0-d-array"])
+@pytest.mark.parametrize("value", [b"\x01", bytearray(b"\x02\x00"), memoryview(b"\x01"), "10", 5, None, np.array(1)],
+                         ids=["bytes", "bytearray", "memoryview", "str", "int", "None", "0-d-array"])
 def test_integer_list_that_is_a_byte_string_or_not_iterable_is_refused_whole(call, value):
     r"""Python iterates a byte string as its byte codes, so ``b"\x01"`` would
-    read as ``(1,)``; it is refused whole, as a value that is not iterable
-    (a 0-d array too) is, with ``NotAnInteger`` rather than a bare ``TypeError``."""
+    read as ``(1,)``, and a text string as its characters; each is refused whole,
+    as a value that is not iterable (a 0-d array too) is, with ``NotAnInteger``
+    rather than a bare ``TypeError``."""
     with pytest.raises(NotAnInteger, match=rf" must be a sequence, got {type(value).__name__}$"):
         call(value)
 
@@ -118,9 +119,10 @@ def test_integer_list_that_is_a_byte_string_or_not_iterable_is_refused_whole(cal
 @pytest.mark.parametrize("call, message", [
     (lambda: HighestWeight.from_halves(5, 1), "weight entries must be a sequence, got int"),
     (lambda: HighestWeight.from_halves(5, b"\x02\x00"), "weight entries must be a sequence, got bytes"),
+    (lambda: HighestWeight.from_halves(5, "10"), "weight entries must be a sequence, got str"),
     (lambda: parse_weight(5, 7), "weight must be a string, got int"),
     (lambda: parse_weight(5, b"1,0"), "weight must be a string, got bytes"),
-], ids=["from_halves-int", "from_halves-bytes", "parse_weight-int", "parse_weight-bytes"])
+], ids=["from_halves-int", "from_halves-bytes", "from_halves-str", "parse_weight-int", "parse_weight-bytes"])
 def test_weight_that_is_not_a_sequence_or_string_raises_a_validation_error(call, message):
     with pytest.raises(ValidationError) as refusal:
         call()

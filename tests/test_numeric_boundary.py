@@ -297,6 +297,20 @@ def test_zero_tolerances_are_accepted():
     assert descend(grad_tol=0).iterations == 2
 
 
+def test_a_numpy_bool_factor_scales_as_a_bool_does():
+    """``errors._real`` reads ``np.True_`` as ``True``, as the array reader
+    reads it in a list; a 0-d array stays refused."""
+    assert BLOCK.scaled(np.True_).matrix.tobytes() == BLOCK.scaled(True).matrix.tobytes()
+    with pytest.raises(NotSkewSymmetric, match="^entries must be real numbers$"):
+        BLOCK.scaled(np.array(True))
+
+
+def test_numpy_bool_tolerances_are_accepted_as_bools_are():
+    assert np.array_equal(nearest_point(BASE.x, SPEC, gap_tol=np.False_).x.entries,
+                          nearest_point(BASE.x, SPEC, gap_tol=False).x.entries)
+    assert descend(grad_tol=np.False_).grad_norms == descend(grad_tol=False).grad_norms
+
+
 def test_steps_of_other_real_types_give_the_float_result():
     f = random_flag_point(SIG, 3)
     init = embed(f, SPEC)

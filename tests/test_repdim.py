@@ -1,3 +1,4 @@
+import inspect
 import itertools
 from fractions import Fraction
 from math import comb, prod
@@ -815,14 +816,13 @@ class TestVerifyClassification:
         assert report.passed
         assert report.checks[2].detail == "397 comparison weights, smallest dimension 10586800 vs bound 80199"
 
-    def test_an_explicit_cap_is_validated_and_honoured(self, monkeypatch):
-        with pytest.raises(ValidationError, match=r"^mu1_cap must be a half-integer >= 2, got 1$"):
-            verify_classification(17, 1)
+    def test_the_walk_has_no_box(self, monkeypatch):
         caps = []
         walk = repdim._walk
         monkeypatch.setattr(repdim, "_walk", lambda n, max_dim, cap: caps.append(cap) or walk(n, max_dim, cap))
-        assert repr(verify_classification(17, Fraction(5, 2))) == repr(verify_classification(17))
-        assert caps == [5, None]
+        assert verify_classification(17).passed
+        assert caps == [None]
+        assert list(inspect.signature(verify_classification).parameters) == ["n"]
 
     def test_below_hypothesis_is_loud(self):
         with pytest.raises(HypothesisViolated):
