@@ -127,7 +127,7 @@ def _columns(iso: int, m: int, group_order: int | None) -> tuple:
     return gunther, whitney, wang, iso < gunther, iso <= whitney, wang > iso
 
 
-def _walk_chains(n: int, sep: str, head: str = "") -> Iterator[list[tuple[int, int, str]]]:
+def _walk_chains(n: int, sep: str, head: str) -> Iterator[list[tuple[int, int, str]]]:
     """The chains 0 < k_1 < ... < k_p < n a level at a time: for p = 1, 2, ...,
     the list of (k_p, flag dimension, head + sep.join(map(str, ks))) for
     every chain ks of length p, in ``combinations`` order.

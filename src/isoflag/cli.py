@@ -305,8 +305,11 @@ def cmd_repdim_dim(args) -> Output:
     )
 
 
+_HIT_FIELDS = ("weight", "dimension", "spin", "real_form", "sign_pair")
+
+
 def _hit_row(h: repdim_mod.EnumerationHit):
-    return [str(h.weight), str(h.dimension), h.spin, h.real_form, h.sign_pair]
+    return [str(h.weight), h.dimension, h.spin, h.real_form, h.sign_pair]
 
 
 def _hit_line(h: repdim_mod.EnumerationHit) -> str:
@@ -324,21 +327,9 @@ def cmd_repdim_enumerate(args) -> Output:
             "n": report.n,
             "max_dim": report.max_dim,
             "mu1_cap": str(report.mu1_cap),
-            "hits": [
-                {
-                    "weight": str(h.weight),
-                    "dimension": h.dimension,
-                    "spin": h.spin,
-                    "real_form": h.real_form,
-                    "sign_pair": h.sign_pair,
-                }
-                for h in report.hits
-            ],
+            "hits": [dict(zip(_HIT_FIELDS, _hit_row(h))) for h in report.hits],
         },
-        csv=lambda: [
-            ["weight", "dimension", "spin", "real_form", "sign_pair"],
-            *map(_hit_row, report.hits),
-        ],
+        csv=lambda: [_HIT_FIELDS, *map(_hit_row, report.hits)],
         text=lambda: [
             f"n={report.n} max_dim={report.max_dim} mu1_cap={report.mu1_cap}",
             *map(_hit_line, report.hits),
@@ -353,7 +344,7 @@ def cmd_repdim_verify(args) -> Output:
             "n": report.n,
             "bound": report.bound,
             "passed": report.passed,
-            "hits": [{"weight": str(h.weight), "dimension": h.dimension} for h in report.hits],
+            "hits": [dict(zip(_HIT_FIELDS[:2], _hit_row(h))) for h in report.hits],
             "checks": [
                 {"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks
             ],

@@ -145,8 +145,7 @@ class FlagSignature:
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
-        cuts = (0,) + self.ks + (self.n,)
-        return tuple(b - a for a, b in zip(cuts, cuts[1:]))
+        return tuple(s.stop - s.start for s in self._block_slices)
 
     def block_slices(self) -> tuple[slice, ...]:
         return self._block_slices

@@ -63,7 +63,7 @@ from .errors import (
 from .flagcore import _prechecked
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class HighestWeight:
     """A dominant weight for SO(n), stored as doubled integers.
 
@@ -75,11 +75,10 @@ class HighestWeight:
     doubled: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _index(self.n, "n"))
+        n = _index(self.n, "n")  # both are integers before n's range is checked
         d = tuple(_index(x, "doubled weight entry") for x in _entries(self.doubled, "doubled weight entries"))
         object.__setattr__(self, "doubled", d)
-        if self.n < 3:
-            raise NotDominant(f"need n >= 3, got n={self.n}")
+        object.__setattr__(self, "n", _at_least(n, "n", 3, NotDominant))
         m = self.n // 2
         if len(d) != m:
             raise NotDominant(f"need {m} entries for n={self.n}, got {len(d)}")
@@ -484,18 +483,18 @@ def _comparison_dims(n: int) -> list[int]:
     """The dimensions of (2, 1^{q-1}, 0, ..., 0) for q = 2..m, by the closed
     form q C(n+1, q+1) - C(n, q-1), then of (1^q, 0, ..., 0) for q = 3..m,
     C(n, q); at q = m for even n, half of each, one chiral half.  The
-    binomials come from C(n, q+1) = C(n, q)(n - q)/(q + 1) and
-    C(n+1, q+2) = C(n+1, q+1)(n - q)/(q + 2), each an exact division by a
-    small integer, rather than from 2m - 3 ``comb`` calls."""
+    binomials come from one row, C(n, q+2) = C(n, q+1)(n - q - 1)/(q + 2),
+    an exact division by a small integer, with C(n+1, q+1) =
+    C(n, q+1) + C(n, q), rather than from 2m - 3 ``comb`` calls."""
     hooks, wedges = [], []
-    below, c, c_up = 1, n, (n + 1) * n // 2  # C(n, q-1), C(n, q), C(n+1, q+1) at q = 1
+    below, c, above = 1, n, n * (n - 1) // 2  # C(n, q-1), C(n, q), C(n, q+1) at q = 1
     for q in range(1, n // 2 + 1):
         half = 2 if 2 * q == n else 1
         if q >= 2:
-            hooks.append((q * c_up - below) // half)
+            hooks.append((q * (above + c) - below) // half)
         if q >= 3:
             wedges.append(c // half)
-        below, c, c_up = c, c * (n - q) // (q + 1), c_up * (n - q) // (q + 2)
+        below, c, above = c, above, above * (n - q - 1) // (q + 2)
     return hooks + wedges
 
 

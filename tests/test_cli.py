@@ -400,6 +400,10 @@ class TestRepdimCommand:
         assert (code, out) == (2, "")
         assert err == "NotDominant: need mu_3 >= |mu_4| for even n: 1/2,1/2,1/2,-3/2\n"
 
+    def test_dim_below_n_3_is_not_dominant(self, capsys):
+        code, out, err = run(capsys, "repdim", "dim", "--n", "2", "--weight", "1")
+        assert (code, out, err) == (2, "", "NotDominant: need n >= 3, got 2\n")
+
     def test_dim_mixed_parity_exit_2(self, capsys):
         code, _, err = run(capsys, "repdim", "dim", "--n", "9", "--weight", "2,1,1/2,1/2")
         assert code == 2

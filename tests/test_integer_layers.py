@@ -253,13 +253,14 @@ def test_value_below_range_is_refused(f, param):
         assert empty is not None and empty(result)
 
 
-RANGE_REFUSAL = re.compile(r"^(need .+|.+ must be) (>=|at least) .+, got \{\}")
+RANGE_REFUSAL = re.compile(r"^(need .+|.+ must be) (>=|at least) .+, got (\w+=)?\{\}")
 
 
 def range_refusals(tree: ast.Module):
     """The name of each function that raises an error whose message reads
     ``need ... >= ..., got {value}``, ``... must be >= ..., got {value}`` or
-    ``... must be at least ..., got {value}``."""
+    ``... must be at least ..., got {value}``, the value perhaps named as in
+    ``got n={value}``."""
     for func in ast.walk(tree):
         if not isinstance(func, ast.FunctionDef):
             continue
