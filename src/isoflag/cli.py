@@ -133,7 +133,7 @@ def read_matrix_file(path: str) -> np.ndarray:
     try:
         with open(path, encoding="utf-8") as fh:
             tokens = fh.read().split()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read matrix file {path!r}: {e}") from None
     if not tokens:
         raise ValidationError(f"matrix file {path!r} is empty")

@@ -68,10 +68,11 @@ def _quietly(compute, overflow: str | None = None):
 
 
 def _float_array(a, error) -> np.ndarray:
-    """``a`` as a float array: a bool, int or float array itself, any other ``a`` entry by entry by ``errors._real``."""
+    """``a`` as a plain float array: a bool, int or float array, an ndarray subclass (a matrix, a masked
+    array, a memmap) as the plain array of its data, any other ``a`` entry by entry by ``errors._real``."""
     with contextlib.suppress(TypeError, ValueError):
         if isinstance(a, np.ndarray) and a.dtype.kind in "biuf":  # a longdouble past a double: inf, refused later
-            return _quietly(lambda: a.astype(float)) if a.dtype.itemsize > 8 else a.astype(float, copy=False)
+            return _quietly(lambda: np.asarray(a, dtype=float)) if a.dtype.itemsize > 8 else np.asarray(a, dtype=float)
         out = np.asarray(a, dtype=object)  # unlike numpy's own reading, a 0-d array inside a list stays an object
         vals = [_real(v) for v in out.flat]
         if not isinstance(a, _STRINGS) and None not in vals:

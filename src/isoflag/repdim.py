@@ -508,8 +508,8 @@ def verify_classification(n: int) -> ClassificationReport:
     1. the spin dimension exceeds the bound (n-1)(n+2)/2 (this is what the
        n >= 17 hypothesis buys);
     2. exactly four dominant weights fit at or below the bound: 0,
-       (1,0,...), (1,1,0,...), (2,0,...), with their closed-form dimensions
-       1, n, n(n-1)/2, (n-1)(n+2)/2, over every weight (the walk has no box);
+       (1,0,...), (1,1,0,...), (2,0,...), with dimensions 1, C(n, 1) and
+       C(n, 2) (``_wedge_dim``) and the bound, over every weight (the walk has no box);
     3. the comparison weights (2,1^{q-1},0,...) for q = 2..m and
        (1^q,0,...) for q = 3..m all exceed the bound ((1,1,0,...) is the
        lone exception below it), by their closed forms
@@ -517,48 +517,22 @@ def verify_classification(n: int) -> ClassificationReport:
     4. the single-row closed form exceeds the bound at s = 3 and s = 4.
     """
     n = _at_least(n, "n", _CLASSIFIED_FROM, HypothesisViolated)
-    m = n // 2
-    bound = _traceless_sym(n)
-    checks = []
-
-    spin = _spin_dim(n)
-    checks.append(
-        CheckResult("spin_exceeds_bound", spin > bound, f"{spin} > {bound}")
-    )
-
-    report = _walk(n, bound, None)
+    m, bound = n // 2, _traceless_sym(n)
+    spin, hits = _spin_dim(n), _walk(n, bound, None).hits
+    found = {h.weight.doubled: h.dimension for h in hits}
     expected = {
         (0,) * m: 1,
-        (2,) + (0,) * (m - 1): n,
-        (2, 2) + (0,) * (m - 2): n * (n - 1) // 2,
+        (2,) + (0,) * (m - 1): _wedge_dim(n, 1),
+        (2, 2) + (0,) * (m - 2): _wedge_dim(n, 2),
         (4,) + (0,) * (m - 1): bound,
     }
-    found = {h.weight.doubled: h.dimension for h in report.hits}
-    checks.append(
-        CheckResult(
-            "only_four_low_weights",
-            found == expected,
-            f"hit dims {sorted(found.values())}, expected {sorted(expected.values())}",
-        )
-    )
-
     comparison = _comparison_dims(n)
-    worst = min(comparison)
-    checks.append(
-        CheckResult(
-            "proof_case_weights_exceed_bound",
-            worst > bound,
-            f"{len(comparison)} comparison weights, smallest dimension {worst} vs bound {bound}",
-        )
-    )
-
-    rows = {s: _single_row(n, s) for s in (3, 4)}
-    checks.append(
-        CheckResult(
-            "single_row_exceeds_bound",
-            all(v > bound for v in rows.values()),
-            f"s=3: {rows[3]}, s=4: {rows[4]}, bound {bound}",
-        )
-    )
-
-    return ClassificationReport(n, bound, report.hits, tuple(checks))
+    smallest, s3, s4 = min(comparison), _single_row(n, 3), _single_row(n, 4)
+    return ClassificationReport(n, bound, hits, (
+        CheckResult("spin_exceeds_bound", spin > bound, f"{spin} > {bound}"),
+        CheckResult("only_four_low_weights", found == expected,
+                    f"hit dims {sorted(found.values())}, expected {sorted(expected.values())}"),
+        CheckResult("proof_case_weights_exceed_bound", smallest > bound,
+                    f"{len(comparison)} comparison weights, smallest dimension {smallest} vs bound {bound}"),
+        CheckResult("single_row_exceeds_bound", s3 > bound and s4 > bound, f"s=3: {s3}, s=4: {s4}, bound {bound}"),
+    ))

@@ -51,11 +51,12 @@ def write_model(tmp_path, n, ks, values, name="model.txt", shift=None):
     return path, sig, spec
 
 
-def close_after_first_line(argv):
-    """Run the CLI in a subprocess, read one line of its stdout, close the
-    pipe, and return (that line, exit code, stderr)."""
+def close_after_first_line(argv, **env):
+    """Run the CLI in a subprocess, with ``env`` added to the environment,
+    read one line of its stdout, close the pipe, and return (that line, exit
+    code, stderr)."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    env = {**os.environ, **env, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     with subprocess.Popen([sys.executable, "-m", "isoflag.cli", *argv],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         try:
@@ -116,6 +117,16 @@ class TestMatrixFiles:
         code, _, err = run(capsys, "recover", "--matrix-file", "/nonexistent", "--ks", "1")
         assert code == 2
         assert err.strip()
+
+    def test_undecodable_file_exit_2(self, capsys, tmp_path):
+        """A matrix file is UTF-8 text; one that does not decode is refused
+        as an unreadable file, not with a traceback."""
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"2\n1 0\n0 1\xff\n")
+        code, out, err = run(capsys, "project", "--matrix-file", str(path), "--ks", "1")
+        assert (code, out) == (2, "")
+        assert err == (f"ValidationError: cannot read matrix file {str(path)!r}: 'utf-8' codec can't decode "
+                       "byte 0xff in position 9: invalid start byte\n")
 
 
 class TestEmbedCommand:
@@ -183,6 +194,15 @@ class TestEmbedCommand:
             ["embed", "--n", "300", "--ks", "1", "--identity", "--format", fmt])
         assert first.count(b",") == 299 if fmt == "csv" else first == {"text": b"n: 300\n", "json": b"{\n"}[fmt]
         assert (code, err) == (141, b"")
+
+    @pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+    def test_closed_unbuffered_stdout_exits_141_without_traceback(self, fmt):
+        """With ``PYTHONUNBUFFERED=1`` each 64 KiB slice goes straight to the
+        pipe, and a reader that closes it after one line still ends the run
+        with exit code 141 and nothing on stderr."""
+        first, code, err = close_after_first_line(
+            ["embed", "--n", "300", "--ks", "1", "--identity", "--format", fmt], PYTHONUNBUFFERED="1")
+        assert first and (code, err) == (141, b"")
 
     def test_q_file_input(self, capsys, tmp_path):
         q = np.eye(3)

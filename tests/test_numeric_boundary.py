@@ -11,11 +11,13 @@ factor), is read by one rule, ``errors._real``.  The generated test below
 feeds 13 public entry points 12 hostile values with every warning turned
 into an error: each call must raise an ``IsoflagError``, never a bare numpy
 exception, a warning or a wrong value.
-The second half checks that valid input of other types (int lists, float32
-arrays, lists of numpy scalars, ``Fraction`` and numpy floats) still
-passes, with the same result.
+An ndarray subclass is read as the plain array of its data, so a mask hides
+no NaN.  The second half checks that valid input of other types (int lists,
+float32 arrays, a ``np.matrix``, a memmap, lists of numpy scalars,
+``Fraction`` and numpy floats) still passes, with the same result.
 """
 
+import re
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -243,7 +245,46 @@ def test_a_finite_input_whose_result_overflows_raises_without_a_warning(call, er
             call()
 
 
+def as_matrix(a) -> np.matrix:
+    """``a`` as a ``np.matrix``, whose constructor's ``PendingDeprecationWarning`` pyproject makes an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PendingDeprecationWarning)
+        return np.matrix(a)
+
+
+@pytest.mark.parametrize("masked, error, message", [
+    (lambda: SymmetricMatrix(np.ma.array([[1.0, np.nan], [np.nan, 1.0]], mask=[[0, 1], [1, 0]])),
+     NotSymmetric, "entries must be finite"),
+    (lambda: SymmetricMatrix(np.ma.array([[1.0, 5.0], [2.0, 1.0]], mask=[[0, 1], [0, 0]])),
+     NotSymmetric, "asymmetry 4.243e+00 exceeds"),
+    (lambda: Spectrum(np.ma.array([0.5, np.nan], mask=[0, 1]), make_signature(2, [1])),
+     SpectrumInvalid, "entries must be finite"),
+], ids=["SymmetricMatrix-nan", "SymmetricMatrix-asymmetric", "Spectrum-nan"])
+def test_a_mask_hides_no_entry(masked, error, message):
+    """A masked array is read as the plain array of its data, so a NaN or an
+    asymmetric pair under the mask is refused as an unmasked one is."""
+    with pytest.raises(error, match="^" + re.escape(message)):
+        masked()
+
+
 # -- valid input of other types passes unchanged ------------------------------
+
+
+def test_a_matrix_or_memmap_reads_as_the_plain_array_of_its_data(tmp_path):
+    """An ndarray subclass is read as a plain ndarray: a ``np.matrix`` gives
+    the results of its data, and its ``*`` never reaches the numeric layers."""
+    eye = as_matrix(np.eye(4))
+    mapped = np.memmap(tmp_path / "sym.bin", dtype=float, mode="w+", shape=SYM.shape)
+    mapped[:] = SYM
+    for stored, data in [(SymmetricMatrix(as_matrix(SYM)).entries, SYM), (SymmetricMatrix(mapped).entries, SYM),
+                         (FlagPoint(eye, SIG).q, np.eye(4)), (act(eye, identity_flag(SIG)).q, np.eye(4)),
+                         (TangentBlock(SIG, as_matrix(BLOCK.matrix)).matrix, BLOCK.matrix)]:
+        assert type(stored) is np.ndarray and np.array_equal(stored, data)
+    plain = descend(grad_tol=0)
+    matrix = gradient_descent(lambda x: as_matrix(x - SYM), SPEC, BASE, max_iters=2, grad_tol=0)
+    assert matrix.grad_norms == plain.grad_norms
+    assert np.array_equal(matrix.point.x.entries, plain.point.x.entries)
+
 
 
 def test_int_and_float32_arrays_read_as_float():
