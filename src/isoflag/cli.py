@@ -10,7 +10,8 @@ to stderr, and no warning.  That holds for the parser's own refusals too
 are one ``ValidationError:`` line instead of argparse's usage block.  When
 the reader of stdout closes it early (``| head``), the output stops without
 a traceback and the exit code is 141 (128 + SIGPIPE), as for a process that
-SIGPIPE ended.
+SIGPIPE ended.  Any other failed write to stdout (a full disk) exits 1 with
+the one stderr line ``OSError: reason``, and no traceback.
 
 Matrix files are plain text: the first line holds the size n, followed by
 n rows of n whitespace-separated finite decimal reals.  Floating-point
@@ -154,19 +155,21 @@ def read_matrix_file(path: str) -> np.ndarray:
     return np.array(vals, dtype=float).reshape(n, n)
 
 
-def _signature_spectrum(args, n: int):
+def _spectrum(args, n: int) -> Spectrum:
     sig = make_signature(n, _parse_list(args.ks, int, "integer"))
     if not args.spectrum:
-        return sig, default_traceless_spectrum(sig)
-    return sig, Spectrum(_parse_list(args.spectrum, float, "number"), sig)
+        return default_traceless_spectrum(sig)
+    return Spectrum(_parse_list(args.spectrum, float, "number"), sig)
 
 
-def _matrix_input(args, flag_name: str, path: str) -> SymmetricMatrix:
+def _matrix_and_spectrum(args, flag: str, path: str) -> tuple[SymmetricMatrix, Spectrum]:
+    """The matrix in the file ``path`` given as option ``flag``, of size
+    ``--n`` if that is given, and the spectrum of ``--ks`` at its size."""
     a = SymmetricMatrix(read_matrix_file(path))
     n = a.entries.shape[0]
     if args.n is not None and args.n != n:
-        raise ValidationError(f"--n {args.n} disagrees with the {n}x{n} matrix in {flag_name}")
-    return a
+        raise ValidationError(f"--n {args.n} disagrees with the {n}x{n} matrix in {flag}")
+    return a, _spectrum(args, n)
 
 
 def _at_most_max_n(n: int) -> int:
@@ -177,7 +180,8 @@ def _at_most_max_n(n: int) -> int:
 
 
 def cmd_embed(args) -> Output:
-    sig, spec = _signature_spectrum(args, _at_most_max_n(args.n))
+    spec = _spectrum(args, _at_most_max_n(args.n))
+    sig = spec.signature
     if args.identity:
         f = identity_flag(sig)
     elif args.q_file:
@@ -207,8 +211,8 @@ def cmd_embed(args) -> Output:
 
 
 def cmd_recover(args) -> Output:
-    a = _matrix_input(args, "--matrix-file", args.matrix_file)
-    sig, spec = _signature_spectrum(args, a.entries.shape[0])
+    a, spec = _matrix_and_spectrum(args, "--matrix-file", args.matrix_file)
+    sig = spec.signature
     q = recover(a, spec, eig_tol=args.eig_tol).q
     blocks = list(zip(spec.values, sig.block_sizes, sig.block_slices()))
 
@@ -245,8 +249,7 @@ def _distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def cmd_project(args) -> Output:
-    a = _matrix_input(args, "--matrix-file", args.matrix_file)
-    _, spec = _signature_spectrum(args, a.entries.shape[0])
+    a, spec = _matrix_and_spectrum(args, "--matrix-file", args.matrix_file)
     nearest = nearest_point(a, spec, gap_tol=args.gap_tol).x.entries
     dist = _distance(a.entries, nearest)
     return Output(
@@ -257,9 +260,8 @@ def cmd_project(args) -> Output:
 
 
 def cmd_optimize(args) -> Output:
-    target = _matrix_input(args, "--target-file", args.target_file)
-    sig, spec = _signature_spectrum(args, target.entries.shape[0])
-    init = embed(random_flag_point(sig, args.seed), spec)
+    target, spec = _matrix_and_spectrum(args, "--target-file", args.target_file)
+    init = embed(random_flag_point(spec.signature, args.seed), spec)
     step = args.step if args.step is not None else default_step(spec)
     result = gradient_descent(
         lambda x: x - target.entries,
@@ -540,27 +542,24 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--seed", type=int, default=0, help="seed for a random flag")
     add_format(pe)
 
+    def add_matrix_inputs(p, flag, n_help=None):  # read by ``_matrix_and_spectrum``
+        p.add_argument(flag, required=True)
+        p.add_argument("--n", type=int, help=n_help)
+        p.add_argument("--ks", required=True)
+        p.add_argument("--spectrum")
+
     pr = sub.add_parser("recover", help="read the flag off a model matrix")
-    pr.add_argument("--matrix-file", required=True)
-    pr.add_argument("--n", type=int, help="cross-check against the matrix file")
-    pr.add_argument("--ks", required=True)
-    pr.add_argument("--spectrum")
+    add_matrix_inputs(pr, "--matrix-file", "cross-check against the matrix file")
     pr.add_argument("--eig-tol", type=float, default=EIG_TOL)
     add_format(pr)
 
     pp = sub.add_parser("project", help="nearest model point to a symmetric matrix")
-    pp.add_argument("--matrix-file", required=True)
-    pp.add_argument("--n", type=int)
-    pp.add_argument("--ks", required=True)
-    pp.add_argument("--spectrum")
+    add_matrix_inputs(pp, "--matrix-file")
     pp.add_argument("--gap-tol", type=float, default=SPECTRUM_GAP_TOL)
     add_format(pp)
 
     po = sub.add_parser("optimize", help="gradient descent toward a target matrix")
-    po.add_argument("--target-file", required=True)
-    po.add_argument("--n", type=int)
-    po.add_argument("--ks", required=True)
-    po.add_argument("--spectrum")
+    add_matrix_inputs(po, "--target-file")
     po.add_argument("--step", type=float, help="default: 0.1 / (max spectrum gap)^2")
     po.add_argument("--max-iters", type=int, default=500)
     po.add_argument("--grad-tol", type=float, default=1e-6)
@@ -643,10 +642,13 @@ def entrypoint() -> None:
     try:
         code = main(sys.argv[1:])
         sys.stdout.flush()  # inside the try: the last buffered bytes may meet the closed pipe
-    except BrokenPipeError:
-        # the reader closed stdout (``| head``): the flush at exit goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 141  # 128 + SIGPIPE, as for a process that SIGPIPE ended
+    except OSError as e:  # the reader closed stdout (``| head``), or a write failed (a full disk)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit cannot fail
+        if isinstance(e, BrokenPipeError):
+            code = 141  # 128 + SIGPIPE, as for a process that SIGPIPE ended
+        else:
+            print(f"{type(e).__name__}: {e}", file=sys.stderr)
+            code = 1
     sys.exit(code)
 
 

@@ -86,14 +86,10 @@ class HighestWeight:
             raise MixedParity(f"entries mix integers and half-integers: {self._pretty(d)}")
         if any(a < b for a, b in zip(d, d[1:])):
             raise NotDominant(f"entries must be nonincreasing: {self._pretty(d)}")
-        if self.n % 2 == 1:
-            if d[-1] < 0:
-                raise NotDominant(f"last entry must be >= 0 for odd n: {self._pretty(d)}")
-        else:
-            if d[-2] < abs(d[-1]):  # even n >= 4, so m >= 2
-                raise NotDominant(
-                    f"need mu_{m - 1} >= |mu_{m}| for even n: {self._pretty(d)}"
-                )
+        if self.n % 2 == 1 and d[-1] < 0:
+            raise NotDominant(f"last entry must be >= 0 for odd n: {self._pretty(d)}")
+        if self.n % 2 == 0 and d[-2] < abs(d[-1]):  # even n >= 4, so m >= 2
+            raise NotDominant(f"need mu_{m - 1} >= |mu_{m}| for even n: {self._pretty(d)}")
 
     @staticmethod
     def _pretty(doubled: Sequence[int]) -> str:
@@ -207,10 +203,10 @@ def _count_factors(ends: dict[int, int], n: int, doubled: Sequence[int], c: int)
                     add(l[i] + l[u - 1], l[i] + l[t])
 
 
-def _lead_step(n: int, K: int, v: int, suffix: tuple[int, ...]) -> tuple[int, int]:
+def _lead_step(n: int, K: int, v: int, runs: tuple | None) -> tuple[int, int]:
     """(p, q) with dim(w') q = dim(w) p, for the dominant weights
     w = (v,)*K + suffix and w' = (v+2,)*K + suffix, doubled, with
-    suffix[0] <= v and every entry >= 0.
+    suffix[0] <= v, every entry >= 0 and suffix given as ``_walk``'s runs.
 
     The lead coordinates l_i = v + n - 2i, i = 1..K, step by 2, so raising
     them all by 2 drops L = l_K and adds U = l_1 + 2; every other factor of
@@ -229,16 +225,15 @@ def _lead_step(n: int, K: int, v: int, suffix: tuple[int, ...]) -> tuple[int, in
     p, q = prod(range(U - K + 1, U)), prod(range(L + 1, U - K))
     if n % 2:
         p, q = p * U, q * L
-    i = 0
-    while i < len(suffix):
-        s = suffix[i]
-        c = suffix.count(s)  # nonincreasing, so the copies of s are one run
-        hi = s + n - 2 * (K + i + 1)  # l_j at the run's first j, then down by 2
+    j = K + 1  # the index of the run's first entry
+    while runs:
+        s, c, runs = runs  # a count-0 cell gives empty progressions, no factor
+        hi = s + n - 2 * j  # l_j at the run's first j, then down by 2
         lo = hi - 2 * (c - 1)
         k = 2 * min(c, K)  # twice the terms left of each progression
         p *= prod(range(U - lo - k + 2, U - lo + 1, 2)) * prod(range(U + hi - k + 2, U + hi + 1, 2))
         q *= prod(range(L - hi, L - hi + k, 2)) * prod(range(L + lo, L + lo + k, 2))
-        i += c
+        j += c
     return p, q
 
 
@@ -386,20 +381,22 @@ def _walk(n: int, max_dim: int, cap: int | None) -> EnumerationReport:
     """``enumerate_low_dim`` for trusted n >= 3, an int max_dim and a doubled
     cap >= 4 or None."""
     hits = []
-    # A node fixes entry k above the fixed entries `suffix`, starting from
-    # `lo`; `dim` is the dimension of the smallest completion at `lo`.  The
-    # roots, the zero weight and (1/2, ..., 1/2), start with their closed
-    # dimensions 1 and the spin dimension; every other node with one that its
-    # parent evaluated and kept.  So one test prunes every evaluated node,
-    # and at v == lo only a root can fail it; a raise whose floor exceeds
-    # max_dim is pruned before it is evaluated.  A completion is m ints of
-    # one parity, nonincreasing and >= 0, so dominant: it is built without
-    # the validator, and so is each hit, which is a completion.
+    # A node fixes entry k above the fixed entries `runs`, cells (s, c, rest)
+    # of c copies of s and then rest, which a push shares and never copies;
+    # it starts from lo = runs[0], and `dim` is the dimension of the smallest
+    # completion at lo.  The roots, the zero weight and (1/2, ..., 1/2), are
+    # empty cells with the closed dimensions 1 and the spin dimension; every
+    # other node with one that its parent evaluated and kept.  So one test
+    # prunes every evaluated node, and at v == lo only a root can fail it; a
+    # raise whose floor exceeds max_dim is pruned before it is evaluated.  A
+    # completion (m nonincreasing ints >= 0 of one parity) is dominant, so it
+    # and each hit, a completion, are built without the validator.
     floored = _floored(n, max_dim)
-    todo = [(n // 2 - 1, (), lo, dim) for lo, dim in ((0, 1), (1, _spin_dim(n)))]
+    todo = [(n // 2 - 1, (lo, 0, None), dim) for lo, dim in ((0, 1), (1, _spin_dim(n)))]
     visited, pruned, floor_pruned = len(todo), 0, 0
     while todo:
-        k, suffix, lo, dim = todo.pop()
+        k, runs, dim = todo.pop()
+        lo, c, rest = runs
         for v in count(lo, 2) if cap is None else range(lo, cap + 1, 2):
             if v > lo:
                 visited += 1
@@ -407,17 +404,19 @@ def _walk(n: int, max_dim: int, cap: int | None) -> EnumerationReport:
                     pruned += 1
                     floor_pruned += 1
                     break
-                p, q = _lead_step(n, k + 1, v - 2, suffix)
+                p, q = _lead_step(n, k + 1, v - 2, runs)
                 dim, r = divmod(dim * p, q)
                 if r != 0:
-                    raise ArithmeticError(f"dimension ratio is not integral at n={n}, {(v,) * (k + 1) + suffix}")
+                    raise ArithmeticError(f"dimension ratio is not integral at n={n}, K={k + 1}, v={v}")
             if dim > max_dim:
                 pruned += 1
                 break
             if k > 0:
-                todo.append((k - 1, (v,) + suffix, v, dim))
+                todo.append((k - 1, (v, c + 1, rest) if v == lo else (v, 1, runs), dim))
                 continue
-            doubled = (v,) + suffix
+            doubled, cell = (v,), runs  # a hit expands its run list once
+            while cell:
+                doubled, cell = doubled + (cell[0],) * cell[1], cell[2]
             w = _prechecked(HighestWeight, n=n, doubled=doubled)
             sign_pair = n % 2 == 0 and doubled[-1] > 0
             # its last 2 - n % 2 entries are zero; the walk keeps them >= 0 (even n >= 4, so m >= 2)

@@ -51,14 +51,19 @@ def write_model(tmp_path, n, ks, values, name="model.txt", shift=None):
     return path, sig, spec
 
 
+def cli_env(**env):
+    """The environment of a CLI subprocess: this one's, with ``env`` added and
+    the package under test first on the path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, **env, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+
 def close_after_first_line(argv, **env):
     """Run the CLI in a subprocess, with ``env`` added to the environment,
     read one line of its stdout, close the pipe, and return (that line, exit
     code, stderr)."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, **env, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     with subprocess.Popen([sys.executable, "-m", "isoflag.cli", *argv],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(**env)) as proc:
         try:
             first = proc.stdout.readline()
             proc.stdout.close()
@@ -67,6 +72,19 @@ def close_after_first_line(argv, **env):
             if proc.poll() is None:
                 proc.kill()
         return first, code, proc.stderr.read()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, whose every write fails")
+@pytest.mark.parametrize("argv", [["repdim", "verify", "--n", "17"],
+                                  ["embed", "--n", "300", "--ks", "1", "--identity", "--format", "json"]])
+def test_failed_stdout_write_exits_1_with_one_line(argv):
+    """A stdout write that fails for another reason than a closed pipe (a full
+    disk) ends with exit code 1 and one stderr line, not a traceback: at the
+    last flush for the short text, in the middle of the JSON document."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "isoflag.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, env=cli_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, b"OSError: [Errno 28] No space left on device\n")
 
 
 class TestMatrixFiles:

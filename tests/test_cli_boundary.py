@@ -149,7 +149,7 @@ def refuse_to_build(*args, **kwargs):
 
 @pytest.mark.parametrize("n", [MAX_N + 1, 99999999999999999999])
 def test_embed_refuses_a_huge_n_before_building_anything(capsys, monkeypatch, n):
-    monkeypatch.setattr(cli, "_signature_spectrum", refuse_to_build)
+    monkeypatch.setattr(cli, "_spectrum", refuse_to_build)
     assert main(["embed", "--n", str(n), "--ks", "1", "--identity"]) == 2
     assert capsys.readouterr() == ("", f"ValidationError: --n must be at most 8192, got {n}\n")
 

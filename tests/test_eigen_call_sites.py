@@ -79,12 +79,12 @@ def test_linalg_norm_is_never_called():
 
 
 def test_validating_constructors_run_only_where_a_check_can_fail():
-    """The CLI's matrix files, all read by ``_matrix_input``, and its
+    """The CLI's matrix files, all read by ``_matrix_and_spectrum``, and its
     ``--q-file``; the LAPACK frames of ``random_flag_point`` and ``recover``,
     both built by ``flagcore._oriented_flag``; and ``act``'s rotation, its
     product and, where that is refused, the product repaired."""
     assert call_sites("SymmetricMatrix", "FlagPoint", "EmbeddedFlag") == [
-        ("cli", "_matrix_input", "SymmetricMatrix"),
+        ("cli", "_matrix_and_spectrum", "SymmetricMatrix"),
         ("cli", "cmd_embed", "FlagPoint"),
         ("embed", "act", "FlagPoint"),
         ("embed", "act", "FlagPoint"),

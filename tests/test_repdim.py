@@ -634,6 +634,31 @@ def reference_walk(n: int, max_dim: int, cap_doubled, floor_pruned=None):
     return hits, visited, pruned
 
 
+def as_runs(suffix, runs=None):
+    """The walk's run list of a nonincreasing tuple: cells (s, c, rest) of c
+    copies of s, then the cells rest, which end in ``runs``."""
+    for s, copies in itertools.groupby(reversed(suffix)):
+        runs = (s, len(list(copies)), runs)
+    return runs
+
+
+def run_cells(runs) -> list:
+    """The cells of a run list, checked to be well formed: each a (value,
+    count, rest) triple of ints and a run list, with a positive count except
+    in a root's empty cell (parity, 0, None), which may only end the list."""
+    cells = []
+    while runs is not None:
+        assert isinstance(runs, tuple) and len(runs) == 3, runs[:4]
+        cells.append(runs)
+        s, c, runs = runs
+        assert type(s) is int and type(c) is int and (c > 0 or (c == 0 and runs is None)), cells[-1][:2]
+    return cells
+
+
+def run_entries(runs) -> tuple:
+    return tuple(s for s, c, _ in run_cells(runs) for _ in range(c))
+
+
 class TestLeadStep:
     """``_lead_step`` against the ratio of two weyl_dim products."""
 
@@ -647,11 +672,14 @@ class TestLeadStep:
         suffix = tuple(sorted(data.draw(
             st.lists(st.integers(min_value=0, max_value=(v - parity) // 2).map(lambda x: 2 * x + parity),
                      min_size=m - K, max_size=m - K), label="suffix"), reverse=True))
-        p, q = repdim._lead_step(n, K, v, suffix)
+        assert run_entries(as_runs(suffix)) == suffix
+        p, q = repdim._lead_step(n, K, v, as_runs(suffix))
         before = weyl_dim(HighestWeight(n, (v,) * K + suffix))
         after = weyl_dim(HighestWeight(n, (v + 2,) * K + suffix))
         assert p > 0 and q > 0
         assert after * q == before * p
+        # a root's empty cell, which ends the walk's run lists, adds no factor
+        assert repdim._lead_step(n, K, v, as_runs(suffix, (parity, 0, None))) == (p, q)
 
 
 def test_lead_step_cancels_the_shared_progressions():
@@ -659,7 +687,7 @@ def test_lead_step_cancels_the_shared_progressions():
     progression: at n = 8192 a run of 4095 zeros against K = 1 leaves four
     small factors, where multiplying out whole progressions gives integers
     of tens of thousands of bits."""
-    assert max(repdim._lead_step(8192, 1, 0, (0,) * 4095)).bit_length() <= 64
+    assert max(repdim._lead_step(8192, 1, 0, as_runs((0,) * 4095))).bit_length() <= 64
 
 
 class TestWalkOracle:
@@ -710,7 +738,7 @@ class TestFloorPruning:
     def lead_steps(self, monkeypatch):
         seen = []
         lead_step = repdim._lead_step
-        monkeypatch.setattr(repdim, "_lead_step", lambda n, K, v, suffix: seen.append(K) or lead_step(n, K, v, suffix))
+        monkeypatch.setattr(repdim, "_lead_step", lambda n, K, v, runs: seen.append(K) or lead_step(n, K, v, runs))
         return seen
 
     def test_trivial_cutoff_at_4096_takes_no_step(self, lead_steps):
@@ -723,6 +751,18 @@ class TestFloorPruning:
     def test_verify_takes_six_steps(self, n, lead_steps):
         assert verify_classification(n).passed
         assert len(lead_steps) == 6 and max(lead_steps) <= 2
+
+    def test_steps_share_short_run_lists(self, monkeypatch):
+        """The walk hands ``_lead_step`` its fixed entries as a run list of a
+        few cells, not as a copied tuple of m - K entries."""
+        seen = []
+        lead_step = repdim._lead_step
+        monkeypatch.setattr(repdim, "_lead_step", lambda n, K, v, runs: seen.append((K, runs)) or lead_step(n, K, v, runs))
+        assert verify_classification(8192).passed
+        assert len(seen) == 6
+        for K, runs in seen:
+            assert len(run_cells(runs)) <= 3
+            assert len(run_entries(runs)) == 4096 - K
 
 
 class TestTrustedWalk:
@@ -737,10 +777,11 @@ class TestTrustedWalk:
     def revalidated(self, monkeypatch):
         seen = []
 
-        def checked_lead_step(n, K, v, suffix):
+        def checked_lead_step(n, K, v, runs):
+            suffix = run_entries(runs)
             HighestWeight(n, (v,) * K + suffix)  # raises on a bad weight
             seen.append(HighestWeight(n, (v + 2,) * K + suffix))
-            return lead_step(n, K, v, suffix)
+            return lead_step(n, K, v, runs)
 
         lead_step = repdim._lead_step
         monkeypatch.setattr(repdim, "_lead_step", checked_lead_step)
