@@ -60,7 +60,7 @@ def _block_frame(vec: np.ndarray, spec: Spectrum) -> np.ndarray:
 def _eig_deviation(lam: np.ndarray, spec: Spectrum) -> float:
     """Largest distance between the ascending eigenvalues lam of an n x n
     symmetric matrix and the spectrum values repeated by block size."""
-    return float(np.max(np.abs(lam - np.sort(spec.repeated()))))
+    return float(np.max(np.abs(lam - np.sort(spec._diagonal))))
 
 
 def _check_on_model(lam: np.ndarray, spec: Spectrum, eig_tol: float) -> None:
@@ -134,27 +134,25 @@ def _model_image(q: np.ndarray, spec: Spectrum) -> np.ndarray:
     """q diag(a) q' for a frame q, checked to lie on the model as
     ``EmbeddedFlag`` checks it, and read-only.
 
-    The Ostrowski certificate stands in for the eigenvalue check.  It
-    accepts only a matrix whose exact eigenvalues are within EIG_TOL of the
-    spectrum, less the margin it leaves for eigvalsh's backward error, so
-    the eigenvalue check accepts it too whenever that error is within the
-    margin.  When it declines a frame for its defect alone, one that an
-    orthogonal frame would pass, and the defect is at most 1/2, one
-    Newton-Schulz step repairs the frame and its image is certified again:
-    LAPACK's eigenvectors of a matrix with clustered eigenvalues can be
-    orthonormal to within only 1e-5.  When the certificate still cannot
-    prove membership, the eigenvalue check itself runs and gives the verdict
-    and the error message."""
-    n = q.shape[0]
+    The frame is settled first and its one image formed after.  The Ostrowski
+    certificate stands in for the eigenvalue check.  It accepts only a matrix
+    whose exact eigenvalues are within EIG_TOL of the spectrum, less the
+    margin it leaves for eigvalsh's backward error, so the eigenvalue check
+    accepts it too whenever that error is within the margin.  When it declines
+    a frame for its defect alone, one that an orthogonal frame would pass, and
+    the defect is at most 1/2, one Newton-Schulz step repairs the frame before
+    its image is formed: LAPACK's eigenvectors of a matrix with clustered
+    eigenvalues can be orthonormal to within only 1e-5.  When the certificate
+    still cannot prove membership, the eigenvalue check itself runs on the
+    image and gives the verdict and the error message."""
+    n, delta = q.shape[0], _orth_defect(q)
+    certified = _ostrowski_certifies(delta, n, spec)
+    if not certified and delta <= 0.5 and _ostrowski_certifies(0.0, n, spec):
+        q = _newton_schulz(q)
+        certified = _ostrowski_certifies(_orth_defect(q), n, spec)
     x = _embedded_image(q, spec)
-    delta = _orth_defect(q)
-    if not _ostrowski_certifies(delta, n, spec):
-        if delta <= 0.5 and _ostrowski_certifies(0.0, n, spec):
-            q = _newton_schulz(q)
-            x = _embedded_image(q, spec)
-            delta = _orth_defect(q)
-        if not _ostrowski_certifies(delta, n, spec):
-            _check_on_model(_eigh(x, vectors=False), spec, EIG_TOL)
+    if not certified:
+        _check_on_model(_eigh(x, vectors=False), spec, EIG_TOL)
     x.setflags(write=False)
     return x
 

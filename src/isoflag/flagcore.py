@@ -15,7 +15,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -250,19 +249,15 @@ class Spectrum:
 def default_traceless_spectrum(sig: FlagSignature) -> Spectrum:
     """Canonical spectrum for a signature: strictly decreasing, traceless.
 
-    Starts from the integer ladder p, p-1, ..., 0 over the blocks, removes
-    the block-size-weighted mean so the model matrix is traceless, and
-    scales so the total spread max(a) - min(a) is exactly 1.  Consecutive
-    values then differ by 1/p, uniformly for every signature, which keeps
-    tolerances and step sizes meaningful across signatures.
+    The integer ladder p, ..., 1, 0 over the p+1 blocks, less its block-size-weighted
+    mean so the model matrix is traceless, over p so the spread max(a) - min(a) is 1:
+    consecutive values differ by 1/p for every signature, which keeps tolerances
+    and step sizes meaningful across signatures.  Value i is the one correctly
+    rounded integer division ((p - i) n - sum_j n_j (p - j)) / (n p).
     """
-    sizes = sig.block_sizes
-    r = sig.num_blocks
-    ladder = [r - 1 - i for i in range(r)]
-    mean = Fraction(sum(s * c for s, c in zip(sizes, ladder)), sig.n)
-    spread = r - 1
-    vals = tuple(float(Fraction(c - mean, spread)) for c in ladder)
-    return Spectrum(vals, sig)
+    n, p = sig.n, sig.num_blocks - 1
+    total = sum(s * (p - j) for j, s in enumerate(sig.block_sizes))
+    return Spectrum(tuple(((p - i) * n - total) / (n * p) for i in range(p + 1)), sig)
 
 
 def _check_special_orthogonal(q: np.ndarray, n: int) -> None:

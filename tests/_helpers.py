@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -78,3 +79,62 @@ def branching_dim(n: int, doubled: tuple[int, ...]) -> int:
         ranges = [(d[i + 1], d[i]) for i in range(m - 2)] + [(abs(d[-1]), d[-2])]
     return sum(branching_dim(n - 1, e)
                for e in itertools.product(*(range(lo, hi + 1, 2) for lo, hi in ranges)))
+
+
+def exact_ladder(sig: FlagSignature) -> tuple[Fraction, ...]:
+    """The canonical spectrum by its definition in exact rationals: the ladder
+    p, ..., 1, 0 over the blocks less its block-size-weighted mean, over p."""
+    r = sig.num_blocks
+    ladder = [r - 1 - i for i in range(r)]
+    mean = Fraction(sum(s * c for s, c in zip(sig.block_sizes, ladder)), sig.n)
+    return tuple(Fraction(c - mean, r - 1) for c in ladder)
+
+
+def gauss_jordan(rows: list[list[Fraction]], cols: int) -> int:
+    """Reduce the ``Fraction`` rows in place to reduced row echelon form over
+    their first ``cols`` columns, and return the rank of those columns."""
+    rank = 0
+    for c in range(cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][c]
+        rows[rank] = [v / lead for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and (f := rows[r][c]):
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def exact_rank(rows) -> int:
+    """The rank of a matrix of rationals, by ``Fraction`` elimination."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    return gauss_jordan(rows, len(rows[0])) if rows else 0
+
+
+def random_integer_skew(n: int, rng: np.random.Generator, bound: int = 3) -> list[list[int]]:
+    """A skew n x n matrix of integers in [-bound, bound]."""
+    s = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        s[i][j] = int(rng.integers(-bound, bound + 1))
+        s[j][i] = -s[i][j]
+    return s
+
+
+def cayley_frame(s: list[list[int]]) -> list[list[Fraction]]:
+    """Q = (I + S)^{-1} (I - S) of a skew S, exactly: a rotation with rational
+    entries (I + S is invertible, and det Q = det(I - S) / det(I + S) = 1)."""
+    n = len(s)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [[Fraction(e + v) for e, v in zip(ei, si)] + [Fraction(e - v) for e, v in zip(ei, si)]
+            for ei, si in zip(eye, s)]
+    gauss_jordan(rows, n)
+    return [row[n:] for row in rows]
+
+
+def exact_image(q: list[list[Fraction]], sig: FlagSignature, values) -> list[list[Fraction]]:
+    """X = Q diag(a) Q' in rationals, a the ``values`` repeated by block size."""
+    diag = [a for a, size in zip(values, sig.block_sizes) for _ in range(size)]
+    return [[sum(qi[k] * diag[k] * qj[k] for k in range(sig.n)) for qj in q] for qi in q]

@@ -426,11 +426,35 @@ class TestCertificate:
 embed_mod = sys.modules["isoflag.embed"]  # the package's ``embed`` is the function
 
 
+@pytest.fixture
+def imaged_frames(monkeypatch):
+    """The frames that ``embed`` forms q diag(a) q' of, through a recording ``_embedded_image``."""
+    frames = []
+    image = embed_mod._embedded_image
+    monkeypatch.setattr(embed_mod, "_embedded_image", lambda q, spec: frames.append(q) or image(q, spec))
+    return frames
+
+
 class TestFrameRepair:
     """A frame the certificate declines only for its defect, at most 1/2, is
-    repaired by one Newton-Schulz step and certified again."""
+    repaired by one Newton-Schulz step and certified again.  On every path
+    ``_model_image`` forms one image, of the frame it settled on."""
 
-    def test_a_frame_off_by_1e_5_is_repaired(self, monkeypatch):
+    def test_a_certified_frame_is_imaged_once(self, monkeypatch, imaged_frames):
+        """And certified once: the certificate runs on every descent iteration."""
+        sig = make_signature(8, [3, 5])
+        spec = default_traceless_spectrum(sig)
+        f = random_flag_point(sig, 4)
+        assert _ostrowski_certifies(_orth_defect(f.q), 8, spec)
+        certificates = []
+        monkeypatch.setattr(embed_mod, "_ostrowski_certifies",
+                            lambda *a: certificates.append(a) or _ostrowski_certifies(*a))
+        x = embed(f, spec).x.entries
+        assert len(imaged_frames) == 1 and imaged_frames[0] is f.q
+        assert len(certificates) == 1
+        assert np.array_equal(x, _embedded_image(f.q, spec))
+
+    def test_a_frame_off_by_1e_5_is_repaired(self, monkeypatch, imaged_frames):
         """LAPACK's syevd can return eigenvectors of a matrix with clustered
         eigenvalues that are orthonormal to within only 1e-5: here the
         eigen-solve that ``_nearest_image`` calls is made to return such a
@@ -452,8 +476,11 @@ class TestFrameRepair:
         newton_schulz = embed_mod._newton_schulz
         monkeypatch.setattr(sys.modules["isoflag.geometry"], "_eigh", perturbed_eigh)
         monkeypatch.setattr(embed_mod, "_newton_schulz", lambda q: repairs.append(q) or newton_schulz(q))
+        imaged_frames.clear()
         x = nearest_point(a, spec).x.entries
         assert len(repairs) == 1
+        assert len(imaged_frames) == 1
+        assert np.array_equal(x, _embedded_image(newton_schulz(repairs[0]), spec))
         assert np.linalg.norm(x - exact) <= 1e-9
         assert _eig_deviation(np.linalg.eigvalsh(x), spec) <= EIG_TOL
 
@@ -472,7 +499,7 @@ class TestFrameRepair:
             target = random_symmetric(n, rng)
             gradient_descent(lambda x: x - target, spec, embed(f, spec), max_iters=3)
 
-    def test_no_repair_where_only_the_scale_declines(self, monkeypatch):
+    def test_no_repair_where_only_the_scale_declines(self, monkeypatch, imaged_frames):
         """At (1e5, -1e5) and n = 50 the rounding terms alone exceed EIG_TOL,
         so a repaired frame could not be certified either: the image is the
         frame's own, bit for bit, and the eigenvalue check accepts it."""
@@ -485,6 +512,7 @@ class TestFrameRepair:
         assert not _ostrowski_certifies(0.0, 50, spec)
         f = random_flag_point(sig, 2)
         assert np.array_equal(embed(f, spec).x.entries, _embedded_image(f.q, spec))
+        assert len(imaged_frames) == 1
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,76 @@
+"""The matrix model against an exact oracle.
+
+A Cayley transform Q = (I + S)^{-1}(I - S) of an integer skew S is a
+rotation with rational entries, so X = Q diag(a) Q' can be formed exactly in
+``Fraction``s (``tests/_helpers.py``).  The exact points check the paper's
+claim (i) without roundoff: the model's affine span is the whole traceless
+space, of dimension (n-1)(n+2)/2.  Their rounded floats check that the
+library's float path accepts and round-trips points that lie on the model
+to within one rounding.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isoflag import (
+    FlagPoint,
+    SymmetricMatrix,
+    default_traceless_spectrum,
+    embed,
+    flags_equal,
+    make_signature,
+    membership,
+    recover,
+)
+
+from _helpers import (
+    cayley_frame,
+    exact_image,
+    exact_ladder,
+    exact_rank,
+    random_integer_skew,
+    random_signature,
+)
+
+
+def rounded(m) -> np.ndarray:
+    return np.array([[float(v) for v in row] for row in m])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_the_affine_span_is_the_traceless_space(n):
+    """(n-1)(n+2)/2 + 1 exact points of the model differ by vectors of rank
+    (n-1)(n+2)/2, the dimension of the traceless symmetric matrices, which
+    holds every difference; so no smaller affine space holds the model."""
+    rng = np.random.default_rng(n)
+    sig = make_signature(n, [1, n - 1]) if n > 3 else make_signature(n, [1])
+    values = exact_ladder(sig)
+    dim = (n - 1) * (n + 2) // 2
+    points = [exact_image(cayley_frame(random_integer_skew(n, rng)), sig, values) for _ in range(dim + 1)]
+    upper = [[x[i][j] for i in range(n) for j in range(i, n)] for x in points]
+    assert all(sum(x[i][i] for i in range(n)) == 0 for x in points)
+    assert exact_rank([[a - b for a, b in zip(row, upper[0])] for row in upper[1:]]) == dim
+
+
+def test_the_cayley_frame_is_an_exact_rotation():
+    q = cayley_frame(random_integer_skew(5, np.random.default_rng(0)))
+    gram = [[sum(a * b for a, b in zip(ci, cj)) for cj in zip(*q)] for ci in zip(*q)]
+    assert gram == [[int(i == j) for j in range(5)] for i in range(5)]
+    assert exact_rank(q) == 5
+    assert np.linalg.det(rounded(q)) == pytest.approx(1.0, abs=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_rounded_cayley_points_round_trip(seed):
+    rng = np.random.default_rng(seed)
+    sig = random_signature(rng, 2, 6)
+    spec = default_traceless_spectrum(sig)
+    q = cayley_frame(random_integer_skew(sig.n, rng))
+    x = rounded(exact_image(q, sig, exact_ladder(sig)))
+    f = FlagPoint(rounded(q), sig)
+    assert np.linalg.norm(embed(f, spec).x.entries - x) <= 1e-12
+    assert membership(SymmetricMatrix(x), spec)
+    assert flags_equal(recover(SymmetricMatrix(x), spec), f)

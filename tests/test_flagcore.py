@@ -12,6 +12,7 @@ from isoflag import (
     SymmetricMatrix,
     TangentBlock,
     act,
+    all_signatures,
     default_traceless_spectrum,
     embed,
     flags_equal,
@@ -34,7 +35,7 @@ from isoflag.errors import (
 )
 from isoflag.flagcore import SPECTRUM_MAX
 
-from _helpers import random_block_stabilizer, random_signature
+from _helpers import exact_ladder, random_block_stabilizer, random_signature
 
 
 @st.composite
@@ -142,6 +143,14 @@ class TestSpectrum:
         a, b = spec.values
         assert a > 0
         assert a == pytest.approx(-b, abs=1e-15)
+
+    def test_default_spectrum_is_the_rounded_rational_ladder(self):
+        # the reference is the exact ladder in Fractions, each value rounded once
+        rng = np.random.default_rng(37)
+        small = [sig for n in range(2, 13) for sig in all_signatures(n)]
+        large = [random_signature(rng, 13, 5000) for _ in range(60)]
+        for sig in small + large:
+            assert default_traceless_spectrum(sig).values == tuple(map(float, exact_ladder(sig)))
 
     def test_repeated_multiset(self):
         sig = make_signature(5, [2])

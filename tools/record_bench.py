@@ -13,6 +13,12 @@ the runs that printed one, the failed ops of those runs, and the
 ``src.lines.*`` counts of the trace run.  A run that printed no result (exit
 code 2) is kept with a null result and left out of the statistics.
 
+Before the workloads it runs ``tools/layer_table.py`` in one child process
+with the environment ``bench/run.py`` gives its workers, and keeps its JSON
+as the ``layers`` section: each stage of the library timed on its own by
+direct calls, the numeric ones also as a multiple of one ``eigh`` at the
+same n, the exact ones also as a growth rate in n (about 22 s).
+
 The file records one checkout; comparing two of them is a question for
 alternated runs of both on one machine, which this script does not make.
 """
@@ -29,9 +35,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(1, 11)
 
+sys.path.insert(0, str(ROOT / "bench"))
+from run import worker_env  # noqa: E402
+
 
 def git(*argv: str) -> str:
     return subprocess.run(["git", *argv], cwd=ROOT, capture_output=True, text=True, check=True).stdout
+
+
+def layer_table() -> dict:
+    """The JSON that ``tools/layer_table.py`` prints, run in the environment
+    of a benchmark worker (``bench/run.py``'s ``worker_env``: the package from
+    ``src/``, ``PYTHONHASHSEED=0`` and one BLAS/OpenMP thread)."""
+    proc = subprocess.run([sys.executable, "tools/layer_table.py"], cwd=ROOT, env=worker_env(),
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def run_bench(workload: str, seed: int, trace: int, seconds: int) -> dict:
@@ -86,8 +104,10 @@ def main(argv=None) -> int:
         "uncommitted": sorted(line[3:] for line in git("status", "--porcelain").splitlines()
                               if line[3:] != out.name),
         "run_seconds": seconds,
+        "layers": layer_table(),
         "workloads": {},
     }
+    print(f"layers: {record['layers']['seconds']:.1f} s", file=sys.stderr)
     for workload in (w["name"] for w in spec["workloads"]):
         runs = []
         for seed in SEEDS:
