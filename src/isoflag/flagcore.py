@@ -233,6 +233,11 @@ class Spectrum:
         return max(map(abs, self.values))
 
     @cached_property
+    def _decreasing(self) -> bool:
+        """Whether the values strictly decrease, as ``geometry._nearest_image`` needs."""
+        return all(a > b for a, b in zip(self.values, self.values[1:]))
+
+    @cached_property
     def _frame_columns(self) -> np.ndarray:
         """For each block position, the column of eigh's ascending-order
         eigenvectors that belongs there: the inverse of the stable argsort of
@@ -385,10 +390,14 @@ class TangentBlock:
 
     @classmethod
     def from_block_map(cls, sig: FlagSignature, blocks: Mapping[tuple[int, int], np.ndarray]) -> "TangentBlock":
-        """B with upper blocks B_ij = ``blocks[(i, j)]``, i < j; absent pairs are zero."""
+        """B with B_ij = ``blocks[(i, j)]`` for i < j, absent pairs zero; any other key raises ``NotSkewSymmetric``."""
         sizes, sl = sig.block_sizes, sig.block_slices()
+        pairs = list(itertools.combinations(range(sig.num_blocks), 2))
+        for key in blocks:
+            if key not in pairs or not all(isinstance(k, (int, np.integer)) for k in key):
+                raise NotSkewSymmetric(f"block key {key!r} is not a pair i < j of the {sig.num_blocks} block indices")
         a = np.zeros((sig.n, sig.n))
-        for i, j in itertools.combinations(range(sig.num_blocks), 2):
+        for i, j in pairs:
             if (i, j) in blocks:
                 blk = _frozen_array(blocks[i, j], NotSkewSymmetric)
                 if blk.shape != (sizes[i], sizes[j]):

@@ -13,16 +13,16 @@ projected-gradient descent loop.
 ``project_to_tangent`` and ``retract`` check their inputs and run one
 private array step (``_tangent_step``, ``_retract_step``) under the one
 overflow policy, ``flagcore._quietly``.  ``nearest_point`` and
-``_retract_step`` both call ``_nearest_image``: the descending eigen-solve,
-the one refusal of a tie at a block boundary, and ``embed._model_image``.
-No result is checked again; ``flagcore._trusted_symmetric`` says why.
-The descent loop runs the array steps and builds no wrapper until it
-returns.  It checks ``init``, ``spec``, ``step``, ``max_iters`` and
-``grad_tol`` once, on entry.  Each iteration then checks three things,
-each in one place: the user's gradient, in ``_checked_gradient`` (one
-asymmetry defect, with the ordered checks of ``SymmetricMatrix`` run only
-when that defect cannot accept it); the gaps at the block boundaries, in
-``_nearest_image``; and the new iterate, by the Ostrowski certificate in
+``_retract_step`` both call ``_nearest_image``: the one refusal of a
+spectrum out of order, the descending eigen-solve, the one refusal of a tie
+at a block boundary, and ``embed._model_image``.  No result is checked
+again; ``flagcore._trusted_symmetric`` says why.  The descent loop runs the
+array steps and builds no wrapper until it returns.  After its checks on
+entry, each iteration checks three things, each in one place: the user's
+gradient, in ``_checked_gradient`` (one asymmetry defect, with the ordered
+checks of ``SymmetricMatrix`` run only when that defect cannot accept it);
+the spectrum's order, a cached flag, and the gaps at the block boundaries,
+in ``_nearest_image``; and the new iterate, by the Ostrowski certificate in
 ``embed._model_image``, which repairs a frame it declines for its defect
 alone by one Newton-Schulz step and runs the eigenvalue check of
 ``EmbeddedFlag`` only where it still cannot decide.  An iteration makes two
@@ -157,16 +157,13 @@ def project_to_tangent(g: SymmetricMatrix, base: EmbeddedFlag) -> EmbeddedTangen
     return EmbeddedTangent(_trusted_symmetric(v), base)
 
 
-def _check_decreasing(spec: Spectrum) -> None:
-    if any(nxt >= prev for prev, nxt in zip(spec.values, spec.values[1:])):
-        raise SpectrumInvalid(f"nearest point needs a strictly decreasing spectrum, got {spec.values}")
-
-
 def _nearest_image(a: np.ndarray, spec: Spectrum, gap_tol: float) -> np.ndarray:
-    """``nearest_point`` on arrays, for a strictly decreasing spectrum: the
-    eigenvectors of the symmetric a in decreasing order of eigenvalue, a gap
-    at a block boundary of at most gap_tol refused with
-    ``DegenerateBoundaryGap``, and ``_model_image`` of those vectors."""
+    """``nearest_point`` on arrays: a spectrum out of order refused with
+    ``SpectrumInvalid`` before the eigen-solve, the eigenvectors of a by
+    decreasing eigenvalue, a block-boundary gap of at most gap_tol refused
+    with ``DegenerateBoundaryGap``, and ``_model_image`` of those vectors."""
+    if not spec._decreasing:
+        raise SpectrumInvalid(f"nearest point needs a strictly decreasing spectrum, got {spec.values}")
     lam, vec = _eigh(a)
     lam = lam.tolist()[::-1]
     for k in spec.signature.ks:
@@ -181,23 +178,22 @@ def _nearest_image(a: np.ndarray, spec: Spectrum, gap_tol: float) -> np.ndarray:
 def nearest_point(a: SymmetricMatrix, spec: Spectrum, gap_tol: float = SPECTRUM_GAP_TOL) -> EmbeddedFlag:
     """Closest point of the model manifold to an arbitrary symmetric matrix.
 
-    Sort the eigenvalues of a in decreasing order, to match the strictly
-    decreasing spectrum block by block, and replace them with the model
-    values: a = U L U' maps to U M U'.  Ties across a block boundary make
-    the answer non-unique and raise ``DegenerateBoundaryGap``.
+    Sort the eigenvalues of a in decreasing order and replace them, block by
+    block, with the strictly decreasing spectrum (any other raises
+    ``SpectrumInvalid``): a = U L U' maps to U M U'.  Ties across a block
+    boundary make the answer non-unique and raise ``DegenerateBoundaryGap``.
     """
     _check_size(a.entries, spec.signature)
     gap_tol = _check_tolerance("gap_tol", gap_tol)
-    _check_decreasing(spec)
     return _certified_flag(_nearest_image(a.entries, spec, gap_tol), spec)
 
 
 def _retract_step(x: np.ndarray, v: np.ndarray, step: float, spec: Spectrum) -> np.ndarray:
-    """``retract`` on arrays, for a nonzero step and a strictly decreasing
-    spectrum: the read-only nearest point to x + step * v, certified on the
-    model.  A step that overflows raises ``NotSymmetric``, as the matrix
-    x + step * v would, not the error that projecting it raises first; the
-    finiteness test runs only after that error, so a normal step skips it."""
+    """``retract`` on arrays, for a nonzero step: the read-only nearest
+    point to x + step * v, certified on the model.  A step that overflows
+    raises ``NotSymmetric``, as the matrix x + step * v would, not the error
+    that projecting it raises first; the finiteness test runs only after
+    that error, so a normal step skips it."""
     moved = x + step * v
     try:
         return _nearest_image(moved, spec, SPECTRUM_GAP_TOL)
@@ -221,7 +217,6 @@ def retract(base: EmbeddedFlag, v: EmbeddedTangent, step: float) -> EmbeddedFlag
     if step == 0.0:
         return base
     spec = base.spectrum
-    _check_decreasing(spec)
     return _certified_flag(_quietly(lambda: _retract_step(base.x.entries, v.v.entries, step, spec)), spec)
 
 
@@ -261,16 +256,15 @@ def gradient_descent(
     ``init`` must be embedded with ``spec`` itself: the default step comes
     from ``spec`` and every retraction lands on ``init.spectrum``.
 
-    What is checked, and where: ``init``, ``spec`` and ``grad_tol`` on
-    entry, and ``step`` (``None`` or finite and >= 0) and ``max_iters`` (an
-    integer >= 0), each refused with ``ValidationError``; the array
-    ``objective_grad`` returns on every iteration
-    (non-real entries raise ``NotSymmetric``, non-finite ones
-    ``StepNotFinite``, a non-square or asymmetric array ``NotSymmetric``, a
-    wrong size ``SignatureMismatch``); a
-    non-decreasing spectrum at the first retraction, as ``nearest_point``
-    checks it; and every iterate, by the Ostrowski certificate or, where
-    that cannot decide, by the eigenvalue check of ``EmbeddedFlag``.
+    What is checked, and where: on entry ``init``, ``spec`` and ``grad_tol``,
+    and ``step`` (``None`` or finite and >= 0) and ``max_iters`` (an integer
+    >= 0), each refused with ``ValidationError``; on every iteration the
+    array ``objective_grad`` returns (non-real entries raise ``NotSymmetric``,
+    non-finite ones ``StepNotFinite``, a non-square or asymmetric array
+    ``NotSymmetric``, a wrong size ``SignatureMismatch``); the spectrum's
+    order at each retraction, as ``nearest_point`` checks it; and every
+    iterate, by the Ostrowski certificate or, where that cannot decide, by
+    the eigenvalue check of ``EmbeddedFlag``.
     ``objective_grad`` receives each iterate as a read-only array, and runs
     with numpy's overflow and invalid-operation warnings off.  The
     returned point is that last iterate, or ``init`` itself when no step
@@ -289,20 +283,16 @@ def gradient_descent(
     def descend():
         x = init.x.entries
         norms: list[float] = []
-        iterations = 0
-        while True:
+        for iterations in range(max_iters + 1):
             g = _checked_gradient(objective_grad(x), spec.signature)
             v = _tangent_step(g, x, spec)
             gn = _frobenius(v)
             norms.append(gn)
             converged = gn <= grad_tol
-            if converged or iterations >= max_iters:
+            if converged or iterations == max_iters:
                 return x, norms, iterations, converged
             if step != 0.0:
-                if iterations == 0:
-                    _check_decreasing(spec)  # where the first retraction checks it
                 x = _retract_step(x, v, -step, spec)
-            iterations += 1
 
     x, norms, iterations, converged = _quietly(descend)
     point = init if x is init.x.entries else _certified_flag(x, spec)
@@ -319,8 +309,9 @@ def _checked_gradient(g, sig: FlagSignature) -> np.ndarray:
     tolerance is accepted on that defect alone: a NaN or infinite entry, or
     one so large that g - g' overflows, makes the defect NaN or inf, which
     the test refuses, so only finite gradients pass it.  Any other gradient
-    goes through the checks in their order, which raise the error with its
-    message; the descent loop runs them with numpy's warnings off."""
+    fails one of the checks that follow, which raise its error in their
+    order, as one passing them all would be n x n and within ``SYM_TOL``;
+    the descent loop runs them with numpy's warnings off."""
     g = _float_array(g, NotSymmetric)
     if g.shape == (sig.n, sig.n) and _frobenius(g - g.T) <= SYM_TOL:
         return g
@@ -328,4 +319,3 @@ def _checked_gradient(g, sig: FlagSignature) -> np.ndarray:
         raise StepNotFinite("objective gradient returned non-finite entries")
     _check_symmetric(g)
     _check_size(g, sig)
-    return g

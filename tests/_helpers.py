@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -138,3 +139,66 @@ def exact_image(q: list[list[Fraction]], sig: FlagSignature, values) -> list[lis
     """X = Q diag(a) Q' in rationals, a the ``values`` repeated by block size."""
     diag = [a for a, size in zip(values, sig.block_sizes) for _ in range(size)]
     return [[sum(qi[k] * diag[k] * qj[k] for k in range(sig.n)) for qj in q] for qi in q]
+
+
+def isotropy_generators(sig: FlagSignature) -> tuple[list[list[list[int]]], list[list[list[int]]]]:
+    """Integer n x n matrices that generate H = S(O(n_1) x ... x O(n_b)), the
+    isotropy group of the base flag: the so(n_i) generators
+    E_{a,a+1} - E_{a+1,a} inside each block, which generate the identity
+    component, and the det-1 sign pairs, -1 on the first coordinate of block 0
+    and of block j, which meet every other component."""
+    n, blocks = sig.n, sig.block_slices()
+
+    def matrix(entries: dict) -> list[list[int]]:
+        return [[entries.get((i, j), 0) for j in range(n)] for i in range(n)]
+
+    algebra = [matrix({(a, a + 1): 1, (a + 1, a): -1}) for s in blocks for a in range(s.start, s.stop - 1)]
+    signs = [matrix({(i, i): -1 if i in (0, s.start) else 1 for i in range(n)}) for s in blocks[1:]]
+    return algebra, signs
+
+
+def _basis_product(indices: tuple[int, ...], alternating: bool) -> tuple[int, tuple[int, ...]]:
+    """(sign, key) with e_{i_1} ... e_{i_q} = sign * e_key, key the sorted
+    indices: in the exterior algebra the sign of the sorting permutation, 0
+    for a repeated index; in the symmetric algebra 1."""
+    key = tuple(sorted(indices))
+    if not alternating:
+        return 1, key
+    if len(set(key)) < len(key):
+        return 0, key
+    return (-1) ** sum(a > b for a, b in itertools.combinations(indices, 2)), key
+
+
+def induced_action(x: list[list[int]], q: int, alternating: bool, derivation: bool) -> list[list[int]]:
+    """The integer matrix of the integer n x n matrix x on the q-th exterior
+    (``alternating``) or symmetric power of R^n, over the sorted index tuples:
+    by the Leibniz rule for a Lie algebra element (``derivation``), else as
+    the group element x (x) ... (x) x."""
+    n = len(x)
+    powers = itertools.combinations if alternating else itertools.combinations_with_replacement
+    basis = list(powers(range(n), q))
+    index = {key: c for c, key in enumerate(basis)}
+    m = [[0] * len(basis) for _ in basis]
+    for c, key in enumerate(basis):
+        images = [[(r, x[r][i]) for r in range(n) if x[r][i]] for i in key]
+        if derivation:
+            terms = [(key[:k] + (r,) + key[k + 1:], v) for k, image in enumerate(images) for r, v in image]
+        else:
+            terms = [(tuple(r for r, _ in choice), math.prod(v for _, v in choice)) for choice in itertools.product(*images)]
+        for indices, v in terms:
+            sign, out = _basis_product(indices, alternating)
+            if sign:
+                m[index[out]][c] += sign * v
+    return m
+
+
+def fixed_space_dim(sig: FlagSignature, q: int, alternating: bool) -> int:
+    """dim V^H, exactly, for V the q-th exterior (``alternating``) or symmetric
+    power of R^n and H the isotropy group of ``isotropy_generators``: dim V
+    less the exact rank of the stacked generator actions and (sign pair - I)."""
+    algebra, signs = isotropy_generators(sig)
+    rows = [row for x in algebra for row in induced_action(x, q, alternating, True)]
+    for g in signs:
+        rows += [[v - (c == d) for d, v in enumerate(row)] for c, row in enumerate(induced_action(g, q, alternating, False))]
+    dim = math.comb(sig.n, q) if alternating else math.comb(sig.n + q - 1, q)
+    return dim - exact_rank(rows)

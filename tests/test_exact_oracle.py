@@ -7,6 +7,15 @@ claim (i) without roundoff: the model's affine span is the whole traceless
 space, of dimension (n-1)(n+2)/2.  Their rounded floats check that the
 library's float path accepts and round-trips points that lie on the model
 to within one rounding.
+
+The isotropy step of claim (ii) is exact too: an equivariant map from the
+flag manifold into a module V is fixed by its value at the base flag, which
+must be fixed by the isotropy group H = S(O(n_1) x ... x O(n_b)).  dim V^H is
+the nullity of integer matrices: the so(n_i) generators and the det-1 sign
+pairs acting on V.  No exterior power Λ^q R^n with 0 < q < n has a fixed
+vector, and the fixed traceless symmetric matrices are the block-scalar
+diagonals, of dimension p = b - 1, which the model's spectrum fills.  n = 2
+is left out: there H = {I, -I} is central and fixes all of Sym²_0 R².
 """
 
 import numpy as np
@@ -17,6 +26,7 @@ from hypothesis import strategies as st
 from isoflag import (
     FlagPoint,
     SymmetricMatrix,
+    all_signatures,
     default_traceless_spectrum,
     embed,
     flags_equal,
@@ -30,6 +40,7 @@ from _helpers import (
     exact_image,
     exact_ladder,
     exact_rank,
+    fixed_space_dim,
     random_integer_skew,
     random_signature,
 )
@@ -74,3 +85,23 @@ def test_rounded_cayley_points_round_trip(seed):
     assert np.linalg.norm(embed(f, spec).x.entries - x) <= 1e-12
     assert membership(SymmetricMatrix(x), spec)
     assert flags_equal(recover(SymmetricMatrix(x), spec), f)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_no_exterior_power_has_a_fixed_vector(n):
+    """(Λ^q R^n)^H is 0 for 0 < q < n at every signature: H fixes only the
+    empty form and the volume form."""
+    for sig in all_signatures(n):
+        assert [fixed_space_dim(sig, q, alternating=True) for q in range(n + 1)] == [1] + [0] * (n - 1) + [1], sig
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_the_fixed_symmetric_matrices_are_the_block_scalars(n):
+    """(Sym² R^n)^H has one dimension per block, so (Sym²_0 R^n)^H has p."""
+    for sig in all_signatures(n):
+        assert fixed_space_dim(sig, 2, alternating=False) == sig.num_blocks, sig
+
+
+def test_the_middle_exterior_power_at_n_8_has_no_fixed_vector():
+    """Λ⁴R⁸, the real form of n = 8's extra modules (1,1,1,1)±, at each Gr(k, 8)."""
+    assert [fixed_space_dim(make_signature(8, [k]), 4, alternating=True) for k in range(1, 8)] == [0] * 7

@@ -349,6 +349,24 @@ class TestTangentBlockStorage:
         with pytest.raises(NotSkewSymmetric, match=r"^block \(0,2\) must have shape \(1, 2\), got \(2, 1\)$"):
             TangentBlock.from_block_map(sig, {(0, 2): np.ones((2, 1))})
 
+    @pytest.mark.parametrize("key", [(1, 0), (0, 3), (0, 1, 2), "x", (0.0, 2.0)],
+                             ids=["descending", "past-the-blocks", "triple", "string", "floats"])
+    def test_block_map_refuses_a_key_that_is_no_block_pair(self, key):
+        """A key other than a pair i < j of block indices is refused before
+        any block is read: the wrong-shaped block (1, 2) never raises."""
+        blocks = {(1, 2): np.ones((5, 5)), key: np.ones((1, 1))}
+        with pytest.raises(NotSkewSymmetric, match=r"^block key .+ is not a pair i < j of the 3 block indices$"):
+            TangentBlock.from_block_map(make_signature(4, [1, 2]), blocks)
+
+    def test_block_map_reads_numpy_integer_keys(self):
+        sig = make_signature(5, [1, 3])
+        blocks = {(0, 1): np.arange(2.0).reshape(1, 2), (1, 2): np.arange(4.0).reshape(2, 2)}
+        numpy_keys = {(np.int64(i), np.int32(j)): blk for (i, j), blk in blocks.items()}
+        got = TangentBlock.from_block_map(sig, numpy_keys).matrix
+        assert np.array_equal(got, TangentBlock.from_block_map(sig, blocks).matrix)
+        sl = sig.block_slices()
+        assert np.array_equal(got[sl[1], sl[2]], blocks[1, 2]) and not got[sl[0], sl[2]].any()
+
     def test_absent_block_map_pairs_are_zero(self):
         sig = make_signature(4, [1, 2])
         b = TangentBlock.from_block_map(sig, {(1, 2): np.array([[3.0, 4.0]])})

@@ -43,7 +43,8 @@ from isoflag.errors import (
     StepNotFinite,
     ValidationError,
 )
-from isoflag.geometry import _bracket_with_model
+from isoflag.flagcore import SPECTRUM_GAP_TOL
+from isoflag.geometry import _bracket_with_model, _nearest_image
 
 from _helpers import no_convergence, random_signature, random_symmetric
 
@@ -327,10 +328,24 @@ class TestNearestPoint:
         assert err.value.gap is not None
 
     def test_requires_decreasing_spectrum(self):
+        # the identity also ties at the block boundary: the order is refused first
         sig = make_signature(3, [1])
         spec = Spectrum((-1.0, 2.0), sig)
-        with pytest.raises(SpectrumInvalid):
+        with pytest.raises(SpectrumInvalid, match="strictly decreasing"):
             nearest_point(SymmetricMatrix(np.eye(3)), spec)
+
+    @pytest.mark.parametrize("values", [(-1.0, 0.5, 2.0), (0.5, 2.0, -1.0)], ids=["increasing", "shuffled"])
+    def test_array_core_refuses_a_spectrum_out_of_order_before_solving(self, values, monkeypatch):
+        """``_nearest_image`` is the one place the order is checked: the
+        retraction and ``nearest_point`` both reach it, and it refuses before
+        its eigen-solve."""
+        def no_solve(a):
+            raise AssertionError("the eigen-solve ran")
+
+        monkeypatch.setattr(sys.modules["isoflag.geometry"], "_eigh", no_solve)
+        spec = Spectrum(values, make_signature(4, [1, 3]))
+        with pytest.raises(SpectrumInvalid, match=r"^nearest point needs a strictly decreasing spectrum, got "):
+            _nearest_image(np.diag([3.0, 2.0, 1.0, 0.0]), spec, SPECTRUM_GAP_TOL)
 
     @pytest.mark.parametrize("gap_tol", [float("nan"), float("inf"), -1.0])
     def test_rejects_bad_gap_tol(self, gap_tol):
@@ -361,6 +376,17 @@ class TestRetract:
     def test_zero_step_returns_base(self):
         _, base, v = self._base_and_tangent(1)
         assert retract(base, v, 0.0) is base
+
+    def test_zero_step_returns_base_for_an_increasing_spectrum(self):
+        """A zero step takes no nearest point, so the spectrum's order is
+        not checked; a nonzero one is refused."""
+        sig = make_signature(5, [2])
+        spec = Spectrum(default_traceless_spectrum(sig).values[::-1], sig)
+        base = embed(random_flag_point(sig, 1), spec)
+        v = project_to_tangent(SymmetricMatrix(random_symmetric(5, np.random.default_rng(1))), base)
+        assert retract(base, v, 0.0) is base
+        with pytest.raises(SpectrumInvalid, match="strictly decreasing"):
+            retract(base, v, 0.1)
 
     def test_lands_on_manifold(self):
         spec, base, v = self._base_and_tangent(2)

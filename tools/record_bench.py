@@ -11,7 +11,10 @@ last JSON line and its ``machine:`` and ``eigh floor (ms):`` lines, and per
 workload the median and interquartile range of each end-to-end metric over
 the runs that printed one, the failed ops of those runs, and the
 ``src.lines.*`` counts of the trace run.  A run that printed no result (exit
-code 2) is kept with a null result and left out of the statistics.
+code 2) is kept with a null result and left out of the statistics.  The
+``bytecode`` section records, before the first run, the workers'
+``PYTHONDONTWRITEBYTECODE`` and whether ``src/isoflag/__pycache__`` exists:
+a stale or missing bytecode cache moves ``setup_s``.
 
 Before the workloads it runs ``tools/layer_table.py`` in one child process
 with the environment ``bench/run.py`` gives its workers, and keeps its JSON
@@ -67,6 +70,14 @@ def run_bench(workload: str, seed: int, trace: int, seconds: int) -> dict:
             "machine": labelled.get("machine: "), "eigh_floor_ms": labelled.get("eigh floor (ms): ")}
 
 
+def bytecode_state() -> dict:
+    """The workers' ``PYTHONDONTWRITEBYTECODE`` (None when unset) and whether
+    the package's bytecode cache exists, which decide what each worker
+    compiles at import."""
+    return {"PYTHONDONTWRITEBYTECODE": worker_env().get("PYTHONDONTWRITEBYTECODE"),
+            "src_pycache_exists": (ROOT / "src" / "isoflag" / "__pycache__").is_dir()}
+
+
 def summary(runs: list[dict], trace_run: dict) -> dict:
     """The median and IQR of each end-to-end metric over the runs with a
     result, their failed ops, and the trace run's ``src.lines.*`` counts.
@@ -104,6 +115,7 @@ def main(argv=None) -> int:
         "uncommitted": sorted(line[3:] for line in git("status", "--porcelain").splitlines()
                               if line[3:] != out.name),
         "run_seconds": seconds,
+        "bytecode": bytecode_state(),
         "layers": layer_table(),
         "workloads": {},
     }
