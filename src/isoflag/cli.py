@@ -7,11 +7,14 @@ sweep``), 2 input validation failure, 3 numerical/degeneracy failure; on
 an exit of 2 or 3 a single machine-parsable line ``ErrorName: reason`` goes
 to stderr, and no warning.  That holds for the parser's own refusals too
 (an unknown or missing option, a value its ``type`` cannot parse), which
-are one ``ValidationError:`` line instead of argparse's usage block.  When
-the reader of stdout closes it early (``| head``), the output stops without
-a traceback and the exit code is 141 (128 + SIGPIPE), as for a process that
-SIGPIPE ended, whatever the line length: an unbuffered stdout gets one
-buffered layer, so the rest of any write meets the closed pipe.  Any other
+are one ``ValidationError:`` line instead of argparse's usage block.  A
+plain command line, exact ``--option value`` pairs, is read without
+argparse's matcher; every other line goes to argparse, so help and refusal
+text are argparse's.  When the reader of stdout closes it early
+(``| head``), the output stops without a traceback and the exit code is
+141 (128 + SIGPIPE), as for a process that SIGPIPE ended, whatever the
+line length: an unbuffered stdout gets one buffered layer, so the rest of
+any write meets the closed pipe.  Any other
 failed write to stdout (a full disk) exits 1 with the one stderr line
 ``OSError: reason``, and no traceback.
 
@@ -506,12 +509,56 @@ class _Parser(argparse.ArgumentParser):
     usage block and exiting.  Subcommand parsers are built from this class too.
     One whose only option is ``--help`` keeps its subcommands' action as
     ``commands``: its option matching can neither set nor refuse a word after
-    the command word, so ``main`` hands those words straight to the subcommand."""
+    the command word, so ``main`` hands those words straight to the subcommand.
+    A plain line is read without argparse's matcher (``parse_known_args``)."""
 
     commands = None
 
     def error(self, message):
         raise ValidationError(f"{self.prog}: {message}")
+
+    def _plain_values(self, args: list) -> dict | None:
+        """The value of each option of a plain line by its action, in the order
+        given; None for any other line, and for every line of a parser with
+        subcommands or a mutually exclusive group."""
+        if len(args) % 2 or self._subparsers is not None or self._mutually_exclusive_groups:
+            return None
+        given = {}
+        for option, text in zip(args[::2], args[1::2]):
+            action = self._option_string_actions.get(option)  # one-value: a store action with no nargs
+            if type(action) is not argparse._StoreAction or action.nargs is not None or text.startswith("-"):
+                return None
+            try:
+                value = given[action] = text if action.type is None else action.type(text)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        return given if all(action in given for action in self._actions if action.required) else None
+
+    def parse_known_args(self, args=None, namespace=None):
+        """``(Namespace, [])`` as argparse gives it, read directly when ``args``
+        are pairs of the exact option string of a one-value option and a value
+        that does not begin with ``-``, each value passing the option's ``type``
+        and ``choices``, and every required option present (a repeated option
+        keeps its last value, as in argparse).  Any other line (help, an
+        abbreviation, ``--option=value``, ``--``, a flag, an unknown word, a
+        refused value) goes to argparse, which keeps every help and refusal
+        byte: this reader refuses nothing."""
+        args = sys.argv[1:] if args is None else list(args)
+        given = self._plain_values(args)
+        if given is None:
+            return super().parse_known_args(args, namespace)
+        namespace = argparse.Namespace() if namespace is None else namespace
+        # the defaults first, in declaration order, as argparse sets them (it would
+        # also pass a string default through ``type``, which no option here has)
+        for action in self._actions:
+            if (action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS
+                    and not hasattr(namespace, action.dest)):
+                setattr(namespace, action.dest, action.default)
+        for action, value in given.items():
+            setattr(namespace, action.dest, value)
+        return namespace, []
 
 
 @functools.cache
@@ -598,7 +645,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse(argv) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, but the parsers that keep ``commands``
     pass on the words after their command word unread: the deepest parser
-    reached parses them once, instead of each level matching them first."""
+    reached parses them once, instead of each level matching them first, and
+    reads them without argparse's matcher when they are plain pairs."""
     argv = sys.argv[1:] if argv is None else list(argv)
     root = parser = build_parser()
     args, i = argparse.Namespace(), 0

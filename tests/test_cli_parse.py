@@ -2,31 +2,43 @@
 
 ``main`` walks the leading command words of argv down the parsers that keep
 ``commands`` and hands the rest straight to the parser it reaches, so that
-only that parser matches the options.  Two checks hold it to that:
+only that parser matches the options, and that parser reads a plain line
+without argparse's matcher.  Three checks hold it to that:
 
 - Differential: for each command line of a corpus, ``main`` must give what
-  ``build_parser.__wrapped__().parse_args`` gives: the same Namespace, with
+  ``build_parser.__wrapped__().parse_args`` gives with argparse's own
+  ``parse_known_args`` at every level: the same Namespace, with
   its members in the same order, when parsing succeeds; the same one
   ``ValidationError:`` stderr line and exit code 2 when it refuses; and the
   same help bytes on stdout with exit code 0 for ``-h``/``--help``.
+  A Hypothesis test draws further lines for every command from the option
+  strings its parser declares.
 - Routing: a command line of a command path makes one ``parse_known_args``
   call, on the command's own parser (two for ``bounds sweep``, whose
   options may come before ``sweep``), so the nested routing cannot come
   back unnoticed.
+- Plain reading: a plain line (exact ``--option value`` pairs) of a command
+  whose parser has no subcommands and no mutually exclusive group is read
+  without argparse's own ``parse_known_args``, and each line of
+  ``NEAR_PLAIN``, which only looks plain, reaches it.
 
 Every handler is replaced by one that raises the Namespace it is given, so
 no command runs and no input file is read.
 """
 
+import argparse
 import contextlib
 import io
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from isoflag import cli
 from isoflag.cli import build_parser, main
 from isoflag.errors import ValidationError
-from test_cli_boundary import BASE
+from test_cli_boundary import BASE, HOSTILE, commands
 
 
 class Parsed(Exception):
@@ -43,9 +55,37 @@ def handlers_raise_their_args(monkeypatch):
             monkeypatch.setattr(cli, name, handler)
 
 
+def reversed_options(words):
+    """``--option value`` pairs in the reverse order."""
+    return [word for i in range(len(words) - 2, -1, -2) for word in words[i:i + 2]]
+
+
+# Lines next to plain that the parser's own matcher must read: a value
+# beginning with "-", an empty or refused value, a missing required option,
+# the = form, an abbreviation, help followed by a word, an option of a
+# mutually exclusive group, and an option on both sides of `sweep`.
+NEAR_PLAIN = [
+    ["repdim", "verify", "--n", "-3"],
+    ["repdim", "dim", "--n", "7", "--weight", "-1,0"],
+    ["repdim", "verify", "--n", ""],
+    ["project", "--matrix-file", "sym4.txt", "--ks", "--n"],
+    ["repdim", "verify", "--n", "x"],
+    ["repdim", "verify", "--n", "17", "--format", "xml"],
+    ["repdim", "enumerate", "--n", "7"],
+    ["repdim", "verify", "--n", "17", "--format=json"],
+    ["repdim", "enumerate", "--n", "7", "--max", "35"],
+    ["repdim", "verify", "--n", "17", "--help", "x"],
+    ["embed", "--n", "4", "--ks", "1,3", "--q-file", "q.txt"],
+    ["bounds", "--group-order", "2", "sweep", "--max-n", "5", "--group-order", "3"],
+]
+
 CORPUS = [
     *([*path, *base] for path, base in BASE.items()),
+    *([*path, *reversed_options(base)] for path, base in BASE.items() if len(base) > 2),
+    *NEAR_PLAIN,
     ["bounds"],
+    # a repeated option, which keeps its last value
+    ["repdim", "verify", "--n", "7", "--n", "8"],
     # options typed before `sweep`, and the same option on both sides of it
     ["bounds", "--format", "json", "sweep", "--max-n", "5"],
     ["bounds", "--group-order", "3", "sweep", "--max-n", "5", "--format", "csv"],
@@ -64,7 +104,6 @@ CORPUS = [
     ["bounds", "--", "sweep", "--max-n", "5"],
     ["bounds", "sweep", "--max-n", "5", "--", "--format", "json"],
     # abbreviations, and the = form
-    ["repdim", "enumerate", "--n", "7", "--max", "35"],
     ["repdim", "enumerate", "--n", "7", "--max-dim", "35", "--c", "3"],
     ["repdim", "enumerate", "--n=7", "--max-dim=35", "--format=csv"],
     ["bounds", "sweep", "--max", "5", "--f", "csv"],
@@ -86,17 +125,17 @@ CORPUS = [
     ["bounds", "sweep", "--max-n", "5", "--n", "5", "extra"],
     # missing or bad values
     ["repdim"], [], ["repdim", "enumerate"], ["repdim", "verify", "--n"],
-    ["repdim", "verify", "--n", "x"], ["repdim", "verify", "--n", "-3"],
-    ["repdim", "verify", "--n", "17", "--format", "xml"],
     ["bounds", "sweep"], ["bounds", "--format", "xml", "sweep", "--max-n", "5"],
     ["embed", "--n", "4", "--ks", "1,3", "--identity", "--q-file", "q.txt"],
 ]
 
 
 def parse_args(argv):
-    """The nested parse's result: a Namespace, or (exit code, stdout, stderr)."""
+    """The nested parse's result, by argparse's own matcher at every level
+    (no plain reading): a Namespace, or (exit code, stdout, stderr)."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), mock.patch.object(
+            cli._Parser, "parse_known_args", argparse.ArgumentParser.parse_known_args):
         try:
             return build_parser.__wrapped__().parse_args(argv)
         except ValidationError as e:
@@ -117,8 +156,10 @@ def run_main(argv):
 
 
 def members(result):
-    """A Namespace as its (name, value) pairs in order; anything else as it is."""
-    return result if isinstance(result, tuple) else list(vars(result).items())
+    """A Namespace as its (name, value type, value repr) triples in order, so
+    that a nan value equals itself; anything else as it is."""
+    return result if isinstance(result, tuple) else [
+        (name, type(value), repr(value)) for name, value in vars(result).items()]
 
 
 @pytest.mark.parametrize("argv", CORPUS, ids=lambda argv: " ".join(argv) or "(empty)")
@@ -157,3 +198,97 @@ def test_a_command_line_is_parsed_once_by_its_own_parser(path, monkeypatch):
     if path == ("bounds", "sweep"):  # the bounds parser hands sweep its words
         parsers = ["isoflag bounds", *parsers]
     assert parse_calls(monkeypatch, [*path, *BASE[path]]) == parsers
+
+
+def argparse_calls(monkeypatch, argv) -> list[str]:
+    """The ``prog`` of each parser whose argparse ``parse_known_args`` (its
+    own matcher, not the plain reader) runs under ``main(argv)``."""
+    calls = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    run_main(argv)
+    return calls
+
+
+# the commands whose parser declares subcommands or a mutually exclusive group
+MATCHED = {("embed",), ("bounds",)}
+
+
+@pytest.mark.parametrize("path", [path for path in BASE if path not in MATCHED], ids=" ".join)
+@pytest.mark.parametrize("order", [list, reversed_options])
+def test_a_plain_line_is_read_without_the_matcher(path, order, monkeypatch):
+    calls = ["isoflag bounds"] if path == ("bounds", "sweep") else []  # bounds hands sweep its words
+    assert argparse_calls(monkeypatch, [*path, *order(BASE[path])]) == calls
+
+
+@pytest.mark.parametrize("path", sorted(MATCHED), ids=" ".join)
+def test_a_parser_with_subcommands_or_a_group_reads_no_line_itself(path, monkeypatch):
+    assert argparse_calls(monkeypatch, [*path, *BASE[path]]) == [" ".join(("isoflag", *path))]
+
+
+@pytest.mark.parametrize("argv", NEAR_PLAIN, ids=" ".join)
+def test_a_near_plain_line_reaches_the_matcher(argv, monkeypatch):
+    assert argparse_calls(monkeypatch, argv)
+
+
+def test_an_option_that_is_not_one_value_reaches_the_matcher():
+    # no command declares such an option; a parser built here does
+    parser = cli._Parser(prog="t")
+    parser.add_argument("--n", type=int)
+    parser.add_argument("--one", nargs=1)
+    parser.add_argument("--all", action="append")
+    for argv in (["--one", "5"], ["--all", "5"], ["--n", "5", "--all", "6"]):
+        got, want = parser.parse_known_args(argv), argparse.ArgumentParser.parse_known_args(parser, argv)
+        assert (vars(got[0]), got[1]) == (vars(want[0]), want[1])
+
+
+def values(action) -> st.SearchStrategy[str]:
+    """Words for an option's value: from its type's domain or its choices,
+    three times in four, and hostile ones."""
+    if action.choices is not None:
+        domain = st.sampled_from(list(action.choices))
+    elif action.type is int:
+        domain = st.integers(-5, 40).map(str)
+    elif action.type is float:
+        domain = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    else:
+        domain = st.sampled_from(["1,3", "2", "sym4.txt", "1/2,1/2"])
+    hostile = st.sampled_from([*HOSTILE, "-", "--", "--n", "=", "1_0", " 7 "])
+    return st.one_of(domain, domain, domain, hostile)
+
+
+@st.composite
+def command_lines(draw):
+    """A command path and words drawn from the option strings its parser
+    declares, after its ``BASE`` line three times in four: ``option value``
+    pairs, mostly, and options alone (so odd word counts), the = form,
+    abbreviations, repeats, stray words and, rarely, help."""
+    path, parser = draw(st.sampled_from(list(commands(build_parser()))))
+    options = [(s, action) for action in parser._actions if "--help" not in action.option_strings
+               for s in action.option_strings]
+    words = [*draw(st.sampled_from([[], *[BASE[path]] * 3]))]
+    for _ in range(draw(st.integers(0, 3))):
+        option, action = draw(st.sampled_from(options))
+        kind = draw(st.sampled_from(["pair"] * 12 + ["alone", "equals", "abbrev", "stray", "help"]))
+        if kind == "abbrev":
+            option = option[:draw(st.integers(2, max(2, len(option) - 1)))]
+        if kind == "help":
+            words.append(draw(st.sampled_from(["-h", "--help", "--he"])))
+        elif kind == "equals":
+            words.append(f"{option}={draw(values(action))}")
+        elif kind == "stray":
+            words.append(draw(values(action)))
+        else:
+            words += [option] if kind == "alone" else [option, draw(values(action))]
+    return [*path, *words]
+
+
+@given(command_lines())
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_main_parses_drawn_lines_as_parse_args(argv):
+    assert members(run_main(argv)) == members(parse_args(argv))
