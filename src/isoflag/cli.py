@@ -7,16 +7,16 @@ sweep``), 2 input validation failure, 3 numerical/degeneracy failure; on
 an exit of 2 or 3 a single machine-parsable line ``ErrorName: reason`` goes
 to stderr, and no warning.  That holds for the parser's own refusals too
 (an unknown or missing option, a value its ``type`` cannot parse), which
-are one ``ValidationError:`` line instead of argparse's usage block.  A
-plain command line, exact ``--option value`` pairs, is read without
-argparse's matcher; every other line goes to argparse, so help and refusal
-text are argparse's.  When the reader of stdout closes it early
+are one ``ValidationError:`` line instead of argparse's usage block.  Each
+parser on a command path reads its exact ``--option value`` pairs without
+argparse's matcher and hands the words after its command word to that
+command's parser; any other line goes to argparse at that level, so help
+and refusal text are argparse's.  When the reader of stdout closes it early
 (``| head``), the output stops without a traceback and the exit code is
 141 (128 + SIGPIPE), as for a process that SIGPIPE ended, whatever the
 line length: an unbuffered stdout gets one buffered layer, so the rest of
-any write meets the closed pipe.  Any other
-failed write to stdout (a full disk) exits 1 with the one stderr line
-``OSError: reason``, and no traceback.
+any write meets the closed pipe.  Any other failed write to stdout (a full
+disk) exits 1 with the one stderr line ``OSError: reason``, and no traceback.
 
 Matrix files are plain text: the first line holds the size n, followed by
 n rows of n whitespace-separated finite decimal reals.  Floating-point
@@ -506,59 +506,74 @@ def cmd_bounds_sweep(args) -> Callable[[str, dict], int]:
 class _Parser(argparse.ArgumentParser):
     """An argument parser that refuses its input by raising ``ValidationError``,
     which ``main`` prints as its one stderr line, rather than by printing the
-    usage block and exiting.  Subcommand parsers are built from this class too.
-    One whose only option is ``--help`` keeps its subcommands' action as
-    ``commands``: its option matching can neither set nor refuse a word after
-    the command word, so ``main`` hands those words straight to the subcommand.
-    A plain line is read without argparse's matcher (``parse_known_args``)."""
+    usage block and exiting.  Subcommand parsers are built from this class too,
+    and each reads a plain line without argparse's matcher (``parse_known_args``)."""
 
-    commands = None
+    _commands = None  # the subcommands' action, kept by ``add_subparsers``
 
     def error(self, message):
         raise ValidationError(f"{self.prog}: {message}")
 
-    def _plain_values(self, args: list) -> dict | None:
-        """The value of each option of a plain line by its action, in the order
-        given; None for any other line, and for every line of a parser with
-        subcommands or a mutually exclusive group."""
-        if len(args) % 2 or self._subparsers is not None or self._mutually_exclusive_groups:
+    def add_subparsers(self, **kwargs):
+        self._commands = super().add_subparsers(**kwargs)
+        return self._commands
+
+    def _plain_values(self, args: list) -> tuple[dict, list] | None:
+        """By action in the order given, the value of each leading option and a
+        command word after them, and the words after that word; None for any
+        other line, and for every line of a parser with a mutually exclusive group."""
+        if self._mutually_exclusive_groups:
             return None
-        given = {}
-        for option, text in zip(args[::2], args[1::2]):
-            action = self._option_string_actions.get(option)  # one-value: a store action with no nargs
-            if type(action) is not argparse._StoreAction or action.nargs is not None or text.startswith("-"):
+        given, rest, commands = {}, [], self._commands
+        for i in range(0, len(args), 2):
+            if commands is not None and args[i] in commands.choices:
+                given[commands], rest = args[i], args[i + 1:]
+                break
+            action = self._option_string_actions.get(args[i])  # one-value: a store action with no nargs
+            if (type(action) is not argparse._StoreAction or action.nargs is not None
+                    or i + 1 == len(args) or args[i + 1].startswith("-")):
                 return None
             try:
-                value = given[action] = text if action.type is None else action.type(text)
+                value = given[action] = args[i + 1] if action.type is None else action.type(args[i + 1])
             except (TypeError, ValueError, argparse.ArgumentTypeError):
                 return None
             if action.choices is not None and value not in action.choices:
                 return None
-        return given if all(action in given for action in self._actions if action.required) else None
+        if rest and len(self._option_string_actions) > 2:  # options besides -h/--help
+            try:  # argparse's matcher refuses a word after the command word that abbreviates two of them
+                for word in rest:  # (not after a ``--``, but a line declined here is argparse's anyway)
+                    self._parse_optional(word)
+            except (ValidationError, argparse.ArgumentError):
+                return None
+        return given, rest
 
     def parse_known_args(self, args=None, namespace=None):
-        """``(Namespace, [])`` as argparse gives it, read directly when ``args``
-        are pairs of the exact option string of a one-value option and a value
-        that does not begin with ``-``, each value passing the option's ``type``
-        and ``choices``, and every required option present (a repeated option
-        keeps its last value, as in argparse).  Any other line (help, an
-        abbreviation, ``--option=value``, ``--``, a flag, an unknown word, a
-        refused value) goes to argparse, which keeps every help and refusal
-        byte: this reader refuses nothing."""
+        """``(Namespace, extras)`` as argparse gives it, read directly when ``args``
+        are pairs of an exact one-value option string and a value not beginning
+        with ``-`` that passes the option's ``type`` and ``choices`` (a repeated
+        option keeps its last value), then possibly a command word, and give
+        every required option; the words after the command word go to its parser,
+        into the same Namespace.  Any other line (help, an abbreviation, the =
+        form, ``--``, a flag, an unknown word, a refused value) goes to argparse
+        at this level, which keeps every help and refusal byte."""
         args = sys.argv[1:] if args is None else list(args)
-        given = self._plain_values(args)
-        if given is None:
-            return super().parse_known_args(args, namespace)
-        namespace = argparse.Namespace() if namespace is None else namespace
-        # the defaults first, in declaration order, as argparse sets them (it would
-        # also pass a string default through ``type``, which no option here has)
-        for action in self._actions:
-            if (action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS
-                    and not hasattr(namespace, action.dest)):
-                setattr(namespace, action.dest, action.default)
-        for action, value in given.items():
-            setattr(namespace, action.dest, value)
-        return namespace, []
+        read = self._plain_values(args)
+        if read is not None:
+            given, rest = read
+            space = argparse.Namespace() if namespace is None else namespace
+            # in declaration order, as argparse sets defaults (no default here is a string it would convert)
+            for action in self._actions:
+                if action in given:
+                    setattr(space, action.dest, given[action])
+                elif action.required:  # argparse refuses the line, whatever ``space`` holds
+                    break
+                elif (action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS
+                        and not hasattr(space, action.dest)):
+                    setattr(space, action.dest, action.default)
+            else:
+                command = given.get(self._commands)
+                return self._commands.choices[command].parse_known_args(rest, space) if command else (space, [])
+        return super().parse_known_args(args, namespace)
 
 
 @functools.cache
@@ -569,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="isoflag",
         description="Flag manifolds as fixed-spectrum symmetric matrices.",
     )
-    sub = parser.commands = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add_format(p, default="text"):
         p.add_argument("--format", choices=("text", "json", "csv"), default=default)
@@ -609,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(po)
 
     pd = sub.add_parser("repdim", help="exact SO(n) irreducible module dimensions")
-    dsub = pd.commands = pd.add_subparsers(dest="repdim_command", required=True)
+    dsub = pd.add_subparsers(dest="repdim_command", required=True)
 
     pdd = dsub.add_parser("dim", help="dimension at one highest weight")
     pdd.add_argument("--n", type=int, required=True)
@@ -631,38 +646,19 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--ks")
     pb.add_argument("--group-order", type=int)
     add_format(pb)
-    # no ``commands``: these options may precede `sweep`, and match (or refuse) words after it
     bsub = pb.add_subparsers(dest="bounds_command")
     pbs = bsub.add_parser("sweep", help="all signatures up to an ambient dimension")
     pbs.add_argument("--max-n", type=int, required=True)
-    # without a default, a --format or --group-order given before `sweep` stands
+    # no default, so that a --format or --group-order read before `sweep` stands
     pbs.add_argument("--group-order", type=int, default=argparse.SUPPRESS)
     add_format(pbs, argparse.SUPPRESS)
 
     return parser
 
 
-def _parse(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, but the parsers that keep ``commands``
-    pass on the words after their command word unread: the deepest parser
-    reached parses them once, instead of each level matching them first, and
-    reads them without argparse's matcher when they are plain pairs."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    root = parser = build_parser()
-    args, i = argparse.Namespace(), 0
-    while parser.commands is not None and i < len(argv) and argv[i] in parser.commands.choices:
-        setattr(args, parser.commands.dest, argv[i])
-        parser, i = parser.commands.choices[argv[i]], i + 1
-    leaf, extras = parser.parse_known_args(argv[i:])
-    vars(args).update(vars(leaf))
-    if extras:
-        root.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
-
-
 def main(argv=None) -> int:
     try:
-        args = _parse(argv)
+        args = build_parser().parse_args(argv)
         # handler names follow the command path: "repdim dim" is cmd_repdim_dim,
         # looked up at call time so that a wrapped or patched handler is called
         sub = getattr(args, "repdim_command", None) or getattr(args, "bounds_command", None)

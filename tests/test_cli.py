@@ -575,6 +575,14 @@ class TestRepdimCommand:
         assert code == 2
         assert err.startswith("HypothesisViolated:")
 
+    @pytest.mark.parametrize("wrap", [tuple, iter], ids=["tuple", "iterator"])
+    def test_main_takes_any_iterable_argv(self, capsys, wrap):
+        argv = ["repdim", "verify", "--n", "17"]
+        listed = run(capsys, *argv)
+        code = main(wrap(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == listed
+
 
 class TestBoundsCommand:
     def test_gr25_row(self, capsys):

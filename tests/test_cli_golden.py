@@ -116,7 +116,7 @@ def test_every_handler_returns_a_writer(case, golden, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = CASES[case]
     command = " ".join(itertools.takewhile(lambda word: not word.startswith("--"), argv))
-    args = cli._parse(argv)
+    args = build_parser().parse_args(argv)
     write = getattr(cli, "cmd_" + command.replace(" ", "_"))(args)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

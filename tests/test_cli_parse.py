@@ -1,9 +1,10 @@
 """``main`` parses a command line as a freshly built parser's ``parse_args`` does.
 
-``main`` walks the leading command words of argv down the parsers that keep
-``commands`` and hands the rest straight to the parser it reaches, so that
-only that parser matches the options, and that parser reads a plain line
-without argparse's matcher.  Three checks hold it to that:
+Each parser on a command path reads its own exact ``--option value`` pairs
+without argparse's matcher, then hands the words after its command word to
+that command's parser, which reads them by the same rule.  A line that is
+not plain at some level goes to argparse's matcher at that level.  Four
+checks hold it to that:
 
 - Differential: for each command line of a corpus, ``main`` must give what
   ``build_parser.__wrapped__().parse_args`` gives with argparse's own
@@ -12,15 +13,17 @@ without argparse's matcher.  Three checks hold it to that:
   ``ValidationError:`` stderr line and exit code 2 when it refuses; and the
   same help bytes on stdout with exit code 0 for ``-h``/``--help``.
   A Hypothesis test draws further lines for every command from the option
-  strings its parser declares.
-- Routing: a command line of a command path makes one ``parse_known_args``
-  call, on the command's own parser (two for ``bounds sweep``, whose
-  options may come before ``sweep``), so the nested routing cannot come
-  back unnoticed.
-- Plain reading: a plain line (exact ``--option value`` pairs) of a command
-  whose parser has no subcommands and no mutually exclusive group is read
-  without argparse's own ``parse_known_args``, and each line of
-  ``NEAR_PLAIN``, which only looks plain, reaches it.
+  strings its parser declares, and for ``bounds sweep`` words before
+  ``sweep`` from those of ``bounds``.
+- Routing: each parser on the command path runs ``parse_known_args`` once,
+  outermost first, so a level parsing twice cannot come back unnoticed.
+- Plain reading: a plain line (exact ``--option value`` pairs, at each
+  level, before the command word) of a command whose parser has no mutually
+  exclusive group is read without argparse's own ``parse_known_args``, and
+  each line of ``NEAR_PLAIN``, which only looks plain, reaches it.
+- Classification: only a parser that declares options besides
+  ``-h``/``--help`` (``bounds``) classifies the words after its command
+  word, as its matcher would, with one ``_parse_optional`` call per word.
 
 Every handler is replaced by one that raises the Namespace it is given, so
 no command runs and no input file is read.
@@ -63,7 +66,8 @@ def reversed_options(words):
 # Lines next to plain that the parser's own matcher must read: a value
 # beginning with "-", an empty or refused value, a missing required option,
 # the = form, an abbreviation, help followed by a word, an option of a
-# mutually exclusive group, and an option on both sides of `sweep`.
+# mutually exclusive group, and, before `sweep`, an abbreviation, the = form,
+# and after it a word that abbreviates two options of `bounds`.
 NEAR_PLAIN = [
     ["repdim", "verify", "--n", "-3"],
     ["repdim", "dim", "--n", "7", "--weight", "-1,0"],
@@ -76,7 +80,19 @@ NEAR_PLAIN = [
     ["repdim", "enumerate", "--n", "7", "--max", "35"],
     ["repdim", "verify", "--n", "17", "--help", "x"],
     ["embed", "--n", "4", "--ks", "1,3", "--q-file", "q.txt"],
+    ["bounds", "--g", "2", "sweep", "--max-n", "5"],
+    ["bounds", "--format=json", "sweep", "--max-n", "5"],
+    ["bounds", "sweep", "--max-n", "5", "--=x"],
+]
+
+# Plain lines with options typed before `sweep`, and the same option on both
+# sides of it.
+PLAIN_BEFORE_SWEEP = [
+    ["bounds", "--format", "json", "sweep", "--max-n", "5"],
+    ["bounds", "--group-order", "3", "sweep", "--max-n", "5", "--format", "csv"],
     ["bounds", "--group-order", "2", "sweep", "--max-n", "5", "--group-order", "3"],
+    ["bounds", "--format", "json", "sweep", "--max-n", "5", "--format", "csv"],
+    ["bounds", "--n", "5", "sweep", "--max-n", "5"],
 ]
 
 CORPUS = [
@@ -86,11 +102,7 @@ CORPUS = [
     ["bounds"],
     # a repeated option, which keeps its last value
     ["repdim", "verify", "--n", "7", "--n", "8"],
-    # options typed before `sweep`, and the same option on both sides of it
-    ["bounds", "--format", "json", "sweep", "--max-n", "5"],
-    ["bounds", "--group-order", "3", "sweep", "--max-n", "5", "--format", "csv"],
-    ["bounds", "--format", "json", "sweep", "--max-n", "5", "--format", "csv"],
-    ["bounds", "--n", "5", "sweep", "--max-n", "5"],
+    *PLAIN_BEFORE_SWEEP,
     # help at each level, alone and after other words
     ["-h"], ["--help"], ["--help=x"],
     ["repdim", "-h"], ["repdim", "--help"],
@@ -103,16 +115,15 @@ CORPUS = [
     ["repdim", "verify", "--n", "17", "--"],
     ["bounds", "--", "sweep", "--max-n", "5"],
     ["bounds", "sweep", "--max-n", "5", "--", "--format", "json"],
+    ["bounds", "sweep", "--max-n", "5", "--", "--=x"],
     # abbreviations, and the = form
     ["repdim", "enumerate", "--n", "7", "--max-dim", "35", "--c", "3"],
     ["repdim", "enumerate", "--n=7", "--max-dim=35", "--format=csv"],
     ["bounds", "sweep", "--max", "5", "--f", "csv"],
-    ["bounds", "--g", "2", "sweep", "--max-n", "5"],
     ["optimize", "--t", "sym4.txt", "--k", "1,3", "--max-i", "20"],
     # an abbreviation ambiguous at one level only
     ["--=x"], ["repdim", "--=x"], ["bounds", "--=x"],
     ["repdim", "enumerate", "--n", "7", "--max-dim", "35", "--=x"],
-    ["bounds", "sweep", "--max-n", "5", "--=x"],
     # an unknown word at each level
     ["bogus"], ["repdim", "bogus"], ["bounds", "bogus"],
     ["repdim", "enumerate", "bogus"], ["bounds", "sweep", "bogus"],
@@ -177,16 +188,17 @@ def test_corpus_holds_every_outcome():
     assert codes.count(None) > len(BASE) and codes.count(0) >= 9 and codes.count(2) >= 25
 
 
-def parse_calls(monkeypatch, argv) -> list[str]:
-    """The ``prog`` of each parser whose ``parse_known_args`` runs under ``main(argv)``."""
+def parse_calls(monkeypatch, argv, owner=cli._Parser, method="parse_known_args") -> list[str]:
+    """The ``prog`` of the parser of each ``owner.method`` call under
+    ``main(argv)``, by default each parser whose ``parse_known_args`` runs."""
     calls = []
-    original = cli._Parser.parse_known_args
+    original = getattr(owner, method)
 
     def counted(self, *args, **kwargs):
         calls.append(self.prog)
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli._Parser, "parse_known_args", counted)
+    monkeypatch.setattr(owner, method, counted)
     with pytest.raises(Parsed):
         main(argv)
     return calls
@@ -194,9 +206,7 @@ def parse_calls(monkeypatch, argv) -> list[str]:
 
 @pytest.mark.parametrize("path", list(BASE), ids=" ".join)
 def test_a_command_line_is_parsed_once_by_its_own_parser(path, monkeypatch):
-    parsers = [" ".join(("isoflag", *path))]
-    if path == ("bounds", "sweep"):  # the bounds parser hands sweep its words
-        parsers = ["isoflag bounds", *parsers]
+    parsers = [" ".join(("isoflag", *path[:i])) for i in range(len(path) + 1)]
     assert parse_calls(monkeypatch, [*path, *BASE[path]]) == parsers
 
 
@@ -215,19 +225,23 @@ def argparse_calls(monkeypatch, argv) -> list[str]:
     return calls
 
 
-# the commands whose parser declares subcommands or a mutually exclusive group
-MATCHED = {("embed",), ("bounds",)}
+# the commands whose parser declares a mutually exclusive group
+MATCHED = {("embed",)}
 
 
 @pytest.mark.parametrize("path", [path for path in BASE if path not in MATCHED], ids=" ".join)
 @pytest.mark.parametrize("order", [list, reversed_options])
 def test_a_plain_line_is_read_without_the_matcher(path, order, monkeypatch):
-    calls = ["isoflag bounds"] if path == ("bounds", "sweep") else []  # bounds hands sweep its words
-    assert argparse_calls(monkeypatch, [*path, *order(BASE[path])]) == calls
+    assert argparse_calls(monkeypatch, [*path, *order(BASE[path])]) == []
+
+
+@pytest.mark.parametrize("argv", PLAIN_BEFORE_SWEEP, ids=" ".join)
+def test_options_before_sweep_are_read_without_the_matcher(argv, monkeypatch):
+    assert argparse_calls(monkeypatch, argv) == []
 
 
 @pytest.mark.parametrize("path", sorted(MATCHED), ids=" ".join)
-def test_a_parser_with_subcommands_or_a_group_reads_no_line_itself(path, monkeypatch):
+def test_a_parser_with_a_group_reads_no_line_itself(path, monkeypatch):
     assert argparse_calls(monkeypatch, [*path, *BASE[path]]) == [" ".join(("isoflag", *path))]
 
 
@@ -247,6 +261,36 @@ def test_an_option_that_is_not_one_value_reaches_the_matcher():
         assert (vars(got[0]), got[1]) == (vars(want[0]), want[1])
 
 
+def outcome(parser, argv):
+    """``parser.parse_known_args(argv)`` as (members, extras), or its refusal."""
+    try:
+        namespace, extras = parser.parse_known_args(argv)
+    except ValidationError as e:
+        return str(e)
+    return vars(namespace), extras
+
+
+def test_a_word_that_abbreviates_two_parent_options_is_refused_by_the_parent():
+    # the rule apart from the options the commands declare: a parser built here
+    parent = cli._Parser(prog="t")
+    parent.add_argument("--ga")
+    parent.add_argument("--gb")
+    parent.add_subparsers(dest="command").add_parser("sub").add_argument("--g")
+    with mock.patch.object(cli._Parser, "parse_known_args", argparse.ArgumentParser.parse_known_args):
+        want = {argv: outcome(parent, list(argv)) for argv in [("sub", "--g", "1"), ("sub", "--gb", "1")]}
+    assert want[("sub", "--g", "1")] == "t: ambiguous option: --g could match --ga, --gb"
+    assert {argv: outcome(parent, list(argv)) for argv in want} == want
+
+
+@pytest.mark.parametrize("argv", [
+    *([*path, *BASE[path]] for path in BASE if path not in MATCHED), *PLAIN_BEFORE_SWEEP,
+], ids=" ".join)
+def test_only_bounds_classifies_the_words_after_its_command_word(argv, monkeypatch):
+    after = len(argv) - argv.index("sweep") - 1 if "sweep" in argv else 0
+    # _parse_optional: argparse's classification of one word as an option or not
+    assert parse_calls(monkeypatch, argv, argparse.ArgumentParser, "_parse_optional") == ["isoflag bounds"] * after
+
+
 def values(action) -> st.SearchStrategy[str]:
     """Words for an option's value: from its type's domain or its choices,
     three times in four, and hostile ones."""
@@ -262,30 +306,46 @@ def values(action) -> st.SearchStrategy[str]:
     return st.one_of(domain, domain, domain, hostile)
 
 
-@st.composite
-def command_lines(draw):
-    """A command path and words drawn from the option strings its parser
-    declares, after its ``BASE`` line three times in four: ``option value``
-    pairs, mostly, and options alone (so odd word counts), the = form,
-    abbreviations, repeats, stray words and, rarely, help."""
-    path, parser = draw(st.sampled_from(list(commands(build_parser()))))
+PARSERS = dict(commands(build_parser()))
+
+
+def option_words(draw, parser) -> list[str]:
+    """Up to three drawings from the option strings ``parser`` declares:
+    ``option value`` pairs, mostly, and options alone (so odd word counts),
+    the = form, also after the bare prefix (``--=x``, which abbreviates every
+    ``--`` option), abbreviations, repeats, stray words and, rarely, help or
+    ``--``."""
     options = [(s, action) for action in parser._actions if "--help" not in action.option_strings
                for s in action.option_strings]
-    words = [*draw(st.sampled_from([[], *[BASE[path]] * 3]))]
+    words = []
     for _ in range(draw(st.integers(0, 3))):
         option, action = draw(st.sampled_from(options))
-        kind = draw(st.sampled_from(["pair"] * 12 + ["alone", "equals", "abbrev", "stray", "help"]))
+        kind = draw(st.sampled_from(
+            ["pair"] * 12 + ["alone", "equals", "abbrev", "prefix equals", "stray", "help", "--"]))
         if kind == "abbrev":
             option = option[:draw(st.integers(2, max(2, len(option) - 1)))]
         if kind == "help":
             words.append(draw(st.sampled_from(["-h", "--help", "--he"])))
-        elif kind == "equals":
-            words.append(f"{option}={draw(values(action))}")
+        elif kind == "--":
+            words.append(kind)
+        elif kind.endswith("equals"):
+            words.append(f"{'--' if kind == 'prefix equals' else option}={draw(values(action))}")
         elif kind == "stray":
             words.append(draw(values(action)))
         else:
             words += [option] if kind == "alone" else [option, draw(values(action))]
-    return [*path, *words]
+    return words
+
+
+@st.composite
+def command_lines(draw):
+    """A command path and words drawn from the option strings its parser
+    declares, after its ``BASE`` line three times in four, and, before the
+    command word of ``bounds sweep``, words drawn from those of ``bounds``."""
+    path = draw(st.sampled_from(list(PARSERS)))
+    before = option_words(draw, PARSERS[path[:-1]]) if path[:-1] in PARSERS else []
+    words = [*draw(st.sampled_from([[], *[BASE[path]] * 3])), *option_words(draw, PARSERS[path])]
+    return [*path[:-1], *before, path[-1], *words]
 
 
 @given(command_lines())
