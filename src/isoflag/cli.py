@@ -108,16 +108,16 @@ def _ks_text(sig, fmt: str = "text") -> str:
 
 
 def _matrix_lines(a) -> list[str]:
-    return ["  " + _row(row) for row in np.asarray(a)]
+    return ["  " + _row(row) for row in a]
 
 
 def _matrix_csv_rows(a):
-    return [[_fmt(v) for v in row] for row in np.asarray(a)]
+    return [[_fmt(v) for v in row] for row in a]
 
 
 def _spectrum_header(spec: Spectrum) -> dict:
     sig = spec.signature
-    return {"n": sig.n, "ks": list(sig.ks), "spectrum": [float(v) for v in spec.values]}
+    return {"n": sig.n, "ks": list(sig.ks), "spectrum": list(spec.values)}
 
 
 def _parse_list(text: str, kind, what: str) -> list:
@@ -227,8 +227,8 @@ def cmd_recover(args) -> Output:
             "q": q.tolist(),
             "blocks": [
                 {
-                    "value": float(value),
-                    "size": int(size),
+                    "value": value,
+                    "size": size,
                     "columns": [s.start, s.stop],
                     "basis": q[:, s].tolist(),
                 }
@@ -274,12 +274,12 @@ def cmd_optimize(args) -> Output:
     return Output(
         json=lambda: {
             **_spectrum_header(spec),
-            "step": float(step),
+            "step": step,
             "iterations": result.iterations,
             "converged": result.converged,
-            "final_grad_norm": float(result.final_grad_norm),
+            "final_grad_norm": result.final_grad_norm,
             "distance_to_target": distance,
-            "grad_norms": [float(v) for v in result.grad_norms],
+            "grad_norms": list(result.grad_norms),
             "matrix": final.tolist(),
         },
         csv=lambda: _matrix_csv_rows(final),
@@ -520,18 +520,15 @@ class _Parser(argparse.ArgumentParser):
 
     def _plain_values(self, args: list) -> tuple[dict, list] | None:
         """By action in the order given, the value of each leading option and a
-        command word after them, and the words after that word; None for any
-        other line, and for every line of a parser with a mutually exclusive group."""
-        if self._mutually_exclusive_groups:
-            return None
+        command word after them, and the words after that word; None for any other
+        line.  What this assumes of ``build_parser``'s tree, a test of the tree checks."""
         given, rest, commands = {}, [], self._commands
         for i in range(0, len(args), 2):
             if commands is not None and args[i] in commands.choices:
                 given[commands], rest = args[i], args[i + 1:]
                 break
             action = self._option_string_actions.get(args[i])  # one-value: a store action with no nargs
-            if (type(action) is not argparse._StoreAction or action.nargs is not None
-                    or i + 1 == len(args) or args[i + 1].startswith("-")):
+            if action is None or action.nargs is not None or i + 1 == len(args) or args[i + 1].startswith("-"):
                 return None
             try:
                 value = given[action] = args[i + 1] if action.type is None else action.type(args[i + 1])
@@ -539,12 +536,10 @@ class _Parser(argparse.ArgumentParser):
                 return None
             if action.choices is not None and value not in action.choices:
                 return None
-        if rest and len(self._option_string_actions) > 2:  # options besides -h/--help
-            try:  # argparse's matcher refuses a word after the command word that abbreviates two of them
-                for word in rest:  # (not after a ``--``, but a line declined here is argparse's anyway)
-                    self._parse_optional(word)
-            except (ValidationError, argparse.ArgumentError):
-                return None
+        if rest and len(self._option_string_actions) > 2:  # options besides -h/--help, so a word after the
+            command = commands.choices[given[commands]]  # command word may abbreviate two, which argparse refuses:
+            if any(word.startswith("-") and word not in command._option_string_actions for word in rest):
+                return None  # only the command's exact option strings are read on
         return given, rest
 
     def parse_known_args(self, args=None, namespace=None):

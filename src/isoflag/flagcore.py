@@ -403,8 +403,7 @@ class TangentBlock:
                 if blk.shape != (sizes[i], sizes[j]):
                     raise NotSkewSymmetric(f"block ({i},{j}) must have shape {(sizes[i], sizes[j])}, got {blk.shape}")
                 a[sl[i], sl[j]] = blk
-                a[sl[j], sl[i]] = -blk.T
-        return cls(sig, a)
+        return cls(sig, a - a.T)
 
     def to_matrix(self) -> np.ndarray:
         return self.matrix.copy()

@@ -18,12 +18,12 @@ checks hold it to that:
 - Routing: each parser on the command path runs ``parse_known_args`` once,
   outermost first, so a level parsing twice cannot come back unnoticed.
 - Plain reading: a plain line (exact ``--option value`` pairs, at each
-  level, before the command word) of a command whose parser has no mutually
-  exclusive group is read without argparse's own ``parse_known_args``, and
-  each line of ``NEAR_PLAIN``, which only looks plain, reaches it.
-- Classification: only a parser that declares options besides
-  ``-h``/``--help`` (``bounds``) classifies the words after its command
-  word, as its matcher would, with one ``_parse_optional`` call per word.
+  level, before the command word) is read without argparse's own
+  ``parse_known_args`` or ``_parse_optional``, and each line of
+  ``NEAR_PLAIN``, which only looks plain, reaches the matcher.
+- Tree: the reader serves only the parser tree ``build_parser`` makes, and
+  ``reader_faults`` finds in that tree none of the shapes it would misread,
+  which it finds in a parser of each shape built here.
 
 Every handler is replaced by one that raises the Namespace it is given, so
 no command runs and no input file is read.
@@ -65,9 +65,9 @@ def reversed_options(words):
 
 # Lines next to plain that the parser's own matcher must read: a value
 # beginning with "-", an empty or refused value, a missing required option,
-# the = form, an abbreviation, help followed by a word, an option of a
-# mutually exclusive group, and, before `sweep`, an abbreviation, the = form,
-# and after it a word that abbreviates two options of `bounds`.
+# the = form, an abbreviation, help followed by a word, a flag, and, before
+# `sweep`, an abbreviation, the = form, and after it a word that abbreviates
+# two options of `bounds`.
 NEAR_PLAIN = [
     ["repdim", "verify", "--n", "-3"],
     ["repdim", "dim", "--n", "7", "--weight", "-1,0"],
@@ -79,7 +79,7 @@ NEAR_PLAIN = [
     ["repdim", "verify", "--n", "17", "--format=json"],
     ["repdim", "enumerate", "--n", "7", "--max", "35"],
     ["repdim", "verify", "--n", "17", "--help", "x"],
-    ["embed", "--n", "4", "--ks", "1,3", "--q-file", "q.txt"],
+    ["embed", "--n", "4", "--ks", "1,3", "--identity"],
     ["bounds", "--g", "2", "sweep", "--max-n", "5"],
     ["bounds", "--format=json", "sweep", "--max-n", "5"],
     ["bounds", "sweep", "--max-n", "5", "--=x"],
@@ -95,6 +95,14 @@ PLAIN_BEFORE_SWEEP = [
     ["bounds", "--n", "5", "sweep", "--max-n", "5"],
 ]
 
+# Plain lines with an option of `embed`'s mutually exclusive group, whose
+# other option, the flag --identity, no plain line holds, and with more options.
+PLAIN_MORE = [
+    ["embed", "--n", "4", "--ks", "1,3", "--q-file", "q.txt"],
+    ["embed", "--n", "4", "--ks", "1,3", "--seed", "2", "--format", "json"],
+    ["bounds", "sweep", "--max-n", "10", "--format", "csv"],
+]
+
 CORPUS = [
     *([*path, *base] for path, base in BASE.items()),
     *([*path, *reversed_options(base)] for path, base in BASE.items() if len(base) > 2),
@@ -103,6 +111,7 @@ CORPUS = [
     # a repeated option, which keeps its last value
     ["repdim", "verify", "--n", "7", "--n", "8"],
     *PLAIN_BEFORE_SWEEP,
+    *PLAIN_MORE,
     # help at each level, alone and after other words
     ["-h"], ["--help"], ["--help=x"],
     ["repdim", "-h"], ["repdim", "--help"],
@@ -225,11 +234,7 @@ def argparse_calls(monkeypatch, argv) -> list[str]:
     return calls
 
 
-# the commands whose parser declares a mutually exclusive group
-MATCHED = {("embed",)}
-
-
-@pytest.mark.parametrize("path", [path for path in BASE if path not in MATCHED], ids=" ".join)
+@pytest.mark.parametrize("path", list(BASE), ids=" ".join)
 @pytest.mark.parametrize("order", [list, reversed_options])
 def test_a_plain_line_is_read_without_the_matcher(path, order, monkeypatch):
     assert argparse_calls(monkeypatch, [*path, *order(BASE[path])]) == []
@@ -240,9 +245,13 @@ def test_options_before_sweep_are_read_without_the_matcher(argv, monkeypatch):
     assert argparse_calls(monkeypatch, argv) == []
 
 
-@pytest.mark.parametrize("path", sorted(MATCHED), ids=" ".join)
-def test_a_parser_with_a_group_reads_no_line_itself(path, monkeypatch):
-    assert argparse_calls(monkeypatch, [*path, *BASE[path]]) == [" ".join(("isoflag", *path))]
+@pytest.mark.parametrize("argv", [
+    *([*path, *BASE[path]] for path in BASE), *PLAIN_BEFORE_SWEEP, *PLAIN_MORE,
+], ids=" ".join)
+def test_a_plain_line_classifies_no_word(argv, monkeypatch):
+    # _parse_optional: argparse's classification of one word as an option or not
+    assert parse_calls(monkeypatch, argv, argparse.ArgumentParser, "_parse_optional") == []
+    assert argparse_calls(monkeypatch, argv) == []
 
 
 @pytest.mark.parametrize("argv", NEAR_PLAIN, ids=" ".join)
@@ -255,10 +264,44 @@ def test_an_option_that_is_not_one_value_reaches_the_matcher():
     parser = cli._Parser(prog="t")
     parser.add_argument("--n", type=int)
     parser.add_argument("--one", nargs=1)
-    parser.add_argument("--all", action="append")
-    for argv in (["--one", "5"], ["--all", "5"], ["--n", "5", "--all", "6"]):
+    for argv in (["--one", "5"], ["--n", "5", "--one", "6"]):
         got, want = parser.parse_known_args(argv), argparse.ArgumentParser.parse_known_args(parser, argv)
         assert (vars(got[0]), got[1]) == (vars(want[0]), want[1])
+
+
+# The option actions the reader reads as argparse does: a store action with no
+# nargs by its value, a flag or help by declining the line.
+READ_ACTIONS = (argparse._StoreAction, argparse._StoreTrueAction, argparse._HelpAction)
+
+
+def reader_faults(parser, path=()) -> list[tuple[tuple, str, str]]:
+    """(command path, kind, what) for each shape in ``parser``'s tree that the
+    plain reader would read otherwise than argparse's matcher:
+
+    - "action": an option that is not a store, ``store_true`` or help action;
+    - "group": a mutually exclusive group that is required or holds two
+      one-value options, which argparse refuses together;
+    - "abbrev": an option of a command, not of its parent, that is a prefix of
+      two or more of the parent's option strings, which argparse's matcher at
+      the parent refuses after the command word."""
+    faults = []
+    for action in parser._actions:
+        if action.option_strings and type(action) not in READ_ACTIONS:
+            faults.append((path, "action", action.option_strings[0]))
+    for group in parser._mutually_exclusive_groups:
+        if group.required or sum(a.nargs is None for a in group._group_actions) > 1:
+            faults.append((path, "group", " ".join(a.option_strings[0] for a in group._group_actions)))
+    for action in parser._actions:
+        for name, sub in (action.choices.items() if isinstance(action, argparse._SubParsersAction) else ()):
+            for option in sub._option_string_actions.keys() - parser._option_string_actions.keys():
+                if sum(s.startswith(option) for s in parser._option_string_actions) > 1:
+                    faults.append(((*path, name), "abbrev", option))
+            faults += reader_faults(sub, (*path, name))
+    return faults
+
+
+def test_the_parser_tree_holds_what_the_plain_reader_assumes():
+    assert reader_faults(build_parser.__wrapped__()) == []
 
 
 def outcome(parser, argv):
@@ -270,25 +313,42 @@ def outcome(parser, argv):
     return vars(namespace), extras
 
 
-def test_a_word_that_abbreviates_two_parent_options_is_refused_by_the_parent():
-    # the rule apart from the options the commands declare: a parser built here
-    parent = cli._Parser(prog="t")
-    parent.add_argument("--ga")
-    parent.add_argument("--gb")
-    parent.add_subparsers(dest="command").add_parser("sub").add_argument("--g")
+# One parser of each shape ``reader_faults`` finds, built by declaring its options.
+def appending(parser):
+    parser.add_argument("--all", action="append")
+
+
+def grouped(parser):
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--a")
+    group.add_argument("--b")
+
+
+def required_group(parser):
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--a", action="store_true")
+    group.add_argument("--b", action="store_true")
+
+
+def abbreviated(parser):
+    parser.add_argument("--ga")
+    parser.add_argument("--gb")
+    parser.add_subparsers(dest="command").add_parser("sub").add_argument("--g")
+
+
+@pytest.mark.parametrize("declare, fault, argv", [
+    (appending, ((), "action", "--all"), ["--all", "5"]),
+    (grouped, ((), "group", "--a --b"), ["--a", "1", "--b", "2"]),
+    (required_group, ((), "group", "--a --b"), []),
+    (abbreviated, (("sub",), "abbrev", "--g"), ["sub", "--g", "1"]),
+], ids=["append", "group", "required group", "abbreviation"])
+def test_the_tree_check_finds_each_shape_the_reader_misreads(declare, fault, argv):
+    parser = cli._Parser(prog="t")
+    declare(parser)
+    assert reader_faults(parser) == [fault]
     with mock.patch.object(cli._Parser, "parse_known_args", argparse.ArgumentParser.parse_known_args):
-        want = {argv: outcome(parent, list(argv)) for argv in [("sub", "--g", "1"), ("sub", "--gb", "1")]}
-    assert want[("sub", "--g", "1")] == "t: ambiguous option: --g could match --ga, --gb"
-    assert {argv: outcome(parent, list(argv)) for argv in want} == want
-
-
-@pytest.mark.parametrize("argv", [
-    *([*path, *BASE[path]] for path in BASE if path not in MATCHED), *PLAIN_BEFORE_SWEEP,
-], ids=" ".join)
-def test_only_bounds_classifies_the_words_after_its_command_word(argv, monkeypatch):
-    after = len(argv) - argv.index("sweep") - 1 if "sweep" in argv else 0
-    # _parse_optional: argparse's classification of one word as an option or not
-    assert parse_calls(monkeypatch, argv, argparse.ArgumentParser, "_parse_optional") == ["isoflag bounds"] * after
+        want = outcome(parser, argv)
+    assert outcome(parser, argv) != want  # the plain reader misreads the line
 
 
 def values(action) -> st.SearchStrategy[str]:

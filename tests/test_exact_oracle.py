@@ -16,7 +16,16 @@ pairs acting on V.  No exterior power Λ^q R^n with 0 < q < n has a fixed
 vector, and the fixed traceless symmetric matrices are the block-scalar
 diagonals, of dimension p = b - 1, which the model's spectrum fills.  n = 2
 is left out: there H = {I, -I} is central and fixes all of Sym²_0 R².
+
+The model is an immersion, exactly: the differential of the orbit map
+g ↦ g D g' at a rational rotation Q sends the so(n) basis E_ij - E_ji
+(i < j) to Q [E_ij - E_ji, D] Q', and those matrices span a space of the
+flag's dimension when D's block values are distinct.  Two equal adjacent
+values collapse D to the coarser flag without that k, whose dimension the
+rank then takes.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -29,6 +38,7 @@ from isoflag import (
     all_signatures,
     default_traceless_spectrum,
     embed,
+    flag_dimension,
     flags_equal,
     make_signature,
     membership,
@@ -105,3 +115,34 @@ def test_the_fixed_symmetric_matrices_are_the_block_scalars(n):
 def test_the_middle_exterior_power_at_n_8_has_no_fixed_vector():
     """Λ⁴R⁸, the real form of n = 8's extra modules (1,1,1,1)±, at each Gr(k, 8)."""
     assert [fixed_space_dim(make_signature(8, [k]), 4, alternating=True) for k in range(1, 8)] == [0] * 7
+
+
+def orbit_tangent_rank(q, sig, values) -> int:
+    """The exact rank of the orbit map's differential at the rotation ``q``:
+    of the matrices Q [E_ij - E_ji, D] Q' for i < j, each as its upper
+    triangle, with D = diag(``values`` repeated by block size)."""
+    n = sig.n
+    d = [a for a, size in zip(values, sig.block_sizes) for _ in range(size)]
+    rows = []
+    for i, j in itertools.combinations(range(n), 2):
+        # [A, D] = AD - DA, for a diagonal D entry (u, v) = A_uv (d_v - d_u)
+        bracket = [(u, v, a * (d[v] - d[u])) for u, v, a in ((i, j, 1), (j, i, -1))]
+        rows.append([sum(w * q[r][u] * q[c][v] for u, v, w in bracket) for r in range(n) for c in range(r, n)])
+    return exact_rank(rows)
+
+
+SMALL_SIGNATURES = [sig for n in range(2, 7) for sig in all_signatures(n)]  # all 57
+
+
+@pytest.mark.parametrize("sig", SMALL_SIGNATURES, ids=str)
+def test_the_model_is_an_immersion_and_equal_values_collapse_it(sig):
+    """At a Cayley frame, with the exact canonical values, the tangent rank is
+    the flag's dimension; with the values of blocks t and t+1 made equal (t
+    from 0) it is the dimension of the flag without k_t, the k between them."""
+    q = cayley_frame(random_integer_skew(sig.n, np.random.default_rng(sig.n)))
+    values = exact_ladder(sig)
+    assert orbit_tangent_rank(q, sig, values) == flag_dimension(sig)
+    for t in range(len(sig.ks) if len(sig.ks) > 1 else 0):  # p >= 2, so a coarser flag remains
+        merged = values[:t + 1] + values[t:t + 1] + values[t + 2:]
+        coarser = make_signature(sig.n, sig.ks[:t] + sig.ks[t + 1:])
+        assert orbit_tangent_rank(q, sig, merged) == flag_dimension(coarser), t
