@@ -201,9 +201,9 @@ def act(r: np.ndarray, f: FlagPoint) -> FlagPoint:
     r = FlagPoint(r, f.signature).q  # r read and checked as a frame is
     q = r @ f.q
     try:
-        return FlagPoint(q, f.signature)
+        return _oriented_flag(q, f.signature)
     except NotSpecialOrthogonal:  # the defects of r and f.q add up: repair the product
-        return FlagPoint(_newton_schulz(q), f.signature)
+        return _oriented_flag(_newton_schulz(q), f.signature)
 
 
 def membership(x: SymmetricMatrix, spec: Spectrum) -> bool:

@@ -39,8 +39,7 @@ from .errors import (
 
 # Every tolerance of the package.  The matrix model is exact, so each one
 # only absorbs floating-point roundoff.
-ORTH_TOL = 1e-10  # ||Q'Q - I||_F of a rotation
-_DET_TOL = 1e-9  # |det Q - 1| of a rotation
+ORTH_TOL = 1e-10  # ||Q'Q - I||_F of a rotation, whose determinant must then be positive
 SYM_TOL = 1e-10  # asymmetry of a SymmetricMatrix; skew defect and zero diagonal blocks of a TangentBlock
 EIG_TOL = 1e-8  # eigenvalues against the spectrum, which bounds the trace by n * EIG_TOL; flags_equal
 SPECTRUM_GAP_TOL = 1e-8  # spectrum values, and nearest_point's gaps at block boundaries
@@ -265,17 +264,15 @@ def default_traceless_spectrum(sig: FlagSignature) -> Spectrum:
     return Spectrum(tuple(((p - i) * n - total) / (n * p) for i in range(p + 1)), sig)
 
 
-def _check_special_orthogonal(q: np.ndarray, n: int) -> None:
-    """Raise ``NotSpecialOrthogonal`` unless q, read by ``_frozen_array``, is n x n,
-    orthogonal within ORTH_TOL and of determinant +1; an overflowing defect fails."""
+def _orthogonal_det(q: np.ndarray, n: int) -> float:
+    """det q; ``NotSpecialOrthogonal`` unless q is n x n and orthogonal within ORTH_TOL (an overflowing
+    defect fails), which puts |det q| within about sqrt(n) * ORTH_TOL / 2 of 1: only its sign is left to test."""
     if q.shape != (n, n):
         raise NotSpecialOrthogonal(f"expected a {n}x{n} matrix, got shape {q.shape}")
     defect = _quietly(lambda: _orth_defect(q))
     if not defect <= ORTH_TOL:
         raise NotSpecialOrthogonal(f"Q'Q - I has Frobenius norm {defect:.3e} > {ORTH_TOL:.3e}")
-    det = float(np.linalg.det(q))
-    if not abs(det - 1.0) <= _DET_TOL:
-        raise NotSpecialOrthogonal(f"det Q = {det!r}, want +1")
+    return float(np.linalg.det(q))
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +290,8 @@ class FlagPoint:
 
     def __post_init__(self):
         q = _frozen_array(self.q, NotSpecialOrthogonal)
-        _check_special_orthogonal(q, self.signature.n)
+        if (det := _orthogonal_det(q, self.signature.n)) <= 0:
+            raise NotSpecialOrthogonal(f"det Q = {det!r}, want +1")
         object.__setattr__(self, "q", q)
 
 
@@ -313,10 +311,12 @@ def _generator(seed) -> np.random.Generator:
 
 
 def _oriented_flag(q: np.ndarray, sig: FlagSignature) -> FlagPoint:
-    """``FlagPoint(q, sig)`` of a computed orthogonal frame q, its last column negated in place if det q < 0."""
-    if np.linalg.det(q) < 0:
+    """The FlagPoint of a computed C-ordered frame q, checked as ``FlagPoint`` checks it, which makes q finite:
+    q itself is kept, read-only, its last column negated in place if det q < 0."""
+    if _orthogonal_det(q, sig.n) < 0:
         q[:, -1] = -q[:, -1]
-    return FlagPoint(q, sig)
+    q.setflags(write=False)
+    return _prechecked(FlagPoint, q=q, signature=sig)
 
 
 def random_flag_point(sig: FlagSignature, seed: int = 0) -> FlagPoint:
@@ -328,7 +328,7 @@ def random_flag_point(sig: FlagSignature, seed: int = 0) -> FlagPoint:
     """
     a = _generator(seed).standard_normal((sig.n, sig.n))
     q, r = np.linalg.qr(a)
-    q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)  # rebound: QR's q is freed before FlagPoint copies (peak RSS)
+    q *= np.where(np.diag(r) >= 0, 1.0, -1.0)
     return _oriented_flag(q, sig)
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from isoflag import FlagSignature, make_signature
+from isoflag import FlagSignature, make_signature, random_flag_point
 
 
 def random_signature(rng: np.random.Generator, n_min: int = 2, n_max: int = 12) -> FlagSignature:
@@ -26,6 +26,16 @@ def haar_special_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q = q.copy()
         q[:, -1] = -q[:, -1]
+    return q
+
+
+@functools.cache
+def frame_within_orth_tol(n: int) -> np.ndarray:
+    """A rotation scaled by 1 + 4.9e-11/sqrt(n), read-only: ||Q'Q - I||_F is about
+    9.8e-11, inside ORTH_TOL, and det Q about 1 + 4.9e-11 sqrt(n), more than 1e-9
+    from 1 for n > 416."""
+    q = random_flag_point(make_signature(n, [n // 2]), n).q * (1 + 4.9e-11 / math.sqrt(n))
+    q.setflags(write=False)
     return q
 
 

@@ -28,7 +28,7 @@ from isoflag import bounds as bounds_mod
 from isoflag import cli
 from isoflag.cli import build_parser, main, read_matrix_file
 
-from _helpers import format_matrix_file, no_convergence
+from _helpers import format_matrix_file, frame_within_orth_tol, no_convergence
 
 # 1000, 999, ..., 921: the n = 160 weight whose dimension has 5,545 digits
 HUGE_WEIGHT = ",".join(map(str, range(1000, 920, -1)))
@@ -230,6 +230,22 @@ class TestEmbedCommand:
                            "--spectrum", "2,-1", "--q-file", str(path), "--format", "json")
         assert code == 0
         assert json.loads(out)["matrix"] == [[2.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]
+
+    @pytest.mark.parametrize("n", [500, 1000])
+    def test_q_file_within_orth_tol_is_accepted_at_any_n(self, capsys, tmp_path, n):
+        path = tmp_path / "q.txt"
+        path.write_text(format_matrix_file(frame_within_orth_tol(n)))
+        code, _, err = run(capsys, "embed", "--n", str(n), "--ks", str(n // 2), "--q-file", str(path))
+        assert (code, err) == (0, "")
+
+    def test_q_file_reflection_within_orth_tol_is_refused(self, capsys, tmp_path):
+        q = frame_within_orth_tol(500).copy()
+        q[:, -1] = -q[:, -1]
+        path = tmp_path / "q.txt"
+        path.write_text(format_matrix_file(q))
+        code, out, err = run(capsys, "embed", "--n", "500", "--ks", "250", "--q-file", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("NotSpecialOrthogonal: det Q = -1.0000000") and err.endswith(", want +1\n")
 
 
 class TestRecoverCommand:

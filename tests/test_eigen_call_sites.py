@@ -7,14 +7,15 @@
 - Every floating-point error state is set by ``flagcore._quietly``, the one
   overflow policy: numpy's warnings off, and a non-finite result either
   refused with a ``NumericalError`` or left to fail its tolerance test.
-- A determinant is taken only by ``flagcore._check_special_orthogonal`` and by
-  ``flagcore._oriented_flag``, the one sign fix of a computed frame.
+- A determinant is taken only by ``flagcore._orthogonal_det``, the one rotation
+  check, which ``FlagPoint`` runs on caller input and ``flagcore._oriented_flag``
+  on every frame the library computes.
 - No code calls ``np.linalg.norm``; ``flagcore._frobenius`` computes the same
   bits without its argument handling.
 - The validating constructors ``SymmetricMatrix``, ``FlagPoint`` and
-  ``EmbeddedFlag`` run only on input from outside the library and where the
-  library cannot prove their checks; its own results are built through
-  ``flagcore._prechecked``.
+  ``EmbeddedFlag`` run only on input from outside the library; its own
+  results are built through ``flagcore._prechecked``, after
+  ``_oriented_flag``'s check where the library cannot prove one.
 - Array input is tested for finiteness by ``flagcore._frozen_array``, which
   every validating constructor calls, ``Spectrum`` too, so a file reader or
   a command leaves that test to the constructor it feeds; the other
@@ -24,7 +25,8 @@
   it, and nothing else does.
 
 This stdlib ``ast`` check fails on a call of one of them, or a use of
-``_real``, anywhere else in ``src/isoflag/*.py``.
+``_real``, anywhere else in ``src/isoflag/*.py``.  A method is named with its
+class, as ``FlagPoint.__post_init__``.
 """
 
 import ast
@@ -34,14 +36,17 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "isoflag"
 
 
 def nodes_by_function(tree: ast.Module):
-    """(enclosing function, node) for every node, the function None at module level."""
+    """(enclosing function, node) for every node, the function None at module level
+    and a method named with its class."""
 
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
+    def visit(node, function, cls=None):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function, cls = node.name if cls is None else f"{cls}.{node.name}", None
         yield function, node
         for child in ast.iter_child_nodes(node):
-            yield from visit(child, function)
+            yield from visit(child, function, cls)
 
     yield from visit(tree, None)
 
@@ -78,28 +83,30 @@ def test_linalg_norm_is_never_called():
     assert call_sites("norm") == []
 
 
-def test_validating_constructors_run_only_where_a_check_can_fail():
-    """The CLI's matrix files, all read by ``_matrix_and_spectrum``, and its
-    ``--q-file``; the LAPACK frames of ``random_flag_point`` and ``recover``,
-    both built by ``flagcore._oriented_flag``; and ``act``'s rotation, its
-    product and, where that is refused, the product repaired."""
+def test_validating_constructors_run_only_on_caller_input():
+    """The CLI's matrix files, all read by ``_matrix_and_spectrum``, its
+    ``--q-file`` and ``act``'s rotation.  The frames the library computes, of
+    ``random_flag_point``, ``recover`` and ``act``'s product, are checked by
+    ``flagcore._oriented_flag`` and built through ``_prechecked``."""
     assert call_sites("SymmetricMatrix", "FlagPoint", "EmbeddedFlag") == [
         ("cli", "_matrix_and_spectrum", "SymmetricMatrix"),
         ("cli", "cmd_embed", "FlagPoint"),
         ("embed", "act", "FlagPoint"),
-        ("embed", "act", "FlagPoint"),
-        ("embed", "act", "FlagPoint"),
-        ("flagcore", "_oriented_flag", "FlagPoint"),
     ]
 
 
-def test_orientation_is_fixed_in_one_place():
-    """A determinant is taken only to check a rotation and, in
-    ``_oriented_flag``, to move a computed frame onto SO(n), which
-    ``random_flag_point`` and ``recover`` both call."""
-    assert call_sites("det") == [
-        ("flagcore", "_check_special_orthogonal", "det"),
-        ("flagcore", "_oriented_flag", "det"),
+def test_a_determinant_is_taken_only_by_the_rotation_check():
+    """One LU call site: ``_orthogonal_det`` returns det q once q is orthogonal
+    within ``ORTH_TOL``, and its callers test only the sign."""
+    assert call_sites("det") == [("flagcore", "_orthogonal_det", "det")]
+
+
+def test_every_frame_is_checked_by_the_rotation_check():
+    """``FlagPoint`` checks caller input with it and ``_oriented_flag`` every
+    frame the library computes, so neither check can go unnoticed."""
+    assert call_sites("_orthogonal_det") == [
+        ("flagcore", "FlagPoint.__post_init__", "_orthogonal_det"),
+        ("flagcore", "_oriented_flag", "_orthogonal_det"),
     ]
 
 

@@ -20,6 +20,7 @@ from isoflag import (
     make_signature,
     random_flag_point,
     random_tangent_block,
+    recover,
 )
 from isoflag.errors import (
     AmbientTooSmall,
@@ -33,9 +34,9 @@ from isoflag.errors import (
     SpectrumInvalid,
     ValidationError,
 )
-from isoflag.flagcore import SPECTRUM_MAX
+from isoflag.flagcore import ORTH_TOL, SPECTRUM_MAX, _orth_defect, _oriented_flag
 
-from _helpers import exact_ladder, random_block_stabilizer, random_signature
+from _helpers import exact_ladder, frame_within_orth_tol, random_block_stabilizer, random_signature
 
 
 @st.composite
@@ -196,6 +197,58 @@ class TestRandomFlagPoint:
             else:
                 with pytest.raises(NotSpecialOrthogonal, match="^Q'Q - I has Frobenius norm"):
                     FlagPoint(q, sig)
+
+
+class TestRotationRule:
+    """A rotation is orthogonal within ORTH_TOL and of positive determinant, at
+    any n; every frame the library computes passes the same check, once."""
+
+    @pytest.mark.parametrize("n", [500, 1000])
+    def test_a_frame_within_orth_tol_is_accepted_at_any_n(self, n):
+        q = frame_within_orth_tol(n)
+        assert _orth_defect(q) <= ORTH_TOL and np.linalg.det(q) - 1.0 > 1e-9
+        sig = make_signature(n, [n // 2])
+        assert np.array_equal(FlagPoint(q, sig).q, q)
+        f = random_flag_point(sig, 1)
+        assert np.linalg.norm(act(q, f).q - q @ f.q) <= 1e-9
+
+    def test_a_reflection_within_orth_tol_is_refused(self):
+        q = frame_within_orth_tol(500).copy()
+        q[:, -1] = -q[:, -1]
+        sig = make_signature(500, [250])
+        with pytest.raises(NotSpecialOrthogonal, match=r"^det Q = -1\.0000000\d*, want \+1$"):
+            FlagPoint(q, sig)
+        with pytest.raises(NotSpecialOrthogonal, match=r"^det Q = -1\.0000000\d*, want \+1$"):
+            act(q, random_flag_point(sig, 1))
+
+    def test_random_flag_point_checks_its_frame(self, monkeypatch):
+        qr = np.linalg.qr
+
+        def off_by_1e_6(a):
+            q, r = qr(a)
+            return q * (1 + 1e-6), r
+
+        monkeypatch.setattr(np.linalg, "qr", off_by_1e_6)
+        with pytest.raises(NotSpecialOrthogonal, match="^Q'Q - I has Frobenius norm "):
+            random_flag_point(make_signature(6, [2, 4]), 0)
+
+    def test_a_computed_frame_is_oriented_in_place_and_kept(self):
+        sig = make_signature(5, [2])
+        q = random_flag_point(sig, 3).q.copy()
+        q[:, -1] = -q[:, -1]
+        want = q.copy()
+        want[:, -1] = -want[:, -1]
+        f = _oriented_flag(q, sig)
+        assert f.q is q and not q.flags.writeable
+        assert np.array_equal(q, want) and np.linalg.det(q) > 0
+
+    def test_computed_frames_are_c_contiguous(self):
+        sig = make_signature(7, [2, 5])
+        spec = default_traceless_spectrum(sig)
+        f = random_flag_point(sig, 4)
+        r = np.asfortranarray(random_flag_point(sig, 5).q)
+        for q in (f.q, recover(embed(f, spec).x, spec).q, act(r, f).q):
+            assert q.flags.c_contiguous and not q.flags.writeable
 
 
 @pytest.mark.parametrize("draw, field", [(random_flag_point, "q"), (random_tangent_block, "matrix")])

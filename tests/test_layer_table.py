@@ -14,8 +14,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import layer_table  # noqa: E402
 
-NUMERIC = {"eigh", "SymmetricMatrix", "FlagPoint", "embed", "recover", "nearest_point",
-           "project_to_tangent", "descent_iteration"}
+NUMERIC = {"eigh", "SymmetricMatrix", "random_flag_point", "FlagPoint", "act", "embed", "recover",
+           "nearest_point", "project_to_tangent", "descent_iteration"}
 EXACT = {"verify_classification", "_walk", "_comparison_dims", "weyl_dim"}
 
 

@@ -25,8 +25,8 @@ from a warm call to about ``LOOP_S`` seconds:
 - ``sweep_rows_per_s``: rows of ``isoflag bounds sweep --max-n N`` (text)
   per second, stdout captured in memory.
 
-The table makes 81 figures of 5 loops, so ``LOOP_S`` = 0.06 keeps it under
-30 s: it took 22 s on a 2-vCPU Xeon VM (Python 3.11.7, numpy 2.4.6).
+The table makes 93 figures of 5 loops, so ``LOOP_S`` = 0.06 keeps it under
+30 s: it took 26 s on a 2-vCPU Xeon VM (Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -74,7 +74,9 @@ def numeric_stages(n: int) -> dict:
     rng = np.random.default_rng(n)
     sig = iso.make_signature(n, sorted({n // 4, n // 2, 3 * n // 4}))
     spec = iso.default_traceless_spectrum(sig)
-    f = iso.random_flag_point(sig, int(rng.integers(2**63)))
+    seed = int(rng.integers(2**63))
+    f = iso.random_flag_point(sig, seed)
+    r = iso.random_flag_point(sig, seed + 1).q
     point = iso.embed(f, spec)
     a = rng.standard_normal((n, n))
     target = point.x.entries + NOISE / np.sqrt(n) * (a + a.T) / 2.0
@@ -86,7 +88,9 @@ def numeric_stages(n: int) -> dict:
 
     return {
         "SymmetricMatrix": lambda: iso.SymmetricMatrix(target),
+        "random_flag_point": lambda: iso.random_flag_point(sig, seed),
         "FlagPoint": lambda: iso.FlagPoint(f.q, sig),
+        "act": lambda: iso.act(r, f),
         "embed": lambda: iso.embed(f, spec),
         "recover": lambda: iso.recover(point.x, spec),
         "nearest_point": lambda: iso.nearest_point(noisy, spec),
