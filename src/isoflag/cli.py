@@ -401,51 +401,44 @@ def cmd_bounds(args) -> Output:
     )
 
 
-# Per format, the renderer of one n's group tails, given the n's isospectral
-# value and label: each is one f-string over a group's flat ``_columns`` row.
-def _text_tails(iso: int, label: str) -> Callable[..., str]:
-    return lambda m, gunther, whitney, *_: (
-        f" flag_dim={m} isospectral={iso} gunther={gunther} whitney={whitney}")
+# Per format, one group's tail from the n's isospectral value and JSON-quoted
+# label and a group's flat ``_columns`` row: each is one f-string.
+def _text_tail(iso: int, label: str, m, gunther, whitney, *_) -> str:
+    return f" flag_dim={m} isospectral={iso} gunther={gunther} whitney={whitney}"
 
 
-def _csv_tails(iso: int, label: str) -> Callable[..., str]:
+def _csv_tail(iso: int, label: str, m, gunther, whitney, wang, lt_gunther, whitney_condition, _) -> str:
     # no field needs quoting
-    return lambda m, gunther, whitney, wang, lt_gunther, whitney_condition, _: (
-        f",{m},{iso},{gunther},{whitney},{'' if wang is None else wang},{lt_gunther},{whitney_condition}")
+    return f",{m},{iso},{gunther},{whitney},{'' if wang is None else wang},{lt_gunther},{whitney_condition}"
 
 
-def _json_tails(iso: int, label: str) -> Callable[..., str]:
-    # the members after ks of a ``bounds`` JSON document, as json.dumps(indent=2)
-    # puts them 6 spaces deep, written out: with indent, json runs its
-    # pure-Python encoder
-    label = json.dumps(label)
-
-    def render(m, gunther, whitney, wang, lt_gunther, whitney_condition, wang_gt):
-        wang_member = "" if wang is None else (
-            f',\n        "wang_composed_gt_isospectral": {"true" if wang_gt else "false"}')
-        return (f'\n      ],\n      "flag_dim": {m},\n      "isospectral": {iso},'
-                f'\n      "gunther": {gunther},\n      "whitney": {whitney},'
-                f'\n      "wang": {"null" if wang is None else wang},'
-                f'\n      "isospectral_label": {label},'
-                f'\n      "comparisons": {{'
-                f'\n        "isospectral_lt_gunther": {"true" if lt_gunther else "false"},'
-                f'\n        "whitney_condition": {"true" if whitney_condition else "false"}{wang_member}'
-                f'\n      }}\n    }}')
-
-    return render
+def _json_tail(iso: int, label: str, m, gunther, whitney, wang, lt_gunther, whitney_condition, wang_gt) -> str:
+    # the members after ks of a ``bounds`` JSON document, written out as json.dumps(indent=2)
+    # puts them 6 spaces deep: with indent, json runs its pure-Python encoder
+    wang_member = "" if wang is None else (
+        f',\n        "wang_composed_gt_isospectral": {"true" if wang_gt else "false"}')
+    return (f'\n      ],\n      "flag_dim": {m},\n      "isospectral": {iso},'
+            f'\n      "gunther": {gunther},\n      "whitney": {whitney},'
+            f'\n      "wang": {"null" if wang is None else wang},'
+            f'\n      "isospectral_label": {label},'
+            f'\n      "comparisons": {{'
+            f'\n        "isospectral_lt_gunther": {"true" if lt_gunther else "false"},'
+            f'\n        "whitney_condition": {"true" if whitney_condition else "false"}{wang_member}'
+            f'\n      }}\n    }}')
 
 
 class _SweepTails(dict):
     """One n's sweep row tails by flag_dim: a row's text fields, CSV fields or
-    JSON members after its ks.  The n's isospectral value and label are
-    computed once and bound into ``render`` by the format's ``tails``; a
-    group's tail is ``render`` of one flat ``_columns`` row, on the group's
-    first row.  ``failing`` holds the flag_dims failing the Gunther
-    comparison."""
+    JSON members after its ks.  The n's isospectral value and JSON-quoted
+    label are computed once and bound into ``render``, the format's tail
+    function; a group's tail is ``render`` of one flat ``_columns`` row, on
+    the group's first row.  ``failing`` holds the flag_dims failing the
+    Gunther comparison."""
 
-    def __init__(self, n: int, group_order: int | None, tails: Callable[[int, str], Callable[..., str]]):
+    def __init__(self, n: int, group_order: int | None, tail: Callable[..., str]):
         self.iso, label = bounds_mod._n_columns(n)
-        self.render, self.group_order, self.failing = tails(self.iso, label), group_order, set()
+        self.render = functools.partial(tail, self.iso, json.dumps(label))
+        self.group_order, self.failing = group_order, set()
 
     def __missing__(self, m: int) -> str:
         row = bounds_mod._columns(self.iso, m, self.group_order)
@@ -455,13 +448,13 @@ class _SweepTails(dict):
 
 
 # Per format: the separator between rows, a row's head up to its ks, and the
-# footer, as templates, and the renderer of an n's group tails.  Rows are
+# footer, as templates, and the tail function of an n's groups.  Rows are
 # separated, not terminated, so that JSON needs no trailing comma.
 _SWEEP_FORMATS = {
-    "text": ("\n", "n={n} ks=", "\nrows: {rows}  gunther_failures: {failures}\n", _text_tails),
-    "csv": ("\n", "{n},", "\n", _csv_tails),
+    "text": ("\n", "n={n} ks=", "\nrows: {rows}  gunther_failures: {failures}\n", _text_tail),
+    "csv": ("\n", "{n},", "\n", _csv_tail),
     "json": (",\n", '    {{\n      "n": {n},\n      "ks": [\n        ',
-             '\n  ],\n  "gunther_failures": {failures}\n}}\n', _json_tails),
+             '\n  ],\n  "gunther_failures": {failures}\n}}\n', _json_tail),
 }
 
 
@@ -475,14 +468,14 @@ def _write_sweep(max_n: int, group_order: int | None, fmt: str, head: dict) -> i
     level, not the output, and nothing is written before the first level is
     rendered: an input refused there leaves stdout empty."""
     write = sys.stdout.write
-    sep, row_head, footer, tails_of = _SWEEP_FORMATS[fmt]
+    sep, row_head, footer, tail = _SWEEP_FORMATS[fmt]
     if fmt == "json":  # an indent=2 document ends with "\n}": the rows array is its last member but one
         lead = json.dumps({**head, "max_n": max_n}, indent=2)[:-2] + ',\n  "rows": [\n'
     else:
         lead = ",".join(_BOUND_CSV_HEADER) + "\n" if fmt == "csv" else ""
     rows = failures = 0
     for n in range(2, max_n + 1):
-        tails = _SweepTails(n, group_order, tails_of)
+        tails = _SweepTails(n, group_order, tail)
         for level in bounds_mod._walk_chains(n, _KS_SEP[fmt], row_head.format(n=n)):
             rendered = sep.join([text + tails[m] for _, m, text in level])
             write(lead)  # apart, not prepended: a level's text can run to hundreds of KB

@@ -83,26 +83,22 @@ class HighestWeight:
         if len(d) != m:
             raise NotDominant(f"need {m} entries for n={self.n}, got {len(d)}")
         if len({x % 2 for x in d}) > 1:
-            raise MixedParity(f"entries mix integers and half-integers: {self._pretty(d)}")
+            raise MixedParity(f"entries mix integers and half-integers: {self}")
         if any(a < b for a, b in zip(d, d[1:])):
-            raise NotDominant(f"entries must be nonincreasing: {self._pretty(d)}")
+            raise NotDominant(f"entries must be nonincreasing: {self}")
         if self.n % 2 == 1 and d[-1] < 0:
-            raise NotDominant(f"last entry must be >= 0 for odd n: {self._pretty(d)}")
+            raise NotDominant(f"last entry must be >= 0 for odd n: {self}")
         if self.n % 2 == 0 and d[-2] < abs(d[-1]):  # even n >= 4, so m >= 2
-            raise NotDominant(f"need mu_{m - 1} >= |mu_{m}| for even n: {self._pretty(d)}")
-
-    @staticmethod
-    def _pretty(doubled: Sequence[int]) -> str:
-        """The entries d/2 as ``str(Fraction(d, 2))`` prints them, from the
-        doubled ints: d // 2 when d is even, ``d/2`` when it is odd."""
-        return ",".join(f"{d}/2" if d % 2 else str(d // 2) for d in doubled)
+            raise NotDominant(f"need mu_{m - 1} >= |mu_{m}| for even n: {self}")
 
     @property
     def is_spin(self) -> bool:
         return self.doubled[0] % 2 == 1
 
     def __str__(self) -> str:
-        return self._pretty(self.doubled)
+        """The entries d/2 as ``str(Fraction(d, 2))`` prints them, from the
+        doubled ints: d // 2 when d is even, ``d/2`` when it is odd."""
+        return ",".join(f"{d}/2" if d % 2 else str(d // 2) for d in self.doubled)
 
     @classmethod
     def from_halves(cls, n: int, values: Sequence) -> "HighestWeight":

@@ -202,6 +202,13 @@ def induced_action(x: list[list[int]], q: int, alternating: bool, derivation: bo
     return m
 
 
+def tangent_rank(v, generators) -> int:
+    """The exact rank of {rho(X) v}, the orbit's tangent space at the vector
+    ``v`` of a module: ``generators`` are the matrices rho(X) of a basis of the
+    Lie algebra acting on it."""
+    return exact_rank([[sum(a * b for a, b in zip(row, v)) for row in x] for x in generators])
+
+
 def fixed_space_dim(sig: FlagSignature, q: int, alternating: bool) -> int:
     """dim V^H, exactly, for V the q-th exterior (``alternating``) or symmetric
     power of R^n and H the isotropy group of ``isotropy_generators``: dim V

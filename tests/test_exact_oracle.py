@@ -51,8 +51,10 @@ from _helpers import (
     exact_ladder,
     exact_rank,
     fixed_space_dim,
+    induced_action,
     random_integer_skew,
     random_signature,
+    tangent_rank,
 )
 
 
@@ -131,6 +133,19 @@ def orbit_tangent_rank(q, sig, values) -> int:
     return exact_rank(rows)
 
 
+def symmetric_square_tangent_rank(q, sig, values) -> int:
+    """``tangent_rank`` of X = Q D Q' in Sym² R^n, under the so(n) basis
+    L = E_ij - E_ji (i < j) acting by the Leibniz rule.  The basis vector e_i e_j
+    stands for E_ij + E_ji, so X has the coordinates X_ij for i < j and X_ii / 2,
+    and rho(L) X is [L, X]."""
+    n, x = sig.n, exact_image(q, sig, values)
+    skews = [[[(r == i and c == j) - (r == j and c == i) for c in range(n)] for r in range(n)]
+             for i, j in itertools.combinations(range(n), 2)]
+    generators = [induced_action(s, 2, alternating=False, derivation=True) for s in skews]
+    v = [x[i][j] / (1 + (i == j)) for i, j in itertools.combinations_with_replacement(range(n), 2)]
+    return tangent_rank(v, generators)
+
+
 SMALL_SIGNATURES = [sig for n in range(2, 7) for sig in all_signatures(n)]  # all 57
 
 
@@ -138,11 +153,13 @@ SMALL_SIGNATURES = [sig for n in range(2, 7) for sig in all_signatures(n)]  # al
 def test_the_model_is_an_immersion_and_equal_values_collapse_it(sig):
     """At a Cayley frame, with the exact canonical values, the tangent rank is
     the flag's dimension; with the values of blocks t and t+1 made equal (t
-    from 0) it is the dimension of the flag without k_t, the k between them."""
+    from 0) it is the dimension of the flag without k_t, the k between them.
+    ``tangent_rank`` of the induced action on Sym² R^n gives the same ranks."""
     q = cayley_frame(random_integer_skew(sig.n, np.random.default_rng(sig.n)))
     values = exact_ladder(sig)
-    assert orbit_tangent_rank(q, sig, values) == flag_dimension(sig)
+    assert orbit_tangent_rank(q, sig, values) == symmetric_square_tangent_rank(q, sig, values) == flag_dimension(sig)
     for t in range(len(sig.ks) if len(sig.ks) > 1 else 0):  # p >= 2, so a coarser flag remains
         merged = values[:t + 1] + values[t:t + 1] + values[t + 2:]
         coarser = make_signature(sig.n, sig.ks[:t] + sig.ks[t + 1:])
-        assert orbit_tangent_rank(q, sig, merged) == flag_dimension(coarser), t
+        rank = orbit_tangent_rank(q, sig, merged)
+        assert rank == symmetric_square_tangent_rank(q, sig, merged) == flag_dimension(coarser), t

@@ -21,6 +21,7 @@ from isoflag import (
     weyl_dim,
 )
 from isoflag import cli, repdim
+from isoflag.flagcore import _prechecked
 from isoflag.repdim import EnumerationHit, EnumerationReport
 from isoflag.errors import (
     HypothesisViolated,
@@ -228,7 +229,8 @@ class TestWeightText:
 
     def test_entries_print_as_their_fractions(self):
         entries = [*range(-301, 302), *(s * 10**40 + t for s in (1, -1) for t in (1, -1))]
-        assert HighestWeight._pretty(entries) == weight_text_by_fractions(entries)
+        w = _prechecked(HighestWeight, n=2 * len(entries), doubled=tuple(entries))  # mixed parity: not checked
+        assert str(w) == weight_text_by_fractions(entries)
 
     @pytest.mark.parametrize("n", range(3, 41))
     def test_every_hit_and_its_mirror_print_as_their_fractions(self, n):
@@ -377,6 +379,27 @@ class TestWeylDim:
         assert weyl_dim(w) == weyl_dim_pairwise(w)
 
 
+# The real SO(4) modules of dimension at most 9, as (weight, dimension,
+# sign_pair): each pair (mu_1, +-mu_2), mu_2 != 0, listed once.
+N4_MODULES = [("0,0", 1, False), ("1,1", 3, True), ("1,0", 4, False), ("2,2", 5, True),
+              ("3,3", 7, True), ("2,1", 8, True), ("2,0", 9, False), ("4,4", 9, True)]
+
+
+def integer_modules_below_the_bound(n: int) -> list[tuple[str, int, bool]]:
+    """The integer-weight modules of dimension at most (n-1)(n+2)/2: trivial,
+    R^n, Λ²R^n and Sym²_0 R^n, with Λ²R³ = R³ at n = 3, ``N4_MODULES`` at
+    n = 4, and the halves of Λ³R⁶ and Λ⁴R⁸ at n = 6 and 8."""
+    if n == 3:
+        return [("0", 1, False), ("1", 3, False), ("2", 5, False)]
+    if n == 4:
+        return N4_MODULES
+    m = n // 2
+    zeros = ",0" * (m - 2)
+    extra = {6: [("1,1,1", 10, True)], 8: [("1,1,1,1", 35, True)]}.get(n, [])
+    return [("0,0" + zeros, 1, False), ("1,0" + zeros, n, False), ("1,1" + zeros, comb(n, 2), False),
+            ("2,0" + zeros, traceless_sym_dim(n), False), *extra]
+
+
 class TestBranchingOracle:
     """``weyl_dim`` and the walk's dimensions against Gelfand-Tsetlin
     branching, which shares no formula with the Weyl product."""
@@ -393,6 +416,15 @@ class TestBranchingOracle:
         assert len(hits) == 81
         for n, h in hits:
             assert branching_dim(n, h.weight.doubled) == h.dimension, (n, h.weight)
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_names_every_integer_hit_below_the_bound(self, n):
+        """The classification below the bound, weight by weight: the walk's
+        non-spin hits are exactly the listed modules, whose dimensions the
+        test above checks against branching."""
+        hits = enumerate_low_dim(n, traceless_sym_dim(n), None).hits
+        assert sorted((str(h.weight), h.dimension, h.sign_pair) for h in hits if not h.spin) == sorted(
+            integer_modules_below_the_bound(n))
 
 
 class TestWeylDimByCancellation:
